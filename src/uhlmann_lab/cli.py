@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from .errors import DimensionCapError, UhlmannLabError
-from .qcore import linalg
 from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
@@ -56,23 +55,27 @@ CONFIG_KEYS = {"instance", "m", "k", "T", "trials", "prover", "mode", "seed",
 
 
 def _absorb_config(args) -> None:
-    """An input file may be an experiment config rather than an instance.
+    """Parse the first input file once: an Uhlmann instance or an experiment config.
 
     Config JSON carries {instance path or inline dict, m, k, T, trials,
     prover, mode, seed, ...}; explicit command-line flags win over it.
+    ``amplify`` ignores an instance file.
     """
     if not args.inputs:
         return
     data = _load_json(args.inputs[0])
     if not (CONFIG_KEYS & set(data)) or "raw" in data or "C" in data:
+        if args.scenario != "amplify":
+            args.instance = uhlmann.UhlmannInstance.from_json_dict(data)
         return
     args.inputs = args.inputs[1:]
     inst = data.pop("instance", None)
+    if inst is None and args.inputs and args.scenario != "amplify":
+        inst = args.inputs[0]
     if inst is not None:
         if isinstance(inst, str):
-            args.instance = uhlmann.UhlmannInstance.from_json_dict(_load_json(inst))
-        else:
-            args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
+            inst = _load_json(inst)
+        args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
     if "seed" in data and "--seed" not in args.raw_argv:
         args.seed = Seed(int(data.pop("seed")))
     if "trials" in data and "--trials" not in args.raw_argv:
@@ -82,10 +85,8 @@ def _absorb_config(args) -> None:
 
 
 def _load_instance(args) -> uhlmann.UhlmannInstance:
-    if getattr(args, "instance", None) is not None:
+    if args.instance is not None:
         return args.instance
-    if args.inputs:
-        return uhlmann.UhlmannInstance.from_json_dict(_load_json(args.inputs[0]))
     kappa = float(args.params.get("kappa", 1.0))
     overlap = args.params.get("overlap")
     if overlap is not None:
@@ -342,9 +343,7 @@ def run_blackhole(args):
     else:
         n = int(args.params.get("qubits", 6))
         r = int(args.params.get("r", 4))
-        u = random_clifford(n, args.seed.child("scrambler"))
-        perm = linalg.permutation_matrix([2 ** (n - r), 2 ** r], [1, 0])
-        ch = ChannelDesc(perm @ u, 2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
+        ch = physics.radiation_channel(random_clifford(n, args.seed.child("scrambler")), r)
     dec_fid = shannon.decoupling_fidelity(ch)
     decoded = shannon.decoder_from_uhlmann(ch)
     results = {"decoupling": dec_fid, "epr_fidelity": decoded["fidelity"]}

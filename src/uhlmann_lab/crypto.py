@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, apply_to_first
+from .qcore.channels import ChannelDesc, apply_to_second
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
-from .qcore.states import BipartiteState, DensityOp
+from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
 from .uhlmann import UhlmannInstance, canonical_uhlmann, unitary_completion
 
@@ -136,13 +136,7 @@ def binding_attack_fidelity(scheme: CommitmentScheme, attack) -> float:
         if attack.d_in != dR or attack.d_out != dR:
             raise DimensionMismatch(
                 f"attack maps {attack.d_in}->{attack.d_out}, reveal dim {dR}")
-        # Channel acts on the reveal register: flip to (R, C), apply, flip back.
-        flipped = DensityOp(
-            linalg.permute_registers_dm(s0.density().matrix, s0.split, [1, 0]),
-            (dR, dC))
-        out = apply_to_first(attack, flipped)
-        back = linalg.permute_registers_dm(out.matrix, out.dims, [1, 0])
-        return fidelity(DensityOp(back, s0.split), s1.density())
+        return fidelity(apply_to_second(attack, s0), s1.density())
     raise DimensionMismatch("attack must be a unitary matrix or ChannelDesc")
 
 
@@ -196,17 +190,8 @@ def tensor_amplify(scheme: CommitmentScheme, k: int) -> CommitmentScheme:
     s0, s1 = scheme.raw_states
     dC, dR = s0.split
     check_pure_cap((dC * dR) ** k, "amplified commitment")
-
-    def fold(state: BipartiteState) -> BipartiteState:
-        vec = np.array([1.0 + 0j])
-        for _ in range(k):
-            vec = np.kron(vec, state.amplitudes)
-        inter = [dC, dR] * k
-        order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-        vec = linalg.permute_registers_vec(vec, inter, order)
-        return BipartiteState(vec, (dC ** k, dR ** k))
-
-    return CommitmentScheme(raw_states=(fold(s0), fold(s1)))
+    return CommitmentScheme(raw_states=tuple(
+        BipartiteState(tensor_power(s, k), (dC ** k, dR ** k)) for s in (s0, s1)))
 
 
 def commitment_from_instance(x: UhlmannInstance) -> CommitmentScheme:

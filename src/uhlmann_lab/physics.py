@@ -31,10 +31,7 @@ class BlackHoleInstance:
     r: int
 
     def __post_init__(self):
-        if not (1 <= self.r <= self.P.n_qubits - 0):
-            raise DimensionMismatch(f"r = {self.r} out of range")
-        if self.P.n_qubits < 2:
-            raise DimensionMismatch("need at least 2 qubits")
+        _check_radiation(self.P.n_qubits, self.r)
 
     @property
     def n(self) -> int:
@@ -42,11 +39,24 @@ class BlackHoleInstance:
 
     def radiation_channel(self) -> ChannelDesc:
         """The channel that feeds one qubit into the scrambler and emits R."""
-        n, r = self.n, self.r
-        u = self.P.unitary()
-        # Output registers (H = first n-r qubits, R = last r) -> (R, H).
-        perm = linalg.permutation_matrix([2 ** (n - r), 2 ** r], [1, 0])
-        return ChannelDesc(perm @ u, 2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
+        return radiation_channel(self.P.unitary(), self.r)
+
+
+def _check_radiation(n: int, r: int) -> None:
+    if n < 2:
+        raise DimensionMismatch("need at least 2 qubits")
+    if not (1 <= r <= n):
+        raise DimensionMismatch(f"r = {r} out of range 1..{n}")
+
+
+def radiation_channel(u: np.ndarray, r: int) -> ChannelDesc:
+    """The channel that feeds qubit 0 into the n-qubit scrambler ``u`` (the
+    other inputs start in |0>) and emits its last r output qubits, R."""
+    n = int(u.shape[0]).bit_length() - 1
+    _check_radiation(n, r)
+    # Output registers (H = first n-r qubits, R = last r) -> (R, H).
+    return ChannelDesc(linalg.permute_rows(u, [2 ** (n - r), 2 ** r], [1, 0]),
+                       2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
 
 
 def bh_decode(inst: BlackHoleInstance, min_decoupling: float = 0.0) -> dict:

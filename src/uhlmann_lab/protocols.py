@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, apply_to_first
+from .qcore.channels import ChannelDesc, apply_to_second
 from .qcore.metrics import trace_distance
-from .qcore.states import BipartiteState, DensityOp
+from .qcore.states import BipartiteState, DensityOp, tensor_power
 from .rng import Seed, as_seed
 from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann, unitary_completion
 
@@ -81,12 +81,7 @@ def _factor_action(factor, psi: BipartiteState) -> DensityOp:
     if factor is None:
         return psi.density()
     if isinstance(factor, ChannelDesc):
-        flipped = DensityOp(
-            linalg.permute_registers_dm(psi.density().matrix, psi.split, [1, 0]),
-            (psi.dB, psi.dA))
-        out = apply_to_first(factor, flipped)
-        back = linalg.permute_registers_dm(out.matrix, out.dims, [1, 0])
-        return DensityOp(back, (psi.dA, factor.d_out))
+        return apply_to_second(factor, psi)
     u = np.asarray(factor, dtype=complex)
     out = (psi.as_matrix() @ u.T).reshape(-1)
     return BipartiteState(out, psi.split).density()
@@ -134,77 +129,90 @@ def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> Protoco
                            "output_td_to_target":
                                trace_distance(out, phi.density()) if accepted else None})
         return ProtocolResult(accepted, accept_prob, out, transcript)
-    vec, dims = _szk_joint_state(psi, perm, m, prover)
-    accept_prob, out = _szk_measure(vec, dims, phi, prover)
+    accept_prob, out = _permutation_test(psi, phi, m, perm, prover)
     accepted = bool(rng.random() < accept_prob)
+    out = DensityOp(out / accept_prob, psi.split) if accepted and accept_prob > 1e-12 else None
     transcript.append({"round": 1, "perm": [int(p) for p in perm],
                        "accept_prob": accept_prob, "accepted": accepted,
                        "output_td_to_target":
-                           trace_distance(out, phi.density())
-                           if accepted and out is not None else None})
-    return ProtocolResult(accepted, accept_prob, out if accepted else None, transcript)
+                           trace_distance(out, phi.density()) if out is not None else None})
+    return ProtocolResult(accepted, accept_prob, out, transcript)
 
 
-def _szk_joint_state(psi: BipartiteState, perm, m: int, prover: ProverStrategy):
-    """Dense path: axes [A_0..A_m, B_0..B_m, (anc)], prover applied via ``perm``."""
+def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
+                      prover: ProverStrategy, prep_error: float = 0.0):
+    """The dense permutation-test verifier for one verifier permutation.
+
+    Runs the prover round on every oracle-prepared branch and projects the
+    test block onto |D>^{⊗m}. Returns the acceptance probability and the
+    accepted (A_0, B_0) output scaled by it (0.0 when nothing is accepted);
+    ``prep_error = 0`` is the ideal oracle.
+    """
     dA, dB = psi.split
-    total = (dA * dB) ** (m + 1) * prover.joint_anc_dim
-    check_pure_cap(total, "joint protocol state")
-    vec = np.array([1.0 + 0j])
-    for _ in range(m + 1):
-        vec = np.kron(vec, psi.amplitudes)
-    inter = [dA, dB] * (m + 1)
-    order = list(range(0, 2 * (m + 1), 2)) + list(range(1, 2 * (m + 1), 2))
-    vec = linalg.permute_registers_vec(vec, inter, order)
-    dims = [dA] * (m + 1) + [dB] * (m + 1)
+    check_pure_cap((dA * dB) ** (m + 1) * prover.joint_anc_dim, "joint protocol state")
+    dvec = tensor_power(phi, m)
+    p_one, out = 0.0, 0.0
+    for weight, vec in _prepared_branches(psi, m, prep_error):
+        vec, dims = _prover_round(vec, psi.split, m, perm, prover)
+        keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
+        tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
+        keep_dims = [dims[a] for a in keep]
+        work = linalg.permute_registers_vec(vec, dims, keep + tests)
+        amp = work.reshape(int(np.prod(keep_dims)), -1) @ dvec.conj()
+        p = float(np.real(amp.conj() @ amp))
+        p_one += weight * p
+        if p > 1e-300:
+            rho = linalg.partial_trace_matrix(np.outer(amp, amp.conj()), keep_dims, [0, 1])
+            out = out + weight * rho
+    return p_one, out
+
+
+def _prepared_branches(psi: BipartiteState, m: int, prep_error: float):
+    """Oracle output: (weight, joint pure vector) branches on [A-block, B-block].
+
+    Only the m oracle-prepared test copies carry the preparation error; the
+    verifier's input copy is exact.
+    """
+    tests = [tensor_power(psi, m)]
+    weights = [1.0]
+    if prep_error > 0.0:
+        junk = np.zeros_like(tests[0])
+        junk[-1] = 1.0
+        junk = junk - tests[0] * np.vdot(tests[0], junk)
+        junk = junk / np.linalg.norm(junk)
+        tests = [tests[0], junk]
+        weights = [1.0 - prep_error, prep_error]
+    dA, dB = psi.split
+    # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
+    return [(weight, linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
+                                                  [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3]))
+            for weight, test in zip(weights, tests)]
+
+
+def _prover_round(vec, split, m: int, perm, prover: ProverStrategy):
+    """Append the prover's ancilla, hand it the B registers in slot order
+    (slot j holds register perm[j]), apply the prover, and undo the
+    permutation. Returns the vector on [A_0..A_m, B_0..B_m, (ancilla)] and
+    those register dimensions."""
+    dims = [split[0]] * (m + 1) + [split[1]] * (m + 1)
     if prover.joint_anc_dim > 1:
-        anc = np.zeros(prover.joint_anc_dim, dtype=complex)
-        anc[0] = 1.0
-        vec = np.kron(vec, anc)
+        vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
         dims = dims + [prover.joint_anc_dim]
-    b_axes = list(range(m + 1, 2 * (m + 1)))
-    # Permute B registers: slot j <- register perm[j].
     axis_perm = list(range(len(dims)))
     for j, src in enumerate(perm):
         axis_perm[m + 1 + j] = m + 1 + int(src)
     vec = linalg.permute_registers_vec(vec, dims, axis_perm)
-    targets = b_axes + ([len(dims) - 1] if prover.joint_anc_dim > 1 else [])
-    vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary, targets)
-    inv = np.argsort(axis_perm)
-    vec = linalg.permute_registers_vec(vec, dims, inv)
-    return vec, dims
-
-
-def _szk_measure(vec, dims, phi: BipartiteState, prover: ProverStrategy):
-    """Project test copies onto |D>; return accept prob and conditional output."""
-    m = (len(dims) - (1 if prover.joint_anc_dim > 1 else 0)) // 2 - 1
-    dA, dB = phi.split
-    has_anc = prover.joint_anc_dim > 1
-    n_regs = len(dims)
-    test_axes = [i for i in range(1, m + 1)] + [m + 1 + i for i in range(1, m + 1)]
-    keep_axes = [0, m + 1] + ([n_regs - 1] if has_anc else [])
-    order = keep_axes + test_axes
-    work = linalg.permute_registers_vec(vec, dims, order)
-    d_keep = int(np.prod([dims[a] for a in keep_axes], dtype=np.int64))
-    work = work.reshape(d_keep, -1)
-    target = np.array([1.0 + 0j])
-    for _ in range(m):
-        target = np.kron(target, phi.amplitudes)
-    inter = [dA, dB] * m
-    t_order = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    target = linalg.permute_registers_vec(target, inter, t_order)
-    amp = work @ target.conj()
-    p = float(np.real(amp.conj() @ amp))
-    if p <= 1e-300:
-        return 0.0, None
-    amp = amp / np.sqrt(p)
-    if has_anc:
-        rho = np.outer(amp, amp.conj())
-        rho = linalg.partial_trace_matrix(rho, [dA, dB, prover.joint_anc_dim], [0, 1])
-        out = DensityOp(rho, (dA, dB))
+    if prover.is_product():
+        for j, factor in enumerate(prover.factors):
+            if factor is None:
+                continue
+            if isinstance(factor, ChannelDesc):
+                raise DimensionMismatch("the dense verifier needs unitary product factors")
+            vec = linalg.apply_matrix_to_registers(vec, dims, factor, [m + 1 + j])
     else:
-        out = BipartiteState(amp, (dA, dB)).density()
-    return p, out
+        targets = list(range(m + 1, len(dims)))
+        vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary, targets)
+    return linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm)), dims
 
 
 def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
@@ -229,36 +237,27 @@ def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
     samples = samples or 200
     acc, mat, wsum = 0.0, 0.0, 0.0
     for _ in range(samples):
-        perm = rng.permutation(m + 1)
-        vec, dims = _szk_joint_state(psi, perm, m, prover)
-        p, out = _szk_measure(vec, dims, phi, prover)
+        p, out = _permutation_test(psi, phi, m, rng.permutation(m + 1), prover)
         acc += p / samples
-        if out is not None:
-            mat = mat + p * out.matrix
-            wsum += p
-    return acc, DensityOp(mat / wsum, (psi.dA, psi.dB))
+        mat = mat + out
+        wsum += p
+    return acc, DensityOp(mat / wsum, psi.split)
 
 
 def szk_simulate(x: UhlmannInstance, m: int) -> DensityOp:
     """The zero-knowledge simulator output |D><D|^{⊗(m+1)}."""
     _, phi = x.states()
-    d = (phi.dA * phi.dB) ** (m + 1)
-    check_density_cap(d, "simulator state")
-    vec = np.array([1.0 + 0j])
-    for _ in range(m + 1):
-        vec = np.kron(vec, phi.amplitudes)
+    check_density_cap((phi.dA * phi.dB) ** (m + 1), "simulator state")
+    vec = linalg.kron_all([phi.amplitudes] * (m + 1)).reshape(-1)
     return DensityOp(np.outer(vec, vec.conj()), tuple([phi.dA * phi.dB] * (m + 1)))
 
 
 def szk_honest_post_state(x: UhlmannInstance, m: int) -> DensityOp:
     """The verifier's joint state after the honest (unitary) prover round."""
     psi, phi = x.states()
+    check_density_cap((psi.dA * psi.dB) ** (m + 1), "honest post state")
     out = apply_uhlmann(x, 0.0, psi)
-    d = (psi.dA * psi.dB) ** (m + 1)
-    check_density_cap(d, "honest post state")
-    vec = np.array([1.0 + 0j])
-    for _ in range(m + 1):
-        vec = np.kron(vec, out.amplitudes)
+    vec = linalg.kron_all([out.amplitudes] * (m + 1)).reshape(-1)
     return DensityOp(np.outer(vec, vec.conj()), tuple([psi.dA * psi.dB] * (m + 1)))
 
 
@@ -347,8 +346,7 @@ def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
     v = _amp_initial(psi, k, solver.g_dim)
     dims = _amp_dims(psi, k, solver.g_dim)
     v = _apply_solver(v, dims, solver, k)
-    dvec = _block_vector(phi, k)
-    amp = _contract_blocks(v, dims, dvec, list(range(k)), k)
+    amp = _contract_blocks(v, dims, tensor_power(phi, k), list(range(k)), k)
     return float(np.real(amp.conj() @ amp))
 
 
@@ -357,33 +355,13 @@ def _amp_dims(psi, k, g_dim):
 
 
 def _amp_initial(psi, k, g_dim):
-    vec = np.array([1.0 + 0j])
-    for _ in range(k):
-        vec = np.kron(vec, psi.amplitudes)
-    inter = [psi.dA, psi.dB] * k
-    order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    vec = linalg.permute_registers_vec(vec, inter, order)
-    g = np.zeros(g_dim, dtype=complex)
-    g[0] = 1.0
-    return np.kron(vec, g)
+    return np.kron(tensor_power(psi, k), linalg.basis_vector(g_dim, 0))
 
 
 def _apply_solver(vec, dims, solver: FoldedSolver, k, dagger=False):
     u = solver.unitary.conj().T if dagger else solver.unitary
     targets = list(range(k, 2 * k)) + [2 * k]
     return linalg.apply_matrix_to_registers(vec, dims, u, targets)
-
-
-def _block_vector(state: BipartiteState, count: int) -> np.ndarray:
-    """|state>^{⊗count} arranged as (A-block, B-block)."""
-    vec = np.array([1.0 + 0j])
-    for _ in range(count):
-        vec = np.kron(vec, state.amplitudes)
-    if count == 0:
-        return vec
-    inter = [state.dA, state.dB] * count
-    order = list(range(0, 2 * count, 2)) + list(range(1, 2 * count, 2))
-    return linalg.permute_registers_vec(vec, inter, order)
 
 
 def _contract_blocks(vec, dims, block_vec, block_ids, k):
@@ -441,8 +419,8 @@ def _amp_projectors(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = N
     psi, phi = x.states()
     dims = _amp_dims(psi, k, solver.g_dim)
     ids = [j for j in range(k) if j != i] if i is not None else list(range(k))
-    cvec = _block_vector(psi, len(ids))
-    dvec = _block_vector(phi, len(ids))
+    cvec = tensor_power(psi, len(ids))
+    dvec = tensor_power(phi, len(ids))
     p = _AmpProjector(cvec, ids, k, dims, g_zero=True)
     q = _AmpProjector(dvec, ids, k, dims, g_zero=False,
                       pre=(solver, False), post=(solver, True))
@@ -801,7 +779,8 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     The preparation oracle supplies the m test copies with trace-distance
     error ``prep_error`` (realized as a mix with an orthogonal junk state);
     verification projects the test block onto |D>^{⊗m} via the Hadamard-test
-    measurement.
+    measurement. With the ideal ``OracleConfig()`` this is ``szk_run``'s
+    verifier.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -809,35 +788,7 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     dA, dB = psi.split
     rng = as_seed(seed).child("qip").generator()
     perm = rng.permutation(m + 1)
-    check_pure_cap((dA * dB) ** (m + 1) * prover.joint_anc_dim, "qip joint state")
-
-    branches = _qip_prepared_branches(psi, m, oracle.prep_error)
-    dims = [dA] * (m + 1) + [dB] * (m + 1)
-    if prover.joint_anc_dim > 1:
-        dims = dims + [prover.joint_anc_dim]
-
-    processed = []
-    for weight, vec in branches:
-        if prover.joint_anc_dim > 1:
-            anc = np.zeros(prover.joint_anc_dim, dtype=complex)
-            anc[0] = 1.0
-            vec = np.kron(vec, anc)
-        vec = _qip_prover_round(vec, dims, m, perm, prover, psi.split)
-        processed.append((weight, vec))
-
-    # Approximate measurement of |D>^{⊗m} on the test block.
-    dvec = _block_vector(phi, m)
-    p_one, out = 0.0, 0.0
-    for weight, vec in processed:
-        work = _qip_test_reorder(vec, dims, m)
-        amp = work @ dvec.conj()
-        p = float(np.real(amp.conj() @ amp))
-        p_one += weight * p
-        if p > 1e-300:
-            keep_dims = [dA, dB] + ([prover.joint_anc_dim] if prover.joint_anc_dim > 1 else [])
-            rho = np.outer(amp, amp.conj())
-            rho = linalg.partial_trace_matrix(rho, keep_dims, [0, 1])
-            out = out + weight * rho
+    p_one, out = _permutation_test(psi, phi, m, perm, prover, oracle.prep_error)
     meas_error = 0.0
     if oracle.mode == "dme":
         k_q = oracle.k_q or default_dme_copies(0.05, d=(dA * dB) ** m)
@@ -851,60 +802,3 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
         "measurement_error_bound": meas_error, "accepted": accepted,
     }]
     return ProtocolResult(accepted, float(p_one), output if accepted else None, transcript)
-
-
-def _qip_prepared_branches(psi: BipartiteState, m: int, prep_error: float):
-    """Oracle output: (weight, joint pure vector) branches on [A-block, B-block].
-
-    Only the m oracle-prepared test copies carry the preparation error; the
-    verifier's input copy is exact.
-    """
-    tests = [_block_vector(psi, m)]
-    weights = [1.0]
-    if prep_error > 0.0:
-        junk = np.zeros_like(tests[0])
-        junk[-1] = 1.0
-        junk = junk - tests[0] * np.vdot(tests[0], junk)
-        junk = junk / np.linalg.norm(junk)
-        tests = [tests[0], junk]
-        weights = [1.0 - prep_error, prep_error]
-    out = []
-    dA, dB = psi.split
-    for weight, test in zip(weights, tests):
-        vec = np.kron(psi.amplitudes, test)
-        # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
-        dims = [dA, dB, dA ** m, dB ** m]
-        vec = linalg.permute_registers_vec(vec, dims, [0, 2, 1, 3])
-        out.append((weight, vec))
-    return out
-
-
-def _qip_prover_round(vec, dims, m, perm, prover: ProverStrategy, split):
-    axis_perm = list(range(len(dims)))
-    for j, src in enumerate(perm):
-        axis_perm[m + 1 + j] = m + 1 + int(src)
-    vec = linalg.permute_registers_vec(vec, dims, axis_perm)
-    if prover.is_product():
-        for j, factor in enumerate(prover.factors):
-            if factor is None:
-                continue
-            if isinstance(factor, ChannelDesc):
-                raise DimensionMismatch("qip_run needs unitary product factors")
-            vec = linalg.apply_matrix_to_registers(vec, dims, factor, [m + 1 + j])
-    else:
-        targets = list(range(m + 1, 2 * (m + 1)))
-        if prover.joint_anc_dim > 1:
-            targets = targets + [len(dims) - 1]
-        vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary, targets)
-    inv = np.argsort(axis_perm)
-    return linalg.permute_registers_vec(vec, dims, inv)
-
-
-def _qip_test_reorder(vec, dims, m):
-    n_regs = len(dims)
-    has_anc = n_regs == 2 * (m + 1) + 1
-    test_axes = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-    keep_axes = [0, m + 1] + ([n_regs - 1] if has_anc else [])
-    work = linalg.permute_registers_vec(vec, dims, keep_axes + test_axes)
-    d_keep = int(np.prod([dims[a] for a in keep_axes], dtype=np.int64))
-    return work.reshape(d_keep, -1)

@@ -3,7 +3,7 @@ distances, SVD thresholding, and seeded randomness."""
 
 from .gates import GATES, GateCircuit, random_circuit
 from .states import (BipartiteState, DensityOp, apply_circuit, maximally_entangled,
-                     maximally_mixed, partial_trace)
+                     maximally_mixed, partial_trace, tensor_power)
 from .metrics import PartialIsometryOp, fidelity, sgn_eta, trace_distance
 from .channels import (ChannelDesc, append_channel, apply_to_first, channel_from_circuit,
                        check_trace_preserving, complementary, compose, identity_channel,
@@ -15,7 +15,7 @@ from . import linalg
 __all__ = [
     "GATES", "GateCircuit", "random_circuit",
     "BipartiteState", "DensityOp", "apply_circuit", "maximally_entangled",
-    "maximally_mixed", "partial_trace",
+    "maximally_mixed", "partial_trace", "tensor_power",
     "PartialIsometryOp", "fidelity", "sgn_eta", "trace_distance",
     "ChannelDesc", "append_channel", "apply_to_first", "channel_from_circuit",
     "check_trace_preserving", "complementary", "compose", "identity_channel",

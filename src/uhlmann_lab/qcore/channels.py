@@ -73,9 +73,8 @@ def run_channel(ch: ChannelDesc, state) -> DensityOp:
 
 def complementary(ch: ChannelDesc) -> ChannelDesc:
     """Same dilation with the out/env roles swapped."""
-    swap = linalg.swap_matrix(ch.d_out, ch.d_env)
-    return ChannelDesc(swap @ ch.dilation, ch.d_in, ch.d_anc,
-                       (ch.d_env, ch.d_out), ch.anc_state)
+    return ChannelDesc(linalg.permute_rows(ch.dilation, ch.out_split, [1, 0]),
+                       ch.d_in, ch.d_anc, (ch.d_env, ch.d_out), ch.anc_state)
 
 
 def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
@@ -111,6 +110,17 @@ def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
     return DensityOp(out, new_dims)
 
 
+def apply_to_second(ch: ChannelDesc, state) -> DensityOp:
+    """Apply the channel to the second register of a two-register state."""
+    if isinstance(state, BipartiteState):
+        state = state.density()
+    flipped = DensityOp(linalg.permute_registers_dm(state.matrix, state.dims, [1, 0]),
+                        state.dims[::-1])
+    out = apply_to_first(ch, flipped)
+    return DensityOp(linalg.permute_registers_dm(out.matrix, out.dims, [1, 0]),
+                     out.dims[::-1])
+
+
 def compose(second: ChannelDesc, first: ChannelDesc) -> ChannelDesc:
     """The channel second ∘ first as a single Stinespring dilation."""
     if second.d_in != first.d_out:
@@ -125,8 +135,7 @@ def compose(second: ChannelDesc, first: ChannelDesc) -> ChannelDesc:
     #   permute                   -> (out1, anc2, env1)
     #   U2 on (out1, anc2)        -> (out2, env2, env1)
     u = np.kron(first.dilation, np.eye(a2))
-    perm = linalg.permutation_matrix([o1, e1, a2], [0, 2, 1])
-    u = perm @ u
+    u = linalg.permute_rows(u, [o1, e1, a2], [0, 2, 1])
     u = np.kron(second.dilation, np.eye(e1)) @ u
     anc_state = first.anc_state * a2 + second.anc_state
     assert u.shape == (dims_total, dims_total)
@@ -188,10 +197,10 @@ def channel_from_circuit(circuit: GateCircuit, n_input: int,
         raise DimensionMismatch(f"env qubits {env_qubits} out of range")
     u = circuit.unitary()
     out_qubits = [q for q in range(n) if q not in env_qubits]
-    perm = linalg.permutation_matrix([2] * n, out_qubits + env_qubits)
     d_out = 2 ** len(out_qubits)
     d_env = 2 ** len(env_qubits)
-    return ChannelDesc(perm @ u, 2 ** n_input, 2 ** (n - n_input), (d_out, d_env))
+    return ChannelDesc(linalg.permute_rows(u, [2] * n, out_qubits + env_qubits),
+                       2 ** n_input, 2 ** (n - n_input), (d_out, d_env))
 
 
 def encode_matrix(m: np.ndarray) -> list:

@@ -72,14 +72,18 @@ def permute_registers_vec(vec: np.ndarray, dims: Sequence[int], perm: Sequence[i
     return np.transpose(tensor, list(perm)).reshape(-1)
 
 
+def permute_rows(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """``permutation_matrix(dims, perm) @ m`` by reshape and transpose: the rows
+    of ``m`` are indexed by registers ``dims`` and reordered so that output
+    register i is input register perm[i]."""
+    n = len(dims)
+    tensor = m.reshape(list(dims) + [-1])
+    return np.transpose(tensor, list(perm) + [n]).reshape(m.shape)
+
+
 def permutation_matrix(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Unitary P with P|r_0, r_1, ...> = |r_{perm[0]}, r_{perm[1]}, ...>."""
-    d = int(np.prod(dims, dtype=np.int64))
-    p = np.zeros((d, d))
-    eye = np.eye(d)
-    for col in range(d):
-        p[:, col] = permute_registers_vec(eye[:, col], dims, perm)
-    return p
+    return permute_rows(np.eye(int(np.prod(dims, dtype=np.int64))), dims, perm)
 
 
 def permute_registers_dm(rho: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -108,11 +112,7 @@ def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[in
 
 def swap_matrix(d1: int, d2: int) -> np.ndarray:
     """SWAP between two registers: |i>|j> -> |j>|i>."""
-    s = np.zeros((d1 * d2, d1 * d2))
-    for i in range(d1):
-        for j in range(d2):
-            s[j * d1 + i, i * d2 + j] = 1.0
-    return s
+    return permute_rows(np.eye(d1 * d2), [d1, d2], [1, 0])
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def psd_power(m: np.ndarray, power: float, rcond: float = 1e-12) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
     vals = np.clip(vals, 0.0, None)
     cut = rcond * max(vals.max(initial=0.0), 1.0)
-    powered = np.where(vals > cut, np.power(vals, power, where=vals > cut), 0.0)
+    powered = np.power(vals, power, out=np.zeros_like(vals), where=vals > cut)
     return (vecs * powered) @ vecs.conj().T
 
 

@@ -124,6 +124,13 @@ def maximally_entangled(d: int) -> BipartiteState:
     return BipartiteState(v, (d, d))
 
 
+def tensor_power(state: BipartiteState, k: int) -> np.ndarray:
+    """|state>^{⊗k} on registers (A_1..A_k, B_1..B_k): the A-block, then the B-block."""
+    vec = linalg.kron_all([state.amplitudes] * k).reshape(-1)
+    order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
+    return linalg.permute_registers_vec(vec, [state.dA, state.dB] * k, order)
+
+
 def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     """Trace out all registers of ``op`` except those in ``keep``."""
     keep = sorted(int(k) for k in keep)

@@ -127,8 +127,8 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     x = UhlmannInstance(raw_pair=(psi, phi))
     u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
     # Decoder: input B; append |0>_{A'R'}; apply u on (B, A', R'); keep A'.
-    perm = linalg.permutation_matrix([dB, dA, dA], [1, 0, 2])
-    decoder = ChannelDesc(perm @ u, dB, dA * dA, (dA, dB * dA))
+    decoder = ChannelDesc(linalg.permute_rows(u, [dB, dA, dA], [1, 0, 2]),
+                          dB, dA * dA, (dA, dB * dA))
     sent = apply_to_first(ch, maximally_entangled(dA))
     out = apply_to_first(decoder, sent)
     fid = fidelity(out.matrix, maximally_entangled(dA).density().matrix)
@@ -160,8 +160,8 @@ def commitment_channel(scheme) -> ChannelDesc:
     from .qcore.channels import dilation_from_isometry
     dilation = dilation_from_isometry(cols, 2, d_total // 2)
     # Output registers (A, X, C, R) -> out (A, C), env (X, R).
-    perm = linalg.permutation_matrix([2, 2, dC, dR], [0, 2, 1, 3])
-    return ChannelDesc(perm @ dilation, 2, d_total // 2, (2 * dC, 2 * dR))
+    return ChannelDesc(linalg.permute_rows(dilation, [2, 2, dC, dR], [0, 2, 1, 3]),
+                       2, d_total // 2, (2 * dC, 2 * dR))
 
 
 def decoupling_experiment(rho: DensityOp, s: int, samples: int, seed) -> dict:
@@ -292,15 +292,13 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
     # ordered (A, E'); xi expects (E', A) and outputs (E', C, F0), reordered
     # to put the s-qubit register first.
     enc_in = linalg.permutation_matrix([d, d_e], [1, 0])
-    enc_out = linalg.permutation_matrix([d_e, d_c, d_e], [1, 0, 2])
-    encoder = ChannelDesc(enc_out @ xi @ enc_in, d, d_e, (d_c, d_e * d_e),
-                          anc_state=y_star)
+    encoder = ChannelDesc(linalg.permute_rows(xi, [d_e, d_c, d_e], [1, 0, 2]) @ enc_in,
+                          d, d_e, (d_c, d_e * d_e), anc_state=y_star)
     # Decoder: input C with ancilla (E' = |y*>, F0 = |0>); xi^dag maps
     # (E', C, F0) back to (E', A); output order (A | E').
     dec_in = linalg.permutation_matrix([d_c, d_e, d_e], [1, 0, 2])
-    dec_out = linalg.permutation_matrix([d_e, d], [1, 0])
-    decoder = ChannelDesc(dec_out @ xi.conj().T @ dec_in, d_c, d_e * d_e, (d, d_e),
-                          anc_state=y_star * d_e)
+    decoder = ChannelDesc(linalg.permute_rows(xi.conj().T, [d_e, d], [1, 0]) @ dec_in,
+                          d_c, d_e * d_e, (d, d_e), anc_state=y_star * d_e)
     return CompressionCodec(encoder, decoder, s, n, y_star, seed)
 
 

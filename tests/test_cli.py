@@ -166,3 +166,46 @@ def test_experiment_config_file_and_transcript(tmp_path, capsys):
     assert len(lines) == 40
     record = json.loads(lines[0])
     assert "accepted" in record and record["trial"] == 0
+
+
+def test_instance_files_are_parsed_once(tmp_path, capsys, monkeypatch):
+    import uhlmann_lab.cli as cli
+    loads = []
+    real = cli._load_json
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    inst = qutrit_instance_file(tmp_path)
+    code, _ = run_cli(capsys, "uhlmann", inst)
+    assert code == 0 and loads == [inst]
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"instance": inst, "m": 2, "trials": 10}))
+    loads.clear()
+    code, report = run_cli(capsys, "szk", str(config), "--param", "prover=identity")
+    assert code == 0 and loads == [str(config), inst]
+    assert report["results"]["m"] == 2 and report["results"]["trials"] == 10
+
+
+def test_amplify_ignores_instance_file(tmp_path, capsys):
+    # amplify runs on its own EPR instance and never builds the file's, which
+    # here is not even normalized.
+    bad = tmp_path / "unnormalized.json"
+    bad.write_text(json.dumps({"raw": {"dA": 1, "dB": 2, "psi": [[1, 0], [1, 0]],
+                                       "phi": [[1, 0], [0, 0]]}}))
+    flags = ["--param", "k=2", "--trials", "20", "--seed", "1"]
+    code, plain = run_cli(capsys, "amplify", *flags)
+    code_file, with_file = run_cli(capsys, "amplify", str(bad), *flags)
+    assert code == code_file == 0
+    assert with_file == plain
+
+
+def test_blackhole_rejects_out_of_range_r(capsys):
+    for qubits, r in ((6, 0), (6, 7)):
+        code = main(["blackhole", "--param", f"qubits={qubits}", "--param", f"r={r}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "out of range" in captured.err

@@ -76,12 +76,13 @@ def test_szk_post_prover_state_is_permutation_invariant():
     u = scipy.linalg.expm(1j * 0.3 * (lambda h: h + h.conj().T)(
         rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))))
     prover = ProverStrategy.joint(u, anc_dim=anc)
-    from uhlmann_lab.protocols import _szk_joint_state
+    from uhlmann_lab.protocols import _prepared_branches, _prover_round
+    [(_, start)] = _prepared_branches(psi, m, 0.0)
     dims = [2] * (m + 1) + [2] * (m + 1) + [anc]
     rho_star = 0.0
     perms = list(itertools.permutations(range(m + 1)))
     for perm in perms:
-        vec, _ = _szk_joint_state(psi, np.array(perm), m, prover)
+        vec, _ = _prover_round(start, psi.split, m, np.array(perm), prover)
         dm = np.outer(vec, vec.conj())
         dm = linalg.partial_trace_matrix(dm, dims, list(range(2 * (m + 1))))
         rho_star = rho_star + dm / len(perms)
@@ -349,3 +350,35 @@ def test_qip_identity_prover_envelope():
     target = apply_uhlmann(x, 0.0, psi).density()
     envelope = math.sqrt(4.0 / (m + 1)) + 5 * math.sqrt(mu)
     assert trace_distance(res.output_state, target) <= envelope + 1e-9
+
+
+def test_qip_ideal_oracle_joint_prover_matches_szk():
+    # With the ideal oracle the oracle-assisted verifier is szk_run's verifier:
+    # runs that drew the same permutation agree in accept prob and output.
+    x = instance_with_fidelity(0.95, 2, 2, 17)
+    m = 2
+    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    honest = linalg.kron_all([u] * (m + 1))
+    rng = generator(5)
+    for anc in (1, 2):
+        d = honest.shape[0] * anc
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        joint = scipy.linalg.expm(0.05j * (h + h.conj().T)) @ np.kron(honest, np.eye(anc))
+        prover = ProverStrategy.joint(joint, anc_dim=anc)
+        szk = {}
+        for seed in range(12):
+            res = szk_run(x, m, prover, seed)
+            szk[tuple(res.transcript[0]["perm"])] = res
+        probs, outputs = 0, 0
+        for seed in range(12):
+            b = qip_run(x, m, prover, OracleConfig(), seed)
+            a = szk.get(tuple(b.transcript[0]["perm"]))
+            if a is None:
+                continue
+            assert abs(a.accept_prob - b.accept_prob) < 1e-12
+            probs += 1
+            if a.accepted and b.accepted:
+                assert np.linalg.norm(a.output_state.matrix - b.output_state.matrix,
+                                      ord=np.inf) < 1e-12
+                outputs += 1
+        assert probs >= 4 and outputs >= 2

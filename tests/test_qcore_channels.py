@@ -6,6 +6,7 @@ from uhlmann_lab.qcore import (ChannelDesc, DensityOp, GateCircuit, channel_from
                                check_trace_preserving, complementary, compose,
                                identity_channel, maximally_entangled, maximally_mixed,
                                run_channel, unitary_channel)
+from uhlmann_lab.qcore.channels import apply_to_second
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
 from uhlmann_lab.rng import generator
@@ -101,3 +102,15 @@ def test_channel_input_dimension_check():
     ch = identity_channel(4)
     with pytest.raises(DimensionMismatch):
         run_channel(ch, maximally_mixed((2,)))
+
+
+def test_apply_to_second_acts_on_second_register():
+    # (id ⊗ N)(rho) against the Kraus form of N on the second register.
+    rho = DensityOp(random_density(6, generator(9)), (2, 3))
+    ch = compose(unitary_channel(haar_unitary(3, generator(10))),
+                 ChannelDesc(haar_unitary(6, generator(11)), 3, 2, (3, 2)))
+    out = apply_to_second(ch, rho)
+    assert out.dims == (2, 3)
+    oracle = sum(np.kron(np.eye(2), k) @ rho.matrix @ np.kron(np.eye(2), k).conj().T
+                 for k in ch.kraus_operators())
+    assert np.linalg.norm(out.matrix - oracle, ord=np.inf) < 1e-12

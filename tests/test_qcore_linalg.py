@@ -1,0 +1,53 @@
+import itertools
+import warnings
+
+import numpy as np
+
+from uhlmann_lab.qcore import linalg
+from uhlmann_lab.rng import generator
+
+
+def explicit_permutation(dims, perm):
+    """P|r_0, r_1, ...> = |r_{perm[0]}, r_{perm[1]}, ...>, one basis state at a time."""
+    d = int(np.prod(dims))
+    out_dims = [dims[p] for p in perm]
+    p = np.zeros((d, d))
+    for col, digits in enumerate(itertools.product(*[range(k) for k in dims])):
+        row = np.ravel_multi_index([digits[q] for q in perm], out_dims)
+        p[row, col] = 1.0
+    return p
+
+
+def test_permute_rows_matches_permutation_matrix_product():
+    rng = generator(3)
+    cases = [([2, 3, 4], [1, 2, 0]), ([3, 1, 2, 2], [2, 0, 3, 1])]
+    for _ in range(6):
+        n = int(rng.integers(1, 5))
+        cases.append(([int(k) for k in rng.integers(1, 5, size=n)],
+                      [int(q) for q in rng.permutation(n)]))
+    for dims, perm in cases:
+        d = int(np.prod(dims))
+        m = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        p = explicit_permutation(dims, perm)
+        assert np.array_equal(linalg.permutation_matrix(dims, perm), p)
+        assert np.array_equal(linalg.permute_rows(m, dims, perm),
+                              linalg.permutation_matrix(dims, perm) @ m)
+        assert np.array_equal(linalg.permute_rows(m[:, 0], dims, perm), p @ m[:, 0])
+
+
+def test_swap_matrix_exchanges_registers():
+    for d1, d2 in ((2, 3), (3, 2), (1, 4), (3, 3)):
+        s = linalg.swap_matrix(d1, d2)
+        assert np.array_equal(s, explicit_permutation([d1, d2], [1, 0]))
+        for i, j in itertools.product(range(d1), range(d2)):
+            ket = np.kron(np.eye(d1)[i], np.eye(d2)[j])
+            assert np.array_equal(s @ ket, np.kron(np.eye(d2)[j], np.eye(d1)[i]))
+
+
+def test_psd_power_raises_no_warning_on_rank_deficient_input():
+    v = np.array([1.0, 2.0, 0.0, 0.0])
+    m = np.diag(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv_root = linalg.psd_power(m, -0.5)
+    assert np.allclose(inv_root, np.diag([1.0, 2.0 ** -0.5, 0.0, 0.0]), atol=1e-15)

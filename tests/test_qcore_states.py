@@ -3,7 +3,8 @@ import pytest
 
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch, NotPositive
 from uhlmann_lab.qcore import (BipartiteState, DensityOp, fidelity, maximally_entangled,
-                               maximally_mixed, partial_trace, sgn_eta, trace_distance)
+                               maximally_mixed, partial_trace, sgn_eta, tensor_power,
+                               trace_distance)
 from uhlmann_lab.qcore.random_ops import haar_state_vector, random_density
 from uhlmann_lab.rng import generator
 
@@ -210,3 +211,16 @@ def test_purification_recovers_state():
     rho = _random_dm(4, 21, rank=2)
     psi = rho.purify()
     assert np.linalg.norm(psi.reduced_a().matrix - rho.matrix, ord=np.inf) < 1e-10
+
+
+def test_tensor_power_is_kron_then_regroup():
+    s = BipartiteState(haar_state_vector(6, generator(4)), (2, 3))
+    assert np.array_equal(tensor_power(s, 0), np.array([1.0 + 0j]))
+    for k in (1, 2, 3):
+        vec = np.array([1.0 + 0j])
+        for _ in range(k):
+            vec = np.kron(vec, s.amplitudes)
+        # (A_1, B_1, ..., A_k, B_k) -> (A_1..A_k, B_1..B_k)
+        want = vec.reshape([2, 3] * k).transpose(
+            list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))).reshape(-1)
+        assert np.allclose(tensor_power(s, k), want, atol=1e-15)
