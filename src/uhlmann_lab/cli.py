@@ -403,7 +403,7 @@ def _parse(argv) -> argparse.Namespace:
                         help="write per-round protocol records as JSON lines")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE")
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     params = {}
     for entry in args.param:
         if "=" not in entry:

@@ -54,11 +54,7 @@ class ChannelDesc:
 
     def isometry(self) -> np.ndarray:
         """The Stinespring isometry V: in -> out ⊗ env (d x d_in)."""
-        d = self.d_in * self.d_anc
-        cols = np.zeros((d, self.d_in), dtype=complex)
-        for i in range(self.d_in):
-            cols[:, i] = self.dilation[:, i * self.d_anc + self.anc_state]
-        return cols
+        return self.dilation[:, self.anc_state::self.d_anc]
 
     def kraus_operators(self) -> list:
         """Kraus operators K_e = (id ⊗ <e|) V."""
@@ -67,7 +63,7 @@ class ChannelDesc:
 
 
 def run_channel(ch: ChannelDesc, state) -> DensityOp:
-    """Apply the channel: dilate, evolve, trace the environment."""
+    """Apply the channel: sum_e K_e rho K_e^dag over the Kraus operators."""
     return apply_to_first(ch, state, 1)
 
 
@@ -81,7 +77,9 @@ def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
     """Apply the channel to the first register of a joint state.
 
     ``state`` is a DensityOp or BipartiteState whose first register matches
-    the channel input; remaining registers ride along untouched.
+    the channel input; remaining registers ride along untouched. The channel
+    acts in Kraus form through its isometry V = sum_e K_e ⊗ |e>, so the
+    dilated (in, anc, rest) state is never built; the cap on it still holds.
     """
     if isinstance(state, BipartiteState):
         state = state.density()
@@ -95,17 +93,13 @@ def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
     if d_first != ch.d_in:
         raise DimensionMismatch(f"channel input dim {ch.d_in} vs register dim {d_first}")
     check_density_cap(ch.d_in * ch.d_anc * rest, "dilated state")
-    # Embed ancilla: register order (in, anc, rest).
-    anc = np.zeros((ch.d_anc, ch.d_anc))
-    anc[ch.anc_state, ch.anc_state] = 1.0
-    # rho_in,rest -> rho_in,anc,rest
+    v = ch.isometry().reshape(ch.d_out, ch.d_env, d_first)
     m = mat.reshape(d_first, rest, d_first, rest)
-    big = np.einsum("irjs,ab->iarjbs", m, anc).reshape(
-        d_first * ch.d_anc * rest, d_first * ch.d_anc * rest)
-    big = linalg.apply_matrix_to_registers_dm(
-        big, [d_first * ch.d_anc, rest], ch.dilation, [0])
-    out = linalg.partial_trace_matrix(
-        big, [ch.d_out, ch.d_env, rest], [0, 2])
+    # (out, env, rest, in', rest') then contract env and in' with conj(V).
+    half = np.tensordot(v, m, axes=([2], [0]))
+    out = np.tensordot(half, v.conj(), axes=([1, 3], [1, 2]))  # (out, rest, rest', out')
+    d = ch.d_out * rest
+    out = out.transpose(0, 1, 3, 2).reshape(d, d)
     new_dims = (ch.d_out,) + tuple(dims[1:])
     return DensityOp(out, new_dims)
 

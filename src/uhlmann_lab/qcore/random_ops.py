@@ -3,14 +3,15 @@
 Cliffords are sampled exactly uniformly: a uniform symplectic matrix over
 F_2 via the Koenig-Smolin transvection construction, uniform sign bits, and
 then materialization of the unique unitary (up to global phase) with those
-Pauli images.
+Pauli images. Paulis act on the materialized columns through their index
+maps (``pauli_action``), never as dense matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import check_pure_cap
+from ..errors import DimensionMismatch, check_pure_cap
 from . import linalg
 from .states import BipartiteState
 from ..rng import as_seed
@@ -80,6 +81,8 @@ def _find_transvection(x, y):
 
 def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform 2n x 2n symplectic matrix over F_2 (interleaved x/z pairs)."""
+    if n < 1:
+        raise DimensionMismatch(f"need at least one qubit, got n = {n}")
     nn = 2 * n
     f1 = rng.integers(0, 2, size=nn)
     while not f1.any():
@@ -116,6 +119,29 @@ def pauli_matrix(v: np.ndarray, sign: int = 0) -> np.ndarray:
     return -m if sign else m
 
 
+# (-i)^k for k mod 4: the phase of the Y factors and of the sign bit.
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j], dtype=complex)
+
+
+def pauli_action(v: np.ndarray, sign: int = 0) -> tuple:
+    """Index map of a Pauli: ``pauli_matrix(v, sign) @ m == phase[:, None] * m[perm]``.
+
+    A Pauli has one nonzero per row: row i holds (-1)^sign (-i)^{#Y}
+    (-1)^{popcount(i & zmask)} in column i ^ xmask (qubit 0 is the most
+    significant bit). Every phase is exactly +-1 or +-i, so products by it
+    are exact.
+    """
+    n = v.size // 2
+    x, z = np.asarray(v[0::2], dtype=np.int64), np.asarray(v[1::2], dtype=np.int64)
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(2 ** n, dtype=np.int64)
+    perm = idx ^ int(x @ weights)
+    base = _MINUS_I_POWERS[(int(x @ z) + 2 * int(sign)) % 4]
+    odd = np.bitwise_count(idx & int(z @ weights)) & 1
+    phase = np.where(odd == 1, -base, base)
+    return perm, phase
+
+
 def random_clifford(n: int, seed) -> np.ndarray:
     """Uniformly random n-qubit Clifford unitary (dense, up to global phase)."""
     check_pure_cap(4 ** n, "materialized Clifford")
@@ -126,19 +152,22 @@ def random_clifford(n: int, seed) -> np.ndarray:
     # Stabilizers of U|0^n>: the images of Z_1..Z_n.
     proj = np.eye(d, dtype=complex)
     for i in range(n):
-        p = pauli_matrix(g[2 * i + 1], int(signs[2 * i + 1]))
-        proj = 0.5 * (proj + p @ proj)
+        perm, phase = pauli_action(g[2 * i + 1], int(signs[2 * i + 1]))
+        proj = 0.5 * (proj + phase[:, None] * proj[perm])
     col = int(np.argmax(np.linalg.norm(proj, axis=0)))
     phi = proj[:, col]
     phi = phi / np.linalg.norm(phi)
     pivot = int(np.argmax(np.abs(phi)))
     phi = phi * (np.abs(phi[pivot]) / phi[pivot])
-    # Columns: U|x> = prod_i (image of X_i)^{x_i} U|0^n>.
-    x_images = [pauli_matrix(g[2 * i], int(signs[2 * i])) for i in range(n)]
-    cols = [phi]
+    # Columns: U|x> = prod_i (image of X_i)^{x_i} U|0^n>, qubit n-1 first.
+    u = np.empty((d, d), dtype=complex)
+    u[:, 0] = phi
+    filled = 1
     for i in reversed(range(n)):
-        cols = cols + [x_images[i] @ c for c in cols]
-    return np.stack(cols, axis=1)
+        perm, phase = pauli_action(g[2 * i], int(signs[2 * i]))
+        u[:, filled:2 * filled] = phase[:, None] * u[perm, :filled]
+        filled *= 2
+    return u
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -76,9 +76,9 @@ def h2_conditional(mat: np.ndarray, split, sigma: np.ndarray) -> float:
     """
     dA, dB = split
     inv_root = linalg.psd_power(sigma, -0.5)
-    big = np.kron(np.eye(dA), inv_root)
-    x = big @ mat
-    val = float(np.real(np.trace(x @ x)))
+    # (id ⊗ sigma^{-1/2}) rho: sigma^{-1/2} on the B axis of rho's rows.
+    x = np.matmul(inv_root, mat.reshape(dA, dB, -1)).reshape(mat.shape)
+    val = float(np.real(np.sum(x * x.T)))
     return -math.log2(max(val, 1e-300))
 
 

@@ -209,3 +209,21 @@ def test_blackhole_rejects_out_of_range_r(capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and "out of range" in captured.err
+
+
+def test_zero_qubit_scenarios_exit_2(capsys):
+    for scenario in ("channel", "blackhole"):
+        code = main([scenario, "--param", "qubits=0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_inputs_may_follow_flags(tmp_path, capsys):
+    inst = qutrit_instance_file(tmp_path)
+    for argvs in ((["uhlmann", inst, "--seed", "1"], ["uhlmann", "--seed", "1", inst]),
+                  (["szk", inst, "--param", "m=2", "--trials", "5"],
+                   ["szk", "--param", "m=2", "--trials", "5", inst])):
+        first, second = (run_cli(capsys, *argv) for argv in argvs)
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.errors import DimensionMismatch
-from uhlmann_lab.qcore import (ChannelDesc, DensityOp, GateCircuit, channel_from_circuit,
+from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
+                               apply_to_first, channel_from_circuit,
                                check_trace_preserving, complementary, compose,
                                identity_channel, maximally_entangled, maximally_mixed,
                                run_channel, unitary_channel)
@@ -114,3 +115,34 @@ def test_apply_to_second_acts_on_second_register():
     oracle = sum(np.kron(np.eye(2), k) @ rho.matrix @ np.kron(np.eye(2), k).conj().T
                  for k in ch.kraus_operators())
     assert np.linalg.norm(out.matrix - oracle, ord=np.inf) < 1e-12
+
+
+def _dilate_conjugate_trace(ch: ChannelDesc, mat: np.ndarray, rest: int) -> np.ndarray:
+    """Reference channel application: embed the ancilla in |anc_state>, conjugate
+    the (in, anc, rest) density by the full dilation, trace the environment."""
+    anc = np.zeros((ch.d_anc, ch.d_anc))
+    anc[ch.anc_state, ch.anc_state] = 1.0
+    big = np.kron(mat, anc)  # registers (in, rest, anc)
+    reorder = linalg.permutation_matrix([ch.d_in, rest, ch.d_anc], [0, 2, 1])
+    big = reorder @ big @ reorder.T  # registers (in, anc, rest)
+    u = np.kron(ch.dilation, np.eye(rest))
+    big = u @ big @ u.conj().T  # registers (out, env, rest)
+    return linalg.partial_trace_matrix(big, [ch.d_out, ch.d_env, rest], [0, 2])
+
+
+@pytest.mark.parametrize("d_in,d_anc,out_split,anc_state", [
+    (3, 2, (2, 3), 1), (2, 3, (3, 2), 2), (3, 4, (4, 3), 3), (2, 2, (4, 1), 1)])
+@pytest.mark.parametrize("rest", [1, 3])
+def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_state, rest):
+    rng = generator(20 + 7 * d_in + d_anc + rest)
+    ch = ChannelDesc(haar_unitary(d_in * d_anc, rng), d_in, d_anc, out_split, anc_state)
+    dims = (d_in, rest) if rest > 1 else (d_in,)
+    mixed = DensityOp(random_density(d_in * rest, rng), dims)
+    v = rng.standard_normal(d_in * rest) + 1j * rng.standard_normal(d_in * rest)
+    pure = BipartiteState(v / np.linalg.norm(v), (d_in, rest))
+    for state, mat, dims_in in ((mixed, mixed.matrix, mixed.dims),
+                                (pure, pure.density().matrix, pure.split)):
+        out = apply_to_first(ch, state)
+        assert out.dims == (ch.d_out,) + dims_in[1:]
+        want = _dilate_conjugate_trace(ch, mat, rest)
+        assert np.linalg.norm(out.matrix - want, ord=np.inf) < 1e-12

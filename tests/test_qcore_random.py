@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
+from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import linalg, random_clifford, random_state, random_symplectic
-from uhlmann_lab.qcore.random_ops import pauli_matrix
-from uhlmann_lab.rng import Seed, child_seed, generator
+from uhlmann_lab.qcore.random_ops import pauli_action, pauli_matrix
+from uhlmann_lab.rng import Seed, as_seed, child_seed, generator
 
 
 def test_clifford_is_unitary():
@@ -97,3 +99,50 @@ def test_random_state_determinism_and_norm():
     b = random_state(8, Seed(5))
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
+
+
+def test_pauli_action_matches_pauli_matrix():
+    for n in (1, 2, 3):
+        idx = np.arange(2 ** n)
+        for bits in range(4 ** n):
+            v = np.array([(bits >> j) & 1 for j in range(2 * n)])
+            for sign in (0, 1):
+                perm, phase = pauli_action(v, sign)
+                dense = np.zeros((2 ** n, 2 ** n), dtype=complex)
+                dense[idx, perm] = phase
+                assert np.array_equal(dense, pauli_matrix(v, sign))
+
+
+def _dense_pauli_clifford(n, seed):
+    """Reference synthesis: the Clifford with the sampled Pauli images, built by
+    multiplying dense Pauli matrices."""
+    rng = as_seed(seed).child("clifford").generator()
+    g = random_symplectic(n, rng)
+    signs = rng.integers(0, 2, size=2 * n)
+    proj = np.eye(2 ** n, dtype=complex)
+    for i in range(n):
+        proj = 0.5 * (proj + pauli_matrix(g[2 * i + 1], int(signs[2 * i + 1])) @ proj)
+    phi = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    phi = phi / np.linalg.norm(phi)
+    pivot = int(np.argmax(np.abs(phi)))
+    cols = [phi * (np.abs(phi[pivot]) / phi[pivot])]
+    for i in reversed(range(n)):
+        x_image = pauli_matrix(g[2 * i], int(signs[2 * i]))
+        cols = cols + [x_image @ c for c in cols]
+    return np.stack(cols, axis=1)
+
+
+def test_clifford_equals_dense_pauli_construction_bit_for_bit():
+    for n in range(1, 7):
+        for seed in range(4):
+            fast = random_clifford(n, child_seed(3, "bits", 10 * n + seed))
+            dense = _dense_pauli_clifford(n, child_seed(3, "bits", 10 * n + seed))
+            assert np.array_equal(fast.view(float), dense.view(float))
+
+
+def test_clifford_needs_a_qubit():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            random_clifford(n, 1)
+        with pytest.raises(DimensionMismatch):
+            random_symplectic(n, generator(1))

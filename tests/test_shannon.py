@@ -13,7 +13,8 @@ from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random
 from uhlmann_lab.rng import Seed, child_seed, generator
 from uhlmann_lab.shannon import (commitment_channel, compress, decoder_from_uhlmann,
                                  decoupling_experiment, decoupling_fidelity, entropies,
-                                 haar_overlap, roundtrip, truncation_codec)
+                                 h2_conditional, haar_overlap, roundtrip,
+                                 truncation_codec)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,19 @@ def test_entropy_conditional_h2():
     phi = maximally_entangled(4)
     rep = entropies(DensityOp(phi.density().matrix, (4, 4)))
     assert abs(rep.h2_lower - (-2.0)) < 1e-9
+
+
+@pytest.mark.parametrize("split", [(2, 3), (4, 8)])
+def test_h2_conditional_matches_kron_formula(split):
+    dA, dB = split
+    rng = generator(40 + dA)
+    for rank in (1, 3, dA * dB):
+        rho = random_density(dA * dB, rng, rank)
+        for sigma in (linalg.partial_trace_matrix(rho, [dA, dB], [1]),
+                      random_density(dB, rng, max(1, dB - 1))):
+            x = np.kron(np.eye(dA), linalg.psd_power(sigma, -0.5)) @ rho
+            want = -math.log2(float(np.real(np.trace(x @ x))))
+            assert abs(h2_conditional(rho, split, sigma) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
