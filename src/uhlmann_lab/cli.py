@@ -25,7 +25,7 @@ from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
 from .qcore.states import DensityOp, maximally_mixed
 from .qcore.random_ops import haar_state_vector, random_clifford
-from .rng import Seed, as_seed
+from .rng import Seed
 from . import crypto, physics, protocols, shannon, uhlmann
 
 
@@ -104,7 +104,7 @@ def _write_transcript(args, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _state_from_spec(spec: str) -> DensityOp:
+def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
     if spec.startswith("mm:"):
         n = int(spec.split(":", 1)[1])
         return maximally_mixed((2,) * n)
@@ -113,7 +113,7 @@ def _state_from_spec(spec: str) -> DensityOp:
         return DensityOp(np.diag(probs).astype(complex), (len(probs),))
     if spec.startswith("haar:"):
         d = int(spec.split(":", 1)[1])
-        v = haar_state_vector(d, as_seed(0).generator())
+        v = haar_state_vector(d, seed.generator())
         return DensityOp(np.outer(v, v.conj()), (d,))
     data = _load_json(spec)
     circ = GateCircuit.from_json_dict(data)
@@ -154,7 +154,7 @@ def run_uhlmann(args):
 
 def run_entropy(args):
     spec = args.params.get("state") or (args.inputs[0] if args.inputs else "mm:3")
-    rho = _state_from_spec(spec)
+    rho = _state_from_spec(spec, args.seed)
     eps = float(args.params.get("epsilon", 0.0))
     rep = shannon.entropies(rho, eps)
     d = rho.dim
@@ -170,21 +170,23 @@ def run_entropy(args):
     return results, checks
 
 
+def _prover(args, x, m: int):
+    name = args.params.get("prover", "honest")
+    if name == "honest":
+        return name, protocols.ProverStrategy.honest(x, m)
+    if name == "identity":
+        return name, protocols.ProverStrategy.identity(m)
+    raise UsageError(f"unknown prover {name!r}")
+
+
 def run_szk(args):
     x = _load_instance(args)
     m = int(args.params.get("m", 8))
     info = uhlmann.validate_instance(x)
-    prover_name = args.params.get("prover", "honest")
-    if prover_name == "honest":
-        prover = protocols.ProverStrategy.honest(x, m)
-        psi, phi = x.states()
-        expected = info["kappa"] ** m
-    elif prover_name == "identity":
-        prover = protocols.ProverStrategy.identity(m)
-        psi, phi = x.states()
-        expected = abs(psi.overlap(phi)) ** (2 * m)
-    else:
-        raise UsageError(f"unknown prover {prover_name!r}")
+    prover_name, prover = _prover(args, x, m)
+    psi, phi = x.states()
+    expected = info["kappa"] ** m if prover_name == "honest" \
+        else abs(psi.overlap(phi)) ** (2 * m)
     accepts = 0
     records = []
     for t in range(args.trials):
@@ -213,12 +215,12 @@ def run_qip(args):
     x = _load_instance(args)
     m = int(args.params.get("m", 8))
     info = uhlmann.validate_instance(x)
-    prover_name = args.params.get("prover", "honest")
-    prover = protocols.ProverStrategy.honest(x, m) if prover_name == "honest" \
-        else protocols.ProverStrategy.identity(m)
-    oracle = protocols.OracleConfig(
-        prep_error=float(args.params.get("prep_error", 0.0)),
-        mode=args.params.get("mode", "ideal_reflection"))
+    prover_name, prover = _prover(args, x, m)
+    mode = args.params.get("mode", "ideal_reflection")
+    if mode not in ("ideal_reflection", "dme"):
+        raise UsageError(f"unknown mode {mode!r}")
+    oracle = protocols.OracleConfig(prep_error=float(args.params.get("prep_error", 0.0)),
+                                    mode=mode)
     res = protocols.qip_run(x, m, prover, oracle, args.seed)
     _write_transcript(args, res.transcript)
     psi, phi = x.states()
@@ -316,7 +318,7 @@ def run_channel(args):
 
 def run_compress(args):
     spec = args.params.get("source", "mm:3")
-    rho = _state_from_spec(spec)
+    rho = _state_from_spec(spec, args.seed)
     delta = float(args.params.get("delta", 0.1))
     s = args.params.get("s")
     s = int(s) if s is not None else None

@@ -9,9 +9,9 @@ primitives.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -578,23 +578,31 @@ def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
 # ---------------------------------------------------------------------------
 # Density matrix exponentiation
 
+def _partial_swap_step(mat: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndarray:
+    """Tr_Q[e^{i dt S}(mat ⊗ sigma_Q)e^{-i dt S}], S swapping the last register X of
+    ``mat`` with Q, in the Lloyd–Mohseni–Rebentrost closed form
+    cos² dt mat + sin² dt Tr_X(mat)⊗sigma + i sin dt cos dt [1⊗sigma, mat]."""
+    d = sigma.shape[0]
+    r = mat.reshape(-1, d, mat.shape[0] // d, d)
+    c, s = math.cos(dt), math.sin(dt)
+    swapped = np.einsum("axbx->ab", r)[:, None, :, None] * sigma[None, :, None, :]
+    comm = np.einsum("xy,aybz->axbz", sigma, r) - np.einsum("axby,yz->axbz", r, sigma)
+    return (c * c * r + s * s * swapped + 1j * s * c * comm).reshape(mat.shape)
+
+
 def partial_swap(rho: DensityOp, sigma: DensityOp, dt: float) -> DensityOp:
-    """Tr_P(e^{-i dt SWAP} (rho_P ⊗ sigma_Q) e^{+i dt SWAP}) by exact conjugation."""
+    """Tr_P(e^{-i dt SWAP} (rho_P ⊗ sigma_Q) e^{+i dt SWAP}), in closed form."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} vs {sigma.dim}")
-    d = rho.dim
-    s = linalg.swap_matrix(d, d)
-    e = math.cos(dt) * np.eye(d * d) - 1j * math.sin(dt) * s
-    joint = np.kron(rho.matrix, sigma.matrix)
-    out = e @ joint @ e.conj().T
-    return DensityOp(linalg.partial_trace_matrix(out, [d, d], [1]), (d,))
+    return DensityOp(_partial_swap_step(sigma.matrix, rho.matrix, -dt), (rho.dim,))
 
 
 def dme(target: DensityOp, program: DensityOp, t: float, k: int) -> DensityOp:
     """Approximate conjugation by e^{2 pi i t rho} via k partial swaps.
 
     ``target`` may carry spectator registers; the last register is acted on
-    and must match the program dimension. Error is O(t^2 / k) in trace norm.
+    and must match the program dimension. The trace-distance error is at
+    most ``dme_error_bound(t, k)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -602,17 +610,9 @@ def dme(target: DensityOp, program: DensityOp, t: float, k: int) -> DensityOp:
         raise DimensionMismatch(
             f"program dim {program.dim} vs acted register {target.dims[-1]}")
     dt = 2.0 * math.pi * t / k
-    d = program.dim
-    s = linalg.swap_matrix(d, d)
-    # e^{+i dt S} on (acted, fresh program) gives e^{+2 pi i t rho} overall.
-    e = math.cos(dt) * np.eye(d * d) + 1j * math.sin(dt) * s
     mat = target.matrix
-    dims = list(target.dims)
-    n = len(dims)
     for _ in range(k):
-        joint = np.kron(mat, program.matrix)
-        joint = linalg.apply_matrix_to_registers_dm(joint, dims + [d], e, [n - 1, n])
-        mat = linalg.partial_trace_matrix(joint, dims + [d], list(range(n)))
+        mat = _partial_swap_step(mat, program.matrix, dt)
     return DensityOp(mat, target.dims)
 
 
@@ -622,29 +622,39 @@ def dme_exact_unitary(program: DensityOp, t: float) -> np.ndarray:
     return (vecs * np.exp(2j * math.pi * t * vals)) @ vecs.conj().T
 
 
-@lru_cache(maxsize=None)
-def dme_error_constant(d: int = 2) -> float:
-    """Empirical constant C with td error <= C t^2 / k, fitted on a
-    calibration instance at startup."""
-    rng = as_seed(1).child("dme-cal").generator()
-    from .qcore.random_ops import haar_state_vector, random_density
-    vec = haar_state_vector(d, rng)
-    target = DensityOp(np.outer(vec, vec.conj()), (d,))
-    program = DensityOp(random_density(d, rng), (d,))
-    t = 0.5
-    w = dme_exact_unitary(program, t)
-    exact = DensityOp(w @ target.matrix @ w.conj().T, (d,))
-    worst = 0.0
-    for k in (8, 16, 32):
-        err = trace_distance(dme(target, program, t, k), exact)
-        worst = max(worst, err * k / t ** 2)
-    return worst
+def dme_error_bound(t: float, k: int) -> float:
+    """Trace-distance bound, in any dimension, for k partial swaps approximating
+    conjugation by e^{2 pi i t sigma} (``dme`` and the controlled DME of
+    ``approx_measure``): min(1, (k/2) ε(Δ)) with Δ = 2 pi |t| / k and
+    ε(Δ) = 4(1 - cos Δ) + |Δ - sin Δ cos Δ| + (e^Δ - 1 - Δ).
+
+    One step E(ρ) = Tr_Q[V(ρ⊗σ)V†], V = e^{iΔH} = 1 + is H - (1-c)Π (c, s =
+    cos Δ, sin Δ; H = S or, controlled, |1><1|⊗S; Π = H², H³ = H) stands for
+    e^{iΔG} ρ e^{-iΔG}, G = Tr_Q[H(1⊗σ)] = 1⊗σ or |1><1|⊗1⊗σ. For ‖ρ‖₁ ≤ 1 the
+    difference has a zeroth- and second-order part -(1-c)(Πρ + ρΠ) + (1-c)²ΠρΠ
+    + s² Tr_Q[H(ρ⊗σ)H], at most 2(1-c) + (1-c)² + s² = 4(1-c); a first-order gap
+    i(s - Δ)[G, ρ] - is(1-c)[G, ΠρΠ], at most Δ - sc as ‖ad_G‖ ≤ 1 in trace norm
+    (0 ≤ G ≤ 1) and 0 ≤ s ≤ Δ (Δ ≤ pi; past it the bound is 1); and the Taylor
+    tail Σ_{n≥2} (iΔ ad_G)^n ρ / n! of e^{iΔG} ρ e^{-iΔG}, at most e^Δ - 1 - Δ.
+    Steps are channels, so trace-norm contractivity sums the k step errors;
+    halving gives trace distance.
+    """
+    delta = 2.0 * math.pi * abs(t) / k
+    step = (4.0 * (1.0 - math.cos(delta)) + abs(delta - math.sin(delta) * math.cos(delta))
+            + math.expm1(delta) - delta)
+    return min(1.0, 0.5 * k * step)
 
 
-def default_dme_copies(error: float, t: float = 0.5, d: int = 2) -> int:
-    """Copies needed for a target DME trace-distance error."""
-    c = dme_error_constant(d)
-    return max(4, int(math.ceil(c * t ** 2 / error)))
+def default_dme_copies(error: float, t: float = 0.5) -> int:
+    """Smallest k >= 4 with ``dme_error_bound(t, k) <= error`` (the bound
+    decreases with k, so a doubling search and a bisection find it)."""
+    if not error > 0:
+        raise ValueError(f"error must be positive, got {error}")
+    hi = 4
+    while dme_error_bound(t, hi) > error:
+        hi *= 2
+    ks = range(4, hi + 1)
+    return ks[bisect.bisect_left(ks, True, key=lambda k: dme_error_bound(t, k) <= error)]
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +678,16 @@ def approx_measure(tau, psi, k_q: int = None, mode: str = "ideal_reflection",
     An ancilla |+> controls e^{i pi |psi><psi|} (exact reflection in
     ``ideal_reflection`` mode, DME with k_q program copies in ``dme`` mode);
     measuring the ancilla in the ± basis yields bit b with
-    Pr[b=1] ≈ Tr(|psi><psi| tau). When k_q is omitted it is sized for
-    ``target_error`` from the calibrated DME constant.
+    Pr[b=1] ≈ Tr(|psi><psi| tau). In ``dme`` mode an omitted k_q is the
+    fewest copies whose ``dme_error_bound`` meets ``target_error``.
     """
     if isinstance(psi, BipartiteState):
         psi = psi.amplitudes
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if k_q is None:
-        k_q = default_dme_copies(target_error)
     if mode == "ideal_reflection":
         result = _approx_measure_pure(tau, psi)
-        result.error_bound = 0.0
     elif mode == "dme":
-        result = _approx_measure_dme(tau, psi, k_q)
-        result.error_bound = dme_error_constant(psi.shape[0]) * 0.25 / k_q
+        result = _approx_measure_dme(tau, psi, k_q or default_dme_copies(target_error))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rng = as_seed(seed).child("approx-measure").generator()
@@ -733,32 +739,25 @@ def _approx_measure_dme(tau, psi, k_q: int):
     d_m = tau.dims[-1]
     if d_m != psi.shape[0]:
         raise DimensionMismatch(f"program dim {psi.shape[0]} vs measured register {d_m}")
-    program = DensityOp(np.outer(psi, psi.conj()), (d_m,))
-    dims = (2,) + tuple(tau.dims)
-    plus = 0.5 * np.ones((2, 2), dtype=complex)
-    mat = np.kron(plus, tau.matrix)
-    check_density_cap(mat.shape[0] * d_m, "controlled-DME state")
-    n = len(dims)
-    dt = 2.0 * math.pi * 0.5 / k_q
-    s = linalg.swap_matrix(d_m, d_m)
-    e = math.cos(dt) * np.eye(d_m * d_m) + 1j * math.sin(dt) * s
-    ce = np.kron(np.diag([1.0, 0.0]), np.eye(d_m * d_m)) + \
-        np.kron(np.diag([0.0, 1.0]), e)
+    sigma = DensityOp(np.outer(psi, psi.conj()), (d_m,)).matrix
+    check_density_cap(2 * tau.dim * d_m, "controlled-DME state")
+    # Control blocks of 2|+><+|⊗tau: |0><0| is left alone, |1><1| takes the partial
+    # swaps, |1><0| the one-sided steps, 1⊗w with w = (cos dt + i sin dt sigma)^{k_q}.
+    dt = math.pi / k_q
+    b11 = tau.matrix
     for _ in range(k_q):
-        joint = np.kron(mat, program.matrix)
-        joint = linalg.apply_matrix_to_registers_dm(joint, list(dims) + [d_m], ce,
-                                                    [0, n - 1, n])
-        mat = linalg.partial_trace_matrix(joint, list(dims) + [d_m], list(range(n)))
+        b11 = _partial_swap_step(b11, sigma, dt)
+    w = np.linalg.matrix_power(math.cos(dt) * np.eye(d_m) + 1j * math.sin(dt) * sigma, k_q)
+    b10 = (w @ tau.matrix.reshape(-1, d_m, tau.dim)).reshape(tau.dim, tau.dim)
     # Measure the control in the ± basis: outcome '-' is bit 1.
-    h = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(tau.dim))
-    mat = h @ mat @ h.conj().T
-    blocks = mat.reshape(2, tau.dim, 2, tau.dim)
-    zero, one = blocks[0, :, 0, :], blocks[1, :, 1, :]
+    one = 0.25 * (tau.matrix + b11 - b10 - b10.conj().T)
+    zero = 0.25 * (tau.matrix + b11 + b10 + b10.conj().T)
     p_one = float(np.real(np.trace(one)))
     p_zero = float(np.real(np.trace(zero)))
     post_one = DensityOp(linalg.hermitize(one) / p_one, tau.dims) if p_one > 1e-12 else None
     post_zero = DensityOp(linalg.hermitize(zero) / p_zero, tau.dims) if p_zero > 1e-12 else None
-    return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero, 0.0)
+    return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero,
+                               dme_error_bound(0.5, k_q))
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +790,7 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     p_one, out = _permutation_test(psi, phi, m, perm, prover, oracle.prep_error)
     meas_error = 0.0
     if oracle.mode == "dme":
-        k_q = oracle.k_q or default_dme_copies(0.05, d=(dA * dB) ** m)
-        meas_error = dme_error_constant((dA * dB) ** m if (dA * dB) ** m <= 4 else 2) \
-            * 0.25 / k_q
+        meas_error = dme_error_bound(0.5, oracle.k_q or default_dme_copies(0.05))
     accepted = bool(rng.random() < p_one)
     output = DensityOp(out / p_one, (dA, dB)) if p_one > 1e-12 else None
     transcript = [{

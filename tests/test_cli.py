@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 
-from uhlmann_lab.cli import main
+from uhlmann_lab.cli import _state_from_spec, main
+from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
+from uhlmann_lab.qcore.random_ops import haar_state_vector
+from uhlmann_lab.rng import Seed, as_seed
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +230,30 @@ def test_inputs_may_follow_flags(tmp_path, capsys):
         first, second = (run_cli(capsys, *argv) for argv in argvs)
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+def test_qip_dme_mode_reports_the_derived_bound(tmp_path, capsys):
+    # Sizing the copies no longer depends on the (dA dB)^m test-block dimension.
+    transcript = tmp_path / "qip.jsonl"
+    code, _ = run_cli(capsys, "qip", "--param", "mode=dme", "--param", "m=3",
+                      "--transcript", str(transcript))
+    assert code == 0
+    bound = json.loads(transcript.read_text().splitlines()[0])["measurement_error_bound"]
+    assert bound == dme_error_bound(0.5, default_dme_copies(0.05))
+    assert bound <= 0.05
+
+
+def test_qip_rejects_unknown_prover_and_mode(capsys):
+    for param in ("prover=cheat", "mode=bogus"):
+        code = main(["qip", "--param", "m=2", "--param", param])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and param.split("=")[1] in captured.err
+
+
+def test_haar_source_follows_seed():
+    first, other = (_state_from_spec("haar:8", Seed(s)).matrix for s in (0, 5))
+    assert np.abs(first - other).max() > 1e-3
+    v = haar_state_vector(8, as_seed(0).generator())
+    assert np.array_equal(first, np.outer(v, v.conj()))

@@ -8,7 +8,8 @@ from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.protocols import (AmplifierConfig, OracleConfig, ProverStrategy,
                                    amplification_bound, amplify_jordan_residual,
                                    amplify_run, approx_measure, default_dme_copies, dme,
-                                   dme_exact_unitary, engineered_solver, exact_solver,
+                                   dme_error_bound, dme_exact_unitary, engineered_solver,
+                                   exact_solver,
                                    folded_fidelity, partial_swap, qip_run,
                                    szk_conditional_output, szk_honest_post_state,
                                    szk_run, szk_simulate, szk_simulator_distance)
@@ -211,6 +212,131 @@ def test_amplifier_incoherent_variant_agrees():
 
 # ---------------------------------------------------------------------------
 # Partial swap and DME
+
+# Dense references: the swap is built as a matrix, the program copy is appended
+# by a Kronecker product, the joint state is conjugated and the copy traced out.
+
+def _swap_gate(rest, d, dt):
+    """1_rest ⊗ e^{i dt S} on (rest, X, Q) with dim X = dim Q = d."""
+    e = math.cos(dt) * np.eye(d * d) + 1j * math.sin(dt) * linalg.swap_matrix(d, d)
+    return np.kron(np.eye(rest), e)
+
+
+def dense_dme(target, program, t, k):
+    d = program.shape[0]
+    rest = target.shape[0] // d
+    gate = _swap_gate(rest, d, 2 * math.pi * t / k)
+    mat = target
+    for _ in range(k):
+        joint = gate @ np.kron(mat, program) @ gate.conj().T
+        mat = linalg.partial_trace_matrix(joint, [rest * d, d], [0])
+    return mat
+
+
+def dense_controlled_dme(tau, program, k):
+    """Blocks (bit 0, bit 1) of |+><+|⊗tau after k controlled partial swaps
+    (e^{i pi sigma} overall) and a Hadamard on the control."""
+    d = program.shape[0]
+    dim = tau.shape[0]
+    gate = _swap_gate(dim // d, d, math.pi / k)
+    ctrl = np.kron(np.diag([1.0, 0.0]), np.eye(dim * d)) + np.kron(np.diag([0.0, 1.0]), gate)
+    mat = np.kron(np.full((2, 2), 0.5), tau)
+    for _ in range(k):
+        joint = ctrl @ np.kron(mat, program) @ ctrl.conj().T
+        mat = linalg.partial_trace_matrix(joint, [2 * dim, d], [0])
+    h = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2), np.eye(dim))
+    blocks = (h @ mat @ h.conj().T).reshape(2, dim, 2, dim)
+    return blocks[0, :, 0, :], blocks[1, :, 1, :]
+
+
+def test_dme_matches_dense_reference():
+    rng = generator(70)
+    # Spectators, a non-qubit acted register, and spectator dim != program dim.
+    for dims, t in (((2,), 0.5), ((3,), -0.3), ((2, 3), 0.4), ((3, 2), 0.25), ((3, 3), 0.3),
+                    ((2, 2, 2), 1.0)):
+        d = dims[-1]
+        target = random_density(int(np.prod(dims)), rng)
+        program = random_density(d, rng)
+        for k in (1, 3, 8):
+            out = dme(DensityOp(target, dims), DensityOp(program, (d,)), t, k)
+            assert np.abs(out.matrix - dense_dme(target, program, t, k)).max() < 1e-12
+
+
+def test_partial_swap_matches_dense_reference():
+    rng = generator(71)
+    for d, dt in ((2, 0.7), (3, -0.4), (4, 1.3)):
+        rho, sig = random_density(d, rng), random_density(d, rng)
+        gate = _swap_gate(1, d, -dt)
+        joint = gate @ np.kron(rho, sig) @ gate.conj().T
+        want = linalg.partial_trace_matrix(joint, [d, d], [1])
+        out = partial_swap(DensityOp(rho, (d,)), DensityOp(sig, (d,)), dt)
+        assert np.abs(out.matrix - want).max() < 1e-12
+
+
+def test_approx_measure_dme_matches_dense_reference():
+    rng = generator(72)
+    for split in ((1, 2), (2, 3), (3, 2)):
+        dim = split[0] * split[1]
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vec /= np.linalg.norm(vec)
+        psi = rng.standard_normal(split[1]) + 1j * rng.standard_normal(split[1])
+        psi /= np.linalg.norm(psi)
+        tau = np.outer(vec, vec.conj())
+        for k_q in (2, 5, 16):
+            res = approx_measure(BipartiteState(vec, split), psi, k_q=k_q, mode="dme")
+            zero, one = dense_controlled_dme(tau, np.outer(psi, psi.conj()), k_q)
+            p_one = np.trace(one).real
+            assert abs(res.p_one - p_one) < 1e-12
+            assert np.abs(res.post_one.matrix - one / p_one).max() < 1e-12
+            assert np.abs(res.post_zero.matrix - zero / np.trace(zero).real).max() < 1e-12
+
+
+def _exact_dme(target, program, t):
+    d = program.dim
+    w = np.kron(np.eye(target.dim // d), dme_exact_unitary(program, t))
+    return w @ target.matrix @ w.conj().T
+
+
+def test_dme_within_derived_bound_near_orthogonal_target():
+    # The fitted constant of earlier versions understated this error 6.5-fold.
+    theta = math.pi / 2 - 0.05
+    vec = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+    target = DensityOp(np.outer(vec, vec.conj()), (2,))
+    program = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
+    err = trace_distance(dme(target, program, 0.1, 64).matrix, _exact_dme(target, program, 0.1))
+    assert err <= dme_error_bound(0.1, 64)
+
+
+def test_approx_measure_dme_within_bound_near_orthogonal_target():
+    theta = math.pi / 2 - 0.05
+    tau = BipartiteState(np.array([math.cos(theta), math.sin(theta)], dtype=complex), (1, 2))
+    res = approx_measure(tau, np.array([1.0, 0]), k_q=128, mode="dme")
+    assert abs(res.p_one - math.cos(theta) ** 2) <= res.error_bound
+    assert res.error_bound == dme_error_bound(0.5, 128)
+
+
+def test_dme_error_bound_holds_across_dimensions():
+    rng = generator(73)
+    for d in (2, 3, 4):
+        for rest in (1, 2):
+            for t in (0.05, -0.2, 0.5):
+                for k in (2, 8, 64):
+                    rank = int(rng.integers(1, d * rest + 1))
+                    target = DensityOp(random_density(d * rest, rng, rank=rank), (rest, d))
+                    program = DensityOp(random_density(d, rng, rank=int(rng.integers(1, d + 1))),
+                                        (d,))
+                    err = trace_distance(dme(target, program, t, k).matrix,
+                                         _exact_dme(target, program, t))
+                    assert err <= dme_error_bound(t, k)
+
+
+def test_default_dme_copies_is_smallest_k_meeting_the_bound():
+    for error in (0.3, 0.05, 0.01, 1e-3):
+        k = default_dme_copies(error)
+        assert dme_error_bound(0.5, k) <= error < dme_error_bound(0.5, k - 1)
+    assert default_dme_copies(0.05, t=0.0) == 4
+    with pytest.raises(ValueError):
+        default_dme_copies(0.0)
 
 def test_partial_swap_endpoints():
     rho = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
