@@ -50,6 +50,26 @@ class UsageError(Exception):
     pass
 
 
+def _param(args, key: str, default, kind, low, high=None):
+    """``--param key`` as ``kind`` within [low, high], else a UsageError."""
+    raw = args.params.get(key, default)
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise UsageError(f"--param {key}={raw!r} is not a valid {kind.__name__}") from None
+    if not value >= low or (high is not None and not value <= high):  # NaN fails too
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise UsageError(f"--param {key}={raw} must be {bounds}")
+    return value
+
+
+def _seed(value) -> Seed:
+    try:
+        return Seed(int(value))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 CONFIG_KEYS = {"instance", "m", "k", "T", "trials", "prover", "mode", "seed",
                "nu", "prep_error", "delta", "epsilon"}
 
@@ -77,7 +97,7 @@ def _absorb_config(args) -> None:
             inst = _load_json(inst)
         args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
     if "seed" in data and "--seed" not in args.raw_argv:
-        args.seed = Seed(int(data.pop("seed")))
+        args.seed = _seed(data.pop("seed"))
     if "trials" in data and "--trials" not in args.raw_argv:
         args.trials = int(data.pop("trials"))
     for key, value in data.items():
@@ -87,12 +107,12 @@ def _absorb_config(args) -> None:
 def _load_instance(args) -> uhlmann.UhlmannInstance:
     if args.instance is not None:
         return args.instance
-    kappa = float(args.params.get("kappa", 1.0))
-    overlap = args.params.get("overlap")
-    if overlap is not None:
-        return uhlmann.overlap_instance(kappa, float(overlap), args.seed)
-    dA = int(args.params.get("dA", 2))
-    dB = int(args.params.get("dB", 2))
+    kappa = _param(args, "kappa", 1.0, float, 0.0, 1.0)
+    if "overlap" in args.params:
+        return uhlmann.overlap_instance(kappa, _param(args, "overlap", None, float, 0.0, kappa),
+                                        args.seed)
+    dA = _param(args, "dA", 2, int, 1)
+    dB = _param(args, "dB", 2, int, 1)
     return uhlmann.instance_with_fidelity(kappa, dA, dB, args.seed)
 
 
@@ -126,14 +146,13 @@ def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
 
 def run_uhlmann(args):
     x = _load_instance(args)
-    eta = float(args.params.get("eta", 0.0))
+    eta = _param(args, "eta", 0.0, float, 0.0)
     info = uhlmann.validate_instance(x)
     w = uhlmann.canonical_uhlmann(x, eta)
     psi, phi = x.states()
-    transported = uhlmann.apply_uhlmann(x, eta, psi)
-    achieved = abs(np.vdot(phi.amplitudes, transported.amplitudes)) ** 2
-    overlap = abs(np.vdot(phi.amplitudes,
-                          (psi.as_matrix() @ w.matrix.T).reshape(-1))) ** 2
+    transport = lambda u: abs(np.vdot(phi.amplitudes, (psi.as_matrix() @ u.T).reshape(-1))) ** 2
+    achieved = transport(w.completion())
+    overlap = transport(w.matrix)
     results = {
         "kappa": info["kappa"], "dA": info["dA"], "dB": info["dB"], "eta": eta,
         "rank": w.rank(),
@@ -413,11 +432,13 @@ def _parse(argv) -> argparse.Namespace:
         key, value = entry.split("=", 1)
         params[key] = value
     args.params = params
-    args.seed = Seed(args.seed)
+    args.seed = _seed(args.seed)
     args.raw_argv = list(argv)
     args.instance = None
     if args.scenario in ("szk", "qip", "amplify", "uhlmann"):
         _absorb_config(args)
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     return args
 
 

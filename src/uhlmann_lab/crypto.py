@@ -22,7 +22,7 @@ from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
 from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
-from .uhlmann import UhlmannInstance, canonical_uhlmann, unitary_completion
+from .uhlmann import UhlmannInstance, canonical_uhlmann
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def optimal_binding_attack(scheme: CommitmentScheme) -> np.ndarray:
     s0, s1 = scheme.states()
     # Uhlmann instance with untouched register C first, acted register R second.
     x = UhlmannInstance(raw_pair=(s0, s1))
-    return unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    return canonical_uhlmann(x, 0.0).completion()
 
 
 def flavor_switch(scheme: CommitmentScheme) -> CommitmentScheme:

@@ -19,7 +19,7 @@ from .qcore.channels import ChannelDesc
 from .qcore.gates import GateCircuit
 from .qcore.states import BipartiteState, maximally_entangled
 from .shannon import decoder_from_uhlmann, decoupling_fidelity
-from .uhlmann import UhlmannInstance, canonical_uhlmann, unitary_completion
+from .uhlmann import UhlmannInstance, canonical_uhlmann
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def controlled_swap_from_uhlmann(pair: OrthPair) -> np.ndarray:
     split = (4, 2 * d)
     x = UhlmannInstance(raw_pair=(BipartiteState(c_t.reshape(-1), split),
                                   BipartiteState(d_t.reshape(-1), split)))
-    return unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    return canonical_uhlmann(x, 0.0).completion()
 
 
 def interference_detect(pair: OrthPair, state, tol: float = 1e-6) -> int:

@@ -22,7 +22,7 @@ from .qcore.channels import ChannelDesc, apply_to_second
 from .qcore.metrics import trace_distance
 from .qcore.states import BipartiteState, DensityOp, tensor_power
 from .rng import Seed, as_seed
-from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann, unitary_completion
+from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ class ProverStrategy:
 
     @staticmethod
     def honest(x: UhlmannInstance, m: int) -> "ProverStrategy":
-        u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+        u = canonical_uhlmann(x, 0.0).completion()
         return ProverStrategy("honest", factors=tuple([u] * (m + 1)))
 
     @staticmethod
@@ -55,7 +55,7 @@ class ProverStrategy:
     @staticmethod
     def partial_honest(x: UhlmannInstance, m: int, count: int) -> "ProverStrategy":
         """Applies the honest unitary on ``count`` slots, identity elsewhere."""
-        u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+        u = canonical_uhlmann(x, 0.0).completion()
         facs = [u] * count + [None] * (m + 1 - count)
         return ProverStrategy("custom", factors=tuple(facs))
 
@@ -306,7 +306,7 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
 
 def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
     """R~ = (unitary completion)^{⊗k}, the exact transporter."""
-    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    u = canonical_uhlmann(x, 0.0).completion()
     return FoldedSolver(linalg.kron_all([u] * k), 1)
 
 
@@ -320,7 +320,7 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
     """
     psi, phi = x.states()
     dB = x.dB
-    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    u = canonical_uhlmann(x, 0.0).completion()
     uk = linalg.kron_all([u] * k)
     if junk is None:
         # X on the first qubit of the first B register.

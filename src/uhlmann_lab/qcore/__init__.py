@@ -5,9 +5,9 @@ from .gates import GATES, GateCircuit, random_circuit
 from .states import (BipartiteState, DensityOp, apply_circuit, maximally_entangled,
                      maximally_mixed, partial_trace, tensor_power)
 from .metrics import PartialIsometryOp, fidelity, sgn_eta, trace_distance
-from .channels import (ChannelDesc, append_channel, apply_to_first, channel_from_circuit,
+from .channels import (ChannelDesc, apply_to_first, channel_from_circuit,
                        check_trace_preserving, complementary, compose, identity_channel,
-                       run_channel, trace_out_channel, unitary_channel)
+                       run_channel, unitary_channel)
 from .random_ops import (haar_state_vector, haar_unitary, pauli_matrix, random_clifford,
                          random_density, random_state, random_symplectic)
 from . import linalg
@@ -17,9 +17,9 @@ __all__ = [
     "BipartiteState", "DensityOp", "apply_circuit", "maximally_entangled",
     "maximally_mixed", "partial_trace", "tensor_power",
     "PartialIsometryOp", "fidelity", "sgn_eta", "trace_distance",
-    "ChannelDesc", "append_channel", "apply_to_first", "channel_from_circuit",
+    "ChannelDesc", "apply_to_first", "channel_from_circuit",
     "check_trace_preserving", "complementary", "compose", "identity_channel",
-    "run_channel", "trace_out_channel", "unitary_channel",
+    "run_channel", "unitary_channel",
     "haar_state_vector", "haar_unitary", "pauli_matrix", "random_clifford",
     "random_density", "random_state", "random_symplectic",
     "linalg",

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DimensionMismatch, check_density_cap
 from . import linalg
 from .gates import GateCircuit
+from .metrics import PartialIsometryOp
 from .states import BipartiteState, DensityOp
 
 
@@ -145,38 +146,14 @@ def unitary_channel(u: np.ndarray) -> ChannelDesc:
     return ChannelDesc(u, u.shape[0], 1, (u.shape[0], 1))
 
 
-def trace_out_channel(d_keep: int, d_drop: int, keep_first: bool = True) -> ChannelDesc:
-    """Channel on d_keep*d_drop that discards one factor."""
-    d = d_keep * d_drop
-    if keep_first:
-        return ChannelDesc(np.eye(d, dtype=complex), d, 1, (d_keep, d_drop))
-    perm = linalg.permutation_matrix([d_drop, d_keep], [1, 0])
-    return ChannelDesc(perm, d, 1, (d_keep, d_drop))
-
-
-def append_channel(d_in: int, appended: int, basis_state: int = 0) -> ChannelDesc:
-    """Channel that appends a fresh register in a basis state (output = in ⊗ appended)."""
-    d = d_in * appended
-    u = np.eye(d, dtype=complex)
-    return ChannelDesc(u, d_in, appended, (d, 1), basis_state)
-
-
 def dilation_from_isometry(columns: np.ndarray, d_in: int, d_anc: int,
                            anc_state: int = 0) -> np.ndarray:
-    """Unitary U with U|i>|anc_state> = columns[:, i], remaining columns
-    completed orthonormally."""
+    """Unitary U with U|i>|anc_state> = columns[:, i]: the completion of the
+    partial isometry that maps each |i>|anc_state> to its column."""
     d = d_in * d_anc
     if columns.shape != (d, d_in):
         raise DimensionMismatch(f"columns shape {columns.shape}, expected {(d, d_in)}")
-    full = linalg.gram_schmidt_complete(columns)
-    u = np.zeros((d, d), dtype=complex)
-    taken = [i * d_anc + anc_state for i in range(d_in)]
-    for i in range(d_in):
-        u[:, taken[i]] = full[:, i]
-    rest = [c for c in range(d) if c not in taken]
-    for j, c in enumerate(rest):
-        u[:, c] = full[:, d_in + j]
-    return u
+    return PartialIsometryOp(columns, np.eye(d)[:, anc_state::d_anc]).completion()
 
 
 def channel_from_circuit(circuit: GateCircuit, n_input: int,

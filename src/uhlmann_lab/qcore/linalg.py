@@ -146,21 +146,3 @@ def is_unitary(m: np.ndarray, atol: float = 1e-10) -> bool:
         return False
     return np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), ord=np.inf) <= atol
 
-
-def gram_schmidt_complete(columns: np.ndarray) -> np.ndarray:
-    """Complete a set of orthonormal columns (d x k) to a full unitary (d x d)."""
-    d, k = columns.shape
-    basis = [columns[:, j] for j in range(k)]
-    for e in range(d):
-        if len(basis) == d:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[e] = 1.0
-        for b in basis:
-            v = v - b * (b.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            basis.append(v / nrm)
-    if len(basis) != d:
-        raise np.linalg.LinAlgError("could not complete basis")
-    return np.stack(basis, axis=1)

@@ -47,41 +47,51 @@ def trace_distance(rho, sigma) -> float:
 
 @dataclass(frozen=True)
 class PartialIsometryOp:
-    """Operator with singular values in {0, 1}; unitary on its support.
+    """Partial isometry W = left right^dag, held as its factors.
 
-    ``polar`` caches the polar unitary of the matrix the isometry was
-    thresholded from, which is the canonical unitary completion.
+    ``left`` and ``right`` have orthonormal columns, one per unit singular
+    value: ``left`` spans the range of W and ``right`` its support.
     """
 
-    matrix: np.ndarray
-    polar: np.ndarray = None
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.polar is not None:
-            p = np.asarray(self.polar, dtype=complex).copy()
-            p.setflags(write=False)
-            object.__setattr__(self, "polar", p)
+        for name in ("left", "right"):
+            m = np.asarray(getattr(self, name), dtype=complex).copy()
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.left @ self.right.conj().T
 
     @property
     def support_projector(self) -> np.ndarray:
         """W^dag W, the projector onto the support."""
-        return self.matrix.conj().T @ self.matrix
-
-    @property
-    def range_projector(self) -> np.ndarray:
-        return self.matrix @ self.matrix.conj().T
+        return self.right @ self.right.conj().T
 
     def rank(self) -> int:
-        return int(round(np.trace(self.support_projector).real))
+        return self.left.shape[1]
 
     def check(self, atol: float = 1e-9) -> None:
         sv = np.linalg.svd(self.matrix, compute_uv=False)
         bad = np.minimum(np.abs(sv), np.abs(sv - 1.0)).max(initial=0.0)
         if bad > atol:
             raise ValueError(f"singular values deviate from {{0,1}} by {bad:.3g}")
+
+    def completion(self) -> np.ndarray:
+        """A unitary that agrees with W on its support.
+
+        With Q an orthonormal basis of a span containing range and support
+        (reduced QR of [left | right]; a rank-deficient stack still gives one),
+        U = I + Q (polar(Q^dag W Q) - I) Q^dag: the polar unitary of W inside
+        that span of dimension <= 2 rank, and the identity outside it.
+        """
+        d = self.left.shape[0]
+        q, _ = np.linalg.qr(np.hstack([self.left, self.right]))
+        u, _, vh = np.linalg.svd((q.conj().T @ self.left) @ (self.right.conj().T @ q))
+        return np.eye(d) + q @ (u @ vh - np.eye(q.shape[1])) @ q.conj().T
 
 
 def sgn_eta(m: np.ndarray, eta: float = 0.0) -> PartialIsometryOp:
@@ -95,9 +105,6 @@ def sgn_eta(m: np.ndarray, eta: float = 0.0) -> PartialIsometryOp:
         raise ValueError("matrix has non-finite entries")
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    u, sv, vh = np.linalg.svd(m)
-    kept = sv > (eta + SGN_BAND)
-    k = int(kept.sum())
-    w = u[:, :k] @ vh[:k, :]
-    polar = u @ vh if m.shape[0] == m.shape[1] else None
-    return PartialIsometryOp(w, polar)
+    u, sv, vh = np.linalg.svd(m, full_matrices=False)
+    k = int((sv > (eta + SGN_BAND)).sum())
+    return PartialIsometryOp(u[:, :k], vh[:k].conj().T)

@@ -21,7 +21,7 @@ from .qcore.metrics import fidelity, trace_distance
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .qcore.states import BipartiteState, DensityOp, maximally_entangled, partial_trace
 from .rng import Seed, as_seed
-from .uhlmann import UhlmannInstance, canonical_uhlmann, unitary_completion
+from .uhlmann import UhlmannInstance, canonical_uhlmann
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     dA, dB, dC = ch.d_in, ch.d_out, ch.d_env
     psi, phi = _decoder_instance(ch)
     x = UhlmannInstance(raw_pair=(psi, phi))
-    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    u = canonical_uhlmann(x, 0.0).completion()
     # Decoder: input B; append |0>_{A'R'}; apply u on (B, A', R'); keep A'.
     decoder = ChannelDesc(linalg.permute_rows(u, [dB, dA, dA], [1, 0, 2]),
                           dB, dA * dA, (dA, dB * dA))
@@ -283,7 +283,7 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
     split = (d_e * d_r, d_e * d)
     x = UhlmannInstance(raw_pair=(BipartiteState(f_vec, split),
                                   BipartiteState(g_vec, split)))
-    xi = unitary_completion(canonical_uhlmann(x, 0.0)).unitary  # on (E', A) -> (E', C, F0)
+    xi = canonical_uhlmann(x, 0.0).completion()  # on (E', A) -> (E', C, F0)
 
     alphas = np.linalg.norm(rotated.reshape(d_e, -1), axis=1) ** 2
     y_star = int(np.argmax(alphas))

@@ -137,18 +137,21 @@ def cross_operator(x: UhlmannInstance) -> np.ndarray:
 
 
 def canonical_uhlmann(x: UhlmannInstance, eta: float = 0.0) -> PartialIsometryOp:
-    """The canonical cutoff-eta Uhlmann partial isometry for (|C>, |D>)."""
-    return sgn_eta(cross_operator(x), eta)
+    """The canonical cutoff-eta Uhlmann partial isometry for (|C>, |D>).
+
+    Thresholds ``cross_operator(x)`` through its factors: with the thin QR
+    psi^T = Q R (psi as a dA x dB matrix), Tr_A |phi><psi| = (phi^T R^dag) Q^dag,
+    so only the dB x min(dA, dB) factor phi^T R^dag is decomposed.
+    """
+    psi, phi = x.states()
+    q, r = np.linalg.qr(psi.as_matrix().T)
+    w = sgn_eta(phi.as_matrix().T @ r.conj().T, eta)
+    return PartialIsometryOp(w.left, q @ w.right)
 
 
 def unitary_completion(w: PartialIsometryOp) -> CompletionChannel:
-    """Polar completion: from a full SVD W = U S V^dag, the unitary U V^dag."""
-    if w.polar is not None:
-        return CompletionChannel(w.polar)
-    if w.matrix.shape[0] != w.matrix.shape[1]:
-        raise DimensionMismatch("only square partial isometries have unitary completions")
-    u, _, vh = np.linalg.svd(w.matrix)
-    return CompletionChannel(u @ vh)
+    """The completion of W as a channel."""
+    return CompletionChannel(w.completion())
 
 
 def apply_uhlmann(x: UhlmannInstance, eta: float, target: BipartiteState) -> BipartiteState:
@@ -159,8 +162,7 @@ def apply_uhlmann(x: UhlmannInstance, eta: float, target: BipartiteState) -> Bip
     """
     if target.dB != x.dB:
         raise DimensionMismatch(f"target B dimension {target.dB}, instance needs {x.dB}")
-    w = canonical_uhlmann(x, eta)
-    u = unitary_completion(w).unitary
+    u = canonical_uhlmann(x, eta).completion()
     out = (target.as_matrix() @ u.T).reshape(-1)
     return BipartiteState(out, target.split)
 

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from uhlmann_lab.cli import _state_from_spec, main
 from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
@@ -257,3 +258,17 @@ def test_haar_source_follows_seed():
     assert np.abs(first - other).max() > 1e-3
     v = haar_state_vector(8, as_seed(0).generator())
     assert np.array_equal(first, np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["uhlmann", "--param", "eta=-1"], ["uhlmann", "--param", "eta=abc"],
+    ["uhlmann", "--param", "eta=nan"],
+    ["uhlmann", "--param", "kappa=2"], ["uhlmann", "--param", "dA=0"],
+    ["uhlmann", "--param", "kappa=0.5", "--param", "overlap=0.8"],
+    ["szk", "--trials", "0"], ["szk", "--seed", "-1"], ["amplify", "--trials", "0"]])
+def test_invalid_values_exit_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -7,7 +7,7 @@ from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircu
                                check_trace_preserving, complementary, compose,
                                identity_channel, maximally_entangled, maximally_mixed,
                                run_channel, unitary_channel)
-from uhlmann_lab.qcore.channels import apply_to_second
+from uhlmann_lab.qcore.channels import apply_to_second, dilation_from_isometry
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
 from uhlmann_lab.rng import generator
@@ -17,7 +17,7 @@ def depolarizing_channel(d=2) -> ChannelDesc:
     """Fully depolarizing: prepare a maximally entangled ancilla pair, swap in
     the input, trace everything but the entangled half."""
     phi = maximally_entangled(d).amplitudes
-    prep = linalg.gram_schmidt_complete(phi.reshape(d * d, 1))
+    prep = dilation_from_isometry(phi.reshape(d * d, 1), 1, d * d)
     u = np.kron(linalg.swap_matrix(d, d), np.eye(d)) @ np.kron(np.eye(d), prep)
     return ChannelDesc(u, d, d * d, (d, d * d))
 
@@ -146,3 +146,12 @@ def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_st
         assert out.dims == (ch.d_out,) + dims_in[1:]
         want = _dilate_conjugate_trace(ch, mat, rest)
         assert np.linalg.norm(out.matrix - want, ord=np.inf) < 1e-12
+
+
+@pytest.mark.parametrize("d_in,d_anc,anc_state", [(2, 3, 2), (3, 4, 1), (1, 4, 3), (2, 2, 0)])
+def test_dilation_from_isometry_places_columns_at_anc_state(d_in, d_anc, anc_state):
+    columns = haar_unitary(d_in * d_anc, generator(30 + d_in + d_anc))[:, :d_in]
+    u = dilation_from_isometry(columns, d_in, d_anc, anc_state)
+    ch = ChannelDesc(u, d_in, d_anc, (d_in * d_anc, 1), anc_state)
+    ch.check_unitary(atol=1e-12)
+    assert np.abs(ch.isometry() - columns).max() < 1e-12

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.errors import DimensionMismatch, InvalidInstance
-from uhlmann_lab.qcore import BipartiteState, GateCircuit, fidelity, trace_distance
-from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary
+from uhlmann_lab.qcore import (BipartiteState, GateCircuit, PartialIsometryOp, fidelity,
+                               sgn_eta, trace_distance)
+from uhlmann_lab.qcore import linalg
+from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_clifford
 from uhlmann_lab.rng import child_seed, generator
 from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
                                  cross_operator, instance_with_fidelity, pad_instance,
@@ -129,8 +131,89 @@ def test_eta_guarantee():
         assert overlap_after(w.matrix, psi, phi) >= kappa - 2 * eta * x.dB - 1e-9
 
 
+def factored_solve_instances():
+    """Raw pairs with dA < dB, dA = dB and dA > dB (generic and rank-deficient),
+    and pairs of 4-qubit stabilizer states cut at every split."""
+    for dA, dB in ((2, 5), (3, 7), (4, 4), (5, 5), (6, 3), (8, 2)):
+        for seed in range(3):
+            yield random_raw_instance(dA, dB, child_seed(61, f"{dA}x{dB}", seed))
+            yield instance_with_fidelity(0.4, dA, dB, child_seed(62, f"{dA}x{dB}", seed))
+    for seed in range(4):
+        c, d = (random_clifford(4, child_seed(63, tag, seed))[:, 0] for tag in "CD")
+        for split in ((2, 8), (4, 4), (8, 2)):
+            yield UhlmannInstance(raw_pair=(BipartiteState(c, split), BipartiteState(d, split)))
+
+
+def test_factored_solve_matches_dense_threshold():
+    count = 0
+    for x in factored_solve_instances():
+        for eta in (0.0, 0.05, 0.3):
+            w = canonical_uhlmann(x, eta)
+            want = sgn_eta(cross_operator(x), eta)
+            assert w.rank() == want.rank()
+            assert np.abs(w.matrix - want.matrix).max() < 1e-12
+            count += 1
+    assert count == 3 * (6 * 3 * 2 + 4 * 3)
+
+
+def test_canonical_solve_decomposes_only_thin_factors(monkeypatch):
+    # Tr_A|phi><psi| is 256 x 256 here but has rank <= 4: no decomposed matrix
+    # may have both sides larger than dA.
+    x = random_raw_instance(4, 256, 9)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    w = canonical_uhlmann(x, 0.0)
+    monkeypatch.undo()
+    assert shapes and all(min(shape) <= 4 for shape in shapes)
+    assert w.rank() == 4
+
+
 # ---------------------------------------------------------------------------
 # Completion
+
+def assert_completes(w: PartialIsometryOp) -> None:
+    u = w.completion()
+    assert linalg.is_unitary(u, 1e-12)
+    assert np.abs(u @ w.right - w.left).max() < 1e-12
+
+
+def test_completion_range_apart_from_support():
+    # Range and support are orthogonal: W maps e_0, e_1 to e_2, e_3.
+    eye = np.eye(6)
+    assert_completes(PartialIsometryOp(eye[:, 2:4], eye[:, :2]))
+    rng = generator(71)
+    basis = haar_unitary(7, rng)
+    assert_completes(PartialIsometryOp(basis[:, :3], basis[:, 3:6]))
+
+
+def test_completion_range_overlapping_support():
+    rng = generator(72)
+    basis = haar_unitary(8, rng)
+    # Shared direction basis[:, 2] plus one direction each of their own.
+    left = basis[:, [0, 2]] @ haar_unitary(2, rng)
+    assert_completes(PartialIsometryOp(left, basis[:, [1, 2]]))
+    # Range equal to support: the stacked factors are rank deficient.
+    same = basis[:, :3]
+    assert_completes(PartialIsometryOp(same @ haar_unitary(3, rng), same))
+
+
+def test_completion_rank_above_half_the_dimension():
+    rng = generator(73)
+    for d, k in ((5, 3), (6, 4), (4, 4)):
+        assert_completes(PartialIsometryOp(haar_unitary(d, rng)[:, :k],
+                                           haar_unitary(d, rng)[:, :k]))
+
+
+def test_completion_of_zero_isometry_is_identity():
+    w = PartialIsometryOp(np.zeros((3, 0)), np.zeros((3, 0)))
+    assert np.abs(w.completion() - np.eye(3)).max() < 1e-15
+
 
 def test_completion_of_unitary_is_itself():
     u = haar_unitary(4, generator(41))

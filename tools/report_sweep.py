@@ -1,0 +1,191 @@
+"""Run a fixed sweep of CLI reports, or compare two sweeps.
+
+    python tools/report_sweep.py OUT.json
+    python tools/report_sweep.py --compare A.json B.json
+
+The sweep writes its own input files to a temporary directory, then calls
+``uhlmann_lab.cli.main`` in-process (one BLAS thread) for every command
+below at ``--seed`` 0, 3 and 11. OUT.json maps each command line (input
+files named by their base name) to ``[exit code, stdout]``. The package is
+imported from the ``src`` directory next to this script, so a copy of the
+script inside another checkout sweeps that checkout.
+
+``--compare`` prints the commands whose exit code changed, the number of
+byte-identical reports, and for every other report the largest change of a
+numeric field and the fields that moved by more than 1e-12.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 3, 11)
+MOVED = 1e-12
+
+EPR = {"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}]}
+GHZ3 = {"n_qubits": 3, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
+                                 {"g": "CNOT", "q": [1, 2]}]}
+
+
+def _amp(values):
+    return [[float(v), 0.0] for v in values]
+
+
+def input_files() -> dict:
+    """File name -> JSON content of every input the sweep reads."""
+    eps = 0.01
+    qutrit = [0.0] * 9
+    qutrit[0], qutrit[4], qutrit[8] = math.sqrt(1 - eps), math.sqrt(eps / 2), math.sqrt(eps / 2)
+    tilted ={"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "T", "q": [0]},
+                                       {"g": "CNOT", "q": [0, 1]}, {"g": "H", "q": [1]}]}
+    return {
+        "qutrit.json": {"raw": {"dA": 3, "dB": 3, "psi": _amp(qutrit), "phi": _amp(qutrit)}},
+        "circuit_instance.json": {"n": 1, "C": EPR, "D": tilted},
+        "szk_config.json": {"instance": "circuit_instance.json", "m": 2, "trials": 40,
+                            "prover": "identity"},
+        "qip_config.json": {"instance": {"n": 1, "C": EPR, "D": EPR}, "m": 2,
+                            "prep_error": 0.02},
+        "scheme.json": {"C0": EPR, "C1": tilted, "commit": [0]},
+        "channel.json": {"dilation": GHZ3, "n_input": 1, "env": [2]},
+        "blackhole.json": {"circuit": GHZ3, "r": 2},
+        "pair.json": {"C": {"n_qubits": 2, "gates": [{"g": "H", "q": [1]}]},
+                      "D": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]},
+                                                     {"g": "H", "q": [1]}]}},
+        "state.json": GHZ3,
+    }
+
+
+COMMANDS = [
+    "uhlmann",
+    "uhlmann --param kappa=0.7 --param dA=3 --param dB=4",
+    "uhlmann --param kappa=0.6 --param dA=4 --param dB=2 --param eta=0.05",
+    "uhlmann --param kappa=0.5 --param dA=2 --param dB=8 --param eta=0.3",
+    "uhlmann --param kappa=0.5 --param overlap=0.2",
+    "uhlmann qutrit.json",
+    "uhlmann circuit_instance.json",
+    "szk --param kappa=0.99 --param m=4 --trials 100",
+    "szk szk_config.json",
+    "qip --param kappa=0.9 --param m=3 --param prep_error=0.05",
+    "qip --param m=2 --param prover=identity",
+    "qip --param mode=dme --param m=2",
+    "qip qip_config.json",
+    "amplify --param k=2 --trials 50",
+    "commit --param schemes=10",
+    "commit scheme.json",
+    "channel --param qubits=5",
+    "channel channel.json",
+    "compress --param source=mm:3 --param s=2 --param seeds=2",
+    "compress --param source=diag:0.7,0.1,0.1,0.1,0,0,0,0 --param s=1",
+    "compress --param source=haar:8 --param seeds=2",
+    "blackhole --param qubits=6 --param r=4",
+    "blackhole blackhole.json",
+    "interfere --param pairs=3",
+    "interfere pair.json",
+    "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
+    "entropy state.json",
+]
+
+
+def sweep() -> dict:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from uhlmann_lab import cli
+
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in input_files().items():
+            Path(tmp, name).write_text(json.dumps(content))
+        cwd = os.getcwd()
+        os.chdir(tmp)  # config files name their instance relative to here
+        try:
+            for command in COMMANDS:
+                for seed in SEEDS:
+                    argv = command.split() + ["--seed", str(seed)]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    reports[" ".join(argv)] = [code, out.getvalue()]
+        finally:
+            os.chdir(cwd)
+    return reports
+
+
+def _numbers(node, path=""):
+    """Yield (path, value) for every numeric leaf of a parsed report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numbers(value, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, float(node)
+
+
+def _check_passes(report) -> list:
+    return [(c["name"], c["pass"]) for c in report.get("checks", [])]
+
+
+def compare(first: dict, second: dict) -> None:
+    identical = 0
+    for argv in sorted(set(first) | set(second)):
+        if argv not in first or argv not in second:
+            print(f"only in {'second' if argv in second else 'first'}: {argv}")
+            continue
+        (code_a, out_a), (code_b, out_b) = first[argv], second[argv]
+        if code_a != code_b:
+            print(f"exit {code_a} -> {code_b}: {argv}")
+        if out_a == out_b:
+            identical += code_a == code_b
+            continue
+        if not (out_a.strip() and out_b.strip()):
+            print(f"stdout emptied or filled: {argv}")
+            continue
+        rep_a, rep_b = json.loads(out_a), json.loads(out_b)
+        if _check_passes(rep_a) != _check_passes(rep_b):
+            print(f"check pass values {_check_passes(rep_a)} -> {_check_passes(rep_b)}: {argv}")
+        nums_a, nums_b = dict(_numbers(rep_a)), dict(_numbers(rep_b))
+        if nums_a.keys() != nums_b.keys():
+            print(f"fields differ ({sorted(nums_a.keys() ^ nums_b.keys())[:5]}): {argv}")
+        common = nums_a.keys() & nums_b.keys()
+        deltas = {k: abs(nums_a[k] - nums_b[k]) for k in common}
+        worst = max(deltas.values(), default=0.0)
+        moved = sorted(k for k, d in deltas.items() if d > MOVED)
+        line = f"max delta {worst:.3g}: {argv}"
+        if moved:
+            shown = ", ".join(f"{k} {nums_a[k]:.6g} -> {nums_b[k]:.6g}" for k in moved[:6])
+            more = f" (+{len(moved) - 6} more)" if len(moved) > 6 else ""
+            line += f"\n    moved > {MOVED:g}: {shown}{more}"
+        print(line)
+    print(f"{identical} of {len(set(first) | set(second))} reports byte-identical "
+          f"with equal exit codes")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the sweep to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        first, second = (json.loads(Path(p).read_text()) for p in args.compare)
+        compare(first, second)
+        return 0
+    if not args.out:
+        parser.error("give OUT.json or --compare A B")
+    Path(args.out).write_text(json.dumps(sweep(), indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
