@@ -10,7 +10,7 @@ Uhlmann fidelity of the commit-register reduced states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
 from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
-from .uhlmann import UhlmannInstance, canonical_uhlmann
+from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,21 @@ class CommitmentScheme:
 
     Either circuit-form (C0, C1 on n_qubits) or raw-form (state vectors with
     an explicit (d_commit, d_reveal) factorization, commit register first).
+    Circuits are simulated once, at construction.
     """
 
     C0: Optional[GateCircuit] = None
     C1: Optional[GateCircuit] = None
     commit_registers: Optional[tuple] = None
     raw_states: Optional[tuple] = None   # (psi0, psi1) with split (dC, dR)
+    _states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.raw_states is not None:
             s0, s1 = self.raw_states
             if s0.split != s1.split:
                 raise DimensionMismatch("raw commitment states must share a split")
+            states = self.raw_states
         else:
             if self.C0 is None or self.C1 is None or self.commit_registers is None:
                 raise ValueError("circuit scheme needs C0, C1 and commit_registers")
@@ -55,29 +58,21 @@ class CommitmentScheme:
                 raise DimensionMismatch(f"bad commit registers {commit}")
             if len(commit) in (0, n):
                 raise DimensionMismatch("commit/reveal registers must partition the qubits")
+            reveal = [q for q in range(n) if q not in commit]
+            split = (2 ** len(commit), 2 ** len(reveal))
+            states = tuple(BipartiteState(linalg.permute_registers_vec(
+                circ.state(), [2] * n, list(commit) + reveal), split)
+                for circ in (self.C0, self.C1))
+        object.__setattr__(self, "_states", states)
 
     @property
     def split(self) -> tuple:
         """(d_commit, d_reveal)."""
-        if self.raw_states is not None:
-            return self.raw_states[0].split
-        n = self.C0.n_qubits
-        k = len(self.commit_registers)
-        return (2 ** k, 2 ** (n - k))
+        return self._states[0].split
 
     def states(self) -> tuple:
         """(psi_0, psi_1) ordered (commit, reveal)."""
-        if self.raw_states is not None:
-            return self.raw_states
-        n = self.C0.n_qubits
-        commit = list(self.commit_registers)
-        reveal = [q for q in range(n) if q not in commit]
-        perm = commit + reveal
-        out = []
-        for circ in (self.C0, self.C1):
-            vec = linalg.permute_registers_vec(circ.state(), [2] * n, perm)
-            out.append(BipartiteState(vec, self.split))
-        return tuple(out)
+        return self._states
 
     def to_json_dict(self) -> dict:
         if self.raw_states is not None:
@@ -266,7 +261,6 @@ def clone_fidelity(result: dict) -> float:
     Applies the unitary completion to |C>, measures the key register, and
     averages F(output_k, |phi_k>^{⊗3}) over outcomes.
     """
-    from .uhlmann import apply_uhlmann
     x = result["instance"]
     psi, phi = x.states()
     out = apply_uhlmann(x, 0.0, psi)

@@ -8,7 +8,7 @@ runs the Hadamard test with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,19 +79,15 @@ def bh_decode(inst: BlackHoleInstance, min_decoupling: float = 0.0) -> dict:
 
 @dataclass(frozen=True)
 class OrthPair:
-    """Two n-qubit circuits (or raw vectors) with orthogonal output states."""
+    """Two n-qubit circuits (or raw vectors) with orthogonal output states,
+    simulated once, at construction."""
 
     C: Optional[GateCircuit] = None
     D: Optional[GateCircuit] = None
     raw: Optional[tuple] = None
+    _vectors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = self.vectors()
-        if abs(np.vdot(a, b)) > 1e-9:
-            raise DimensionMismatch(f"states are not orthogonal: |<C|D>| = "
-                                    f"{abs(np.vdot(a, b)):.3g}")
-
-    def vectors(self) -> tuple:
         if self.raw is not None:
             a = np.asarray(self.raw[0], dtype=complex).reshape(-1)
             b = np.asarray(self.raw[1], dtype=complex).reshape(-1)
@@ -101,7 +97,15 @@ class OrthPair:
             a, b = self.C.state(), self.D.state()
         if a.shape != b.shape:
             raise DimensionMismatch("states live in different dimensions")
-        return a, b
+        overlap = abs(np.vdot(a, b))
+        if overlap > 1e-9:
+            raise DimensionMismatch(f"states are not orthogonal: |<C|D>| = {overlap:.3g}")
+        for v in (a, b):
+            v.setflags(write=False)
+        object.__setattr__(self, "_vectors", (a, b))
+
+    def vectors(self) -> tuple:
+        return self._vectors
 
 
 @dataclass(frozen=True)

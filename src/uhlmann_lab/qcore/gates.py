@@ -70,11 +70,6 @@ class GateCircuit:
         rev = tuple((inv.get(g, g), qs) for g, qs in reversed(self.gates))
         return GateCircuit(self.n_qubits, rev)
 
-    def shifted(self, offset: int, n_total: int) -> "GateCircuit":
-        """The same gates acting on qubits offset..offset+n-1 of a larger register."""
-        gates = tuple((g, tuple(q + offset for q in qs)) for g, qs in self.gates)
-        return GateCircuit(n_total, gates)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the circuit to a state vector of matching dimension."""
         if vec.ndim != 1 or vec.shape[0] != self.dim:
@@ -89,6 +84,7 @@ class GateCircuit:
 
     def state(self) -> np.ndarray:
         """The state prepared from |0...0>."""
+        check_pure_cap(self.dim)
         return self.apply(linalg.basis_vector(self.dim, 0))
 
     def unitary(self) -> np.ndarray:

@@ -90,7 +90,6 @@ def permute_registers_dm(rho: np.ndarray, dims: Sequence[int], perm: Sequence[in
     n = len(dims)
     tensor = rho.reshape(list(dims) * 2)
     axes = list(perm) + [p + n for p in perm]
-    new_dims = [dims[p] for p in perm]
     d = int(np.prod(dims, dtype=np.int64))
     return np.transpose(tensor, axes).reshape(d, d)
 

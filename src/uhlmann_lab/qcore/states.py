@@ -65,9 +65,6 @@ class BipartiteState:
             raise DimensionMismatch("states live in different dimensions")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def resplit(self, split) -> "BipartiteState":
-        return BipartiteState(self.amplitudes, tuple(split))
-
 
 @dataclass(frozen=True)
 class DensityOp:
@@ -97,10 +94,6 @@ class DensityOp:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def check_psd(self, atol: float = 1e-7) -> None:
-        if self.eigenvalues().min() < -atol:
-            raise NotPositive(f"minimum eigenvalue {self.eigenvalues().min():.3g}")
 
     def purify(self) -> BipartiteState:
         """Canonical purification |rho> = sum_i sqrt(l_i) |e_i>|i> with split (d, d)."""

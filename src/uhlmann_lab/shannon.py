@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, apply_to_first, complementary, run_channel
+from .qcore.channels import (ChannelDesc, apply_to_first, channel_from_json_dict,
+                             channel_to_json_dict, complementary, dilation_from_isometry,
+                             run_channel)
 from .qcore.gates import GateCircuit
 from .qcore.metrics import fidelity, trace_distance
 from .qcore.random_ops import haar_state_vector, random_clifford
@@ -157,7 +159,6 @@ def commitment_channel(scheme) -> ChannelDesc:
             vb = np.linalg.matrix_power(x_gate, a) @ vb
             amp[:, a, :, :] += np.einsum("i,cr->icr", vb, state.as_matrix()) / np.sqrt(2)
         cols[:, b] = amp.reshape(-1)
-    from .qcore.channels import dilation_from_isometry
     dilation = dilation_from_isometry(cols, 2, d_total // 2)
     # Output registers (A, X, C, R) -> out (A, C), env (X, R).
     return ChannelDesc(linalg.permute_rows(dilation, [2, 2, dC, dR], [0, 2, 1, 3]),
@@ -215,7 +216,6 @@ class CompressionCodec:
     clifford_seed: Seed
 
     def to_json_dict(self) -> dict:
-        from .qcore.channels import channel_to_json_dict
         return {"encoder": channel_to_json_dict(self.encoder),
                 "decoder": channel_to_json_dict(self.decoder),
                 "s": self.s, "n": self.n, "y_star": self.y_star,
@@ -223,7 +223,6 @@ class CompressionCodec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CompressionCodec":
-        from .qcore.channels import channel_from_json_dict
         return CompressionCodec(channel_from_json_dict(data["encoder"]),
                                 channel_from_json_dict(data["decoder"]),
                                 int(data["s"]), int(data["n"]),

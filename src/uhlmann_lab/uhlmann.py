@@ -12,7 +12,7 @@ a dB x dB partial isometry acting on register B that maps psi toward phi.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,12 +28,14 @@ from .rng import as_seed
 
 @dataclass(frozen=True)
 class UhlmannInstance:
-    """Circuit pair on 2n qubits, or a raw state pair with a common split."""
+    """Circuit pair on 2n qubits, or a raw state pair with a common split.
+    Circuits are simulated once, at construction."""
 
     n: Optional[int] = None
     C: Optional[GateCircuit] = None
     D: Optional[GateCircuit] = None
     raw_pair: Optional[tuple] = None  # (psi, phi) BipartiteStates
+    _states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.raw_pair is not None:
@@ -44,6 +46,7 @@ class UhlmannInstance:
                 raise InvalidInstance(f"raw splits differ: {psi.split} vs {phi.split}")
             if self.n is not None or self.C is not None or self.D is not None:
                 raise InvalidInstance("instance is either circuit-form or raw-form")
+            pair = self.raw_pair
         else:
             if self.n is None or self.C is None or self.D is None:
                 raise InvalidInstance("circuit instance needs n, C and D")
@@ -53,12 +56,13 @@ class UhlmannInstance:
                 if circ.n_qubits != 2 * self.n:
                     raise InvalidInstance(
                         f"circuit acts on {circ.n_qubits} qubits, expected {2 * self.n}")
+            split = (2 ** self.n, 2 ** self.n)
+            pair = (BipartiteState(self.C.state(), split), BipartiteState(self.D.state(), split))
+        object.__setattr__(self, "_states", pair)
 
     @property
     def split(self) -> tuple:
-        if self.raw_pair is not None:
-            return self.raw_pair[0].split
-        return (2 ** self.n, 2 ** self.n)
+        return self._states[0].split
 
     @property
     def dA(self) -> int:
@@ -70,12 +74,7 @@ class UhlmannInstance:
 
     def states(self) -> tuple:
         """(psi, phi) = (|C>, |D>) as BipartiteStates."""
-        if self.raw_pair is not None:
-            return self.raw_pair
-        split = self.split
-        psi = BipartiteState(self.C.state(), split)
-        phi = BipartiteState(self.D.state(), split)
-        return psi, phi
+        return self._states
 
     def to_json_dict(self) -> dict:
         if self.raw_pair is not None:

@@ -6,6 +6,8 @@ import pytest
 
 from uhlmann_lab.cli import _state_from_spec, main
 from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
+from uhlmann_lab.qcore.gates import GateCircuit
+from uhlmann_lab.qcore.metrics import PartialIsometryOp
 from uhlmann_lab.qcore.random_ops import haar_state_vector
 from uhlmann_lab.rng import Seed, as_seed
 
@@ -27,6 +29,25 @@ def qutrit_instance_file(tmp_path, eps=0.01):
     path = tmp_path / "qutrit.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def circuit_szk_config_file(tmp_path):
+    """An identity-prover szk run on a circuit instance whose kappa is 1 - 4e-16."""
+    epr = [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}]
+    tilted = [{"g": "H", "q": [0]}, {"g": "T", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
+              {"g": "H", "q": [1]}]
+    config = {"instance": {"n": 1, "C": {"n_qubits": 2, "gates": epr},
+                           "D": {"n_qubits": 2, "gates": tilted}},
+              "m": 2, "trials": 40, "prover": "identity"}
+    path = tmp_path / "szk_config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def identity_completion(monkeypatch):
+    """Replace every Uhlmann unitary by the identity: a broken solver."""
+    monkeypatch.setattr(PartialIsometryOp, "completion",
+                        lambda self: np.eye(self.left.shape[0], dtype=complex))
 
 
 def test_uhlmann_scenario_qutrit(tmp_path, capsys):
@@ -265,10 +286,76 @@ def test_haar_source_follows_seed():
     ["uhlmann", "--param", "eta=nan"],
     ["uhlmann", "--param", "kappa=2"], ["uhlmann", "--param", "dA=0"],
     ["uhlmann", "--param", "kappa=0.5", "--param", "overlap=0.8"],
-    ["szk", "--trials", "0"], ["szk", "--seed", "-1"], ["amplify", "--trials", "0"]])
+    ["szk", "--trials", "0"], ["szk", "--seed", "-1"], ["amplify", "--trials", "0"],
+    ["szk", "--param", "m=abc"], ["szk", "--param", "m=0"], ["qip", "--param", "m=abc"],
+    ["qip", "--param", "m=0"], ["qip", "--param", "prep_error=2"],
+    ["amplify", "--param", "nu=1.5"], ["amplify", "--param", "k=0"],
+    ["amplify", "--param", "T=0"], ["compress", "--param", "delta=2"],
+    ["compress", "--param", "seeds=0"], ["compress", "--param", "s=9"],
+    ["entropy", "--param", "epsilon=1"], ["entropy", "--param", "state=diag:0.5,0.6"],
+    ["channel", "--param", "qubits=abc"], ["blackhole", "--param", "r=abc"],
+    ["interfere", "--param", "qubits=0"], ["interfere", "--param", "qubits=70"],
+    ["interfere", "--param", "pairs=0"],
+    ["commit", "--param", "schemes=0"]])
 def test_invalid_values_exit_2(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("scenario, circuits", [("commit", 6), ("interfere", 6), ("szk", 2)])
+def test_each_circuit_is_simulated_once(scenario, circuits, tmp_path, capsys, monkeypatch):
+    # 3 schemes or 3 pairs of two circuits each; one circuit-form szk instance.
+    argv = {"commit": ["commit", "--param", "schemes=3"],
+            "interfere": ["interfere", "--param", "pairs=3"],
+            "szk": ["szk", circuit_szk_config_file(tmp_path)]}[scenario]
+    calls = []
+    real = GateCircuit.state
+    monkeypatch.setattr(GateCircuit, "state", lambda self: calls.append(self) or real(self))
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == circuits
+
+
+def test_over_cap_circuit_instance_exits_2(tmp_path, capsys):
+    circ = {"n_qubits": 22, "gates": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 11, "C": circ, "D": circ}))
+    code = main(["uhlmann", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "4194304" in captured.err
+
+
+def test_szk_simulator_check_at_kappa_one(tmp_path, capsys, monkeypatch):
+    # kappa = 1 - 4e-16: both sides of the check are square roots of float noise.
+    config = circuit_szk_config_file(tmp_path)
+    code, report = run_cli(capsys, "szk", config)
+    assert code == 0
+    assert report["results"]["kappa"] < 1.0
+    argv = ["szk", "--param", "kappa=0.99", "--param", "overlap=0.5", "--param", "m=2"]
+    _, report = run_cli(capsys, *argv)
+    sim = {c["name"]: c for c in report["checks"]}["simulator_distance"]
+    assert sim["pass"] and sim["measured"] > 0.17
+    identity_completion(monkeypatch)
+    _, report = run_cli(capsys, *argv)
+    assert not {c["name"]: c for c in report["checks"]}["simulator_distance"]["pass"]
+
+
+def test_uhlmann_completion_check_can_fail(capsys, monkeypatch):
+    argv = ["uhlmann", "--param", "kappa=0.5", "--param", "overlap=0.2"]
+    for eta in ("0", "0.1"):
+        code, report = run_cli(capsys, *argv, "--param", f"eta={eta}")
+        assert code == 0 and report["checks"][1]["name"] == "completion_fidelity"
+    # A non-unitary "completion" whose overlap, 1.44 kappa, lies between kappa and 1.
+    real = PartialIsometryOp.completion
+    monkeypatch.setattr(PartialIsometryOp, "completion", lambda self: 1.2 * real(self))
+    code, report = run_cli(capsys, *argv, "--param", "eta=0.1")
+    assert code == 1
+    assert [c["pass"] for c in report["checks"]] == [True, False]
+    identity_completion(monkeypatch)
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert [c["pass"] for c in report["checks"]] == [True, False]

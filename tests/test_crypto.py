@@ -156,6 +156,24 @@ def test_scheme_json_roundtrip():
     assert np.allclose(again.raw_states[0].amplitudes, raw.raw_states[0].amplitudes)
 
 
+def test_circuit_scheme_holds_its_states():
+    scheme = random_scheme(1, 2, 8, 17)
+    # Commit register = qubit 2, so the held states are reordered (2 | 0, 1).
+    moved = CommitmentScheme(C0=scheme.C0, C1=scheme.C1, commit_registers=[2])
+    for s in (scheme, moved):
+        assert s.states() is s.states()
+        assert s.split == (2, 4)
+    for held, circ in zip(moved.states(), (scheme.C0, scheme.C1)):
+        want = np.transpose(circ.state().reshape(2, 2, 2), (2, 0, 1)).reshape(-1)
+        assert np.array_equal(held.amplitudes, want)
+    for held, circ in zip(scheme.states(), (scheme.C0, scheme.C1)):
+        assert np.array_equal(held.amplitudes, circ.state())
+    same = random_scheme(1, 2, 8, 17)
+    assert same == scheme and hash(same) == hash(scheme)
+    assert moved != scheme
+    assert repr(scheme).endswith(", raw_states=None)")
+
+
 # ---------------------------------------------------------------------------
 # Cloning attacks
 

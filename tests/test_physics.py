@@ -176,3 +176,15 @@ def test_interference_promise_violation_detected():
 def test_orth_pair_rejects_non_orthogonal():
     with pytest.raises(DimensionMismatch):
         OrthPair(C=GateCircuit(1, ()), D=GateCircuit(1, ()))
+
+
+def test_orth_pair_holds_its_vectors():
+    c = GateCircuit(2, (("H", (1,)),))
+    d = GateCircuit(2, (("X", (0,)), ("H", (1,))))
+    pair = OrthPair(C=c, D=d)
+    assert pair.vectors() is pair.vectors()
+    a, b = pair.vectors()
+    assert np.array_equal(a, c.state()) and np.array_equal(b, d.state())
+    assert not (a.flags.writeable or b.flags.writeable)
+    same = OrthPair(C=c, D=d)
+    assert same == pair and hash(same) == hash(pair)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uhlmann_lab.errors import DimensionMismatch, InvalidInstance
+from uhlmann_lab.errors import DimensionCapError, DimensionMismatch, InvalidInstance
 from uhlmann_lab.qcore import (BipartiteState, GateCircuit, PartialIsometryOp, fidelity,
                                sgn_eta, trace_distance)
 from uhlmann_lab.qcore import linalg
@@ -58,6 +58,30 @@ def test_invalid_instances_raise():
         UhlmannInstance(raw_pair=(psi, phi))
     with pytest.raises(InvalidInstance):
         UhlmannInstance()
+    with pytest.raises(InvalidInstance):
+        circ = GateCircuit(2, ())
+        state = BipartiteState(np.array([1, 0, 0, 0.0]), (2, 2))
+        UhlmannInstance(n=1, C=circ, D=circ, raw_pair=(state, state))
+
+
+def test_circuit_instance_holds_its_states():
+    c = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
+    d = GateCircuit(2, (("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("H", (1,))))
+    x = UhlmannInstance(n=1, C=c, D=d)
+    assert x.states() is x.states()
+    psi, phi = x.states()
+    assert np.array_equal(psi.amplitudes, c.state()) and np.array_equal(phi.amplitudes, d.state())
+    assert psi.split == phi.split == x.split == (2, 2)
+    same = UhlmannInstance(n=1, C=c, D=d)
+    assert same == x and hash(same) == hash(x) and len({x, same}) == 1
+    assert UhlmannInstance(n=1, C=d, D=c) != x
+    assert repr(x) == f"UhlmannInstance(n=1, C={c!r}, D={d!r}, raw_pair=None)"
+
+
+def test_over_cap_circuit_instance_fails_at_construction():
+    circ = GateCircuit(22, ())
+    with pytest.raises(DimensionCapError):
+        UhlmannInstance(n=11, C=circ, D=circ)
 
 
 # ---------------------------------------------------------------------------
