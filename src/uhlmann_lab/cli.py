@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .errors import DimensionCapError, UhlmannLabError
+from .errors import UhlmannLabError
 from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import fidelity, trace_distance
@@ -46,7 +46,20 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path}: {exc}")
 
 
-class UsageError(Exception):
+def _load(path: str, build):
+    """``build`` applied to the JSON document at ``path``. A KeyError,
+    TypeError or ValueError raised while building is a UsageError naming the
+    file."""
+    data = _load_json(path)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
+class UsageError(UhlmannLabError):
     pass
 
 
@@ -79,16 +92,14 @@ CONFIG_KEYS = {"instance", "m", "k", "T", "trials", "prover", "mode", "seed",
                "nu", "prep_error", "delta", "epsilon"}
 
 
-def _absorb_config(args) -> None:
-    """Parse the first input file once: an Uhlmann instance or an experiment config.
+def _absorb_config(args, data) -> None:
+    """Take in the first input file, parsed once: an Uhlmann instance or an
+    experiment config.
 
     Config JSON carries {instance path or inline dict, m, k, T, trials,
     prover, mode, seed, ...}; explicit command-line flags win over it.
     ``amplify`` ignores an instance file.
     """
-    if not args.inputs:
-        return
-    data = _load_json(args.inputs[0])
     if not (CONFIG_KEYS & set(data)) or "raw" in data or "C" in data:
         if args.scenario != "amplify":
             args.instance = uhlmann.UhlmannInstance.from_json_dict(data)
@@ -97,9 +108,9 @@ def _absorb_config(args) -> None:
     inst = data.pop("instance", None)
     if inst is None and args.inputs and args.scenario != "amplify":
         inst = args.inputs[0]
-    if inst is not None:
-        if isinstance(inst, str):
-            inst = _load_json(inst)
+    if isinstance(inst, str):
+        args.instance = _load(inst, uhlmann.UhlmannInstance.from_json_dict)
+    elif inst is not None:
         args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
     if "seed" in data and "--seed" not in args.raw_argv:
         args.seed = _seed(data.pop("seed"))
@@ -145,8 +156,7 @@ def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
         d = int(spec.split(":", 1)[1])
         v = haar_state_vector(d, seed.generator())
         return DensityOp(np.outer(v, v.conj()), (d,))
-    data = _load_json(spec)
-    circ = GateCircuit.from_json_dict(data)
+    circ = _load(spec, GateCircuit.from_json_dict)
     vec = circ.state()
     return DensityOp(np.outer(vec, vec.conj()), (circ.dim,))
 
@@ -279,7 +289,7 @@ def run_amplify(args):
     t_rounds = _param(args, "T", 3, int, "[1, inf)")
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
-    solver, nu_actual = protocols.engineered_solver(x, k, nu)
+    solver, _ = protocols.engineered_solver(x, k, nu)
     cfg = protocols.AmplifierConfig(k, t_rounds, args.seed)
     res = protocols.amplify_run(x, solver, cfg, args.trials)
     results = {"nu_requested": nu, "nu": res["nu"], "k": k, "T": t_rounds,
@@ -291,14 +301,15 @@ def run_amplify(args):
     checks = [_check("amplification_bound",
                      res["empirical_fidelity"],
                      res["bound"] - 3 * res["stderr"] - args.tol,
-                     "empirical >= 1 - (2(1-nu)^T + 32T/sqrt(k)) - 3 sigma", ">=")]
+                     "empirical >= 1 - (2(1-nu)^T + 32T/sqrt(k)) - 3 sigma", ">="),
+              _check("solver_fidelity", abs(res["nu"] - nu), args.tol,
+                     "|nu - nu_requested| <= tol")]
     return results, checks
 
 
 def run_commit(args):
     if args.inputs:
-        scheme = crypto.CommitmentScheme.from_json_dict(_load_json(args.inputs[0]))
-        schemes = [scheme]
+        schemes = [_load(args.inputs[0], crypto.CommitmentScheme.from_json_dict)]
     else:
         count = _param(args, "schemes", 100, int, "[1, inf)")
         n_c = _param(args, "commit_qubits", 2, int, "[1, inf)")
@@ -332,23 +343,25 @@ def run_commit(args):
     return results, checks
 
 
+def _decode(args, ch: ChannelDesc):
+    """(decoupling fidelity, Uhlmann decoder fidelity, the check that the
+    decoder reaches the decoupling fidelity) for ``ch``."""
+    dec_fid = shannon.decoupling_fidelity(ch)
+    decoded = shannon.decoder_from_uhlmann(ch)["fidelity"]
+    return dec_fid, decoded, _check("decoder_vs_decoupling", decoded, dec_fid - args.tol,
+                                    "decoder fidelity >= decoupling fidelity", ">=")
+
+
 def run_channel(args):
     if args.inputs:
-        data = _load_json(args.inputs[0])
-        circ = GateCircuit.from_json_dict(data["dilation"])
-        ch = channel_from_circuit(circ, int(data["n_input"]), data["env"])
+        ch = _load(args.inputs[0], lambda data: channel_from_circuit(
+            GateCircuit.from_json_dict(data["dilation"]), int(data["n_input"]), data["env"]))
     else:
         n = _param(args, "qubits", 3, int, "[1, inf)")
         u = random_clifford(n, args.seed.child("channel"))
         ch = ChannelDesc(u, 2, 2 ** (n - 1), (2 ** (n - 1), 2))
-    dec_fid = shannon.decoupling_fidelity(ch)
-    decoded = shannon.decoder_from_uhlmann(ch)
-    results = {"decoupling_fidelity": dec_fid,
-               "decoder_fidelity": decoded["fidelity"]}
-    checks = [_check("decoder_vs_decoupling", decoded["fidelity"],
-                     dec_fid - args.tol,
-                     "decoder fidelity >= decoupling fidelity", ">=")]
-    return results, checks
+    dec_fid, decoded, check = _decode(args, ch)
+    return {"decoupling_fidelity": dec_fid, "decoder_fidelity": decoded}, [check]
 
 
 def run_compress(args):
@@ -373,30 +386,25 @@ def run_compress(args):
 
 def run_blackhole(args):
     if args.inputs:
-        data = _load_json(args.inputs[0])
-        circ = GateCircuit.from_json_dict(data["circuit"])
-        inst = physics.BlackHoleInstance(circ, int(data["r"]))
-        ch = inst.radiation_channel()
+        ch = _load(args.inputs[0], lambda data: physics.BlackHoleInstance(
+            GateCircuit.from_json_dict(data["circuit"]), int(data["r"])).radiation_channel())
     else:
         n = _param(args, "qubits", 6, int, "[2, inf)")
         r = _param(args, "r", 4, int, f"[1, {n}]")
         ch = physics.radiation_channel(random_clifford(n, args.seed.child("scrambler")), r)
-    dec_fid = shannon.decoupling_fidelity(ch)
-    decoded = shannon.decoder_from_uhlmann(ch)
-    results = {"decoupling": dec_fid, "epr_fidelity": decoded["fidelity"]}
-    checks = []
+    dec_fid, decoded, check = _decode(args, ch)
+    results = {"decoupling": dec_fid, "epr_fidelity": decoded}
+    checks = [check]
     if dec_fid >= 0.99:
-        checks.append(_check("epr_recovery", decoded["fidelity"], 0.98,
+        checks.append(_check("epr_recovery", decoded, 0.98,
                              "decoupling >= 0.99 implies EPR fidelity >= 0.98", ">="))
     return results, checks
 
 
 def run_interfere(args):
     if args.inputs:
-        data = _load_json(args.inputs[0])
-        pair = physics.OrthPair(C=GateCircuit.from_json_dict(data["C"]),
-                                D=GateCircuit.from_json_dict(data["D"]))
-        pairs = [pair]
+        pairs = [_load(args.inputs[0], lambda data: physics.OrthPair(
+            C=GateCircuit.from_json_dict(data["C"]), D=GateCircuit.from_json_dict(data["D"])))]
     else:
         count = _param(args, "pairs", 20, int, "[1, inf)")
         n = _param(args, "qubits", 3, int, "[1, inf)")
@@ -451,8 +459,8 @@ def _parse(argv) -> argparse.Namespace:
     args.seed = _seed(args.seed)
     args.raw_argv = list(argv)
     args.instance = None
-    if args.scenario in ("szk", "qip", "amplify", "uhlmann"):
-        _absorb_config(args)
+    if args.inputs and args.scenario in ("szk", "qip", "amplify", "uhlmann"):
+        _load(args.inputs[0], lambda data: _absorb_config(args, data))
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     return args
@@ -463,14 +471,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv if argv is not None else sys.argv[1:])
         results, checks = SCENARIOS[args.scenario](args)
-    except (UsageError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return int(exc.code or 0) and 2
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:
+        return int(exc.code or 0) and 2
     except UhlmannLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -318,7 +318,7 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
     the exact transporter runs afterwards. Returns (solver, nu_actual) where
     nu_actual is the exactly computed folded fidelity.
     """
-    psi, phi = x.states()
+    check_pure_cap((x.dA * x.dB) ** k * 2, "amplifier state")
     dB = x.dB
     u = canonical_uhlmann(x, 0.0).completion()
     uk = linalg.kron_all([u] * k)
@@ -326,141 +326,117 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
         # X on the first qubit of the first B register.
         if dB % 2 != 0:
             raise DimensionMismatch("default junk needs qubit B registers")
-        xg = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(dB // 2))
-        junk = linalg.kron_all([xg] + [np.eye(dB, dtype=complex)] * (k - 1))
+        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(dB ** k // 2))
     theta = math.acos(math.sqrt(nu))
-    ry = np.array([[math.cos(theta), -math.sin(theta)],
-                   [math.sin(theta), math.cos(theta)]], dtype=complex)
-    dbk = dB ** k
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    cj = np.kron(np.eye(dbk), p0) + np.kron(junk, p1)
-    rt = np.kron(uk, np.eye(2)) @ cj @ np.kron(np.eye(dbk), ry)
+    c, s = math.cos(theta), math.sin(theta)
+    # (uk ⊗ 1)(1 ⊗ |0><0| + junk ⊗ |1><1|)(1 ⊗ Ry(theta)), one G row block at a time.
+    rt = (np.kron(uk, np.array([[c, -s], [0, 0]], dtype=complex))
+          + np.kron(uk @ junk, np.array([[0, 0], [s, c]], dtype=complex)))
     solver = FoldedSolver(rt, 2)
     return solver, folded_fidelity(x, solver, k)
 
 
-def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
-    """nu = F((id ⊗ R)(|C><C|^{⊗k}), |D><D|^{⊗k}) computed exactly."""
-    psi, phi = x.states()
-    v = _amp_initial(psi, k, solver.g_dim)
-    dims = _amp_dims(psi, k, solver.g_dim)
-    v = _apply_solver(v, dims, solver, k)
-    amp = _contract_blocks(v, dims, tensor_power(phi, k), list(range(k)), k)
-    return float(np.real(amp.conj() @ amp))
-
+# The amplifier's registers are ordered A_1..A_k, B_1..B_k, G, so the solver
+# acts on the trailing block. The walk carries vectors in the solver's output
+# frame, R v: there the "solver maps to |D>" measurement is a plain projection,
+# and the final single-copy readout needs no R.
 
 def _amp_dims(psi, k, g_dim):
     return [psi.dA] * k + [psi.dB] * k + [g_dim]
 
 
-def _amp_initial(psi, k, g_dim):
-    return np.kron(tensor_power(psi, k), linalg.basis_vector(g_dim, 0))
+def _amp_start(psi, solver: FoldedSolver, k):
+    """R (|C>^{⊗k} ⊗ |0>_G), the walk's start in the output frame."""
+    vec = np.kron(tensor_power(psi, k), linalg.basis_vector(solver.g_dim, 0))
+    return _rotate(vec, solver.unitary)
 
 
-def _apply_solver(vec, dims, solver: FoldedSolver, k, dagger=False):
-    u = solver.unitary.conj().T if dagger else solver.unitary
-    targets = list(range(k, 2 * k)) + [2 * k]
-    return linalg.apply_matrix_to_registers(vec, dims, u, targets)
+def _rotate(vec, u):
+    """Apply ``u`` to the trailing registers of ``vec``."""
+    return (vec.reshape(-1, u.shape[0]) @ u.T).reshape(-1)
 
 
-def _contract_blocks(vec, dims, block_vec, block_ids, k):
-    """Contract conj(block_vec) against registers (A_j, B_j), j in block_ids."""
-    axes = [j for j in block_ids] + [k + j for j in block_ids]
-    rest = [a for a in range(len(dims)) if a not in axes]
-    work = linalg.permute_registers_vec(vec, dims, axes + rest)
-    d_b = int(np.prod([dims[a] for a in axes], dtype=np.int64))
-    work = work.reshape(d_b, -1)
-    return block_vec.conj() @ work
+def _project(vec, dims, block, ids, k):
+    """|block><block| on the register pairs (A_j, B_j), j in ``ids``."""
+    axes = list(ids) + [k + j for j in ids]
+    front = list(range(len(axes)))
+    tensor = np.moveaxis(vec.reshape(dims), axes, front)
+    amp = block.conj() @ tensor.reshape(block.size, -1)
+    out = np.outer(block, amp).reshape(tensor.shape)
+    return np.moveaxis(out, front, axes).reshape(-1)
 
 
-def _expand_blocks(amp, dims, block_vec, block_ids, k):
-    """Inverse of _contract_blocks: tensor block_vec back in at the block axes."""
-    axes = [j for j in block_ids] + [k + j for j in block_ids]
-    rest = [a for a in range(len(dims)) if a not in axes]
-    out = np.kron(block_vec, amp)
-    order = axes + rest
-    inv = np.argsort(order)
-    return linalg.permute_registers_vec(out, [dims[a] for a in order], inv)
+def _weight(vec) -> float:
+    return float(np.vdot(vec, vec).real)
 
 
-class _AmpProjector:
-    """Rank-structured projector: |block><block| on given registers ⊗ (G filter)."""
-
-    def __init__(self, block_vec, block_ids, k, dims, g_zero: bool,
-                 pre=None, post=None):
-        self.block_vec = block_vec
-        self.block_ids = block_ids
-        self.k = k
-        self.dims = dims
-        self.g_zero = g_zero
-        self.pre = pre      # optional (solver, dagger) conjugation
-        self.post = post
-
-    def apply(self, vec):
-        if self.pre is not None:
-            vec = _apply_solver(vec, self.dims, self.pre[0], self.k, dagger=self.pre[1])
-        amp = _contract_blocks(vec, self.dims, self.block_vec, self.block_ids, self.k)
-        if self.g_zero:
-            g_dim = self.dims[-1]
-            amp = amp.reshape(-1, g_dim)
-            keep = amp[:, 0].copy()
-            amp = np.zeros_like(amp)
-            amp[:, 0] = keep
-            amp = amp.reshape(-1)
-        out = _expand_blocks(amp, self.dims, self.block_vec, self.block_ids, self.k)
-        if self.post is not None:
-            out = _apply_solver(out, self.dims, self.post[0], self.k, dagger=self.post[1])
-        return out
+def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
+    """nu = F((id ⊗ R)(|C><C|^{⊗k}), |D><D|^{⊗k}) computed exactly."""
+    psi, phi = x.states()
+    dims = _amp_dims(psi, k, solver.g_dim)
+    return _weight(_project(_amp_start(psi, solver, k), dims, tensor_power(phi, k),
+                            range(k), k))
 
 
 def _amp_projectors(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None):
-    """(P, Q) projector pair; i = None gives the full (hatted) projectors."""
+    """(P, Q) on the blocks j != i, as closures on output-frame vectors:
+    P = R (|C><C| ⊗ |0><0|_G) R† and Q = |D><D|. i = None gives the full
+    (hatted) projectors."""
     psi, phi = x.states()
     dims = _amp_dims(psi, k, solver.g_dim)
-    ids = [j for j in range(k) if j != i] if i is not None else list(range(k))
-    cvec = tensor_power(psi, len(ids))
-    dvec = tensor_power(phi, len(ids))
-    p = _AmpProjector(cvec, ids, k, dims, g_zero=True)
-    q = _AmpProjector(dvec, ids, k, dims, g_zero=False,
-                      pre=(solver, False), post=(solver, True))
-    return p, q
+    ids = [j for j in range(k) if j != i]
+    cvec, dvec = tensor_power(psi, len(ids)), tensor_power(phi, len(ids))
+    r_dag = solver.unitary.conj().T
+
+    def p(vec):
+        back = _rotate(vec, r_dag).reshape(-1, solver.g_dim)
+        back[:, 1:] = 0.0
+        return _rotate(_project(back.reshape(-1), dims, cvec, ids, k), solver.unitary)
+
+    return p, lambda vec: _project(vec, dims, dvec, ids, k)
 
 
-def _amp_final_states(x: UhlmannInstance, solver: FoldedSolver, k: int, T: int, i: int):
-    """Coherent run for sampled index i: list of orthogonal-record branches."""
-    psi, phi = x.states()
-    dims = _amp_dims(psi, k, solver.g_dim)
-    check_pure_cap(int(np.prod(dims, dtype=np.int64)) * 2 ** T, "amplifier state")
-    p, q = _amp_projectors(x, solver, k, i)
-    active = [_amp_initial(psi, k, solver.g_dim)]
-    done = []
+def _alternate(vec, p, q, T: int, cut: float, visit):
+    """The coherent alternating-projection walk (Marriott–Watrous), T rounds.
+
+    Each round splits every running branch into its P and 1-P parts, drops a
+    part of norm below ``cut``, and splits each kept part ``comp`` into
+    ``succ`` = Q comp, where the walk stops, and ``rest`` = comp - succ, which
+    runs on if its norm exceeds ``cut``. ``visit(comp, succ, rest)`` sees
+    every split; the branches still running are returned.
+    """
+    active = [vec]
     for _ in range(T):
         nxt = []
         for branch in active:
-            hit = p.apply(branch)
+            hit = p(branch)
             for comp in (hit, branch - hit):
-                if np.linalg.norm(comp) < 1e-14:
+                if np.linalg.norm(comp) < cut:
                     continue
-                succ = q.apply(comp)
-                if np.linalg.norm(succ) > 1e-14:
-                    done.append(succ)
+                succ = q(comp)
                 rest = comp - succ
-                if np.linalg.norm(rest) > 1e-14:
+                visit(comp, succ, rest)
+                if np.linalg.norm(rest) > cut:
                     nxt.append(rest)
         active = nxt
-    return [(_apply_solver(b, dims, solver, k), dims) for b in done + active]
+    return active
 
 
 def _amp_fidelity_for_index(x: UhlmannInstance, solver: FoldedSolver, k: int, T: int,
                             i: int) -> float:
     """F((id ⊗ M_i)(|C><C|), |D><D|) for the run that sampled index i."""
     psi, phi = x.states()
-    total = 0.0
-    for branch, dims in _amp_final_states(x, solver, k, T, i):
-        amp = _contract_blocks(branch, dims, phi.amplitudes, [i], k)
-        total += float(np.real(amp.conj() @ amp))
-    return total
+    dims = _amp_dims(psi, k, solver.g_dim)
+    read = lambda vec: _weight(_project(vec, dims, phi.amplitudes, [i], k))
+    fids = []
+
+    def visit(comp, succ, rest):
+        if np.linalg.norm(succ) > 1e-14:
+            fids.append(read(succ))
+
+    p, q = _amp_projectors(x, solver, k, i)
+    running = _alternate(_amp_start(psi, solver, k), p, q, T, 1e-14, visit)
+    return sum(fids + [read(vec) for vec in running])
 
 
 def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
@@ -475,6 +451,7 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     if solver.unitary.shape != (dbk, dbk):
         raise DimensionMismatch(
             f"solver acts on dim {solver.unitary.shape[0]}, expected {dbk}")
+    check_pure_cap(psi.dA ** cfg.k * dbk * 2 ** cfg.T, "amplifier state")
     per_index = [_amp_fidelity_for_index(x, solver, cfg.k, cfg.T, i)
                  for i in range(cfg.k)]
     rng = cfg.seed.child("amplify").generator()
@@ -500,28 +477,27 @@ def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
     collapses each round, instead of recording outcomes coherently."""
     psi, phi = x.states()
     dims = _amp_dims(psi, cfg.k, solver.g_dim)
+    start = _amp_start(psi, solver, cfg.k)
     rng = cfg.seed.child("amplify-incoherent").generator()
     samples = np.empty(trials)
     for trial in range(trials):
         i = int(rng.integers(cfg.k))
         p, q = _amp_projectors(x, solver, cfg.k, i)
-        vec = _amp_initial(psi, cfg.k, solver.g_dim)
+        vec = start
         for _ in range(cfg.T):
-            hit = p.apply(vec)
-            prob = float(np.real(hit.conj() @ hit))
+            hit = p(vec)
+            prob = _weight(hit)
             if rng.random() < prob:
                 vec = hit / np.sqrt(prob)
             else:
                 vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-            succ = q.apply(vec)
-            prob = float(np.real(succ.conj() @ succ))
+            succ = q(vec)
+            prob = _weight(succ)
             if rng.random() < prob:
                 vec = succ / np.sqrt(prob)
                 break
             vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
-        vec = _apply_solver(vec, dims, solver, cfg.k)
-        amp = _contract_blocks(vec, dims, phi.amplitudes, [i], cfg.k)
-        samples[trial] = float(np.real(amp.conj() @ amp))
+        samples[trial] = _weight(_project(vec, dims, phi.amplitudes, [i], cfg.k))
     sem = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     nu = folded_fidelity(x, solver, cfg.k)
     return {"empirical_fidelity": float(samples.mean()),
@@ -533,11 +509,10 @@ def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
                             T: int) -> float:
     """Max residual of intermediate branches outside span{v, w} for the hatted
     algorithm (full P/Q projectors)."""
-    psi, phi = x.states()
-    dims = _amp_dims(psi, k, solver.g_dim)
-    p, q = _amp_projectors(x, solver, k, None)
-    v = _amp_initial(psi, k, solver.g_dim)
-    w = q.apply(v)
+    psi, _ = x.states()
+    p, q = _amp_projectors(x, solver, k)
+    v = _amp_start(psi, solver, k)
+    w = q(v)
     nw = np.linalg.norm(w)
     basis = [v]
     if nw > 1e-12:
@@ -556,22 +531,12 @@ def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
         return float(np.linalg.norm(rem) / nrm)
 
     worst = 0.0
-    active = [v]
-    for _ in range(T):
-        nxt = []
-        for branch in active:
-            hit = p.apply(branch)
-            for comp in (hit, branch - hit):
-                if np.linalg.norm(comp) < 1e-12:
-                    continue
-                worst = max(worst, residual(comp))
-                succ = q.apply(comp)
-                worst = max(worst, residual(succ))
-                rest = comp - succ
-                if np.linalg.norm(rest) > 1e-12:
-                    worst = max(worst, residual(rest))
-                    nxt.append(rest)
-        active = nxt
+
+    def visit(comp, succ, rest):
+        nonlocal worst
+        worst = max(worst, residual(comp), residual(succ), residual(rest))
+
+    _alternate(v, p, q, T, 1e-12, visit)
     return worst
 
 

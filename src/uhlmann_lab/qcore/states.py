@@ -33,7 +33,7 @@ class BipartiteState:
                 f"split {self.split} does not factor vector of length {amps.shape[0]}")
         check_pure_cap(amps.shape[0])
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _VALIDATE_ATOL:
+        if not abs(nrm - 1.0) <= _VALIDATE_ATOL:  # NaN fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3g}")
 
     @property

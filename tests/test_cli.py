@@ -108,7 +108,7 @@ def test_compress_scenario(capsys):
 def test_blackhole_scenario(capsys):
     code, report = run_cli(capsys, "blackhole", "--param", "qubits=4",
                            "--param", "r=3", "--seed", "1")
-    assert code in (0, 1)
+    assert code == 0
     assert 0.0 <= report["results"]["epr_fidelity"] <= 1.0 + 1e-12
 
 
@@ -359,3 +359,82 @@ def test_uhlmann_completion_check_can_fail(capsys, monkeypatch):
     code, report = run_cli(capsys, *argv)
     assert code == 1
     assert [c["pass"] for c in report["checks"]] == [True, False]
+
+
+def test_amplify_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+
+    def unreachable(*args):
+        raise AssertionError("solved before the cap check")
+
+    monkeypatch.setattr(protocols, "canonical_uhlmann", unreachable)
+    code = main(["amplify", "--param", "k=10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "amplifier state dimension 2097152" in captured.err
+
+
+def test_amplify_solver_fidelity_check_can_fail(capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    argv = ["amplify", "--param", "k=3", "--param", "nu=0.5", "--trials", "20"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == ["amplification_bound", "solver_fidelity"]
+    # A solver built for another fidelity than the one requested.
+    real = protocols.engineered_solver
+    monkeypatch.setattr(protocols, "engineered_solver", lambda x, k, nu: real(x, k, nu + 0.01))
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert [c["pass"] for c in report["checks"]] == [True, False]
+
+
+@pytest.mark.parametrize("argv", [["channel", "--param", "qubits=4"],
+                                  ["blackhole", "--param", "qubits=10", "--param", "r=6"]])
+def test_decoder_check_can_fail(argv, capsys, monkeypatch):
+    import uhlmann_lab.shannon as shannon
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["checks"][0]["name"] == "decoder_vs_decoupling"
+    real = shannon.decoder_from_uhlmann
+
+    def worse(ch):
+        decoded = real(ch)
+        return {**decoded, "fidelity": decoded["fidelity"] - 1e-6}
+
+    monkeypatch.setattr(shannon, "decoder_from_uhlmann", worse)
+    code, report = run_cli(capsys, *argv)
+    assert code == 1 and not report["checks"][0]["pass"]
+
+
+EPR_GATES = {"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}]}
+
+
+def _raw(psi, **extra):
+    return {"raw": {"dA": 1, "dB": 2, "psi": psi, "phi": [[1, 0], [0, 0]], **extra}}
+
+
+@pytest.mark.parametrize("scenario, content", [
+    ("uhlmann", _raw([[1, 0], [1, 0]])),
+    ("uhlmann", _raw([["NaN", 0], [0, 0]])),
+    ("uhlmann", '{"raw": {"dA": 1, "dB": 2, "psi": [[NaN, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}}'),
+    ("uhlmann", {"raw": {"dA": 1, "psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}}),
+    ("uhlmann", {"n": 1, "C": {"n_qubits": 2, "gates": [{"g": "Q", "q": [0]}]}, "D": EPR_GATES}),
+    ("szk", [1, 2]),
+    ("szk", {"instance": {"n": 1, "C": EPR_GATES, "D": EPR_GATES}, "trials": "many"}),
+    ("qip", {"instance": _raw([[1, 0], [1, 0]]), "m": 2}),
+    ("commit", {"C0": EPR_GATES, "commit": [0]}),
+    ("channel", {"dilation": EPR_GATES, "n_input": 1}),
+    ("blackhole", {"circuit": EPR_GATES, "r": 5}),
+    ("interfere", {"C": EPR_GATES, "D": {"n_qubits": 2, "gates": [{"g": "H", "q": [9]}]}}),
+    ("entropy", {"gates": []}),
+], ids=["unnormalized", "nan_string", "nan_literal", "missing_dB", "unknown_gate",
+        "config_list", "config_trials", "config_inline_instance", "commit", "channel",
+        "blackhole", "interfere", "entropy_state"])
+def test_malformed_input_file_exits_2(scenario, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main([scenario, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")

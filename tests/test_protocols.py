@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from uhlmann_lab.errors import DimensionMismatch
-from uhlmann_lab.protocols import (AmplifierConfig, OracleConfig, ProverStrategy,
-                                   amplification_bound, amplify_jordan_residual,
-                                   amplify_run, approx_measure, default_dme_copies, dme,
+from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
+                                   ProverStrategy, amplification_bound,
+                                   amplify_jordan_residual, amplify_run,
+                                   amplify_run_incoherent, approx_measure,
+                                   default_dme_copies, dme,
                                    dme_error_bound, dme_exact_unitary, engineered_solver,
                                    exact_solver,
                                    folded_fidelity, partial_swap, qip_run,
@@ -208,6 +211,201 @@ def test_amplifier_incoherent_variant_agrees():
                                      AmplifierConfig(2, 3, Seed(4)), 300)
     assert abs(sampled["empirical_fidelity"] - coherent["exact_mean_fidelity"]) \
         <= 4 * sampled["stderr"] + 0.01
+
+
+# Dense amplifier reference: every operator is a matrix on the joint space
+# (A_1..A_k, B_1..B_k, G). The walk runs in the input frame, with
+# P = |C><C| on the blocks j != i ⊗ |0><0|_G and Q = R† (|D><D| on the blocks
+# j != i) R, and a final state is read out after R.
+
+def _dense_on(mat, regs, dims):
+    """``mat`` on registers ``regs`` ⊗ the identity elsewhere."""
+    rest = [a for a in range(len(dims)) if a not in regs]
+    order = list(regs) + rest
+    full = np.kron(mat, np.eye(int(np.prod([dims[a] for a in rest]))))
+    inv = list(np.argsort(order))
+    full = full.reshape([dims[a] for a in order] * 2)
+    return full.transpose(inv + [len(dims) + a for a in inv]).reshape(int(np.prod(dims)), -1)
+
+
+def _dense_tree(p, q, vec, T, cut):
+    """The branch tree: (kept P parts, their Q parts, their remainders, running)."""
+    comps, succs, rests, active = [], [], [], [vec]
+    for _ in range(T):
+        nxt = []
+        for branch in active:
+            hit = p @ branch
+            for comp in (hit, branch - hit):
+                if np.linalg.norm(comp) < cut:
+                    continue
+                succ = q @ comp
+                comps.append(comp)
+                succs.append(succ)
+                rests.append(comp - succ)
+                if np.linalg.norm(comp - succ) > cut:
+                    nxt.append(comp - succ)
+        active = nxt
+    return comps, succs, rests, active
+
+
+class DenseAmplifier:
+    def __init__(self, x, solver, k):
+        self.psi, self.phi = x.states()
+        self.k = k
+        self.dims = [self.psi.dA] * k + [self.psi.dB] * k + [solver.g_dim]
+        pair = self.psi.amplitudes.reshape(self.psi.dA, self.psi.dB)
+        self.start = np.array([np.prod([pair[idx[j], idx[k + j]] for j in range(k)])
+                               * (idx[-1] == 0) for idx in np.ndindex(*self.dims)])
+        self.r = _dense_on(solver.unitary, list(range(k, 2 * k + 1)), self.dims)
+        g0 = np.zeros((solver.g_dim,) * 2)
+        g0[0, 0] = 1.0
+        self.g0 = _dense_on(g0, [2 * k], self.dims)
+
+    def blocks(self, state, ids):
+        out = np.eye(len(self.start))
+        for j in ids:
+            out = out @ _dense_on(np.outer(state.amplitudes, state.amplitudes.conj()),
+                                  [j, self.k + j], self.dims)
+        return out
+
+    def projectors(self, i=None):
+        others = [j for j in range(self.k) if j != i]
+        return (self.blocks(self.psi, others) @ self.g0,
+                self.r.conj().T @ self.blocks(self.phi, others) @ self.r)
+
+    def readout(self, vec, i):
+        out = self.r @ vec
+        return float(np.real(out.conj() @ self.blocks(self.phi, [i]) @ out))
+
+    def per_index(self, T):
+        """(fidelity, (kept P parts, running branches)) for each sampled index."""
+        out = []
+        for i in range(self.k):
+            comps, succs, _, active = _dense_tree(*self.projectors(i), self.start, T, 1e-14)
+            finals = [v for v in succs if np.linalg.norm(v) > 1e-14] + active
+            out.append((sum(self.readout(v, i) for v in finals), (len(comps), len(active))))
+        return out
+
+    def folded(self):
+        out = self.r @ self.start
+        return float(np.real(out.conj() @ self.blocks(self.phi, range(self.k)) @ out))
+
+    def jordan(self, T):
+        """(max residual outside span{v, Qv}, (kept P parts, running branches))."""
+        p, q = self.projectors()
+        v = self.start
+        w = q @ v
+        basis = [v]
+        if np.linalg.norm(w) > 1e-12:
+            w = w - v * (v.conj() @ w)
+            if np.linalg.norm(w) > 1e-9:
+                basis.append(w / np.linalg.norm(w))
+        span = sum(np.outer(b, b.conj()) for b in basis)
+        comps, succs, rests, active = _dense_tree(p, q, v, T, 1e-12)
+        residual = max((np.linalg.norm(u - span @ u) / np.linalg.norm(u)
+                        for u in comps + succs + rests if np.linalg.norm(u) >= 1e-12),
+                       default=0.0)
+        return residual, (len(comps), len(active))
+
+    def incoherent(self, cfg, trials):
+        rng = cfg.seed.child("amplify-incoherent").generator()
+        samples = []
+        for _ in range(trials):
+            i = int(rng.integers(self.k))
+            p, q = self.projectors(i)
+            vec = self.start
+            for _ in range(cfg.T):
+                hit = p @ vec
+                prob = float(np.real(hit.conj() @ hit))
+                if rng.random() < prob:
+                    vec = hit / np.sqrt(prob)
+                else:
+                    vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
+                succ = q @ vec
+                prob = float(np.real(succ.conj() @ succ))
+                if rng.random() < prob:
+                    vec = succ / np.sqrt(prob)
+                    break
+                vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
+            samples.append(self.readout(vec, i))
+        return samples
+
+
+def _triple_product_solver(x, k, theta, junk=None):
+    """(uk ⊗ 1)(1 ⊗ |0><0| + junk ⊗ |1><1|)(1 ⊗ Ry(theta)), junk defaulting to X
+    on the first qubit of B_1."""
+    u = canonical_uhlmann(x, 0.0).completion()
+    uk = linalg.kron_all([u] * k)
+    dbk = x.dB ** k
+    if junk is None:
+        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(dbk // 2))
+    c, s = math.cos(theta), math.sin(theta)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    cj = np.kron(np.eye(dbk), p0) + np.kron(junk, p1)
+    return np.kron(uk, np.eye(2)) @ cj @ np.kron(np.eye(dbk), ry)
+
+
+AMP_INSTANCES = {"epr": EPR_INSTANCE, "kappa0.8": instance_with_fidelity(0.8, 2, 2, 1)}
+
+
+def _amp_solver(x, kind, k):
+    if kind == "exact":
+        return exact_solver(x, k)
+    if kind == "engineered":
+        return engineered_solver(x, k, 0.6)[0]
+    # Junk amplitude sin(1e-13): the parts it spoils have norms between the
+    # readout walk's cut-off (1e-14) and the Jordan walk's (1e-12).
+    return FoldedSolver(_triple_product_solver(x, k, 1e-13), 2)
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["exact", "engineered", "near_exact"])
+@pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
+def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    x = AMP_INSTANCES[name]
+    solver = _amp_solver(x, kind, k)
+    walks = []
+    real = protocols._alternate
+
+    def counting(vec, p, q, rounds, cut, visit):
+        seen = []
+        running = real(vec, p, q, rounds, cut, lambda *parts: seen.append(1) or visit(*parts))
+        walks.append((len(seen), len(running)))
+        return running
+
+    monkeypatch.setattr(protocols, "_alternate", counting)
+    ref = DenseAmplifier(x, solver, k)
+    expected = ref.per_index(T)
+    cfg = AmplifierConfig(k, T, Seed(7))
+    res = amplify_run(x, solver, cfg, 40)
+    assert np.allclose(res["per_index_fidelity"], [f for f, _ in expected], rtol=0, atol=1e-12)
+    assert abs(res["nu"] - ref.folded()) < 1e-12
+    assert abs(folded_fidelity(x, solver, k) - ref.folded()) < 1e-12
+    residual, jordan_tree = ref.jordan(T)
+    assert abs(amplify_jordan_residual(x, solver, k, T) - residual) < 1e-12
+    assert walks == [tree for _, tree in expected] + [jordan_tree]
+    samples = ref.incoherent(cfg, 25)
+    sampled = amplify_run_incoherent(x, solver, cfg, 25)
+    assert abs(sampled["empirical_fidelity"] - np.mean(samples)) < 1e-12
+    assert abs(sampled["stderr"] - np.std(samples, ddof=1) / 5) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
+def test_engineered_solver_is_the_triple_product(name, k):
+    x = AMP_INSTANCES[name]
+    for nu in (0.0, 0.37, 1.0):
+        theta = math.acos(math.sqrt(nu))
+        assert np.array_equal(engineered_solver(x, k, nu)[0].unitary,
+                              _triple_product_solver(x, k, theta))
+    junk = scipy.stats.unitary_group.rvs(x.dB ** k, random_state=k)
+    assert np.allclose(engineered_solver(x, k, 0.37, junk)[0].unitary,
+                       _triple_product_solver(x, k, math.acos(math.sqrt(0.37)), junk),
+                       rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,8 @@ COMMANDS = [
     "qip --param mode=dme --param m=2",
     "qip qip_config.json",
     "amplify --param k=2 --trials 50",
+    "amplify --param k=4 --param nu=0.4 --param T=5",
+    "amplify --param k=5 --param nu=0.2 --param T=6",
     "commit --param schemes=10",
     "commit scheme.json",
     "channel --param qubits=5",
