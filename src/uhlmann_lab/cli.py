@@ -280,6 +280,14 @@ def run_qip(args):
     if res.accept_prob >= 0.5:
         checks.append(_check("soundness_envelope", td_out, envelope,
                              "td(out, Phi(C)) <= sqrt(4/(m+1)) + 5 sqrt(mu) + prep + 0.05"))
+    # No prover acting on B beats the Uhlmann fidelity kappa^m in the good
+    # branch, and the honest prover attains it; the junk branch has weight e.
+    good = (1 - oracle.prep_error) * info["kappa"] ** m
+    checks.append(_check("accept_upper", res.accept_prob, good + oracle.prep_error + args.tol,
+                         "accept <= (1-e) kappa^m + e + tol"))
+    if prover_name == "honest":
+        checks.append(_check("accept_lower", res.accept_prob, good - args.tol,
+                             "accept >= (1-e) kappa^m - tol", ">="))
     return results, checks
 
 
@@ -289,6 +297,7 @@ def run_amplify(args):
     t_rounds = _param(args, "T", 3, int, "[1, inf)")
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
+    protocols.check_amplifier_cap(x.dA, x.dB, k, g_dim=2, T=t_rounds)
     solver, _ = protocols.engineered_solver(x, k, nu)
     cfg = protocols.AmplifierConfig(k, t_rounds, args.seed)
     res = protocols.amplify_run(x, solver, cfg, args.trials)
@@ -371,10 +380,11 @@ def run_compress(args):
     n_qubits = rho.dim.bit_length() - 1
     s = _param(args, "s", None, int, f"[0, {n_qubits}]") if "s" in args.params else None
     n_seeds = _param(args, "seeds", 5, int, "[1, inf)")
+    purification = rho.purify()
     tds = []
     for i in range(n_seeds):
         codec = shannon.compress(rho, delta, args.seed.child("codec", i), s=s)
-        tds.append(shannon.roundtrip(codec, rho.purify()))
+        tds.append(shannon.roundtrip(codec, purification))
     bound = shannon.roundtrip_bound(rho, codec.s, delta)
     results = {"source": spec, "delta": delta, "s": codec.s,
                "roundtrip_td": tds, "max_td": max(tds),

@@ -304,6 +304,14 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
     return float(np.clip(val, 0.0, 1.0))
 
 
+def check_amplifier_cap(dA: int, dB: int, k: int, g_dim: int, T: int = 0) -> None:
+    """Cap the amplifier's state: (dA dB)^k g_dim amplitudes for the solver's
+    input, and 2^T times as many for the walk's branches."""
+    size = (dA * dB) ** k * g_dim
+    check_pure_cap(size, "amplifier state")
+    check_pure_cap(size * 2 ** T, "amplifier state")
+
+
 def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
     """R~ = (unitary completion)^{⊗k}, the exact transporter."""
     u = canonical_uhlmann(x, 0.0).completion()
@@ -318,7 +326,7 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
     the exact transporter runs afterwards. Returns (solver, nu_actual) where
     nu_actual is the exactly computed folded fidelity.
     """
-    check_pure_cap((x.dA * x.dB) ** k * 2, "amplifier state")
+    check_amplifier_cap(x.dA, x.dB, k, 2)
     dB = x.dB
     u = canonical_uhlmann(x, 0.0).completion()
     uk = linalg.kron_all([u] * k)
@@ -451,7 +459,7 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     if solver.unitary.shape != (dbk, dbk):
         raise DimensionMismatch(
             f"solver acts on dim {solver.unitary.shape[0]}, expected {dbk}")
-    check_pure_cap(psi.dA ** cfg.k * dbk * 2 ** cfg.T, "amplifier state")
+    check_amplifier_cap(psi.dA, psi.dB, cfg.k, solver.g_dim, cfg.T)
     per_index = [_amp_fidelity_for_index(x, solver, cfg.k, cfg.T, i)
                  for i in range(cfg.k)]
     rng = cfg.seed.child("amplify").generator()

@@ -374,6 +374,60 @@ def test_amplify_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):
     assert captured.out == "" and "amplifier state dimension 2097152" in captured.err
 
 
+def test_amplify_walk_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+
+    def unreachable(*args):
+        raise AssertionError("solved before the cap check")
+
+    monkeypatch.setattr(protocols, "canonical_uhlmann", unreachable)
+    # (dA dB)^9 * 2 = 2^19 fits; the walk's 2^T = 8 branches do not.
+    code = main(["amplify", "--param", "k=9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "amplifier state dimension 4194304" in captured.err
+
+
+@pytest.mark.parametrize("argv, shift", [
+    (["--param", "kappa=0.3", "--param", "m=2"], 0.01),
+    (["--param", "kappa=0.3", "--param", "m=2", "--param", "prover=identity"], 0.01),
+    (["--param", "kappa=0.9", "--param", "m=3", "--param", "prep_error=0.05"], -0.01),
+    (["--param", "prep_error=1"], -0.01)])
+def test_qip_accept_checks_can_fail(argv, shift, capsys, monkeypatch):
+    import dataclasses
+    import uhlmann_lab.protocols as protocols
+    code, report = run_cli(capsys, "qip", *argv)
+    assert code == 0
+    names = [c["name"] for c in report["checks"]]
+    assert "accept_upper" in names
+    assert ("accept_lower" in names) == ("prover=identity" not in argv)
+    real = protocols.qip_run
+    monkeypatch.setattr(protocols, "qip_run", lambda *a: dataclasses.replace(
+        real(*a), accept_prob=real(*a).accept_prob + shift))
+    code, report = run_cli(capsys, "qip", *argv)
+    assert code == 1
+
+
+def test_compress_admits_what_the_factor_cap_admits(capsys):
+    from uhlmann_lab import shannon
+    from uhlmann_lab.qcore.states import maximally_mixed
+    code, report = run_cli(capsys, "compress", "--param", "source=mm:5", "--param", "s=2",
+                           "--param", "seeds=1")
+    assert code == 0
+    codec = shannon.compress(maximally_mixed((2,) * 5), 0.1, Seed(0).child("codec", 0), s=2)
+    d, d_c, d_e = 32, 4, 8
+    enc = codec.encoder.isometry().reshape(d_c, d_e * d_e, d)
+    dec = codec.decoder.isometry().reshape(d, d_e, d_c)
+    psi = np.eye(d) / math.sqrt(d)  # (A, R) coefficients of a purification
+    branches = np.einsum("xfc,cea,ar->xrfe", dec, enc, psi).reshape(d * d, -1)
+    out = branches @ branches.conj().T  # the 1024 x 1024 output density
+    diff = out - np.outer(psi.reshape(-1), psi.reshape(-1))
+    want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+    assert abs(report["results"]["max_td"] - want) < 1e-10
+    assert main(["compress", "--param", "source=mm:5", "--param", "s=1"]) == 2
+    assert "roundtrip factor" in capsys.readouterr().err
+
+
 def test_amplify_solver_fidelity_check_can_fail(capsys, monkeypatch):
     import uhlmann_lab.protocols as protocols
     argv = ["amplify", "--param", "k=3", "--param", "nu=0.5", "--trials", "20"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.crypto import CommitmentScheme
+from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, fidelity,
                                identity_channel, linalg, maximally_entangled,
                                maximally_mixed, run_channel, trace_distance,
@@ -11,10 +12,10 @@ from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, fidelity,
 from uhlmann_lab.qcore.channels import apply_to_first
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_density
 from uhlmann_lab.rng import Seed, child_seed, generator
-from uhlmann_lab.shannon import (commitment_channel, compress, decoder_from_uhlmann,
-                                 decoupling_experiment, decoupling_fidelity, entropies,
-                                 h2_conditional, haar_overlap, roundtrip,
-                                 truncation_codec)
+from uhlmann_lab.shannon import (CompressionCodec, commitment_channel, compress,
+                                 decoder_from_uhlmann, decoupling_experiment,
+                                 decoupling_fidelity, entropies, h2_conditional,
+                                 haar_overlap, roundtrip, truncation_codec)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,91 @@ def test_codec_serialization_roundtrip():
     assert again.s == codec.s and again.y_star == codec.y_star
     assert again.clifford_seed.value == codec.clifford_seed.value
     assert abs(roundtrip(again, mm.purify()) - roundtrip(codec, mm.purify())) < 1e-12
+
+
+def dense_roundtrip(codec, purification):
+    """td((D ∘ E)(psi), psi) through the dense densities."""
+    out = apply_to_first(codec.decoder, apply_to_first(codec.encoder, purification))
+    return trace_distance(out, purification.density())
+
+
+def source(kind, n, seed):
+    d = 2 ** n
+    rng = generator(child_seed(31 + n, kind, seed))
+    if kind == "mm":
+        return maximally_mixed((d,))
+    if kind == "pure":
+        vec = haar_state_vector(d, rng)
+        return DensityOp(np.outer(vec, vec.conj()), (d,))
+    if kind == "rank2":
+        return DensityOp(random_density(d, rng, rank=min(2, d)), (d,))
+    probs = np.zeros(d)  # diag: half the basis states carry weight, half are zero
+    probs[:max(1, d // 2)] = rng.random(max(1, d // 2)) + 0.1
+    return DensityOp(np.diag(probs / probs.sum()).astype(complex), (d,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["mm", "pure", "rank2", "diag"])
+def test_roundtrip_matches_dense_reference(kind, n):
+    for seed in (0, 1):
+        rho = source(kind, n, seed)
+        purification = rho.purify()
+        for s in range(n + 1):
+            codec = compress(rho, 0.1, Seed(seed), s=s)
+            want = dense_roundtrip(codec, purification)
+            assert abs(roundtrip(codec, purification) - want) < 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_roundtrip_of_truncation_codec_matches_dense_reference(s):
+    enc, dec = truncation_codec(3, s)
+    codec = CompressionCodec(enc, dec, s, 3, 0, Seed(0))
+    for kind in ("mm", "rank2", "diag"):
+        purification = source(kind, 3, 0).purify()
+        want = dense_roundtrip(codec, purification)
+        assert abs(roundtrip(codec, purification) - want) < 1e-12
+    if s == 3:
+        assert want < 1e-12
+    with pytest.raises(DimensionMismatch):
+        roundtrip(codec, source("mm", 2, 0).purify())
+
+
+def test_roundtrip_of_rotated_purification_matches_dense_reference():
+    rho = source("rank2", 3, 2)
+    base = rho.purify()
+    u = haar_unitary(8, generator(19))
+    other = BipartiteState((base.as_matrix() @ u.T).reshape(-1), base.split)
+    for s in range(4):
+        codec = compress(rho, 0.1, Seed(5), s=s)
+        want = dense_roundtrip(codec, other)
+        assert abs(roundtrip(codec, other) - want) < 1e-12
+        assert abs(roundtrip(codec, base) - want) < 1e-12
+
+
+def test_roundtrip_builds_no_density(monkeypatch):
+    import uhlmann_lab.qcore.channels as channels
+    import uhlmann_lab.qcore.metrics as metrics
+    import uhlmann_lab.shannon as shannon
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    mm5 = maximally_mixed((32,))
+    purification = mm5.purify()
+    codecs = {s: compress(mm5, 0.1, Seed(2), s=s) for s in (5, 3)}
+    for module, name in ((shannon, "apply_to_first"), (channels, "apply_to_first"),
+                         (metrics, "trace_distance")):
+        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(DensityOp, "__post_init__", unreachable)
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real(m))
+    assert roundtrip(codecs[5], purification) < 1e-12
+    assert max(shapes) == (2, 2)
+    shapes.clear()
+    # s = 3: the output factor has rank <= d_e^3 = 64, so the core is 65 x 65.
+    assert roundtrip(codecs[3], purification) > 0.5
+    assert max(shapes) == (65, 65)
 
 
 # ---------------------------------------------------------------------------

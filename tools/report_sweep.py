@@ -81,6 +81,7 @@ COMMANDS = [
     "qip --param m=2 --param prover=identity",
     "qip --param mode=dme --param m=2",
     "qip qip_config.json",
+    "qip --param kappa=0.3 --param m=2",
     "amplify --param k=2 --trials 50",
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
@@ -91,6 +92,7 @@ COMMANDS = [
     "compress --param source=mm:3 --param s=2 --param seeds=2",
     "compress --param source=diag:0.7,0.1,0.1,0.1,0,0,0,0 --param s=1",
     "compress --param source=haar:8 --param seeds=2",
+    "compress --param source=mm:5 --param s=2 --param seeds=1",
     "blackhole --param qubits=6 --param r=4",
     "blackhole blackhole.json",
     "interfere --param pairs=3",
