@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, apply_to_second
+from .qcore.channels import ChannelDesc, push_factor
 from .qcore.gates import GateCircuit, random_circuit
-from .qcore.metrics import fidelity, trace_distance
+from .qcore.metrics import factor_fidelity, factor_trace_distance
 from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
 from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
@@ -107,11 +107,12 @@ class SecurityReport:
 def evaluate(scheme: CommitmentScheme, attack=None) -> SecurityReport:
     """Hiding (trace distance) and binding (fidelity) of the commit-register
     reduced states, plus the fidelity achieved by a supplied reveal-register
-    attack channel or unitary."""
+    attack channel or unitary. The commit-register states are M M^dag for the
+    amplitude matrices M, so both are taken on the factors."""
     s0, s1 = scheme.states()
-    rho0, rho1 = s0.reduced_a(), s1.reduced_a()
-    hiding = trace_distance(rho0, rho1)
-    binding = fidelity(rho0, rho1)
+    m0, m1 = s0.as_matrix(), s1.as_matrix()
+    hiding = factor_trace_distance(m0, m1)
+    binding = factor_fidelity(m0, m1)
     attack_fid = None
     if attack is not None:
         attack_fid = binding_attack_fidelity(scheme, attack)
@@ -119,19 +120,24 @@ def evaluate(scheme: CommitmentScheme, attack=None) -> SecurityReport:
 
 
 def binding_attack_fidelity(scheme: CommitmentScheme, attack) -> float:
-    """F((A ⊗ id_C)(psi_0), psi_1) for an attack on the reveal register."""
+    """F((id_C ⊗ A)(psi_0), psi_1) for an attack on the reveal register.
+
+    psi_1 is pure, so this is <psi_1|out|psi_1>: |<psi_1|out>|^2 for a
+    unitary, and ||L^dag psi_1||^2 for a channel, whose output is the factor L.
+    """
     s0, s1 = scheme.states()
     dC, dR = s0.split
     if isinstance(attack, np.ndarray):
         if attack.shape != (dR, dR):
             raise DimensionMismatch(f"attack shape {attack.shape}, reveal dim {dR}")
-        out = BipartiteState((s0.as_matrix() @ attack.T).reshape(-1), s0.split)
-        return fidelity(out.density(), s1.density())
+        out = (s0.as_matrix() @ attack.T).reshape(-1)
+        return factor_fidelity(out, s1.amplitudes)
     if isinstance(attack, ChannelDesc):
         if attack.d_in != dR or attack.d_out != dR:
             raise DimensionMismatch(
                 f"attack maps {attack.d_in}->{attack.d_out}, reveal dim {dR}")
-        return fidelity(apply_to_second(attack, s0), s1.density())
+        out = push_factor(attack, s0.amplitudes.reshape(-1, 1), before=dC)
+        return factor_fidelity(out, s1.amplitudes)
     raise DimensionMismatch("attack must be a unitary matrix or ChannelDesc")
 
 

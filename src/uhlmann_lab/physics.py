@@ -94,6 +94,8 @@ class OrthPair:
         else:
             if self.C.n_qubits != self.D.n_qubits:
                 raise DimensionMismatch("circuits act on different qubit counts")
+            # The controlled-swap instance is checked before any simulation.
+            check_pure_cap(16 * 4 ** self.C.n_qubits, "interference instance")
             a, b = self.C.state(), self.D.state()
         if a.shape != b.shape:
             raise DimensionMismatch("states live in different dimensions")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, apply_to_second
-from .qcore.metrics import trace_distance
+from .qcore.channels import ChannelDesc, push_factor
+from .qcore.metrics import factor_trace_distance, trace_distance
 from .qcore.states import BipartiteState, DensityOp, tensor_power
 from .rng import Seed, as_seed
 from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
@@ -76,25 +76,27 @@ class ProtocolResult:
     transcript: list = field(default_factory=list)
 
 
-def _factor_action(factor, psi: BipartiteState) -> DensityOp:
-    """(id ⊗ factor)(|psi><psi|) for one register slot."""
+def _factor_action(factor, psi: BipartiteState) -> np.ndarray:
+    """A factor L of (id ⊗ factor)(|psi><psi|) for one register slot: a
+    column for the identity or a unitary, the Kraus push on the B register
+    for a channel."""
+    col = psi.amplitudes.reshape(-1, 1)
     if factor is None:
-        return psi.density()
+        return col
     if isinstance(factor, ChannelDesc):
-        return apply_to_second(factor, psi)
+        if factor.d_out != psi.dB:
+            raise DimensionMismatch(f"channel output dim {factor.d_out}, B dim {psi.dB}")
+        return push_factor(factor, col, before=psi.dA)
     u = np.asarray(factor, dtype=complex)
-    out = (psi.as_matrix() @ u.T).reshape(-1)
-    return BipartiteState(out, psi.split).density()
+    return (psi.as_matrix() @ u.T).reshape(-1, 1)
 
 
 def _slot_metrics(prover: ProverStrategy, psi: BipartiteState, phi: BipartiteState):
-    """Per-slot accept probability <D|(id ⊗ Psi_j)(C)|D> and output states."""
-    outs, probs = [], []
-    target = phi.amplitudes
-    for factor in prover.factors:
-        out = _factor_action(factor, psi)
-        outs.append(out)
-        probs.append(float(np.real(target.conj() @ out.matrix @ target)))
+    """Per-slot accept probability <D|(id ⊗ Psi_j)(C)|D> = ||D^dag L_j||^2 and
+    the output factors L_j."""
+    outs = [_factor_action(factor, psi) for factor in prover.factors]
+    target = phi.amplitudes.conj()
+    probs = [float(np.linalg.norm(target @ out) ** 2) for out in outs]
     return probs, outs
 
 
@@ -118,16 +120,21 @@ def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> Protoco
     if prover.is_product():
         if len(prover.factors) != m + 1:
             raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
+        # Checked whether or not this run accepts, so a run's admission does
+        # not depend on its coins.
+        check_density_cap(psi.dA * psi.dB, "szk output state")
         probs, outs = _slot_metrics(prover, psi, phi)
         # Register i travels to slot position perm^{-1}(i); slot j holds register perm[j].
         j0 = int(np.argwhere(perm == 0)[0][0])
         accept_prob = float(np.prod([probs[j] for j in range(m + 1) if j != j0]))
         accepted = bool(rng.random() < accept_prob)
-        out = outs[j0] if accepted else None
+        out, td = None, None
+        if accepted:
+            out = DensityOp(outs[j0] @ outs[j0].conj().T, psi.split)
+            td = factor_trace_distance(outs[j0], phi.amplitudes)
         transcript.append({"round": 1, "slot_of_input": j0,
                            "accept_prob": accept_prob, "accepted": accepted,
-                           "output_td_to_target":
-                               trace_distance(out, phi.density()) if accepted else None})
+                           "output_td_to_target": td})
         return ProtocolResult(accepted, accept_prob, out, transcript)
     accept_prob, out = _permutation_test(psi, phi, m, perm, prover)
     accepted = bool(rng.random() < accept_prob)
@@ -158,7 +165,7 @@ def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
         tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
         keep_dims = [dims[a] for a in keep]
         work = linalg.permute_registers_vec(vec, dims, keep + tests)
-        amp = work.reshape(int(np.prod(keep_dims)), -1) @ dvec.conj()
+        amp = work.reshape(math.prod(keep_dims), -1) @ dvec.conj()
         p = float(np.real(amp.conj() @ amp))
         p_one += weight * p
         if p > 1e-300:
@@ -231,7 +238,7 @@ def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
             weights.append(w)
             acc += w / (m + 1)
         total = sum(weights)
-        mat = sum(w * o.matrix for w, o in zip(weights, outs)) / total
+        mat = sum(w * (o @ o.conj().T) for w, o in zip(weights, outs)) / total
         return acc, DensityOp(mat, (psi.dA, psi.dB))
     rng = as_seed(seed).child("szk-cond").generator()
     samples = samples or 200

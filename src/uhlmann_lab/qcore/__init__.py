@@ -4,10 +4,11 @@ distances, SVD thresholding, and seeded randomness."""
 from .gates import GATES, GateCircuit, random_circuit
 from .states import (BipartiteState, DensityOp, apply_circuit, maximally_entangled,
                      maximally_mixed, partial_trace, tensor_power)
-from .metrics import PartialIsometryOp, fidelity, sgn_eta, trace_distance
+from .metrics import (PartialIsometryOp, factor_fidelity, factor_trace_distance, fidelity,
+                      sgn_eta, trace_distance)
 from .channels import (ChannelDesc, apply_to_first, channel_from_circuit,
                        check_trace_preserving, complementary, compose, identity_channel,
-                       run_channel, unitary_channel)
+                       push_factor, run_channel, unitary_channel)
 from .random_ops import (haar_state_vector, haar_unitary, pauli_matrix, random_clifford,
                          random_density, random_state, random_symplectic)
 from . import linalg
@@ -16,10 +17,11 @@ __all__ = [
     "GATES", "GateCircuit", "random_circuit",
     "BipartiteState", "DensityOp", "apply_circuit", "maximally_entangled",
     "maximally_mixed", "partial_trace", "tensor_power",
-    "PartialIsometryOp", "fidelity", "sgn_eta", "trace_distance",
+    "PartialIsometryOp", "factor_fidelity", "factor_trace_distance", "fidelity",
+    "sgn_eta", "trace_distance",
     "ChannelDesc", "apply_to_first", "channel_from_circuit",
     "check_trace_preserving", "complementary", "compose", "identity_channel",
-    "run_channel", "unitary_channel",
+    "push_factor", "run_channel", "unitary_channel",
     "haar_state_vector", "haar_unitary", "pauli_matrix", "random_clifford",
     "random_density", "random_state", "random_symplectic",
     "linalg",

@@ -8,12 +8,13 @@ the roles of out and env.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, check_density_cap
+from ..errors import DimensionMismatch, check_density_cap, check_pure_cap
 from . import linalg
 from .gates import GateCircuit
 from .metrics import PartialIsometryOp
@@ -90,7 +91,7 @@ def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
         mat = np.asarray(state, dtype=complex)
         dims = (mat.shape[0],) if d_rest in (None, 1) else (mat.shape[0] // d_rest, d_rest)
     d_first = dims[0]
-    rest = int(np.prod(dims[1:], dtype=np.int64)) if len(dims) > 1 else 1
+    rest = math.prod(dims[1:])
     if d_first != ch.d_in:
         raise DimensionMismatch(f"channel input dim {ch.d_in} vs register dim {d_first}")
     check_density_cap(ch.d_in * ch.d_anc * rest, "dilated state")
@@ -105,15 +106,24 @@ def apply_to_first(ch: ChannelDesc, state, d_rest: int = None) -> DensityOp:
     return DensityOp(out, new_dims)
 
 
-def apply_to_second(ch: ChannelDesc, state) -> DensityOp:
-    """Apply the channel to the second register of a two-register state."""
-    if isinstance(state, BipartiteState):
-        state = state.density()
-    flipped = DensityOp(linalg.permute_registers_dm(state.matrix, state.dims, [1, 0]),
-                        state.dims[::-1])
-    out = apply_to_first(ch, flipped)
-    return DensityOp(linalg.permute_registers_dm(out.matrix, out.dims, [1, 0]),
-                     out.dims[::-1])
+def push_factor(ch: ChannelDesc, factor: np.ndarray, before: int = 1, after: int = 1,
+                what: str = "channel factor") -> np.ndarray:
+    """The channel on the middle register of rho = L L^dag, as a factor.
+
+    L is (before * in * after, k). With V reshaped to (out, env, in),
+    (id ⊗ V ⊗ id) L is (before, out, env, after, k); moving the environment
+    into the columns traces it out, so the result M with
+    M M^dag = (id ⊗ N ⊗ id)(rho) is (before * out * after, env * k). No
+    density is built; the cap is on the factor's entries.
+    """
+    d_in, k = ch.d_in, factor.shape[1]
+    if factor.shape[0] != before * d_in * after:
+        raise DimensionMismatch(f"channel input dim {d_in} vs register dim "
+                                f"{factor.shape[0] // (before * after)}")
+    check_pure_cap(before * ch.d_out * after * ch.d_env * k, what)
+    v = ch.isometry().reshape(ch.d_out, ch.d_env, d_in)
+    out = np.tensordot(v, factor.reshape(before, d_in, after, k), axes=([2], [1]))
+    return out.transpose(2, 0, 3, 1, 4).reshape(before * ch.d_out * after, ch.d_env * k)
 
 
 def compose(second: ChannelDesc, first: ChannelDesc) -> ChannelDesc:

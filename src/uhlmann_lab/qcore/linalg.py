@@ -7,6 +7,7 @@ and ``vec.reshape(dims)`` puts register i on axis i.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +37,13 @@ def apply_matrix_to_registers(vec: np.ndarray, dims: Sequence[int], mat: np.ndar
     """
     dims = list(dims)
     targets = list(targets)
-    d_t = int(np.prod([dims[t] for t in targets]))
+    d_t = math.prod(dims[t] for t in targets)
     if mat.shape != (d_t, d_t):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not act on dims {d_t}")
     tensor = vec.reshape(dims)
     rest = [a for a in range(len(dims)) if a not in targets]
     tensor = np.transpose(tensor, targets + rest)
-    d_r = int(np.prod([dims[a] for a in rest], dtype=np.int64)) if rest else 1
+    d_r = math.prod(dims[a] for a in rest)
     tensor = tensor.reshape(d_t, d_r)
     tensor = mat @ tensor
     tensor = tensor.reshape([dims[t] for t in targets] + [dims[a] for a in rest])
@@ -57,7 +58,7 @@ def apply_matrix_to_registers_dm(rho: np.ndarray, dims: Sequence[int], mat: np.n
 
     Row-major vectorization: vec(M rho M^dag) = (M ⊗ conj(M)) vec(rho).
     """
-    d = int(np.prod(dims, dtype=np.int64))
+    d = math.prod(dims)
     n = len(dims)
     as_vec = rho.reshape(-1)
     ext_dims = list(dims) * 2
@@ -83,14 +84,14 @@ def permute_rows(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.
 
 def permutation_matrix(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Unitary P with P|r_0, r_1, ...> = |r_{perm[0]}, r_{perm[1]}, ...>."""
-    return permute_rows(np.eye(int(np.prod(dims, dtype=np.int64))), dims, perm)
+    return permute_rows(np.eye(math.prod(dims)), dims, perm)
 
 
 def permute_registers_dm(rho: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     n = len(dims)
     tensor = rho.reshape(list(dims) * 2)
     axes = list(perm) + [p + n for p in perm]
-    d = int(np.prod(dims, dtype=np.int64))
+    d = math.prod(dims)
     return np.transpose(tensor, axes).reshape(d, d)
 
 
@@ -103,8 +104,8 @@ def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[in
     tensor = rho.reshape(dims * 2)
     perm = keep + [k + n for k in keep] + traced + [t + n for t in traced]
     tensor = np.transpose(tensor, perm)
-    d_keep = int(np.prod([dims[k] for k in keep], dtype=np.int64)) if keep else 1
-    d_tr = int(np.prod([dims[t] for t in traced], dtype=np.int64)) if traced else 1
+    d_keep = math.prod(dims[k] for k in keep)
+    d_tr = math.prod(dims[t] for t in traced)
     tensor = tensor.reshape(d_keep, d_keep, d_tr, d_tr)
     return np.trace(tensor, axis1=2, axis2=3)
 

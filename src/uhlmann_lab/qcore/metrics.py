@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, NotPositive
 from . import linalg
-from .states import BipartiteState, DensityOp
+from .states import DensityOp
 
 # Singular values within this band of the cutoff count as below it, so that
 # numerically rank-deficient inputs threshold the way exact arithmetic would.
@@ -18,8 +18,6 @@ SGN_BAND = 1e-12
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityOp):
         return rho.matrix
-    if isinstance(rho, BipartiteState):
-        return rho.density().matrix
     return np.asarray(rho, dtype=complex)
 
 
@@ -42,6 +40,41 @@ def trace_distance(rho, sigma) -> float:
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} vs {s.shape}")
     vals = np.linalg.eigvalsh(linalg.hermitize(r - s))
+    return float(np.clip(0.5 * np.abs(vals).sum(), 0.0, 1.0))
+
+
+def _factor_pair(l, k) -> tuple:
+    l, k = (np.asarray(f, dtype=complex) for f in (l, k))
+    l, k = (f.reshape(-1, 1) if f.ndim == 1 else f for f in (l, k))
+    if l.shape[0] != k.shape[0]:
+        raise DimensionMismatch(f"factor rows {l.shape[0]} vs {k.shape[0]}")
+    return l, k
+
+
+def factor_fidelity(l, k) -> float:
+    """F(L L^dag, K K^dag) = ||L^dag K||_1^2 (Uhlmann form), clamped to [0,1].
+
+    L and K are factors (one column each for a pure state, a purification's
+    amplitude matrix for its reduced state); only their k_L x k_K product is
+    decomposed.
+    """
+    l, k = _factor_pair(l, k)
+    val = np.linalg.svd(l.conj().T @ k, compute_uv=False).sum() ** 2
+    return float(np.clip(val, 0.0, 1.0))
+
+
+def factor_trace_distance(l, k) -> float:
+    """td(L L^dag, K K^dag), clamped to [0,1], inside span[L, K].
+
+    With the reduced QR [L | K] = Q [R1 | R2], the difference
+    L L^dag - K K^dag = Q (R1 R1^dag - R2 R2^dag) Q^dag has the spectrum of
+    the small core, so one eigvalsh of size min(rows, k_L + k_K) gives td.
+    """
+    l, k = _factor_pair(l, k)
+    r = np.linalg.qr(np.hstack([l, k]), mode="r")
+    r1, r2 = r[:, :l.shape[1]], r[:, l.shape[1]:]
+    core = r1 @ r1.conj().T - r2 @ r2.conj().T
+    vals = np.linalg.eigvalsh(linalg.hermitize(core))
     return float(np.clip(0.5 * np.abs(vals).sum(), 0.0, 1.0))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,7 +76,7 @@ class DensityOp:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in (self.dims if not np.isscalar(self.dims) else (self.dims,)))
-        d = int(np.prod(dims, dtype=np.int64))
+        d = math.prod(dims)
         check_density_cap(d)
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.shape != (d, d):
@@ -106,7 +107,7 @@ class DensityOp:
 
 def maximally_mixed(dims) -> DensityOp:
     dims = tuple(int(d) for d in (dims if not np.isscalar(dims) else (dims,)))
-    d = int(np.prod(dims, dtype=np.int64))
+    d = math.prod(dims)
     check_density_cap(d)
     return DensityOp(np.eye(d) / d, dims)
 

@@ -17,9 +17,9 @@ from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import (ChannelDesc, apply_to_first, channel_from_json_dict,
                              channel_to_json_dict, complementary, dilation_from_isometry,
-                             run_channel)
+                             push_factor, run_channel)
 from .qcore.gates import GateCircuit
-from .qcore.metrics import fidelity
+from .qcore.metrics import factor_trace_distance, fidelity
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .qcore.states import BipartiteState, DensityOp, maximally_entangled, partial_trace
 from .rng import Seed, as_seed
@@ -133,8 +133,10 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
                           dB, dA * dA, (dA, dB * dA))
     sent = apply_to_first(ch, maximally_entangled(dA))
     out = apply_to_first(decoder, sent)
-    fid = fidelity(out.matrix, maximally_entangled(dA).density().matrix)
-    return {"decoder": decoder, "fidelity": float(fid)}
+    # The target is pure, so the fidelity is <Phi|out|Phi>.
+    target = maximally_entangled(dA).amplitudes
+    fid = float(np.clip(np.real(np.vdot(target, out.matrix @ target)), 0.0, 1.0))
+    return {"decoder": decoder, "fidelity": fid}
 
 
 def commitment_channel(scheme) -> ChannelDesc:
@@ -311,39 +313,17 @@ def roundtrip_bound(source, s: int, delta: float) -> float:
     return float(min(1.0, max(delta, 20.0 * nu ** 0.25)))
 
 
-def _push_factor(ch: ChannelDesc, factor: np.ndarray, rest: int) -> np.ndarray:
-    """The channel on the first register of rho = L L^dag, as a factor.
-
-    L is (in * rest, k). With V reshaped to (out, env, in), (V ⊗ id) L is
-    (out, env, rest, k); moving the environment into the columns traces it
-    out, so the result M with M M^dag = (N ⊗ id)(rho) is (out * rest, env * k).
-    """
-    d_in, k = ch.d_in, factor.shape[1]
-    if factor.shape[0] != d_in * rest:
-        raise DimensionMismatch(f"channel input dim {d_in} vs register dim "
-                                f"{factor.shape[0] // rest}")
-    check_pure_cap(ch.d_out * ch.d_env * rest * k, "roundtrip factor")
-    v = ch.isometry().reshape(ch.d_out, ch.d_env, d_in)
-    out = np.tensordot(v, factor.reshape(d_in, rest, k), axes=([2], [0]))
-    return out.transpose(0, 2, 1, 3).reshape(ch.d_out * rest, ch.d_env * k)
-
-
 def roundtrip(codec: CompressionCodec, purification: BipartiteState) -> float:
     """td((D ∘ E)(psi), psi) for a supplied purification of the source.
 
-    The output is kept as a factor L with rank <= the traced environment.
-    With the reduced QR [L | psi] = Q R, R = [R1 | r], the difference
-    L L^dag - psi psi^dag = Q (R1 R1^dag - r r^dag) Q^dag has the spectrum of
-    the small core, so one eigvalsh of size min(D, rank + 1) gives td.
+    The output is kept as a factor L with rank <= the traced environment,
+    and td(L L^dag, psi psi^dag) is taken inside span[L, psi].
     """
     check_density_cap(purification.dA * purification.dB, "roundtrip state")
     psi = purification.amplitudes.reshape(-1, 1)
     rest = purification.dB
-    factor = _push_factor(codec.decoder, _push_factor(codec.encoder, psi, rest), rest)
-    r = np.linalg.qr(np.hstack([factor, psi]), mode="r")
-    core = r[:, :-1] @ r[:, :-1].conj().T - r[:, -1:] @ r[:, -1:].conj().T
-    vals = np.linalg.eigvalsh(linalg.hermitize(core))
-    return float(np.clip(0.5 * np.abs(vals).sum(), 0.0, 1.0))
+    push = lambda ch, factor: push_factor(ch, factor, after=rest, what="roundtrip factor")
+    return factor_trace_distance(push(codec.decoder, push(codec.encoder, psi)), psi)
 
 
 def haar_overlap(encoder: ChannelDesc, decoder: ChannelDesc, samples: int, seed) -> dict:

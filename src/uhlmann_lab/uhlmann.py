@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInstance
 from .qcore import linalg
 from .qcore.gates import GateCircuit
-from .qcore.metrics import PartialIsometryOp, fidelity, sgn_eta
+from .qcore.metrics import PartialIsometryOp, factor_fidelity, sgn_eta
 from .qcore.random_ops import haar_state_vector, haar_unitary
 from .qcore.states import BipartiteState
 from .rng import as_seed
@@ -122,9 +122,13 @@ class CompletionChannel:
 
 
 def validate_instance(x: UhlmannInstance) -> dict:
-    """Reduced-state fidelity and dimensions: {kappa, dA, dB}."""
+    """Reduced-state fidelity and dimensions: {kappa, dA, dB}.
+
+    rho_A = M M^dag for the dA x dB amplitude matrix M, so kappa is taken in
+    Uhlmann form on the amplitude matrices.
+    """
     psi, phi = x.states()
-    kappa = fidelity(psi.reduced_a(), phi.reduced_a())
+    kappa = factor_fidelity(psi.as_matrix(), phi.as_matrix())
     return {"kappa": kappa, "dA": x.dA, "dB": x.dB}
 
 

@@ -122,12 +122,22 @@ def test_channel_scenario_with_file(tmp_path, capsys):
     assert abs(report["results"]["decoupling_fidelity"] - 0.5) < 1e-9
 
 
-def test_failing_check_exit_code(capsys):
-    # An unattainable tolerance makes the equality check fail honestly
-    # (a generic instance carries ~1e-15 floating-point deviation).
-    code, report = run_cli(capsys, "uhlmann", "--param", "kappa=0.7",
-                           "--param", "dA=3", "--param", "dB=4",
-                           "--seed", "3", "--tol", "0")
+def test_failing_check_exit_code(capsys, monkeypatch):
+    import uhlmann_lab.uhlmann as uhlmann
+    argv = ["uhlmann", "--param", "kappa=0.7", "--param", "dA=3", "--param", "dB=4",
+            "--seed", "3"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["pass"]
+    # A wrong W: the canonical isometry with its weakest singular direction
+    # dropped transports only part of the fidelity, at the default tolerance.
+    real = uhlmann.canonical_uhlmann
+
+    def truncated(x, eta=0.0):
+        w = real(x, eta)
+        return PartialIsometryOp(w.left[:, :-1], w.right[:, :-1])
+
+    monkeypatch.setattr(uhlmann, "canonical_uhlmann", truncated)
+    code, report = run_cli(capsys, *argv)
     assert code == 1
     assert not report["pass"]
 
@@ -359,6 +369,42 @@ def test_uhlmann_completion_check_can_fail(capsys, monkeypatch):
     code, report = run_cli(capsys, *argv)
     assert code == 1
     assert [c["pass"] for c in report["checks"]] == [True, False]
+
+
+def test_interference_cap_is_checked_before_any_circuit_is_simulated(capsys, monkeypatch):
+    def unreachable(self):
+        raise AssertionError("simulated before the cap check")
+
+    monkeypatch.setattr(GateCircuit, "state", unreachable)
+    code = main(["interfere", "--param", "qubits=9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "interference instance dimension 4194304" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["uhlmann", "--param", "kappa=0.7", "--param", "dA=3", "--param", "dB=4"],
+    ["szk", "--param", "kappa=0.9", "--param", "m=3", "--trials", "20"],
+    ["szk", "--param", "kappa=0.9", "--param", "m=2", "--param", "prover=identity",
+     "--trials", "20"],
+    ["commit", "--param", "schemes=3"],
+    ["qip", "--param", "kappa=0.9", "--param", "m=2"],
+])
+def test_pure_and_purified_paths_run_no_dense_fidelity(argv, capsys, monkeypatch):
+    import sys
+    from uhlmann_lab.qcore import linalg, metrics
+
+    def dense(*args):
+        raise AssertionError("dense fidelity on a pure or purified input")
+
+    for original in (metrics.fidelity, linalg.psd_sqrt):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("uhlmann_lab"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, dense)
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["pass"]
 
 
 def test_amplify_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):

@@ -62,6 +62,39 @@ def test_attack_channel_interface():
     assert abs(rep.binding_attack - rep.binding_opt) < 1e-8
 
 
+def test_binding_attack_fidelity_matches_dense_formula():
+    from uhlmann_lab.crypto import binding_attack_fidelity
+    rng = generator(12)
+    for seed, (dC, dR) in ((21, (2, 2)), (22, (2, 3)), (23, (3, 2))):
+        scheme = _raw_scheme(seed, dC, dR)
+        s0, s1 = scheme.states()
+        target = s1.density().matrix
+        # Unitary branch: the pure output (id ⊗ U)|psi_0>.
+        u = haar_unitary(dR, rng)
+        out = np.kron(np.eye(dC), u) @ s0.amplitudes
+        want = fidelity(np.outer(out, out.conj()), target)
+        assert abs(binding_attack_fidelity(scheme, u) - want) < 1e-12
+        assert abs(want - abs(np.vdot(s1.amplitudes, out)) ** 2) < 1e-12
+        # Channel branch: the Kraus sum on the reveal register.
+        ch = ChannelDesc(haar_unitary(2 * dR, rng), dR, 2, (dR, 2))
+        rho = s0.density().matrix
+        rho = sum(np.kron(np.eye(dC), k) @ rho @ np.kron(np.eye(dC), k).conj().T
+                  for k in ch.kraus_operators())
+        got = binding_attack_fidelity(scheme, ch)
+        assert abs(got - fidelity(rho, target)) < 1e-12
+        assert abs(got - np.real(s1.amplitudes.conj() @ rho @ s1.amplitudes)) < 1e-12
+
+
+def test_evaluate_matches_dense_reduced_states():
+    from uhlmann_lab.qcore import trace_distance
+    for seed, (dC, dR) in ((31, (2, 2)), (32, (2, 5)), (33, (5, 2))):
+        scheme = _raw_scheme(seed, dC, dR)
+        s0, s1 = scheme.states()
+        rep = evaluate(scheme)
+        assert abs(rep.hiding_stat - trace_distance(s0.reduced_a(), s1.reduced_a())) < 1e-12
+        assert abs(rep.binding_opt - fidelity(s0.reduced_a(), s1.reduced_a())) < 1e-10
+
+
 def test_attack_dimension_mismatch():
     from uhlmann_lab.errors import DimensionMismatch
     scheme = _raw_scheme(7)

@@ -18,10 +18,11 @@ from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    szk_run, szk_simulate, szk_simulator_distance)
 from uhlmann_lab.qcore import (BipartiteState, DensityOp, GateCircuit, fidelity, linalg,
                                trace_distance)
-from uhlmann_lab.qcore.random_ops import haar_state_vector, random_density
+from uhlmann_lab.qcore.channels import ChannelDesc
+from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_density
 from uhlmann_lab.rng import Seed, generator
 from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
-                                 instance_with_fidelity, overlap_instance,
+                                 instance_with_fidelity, overlap_instance, random_raw_instance,
                                  unitary_completion, validate_instance)
 
 EPR_CIRCUIT = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
@@ -133,6 +134,76 @@ def test_szk_simulator():
     assert abs(dist - dense) < 1e-9
 
 
+def _dense_slot_output(factor, psi):
+    """(id ⊗ factor)(|psi><psi|) as a dense matrix: the outer product for the
+    identity or a unitary, the Kraus sum on the B register for a channel."""
+    if isinstance(factor, ChannelDesc):
+        rho = psi.density().matrix
+        return sum(np.kron(np.eye(psi.dA), k) @ rho @ np.kron(np.eye(psi.dA), k).conj().T
+                   for k in factor.kraus_operators())
+    vec = psi.amplitudes if factor is None else np.kron(np.eye(psi.dA), factor) @ psi.amplitudes
+    return np.outer(vec, vec.conj())
+
+
+def _product_provers(x, m):
+    """Honest, identity, partial-honest and a prover with channel factors."""
+    rng = generator(17)
+    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    channels = [ChannelDesc(haar_unitary(4, rng), 2, 2, (2, 2)) for _ in range(2)]
+    mixed = ProverStrategy("custom", factors=(channels[0], u, None, channels[1]))
+    return [ProverStrategy.honest(x, m), ProverStrategy.identity(m),
+            ProverStrategy.partial_honest(x, m, 2), mixed]
+
+
+def test_szk_run_matches_dense_slot_outputs():
+    m = 3
+    for x in (instance_with_fidelity(0.8, 2, 2, 14), overlap_instance(0.9, 0.6, 15)):
+        psi, phi = x.states()
+        target = phi.density().matrix
+        for prover in _product_provers(x, m):
+            outs = [_dense_slot_output(f, psi) for f in prover.factors]
+            probs = [float(np.real(phi.amplitudes.conj() @ o @ phi.amplitudes)) for o in outs]
+            accepted_runs = 0
+            for seed in range(12):
+                res = szk_run(x, m, prover, seed)
+                rng = Seed(seed).child("szk").generator()
+                j0 = int(np.argwhere(rng.permutation(m + 1) == 0)[0][0])
+                want = float(np.prod([probs[j] for j in range(m + 1) if j != j0]))
+                assert abs(res.accept_prob - want) < 1e-12
+                assert res.accepted == bool(rng.random() < want)
+                record = res.transcript[0]
+                if not res.accepted:
+                    assert res.output_state is None and record["output_td_to_target"] is None
+                    continue
+                accepted_runs += 1
+                assert np.abs(res.output_state.matrix - outs[j0]).max() < 1e-12
+                assert abs(record["output_td_to_target"]
+                           - trace_distance(outs[j0], target)) < 1e-12
+            assert accepted_runs > 0
+
+
+def test_szk_conditional_output_matches_dense_slot_outputs():
+    m = 3
+    for x in (instance_with_fidelity(0.8, 2, 2, 14), overlap_instance(0.9, 0.6, 15)):
+        psi, phi = x.states()
+        for prover in _product_provers(x, m):
+            outs = [_dense_slot_output(f, psi) for f in prover.factors]
+            probs = [float(np.real(phi.amplitudes.conj() @ o @ phi.amplitudes)) for o in outs]
+            weights = [np.prod([probs[i] for i in range(m + 1) if i != j])
+                       for j in range(m + 1)]
+            acc, cond = szk_conditional_output(x, m, prover)
+            assert abs(acc - sum(weights) / (m + 1)) < 1e-12
+            want = sum(w * o for w, o in zip(weights, outs)) / sum(weights)
+            assert np.abs(cond.matrix - want).max() < 1e-12
+
+
+def test_szk_channel_factor_must_return_the_b_register():
+    x = instance_with_fidelity(0.8, 2, 2, 14)
+    widen = ChannelDesc(np.eye(4), 2, 2, (4, 1))
+    with pytest.raises(DimensionMismatch):
+        szk_run(x, 1, ProverStrategy("custom", factors=(widen, None)), 0)
+
+
 def test_szk_prover_arity_check():
     x = instance_with_fidelity(1.0, 2, 2, 2)
     with pytest.raises(DimensionMismatch):
@@ -145,6 +216,16 @@ def test_szk_joint_prover_dimension_cap():
     big = ProverStrategy.joint(np.eye(2 ** 11), label="custom")
     with pytest.raises(DimensionCapError):
         szk_run(x, 10, big, 0)
+
+
+def test_szk_product_prover_output_cap_holds_for_every_run():
+    # The output is a density on dA * dB = 8192 > 4096; the identity prover is
+    # almost never accepted here, and the run must still be refused.
+    from uhlmann_lab.errors import DimensionCapError
+    x = random_raw_instance(64, 128, 0)
+    for seed in range(3):
+        with pytest.raises(DimensionCapError):
+            szk_run(x, 1, ProverStrategy.identity(1), seed)
 
 
 # ---------------------------------------------------------------------------

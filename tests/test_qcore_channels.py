@@ -7,7 +7,7 @@ from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircu
                                check_trace_preserving, complementary, compose,
                                identity_channel, maximally_entangled, maximally_mixed,
                                run_channel, unitary_channel)
-from uhlmann_lab.qcore.channels import apply_to_second, dilation_from_isometry
+from uhlmann_lab.qcore.channels import dilation_from_isometry, push_factor
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
 from uhlmann_lab.rng import generator
@@ -105,16 +105,22 @@ def test_channel_input_dimension_check():
         run_channel(ch, maximally_mixed((2,)))
 
 
-def test_apply_to_second_acts_on_second_register():
-    # (id ⊗ N)(rho) against the Kraus form of N on the second register.
-    rho = DensityOp(random_density(6, generator(9)), (2, 3))
+def test_push_factor_acts_on_its_register():
+    # (id ⊗ N ⊗ id)(L L^dag) against the Kraus form of N on the middle register.
     ch = compose(unitary_channel(haar_unitary(3, generator(10))),
                  ChannelDesc(haar_unitary(6, generator(11)), 3, 2, (3, 2)))
-    out = apply_to_second(ch, rho)
-    assert out.dims == (2, 3)
-    oracle = sum(np.kron(np.eye(2), k) @ rho.matrix @ np.kron(np.eye(2), k).conj().T
-                 for k in ch.kraus_operators())
-    assert np.linalg.norm(out.matrix - oracle, ord=np.inf) < 1e-12
+    rng = generator(9)
+    for before, after, cols in ((1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 3, 4)):
+        d = before * 3 * after
+        l = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
+        out = push_factor(ch, l, before, after)
+        assert out.shape == (d, ch.d_env * cols)
+        embed = lambda k: np.kron(np.kron(np.eye(before), k), np.eye(after))
+        oracle = sum(embed(k) @ l @ l.conj().T @ embed(k).conj().T
+                     for k in ch.kraus_operators())
+        assert np.linalg.norm(out @ out.conj().T - oracle, ord=np.inf) < 1e-12
+    with pytest.raises(DimensionMismatch):
+        push_factor(ch, np.ones((4, 1)), 2, 1)
 
 
 def _dilate_conjugate_trace(ch: ChannelDesc, mat: np.ndarray, rest: int) -> np.ndarray:

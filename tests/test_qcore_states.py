@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch, NotPositive
-from uhlmann_lab.qcore import (BipartiteState, DensityOp, fidelity, maximally_entangled,
+from uhlmann_lab.qcore import (BipartiteState, DensityOp, factor_fidelity,
+                               factor_trace_distance, fidelity, maximally_entangled,
                                maximally_mixed, partial_trace, sgn_eta, tensor_power,
                                trace_distance)
 from uhlmann_lab.qcore.random_ops import haar_state_vector, random_density
@@ -122,6 +123,88 @@ def test_gentle_measurement():
         post = proj @ rho.matrix @ proj / p
         l1 = np.abs(np.linalg.eigvalsh(rho.matrix - post)).sum()
         assert l1 <= 2 * np.sqrt(eps) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fidelity and trace distance on factors (rho = L L^dag)
+
+def _factor(d, cols, rng, rank=None):
+    """A d x cols factor of the given rank (default: full), with Tr L L^dag = 1."""
+    rank = min(d, cols) if rank is None else rank
+    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    m = g(d, rank) @ g(rank, cols)
+    return m / np.linalg.norm(m)
+
+
+def _assert_factor_forms_match(l, k):
+    rho, sigma = l @ l.conj().T, k @ k.conj().T
+    f = factor_fidelity(l, k)
+    assert abs(f - fidelity(rho, sigma)) < 1e-10
+    # The eigendecomposition oracle takes square roots without a cutoff, which
+    # turns eigensolver noise on a rank-deficient input into ~1e-8 errors.
+    if min(np.linalg.matrix_rank(l), np.linalg.matrix_rank(k)) == l.shape[0]:
+        assert abs(f - fidelity_eig_oracle(rho, sigma)) < 1e-10
+    assert abs(factor_trace_distance(l, k) - trace_distance(rho, sigma)) < 1e-10
+
+
+def test_factor_forms_match_dense_oracles():
+    rng = generator(41)
+    for d in (1, 2, 3, 5, 8):
+        # Ranks 1..d, and more columns than rows.
+        for cols in range(1, d + 3):
+            _assert_factor_forms_match(_factor(d, cols, rng),
+                                       _factor(d, int(rng.integers(1, d + 3)), rng))
+
+
+def test_factor_forms_on_rank_deficient_factors():
+    rng = generator(42)
+    for d, cols, rank in ((4, 4, 1), (5, 7, 2), (6, 3, 2), (8, 10, 3)):
+        _assert_factor_forms_match(_factor(d, cols, rng, rank), _factor(d, cols, rng, rank))
+        _assert_factor_forms_match(_factor(d, cols, rng, rank), _factor(d, 2, rng))
+
+
+def test_factor_forms_on_orthogonal_and_equal_pairs():
+    rng = generator(43)
+    q, _ = np.linalg.qr(_factor(6, 6, rng))
+    l = q[:, :2] @ _factor(2, 3, rng)
+    k = q[:, 2:5] @ _factor(3, 4, rng)
+    assert factor_fidelity(l, k) < 1e-12
+    assert abs(factor_trace_distance(l, k) - 1.0) < 1e-12
+    _assert_factor_forms_match(l, k)
+    # The same state from two different factors: L and L V for a unitary V.
+    v, _ = np.linalg.qr(_factor(3, 3, rng))
+    assert abs(factor_fidelity(l, l @ v) - 1.0) < 1e-12
+    assert factor_trace_distance(l, l @ v) < 1e-12
+    _assert_factor_forms_match(l, l @ v)
+
+
+def test_factor_forms_on_pure_columns():
+    rng = generator(44)
+    for d in (2, 7):
+        a, b = haar_state_vector(d, rng), haar_state_vector(d, rng)
+        ov = abs(np.vdot(a, b)) ** 2
+        assert abs(factor_fidelity(a, b) - ov) < 1e-12
+        assert abs(factor_trace_distance(a, b) - np.sqrt(1 - ov)) < 1e-12
+
+
+def test_factor_forms_on_non_square_splits():
+    rng = generator(45)
+    for split in ((2, 5), (5, 2), (3, 4), (1, 6), (6, 1)):
+        d = split[0] * split[1]
+        psi = BipartiteState(haar_state_vector(d, rng), split)
+        phi = BipartiteState(haar_state_vector(d, rng), split)
+        m_psi, m_phi = psi.as_matrix(), phi.as_matrix()
+        rho, sigma = psi.reduced_a(), phi.reduced_a()
+        _assert_factor_forms_match(m_psi, m_phi)
+        assert abs(factor_fidelity(m_psi, m_phi) - fidelity(rho, sigma)) < 1e-10
+        assert abs(factor_trace_distance(m_psi, m_phi) - trace_distance(rho, sigma)) < 1e-10
+
+
+def test_factor_forms_reject_mismatched_rows():
+    with pytest.raises(DimensionMismatch):
+        factor_fidelity(np.ones((3, 1)), np.ones((4, 1)))
+    with pytest.raises(DimensionMismatch):
+        factor_trace_distance(np.ones((3, 1)), np.ones((4, 1)))
 
 
 # ---------------------------------------------------------------------------

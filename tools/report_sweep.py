@@ -87,6 +87,7 @@ COMMANDS = [
     "amplify --param k=5 --param nu=0.2 --param T=6",
     "commit --param schemes=10",
     "commit scheme.json",
+    "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
     "channel --param qubits=5",
     "channel channel.json",
     "compress --param source=mm:3 --param s=2 --param seeds=2",
@@ -97,6 +98,7 @@ COMMANDS = [
     "blackhole blackhole.json",
     "interfere --param pairs=3",
     "interfere pair.json",
+    "interfere --param qubits=9",
     "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
     "entropy state.json",
 ]
