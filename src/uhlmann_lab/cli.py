@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -476,6 +477,58 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
+def _dumps(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` the stdlib runs its pure-Python encoder, which is slow on
+    long float arrays (``w_matrix``). Each non-empty list of finite floats is
+    encoded as a placeholder string instead, then spliced in with
+    float.__repr__, the encoder's own float format. A list holding NaN or an
+    infinity keeps the stdlib path. The placeholder is grown until no string
+    in the report contains it.
+    """
+    strings, arrays = [], []
+
+    def swap(obj):
+        if isinstance(obj, dict):
+            strings.extend(key for key in obj if isinstance(key, str))
+            return {key: swap(val) for key, val in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if obj and all(isinstance(v, float) and math.isfinite(v) for v in obj):
+                arrays.append(obj)
+                return _Splice(len(arrays) - 1)
+            return [swap(v) for v in obj]
+        if isinstance(obj, str):
+            strings.append(obj)
+        return obj
+
+    swapped = swap(report)
+    mark = "SPLICE"
+    while any(mark in text for text in strings):
+        mark += "_"
+
+    def placeholder(obj):
+        if not isinstance(obj, _Splice):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return f"{mark}{obj.index}"
+
+    text = json.dumps(swapped, sort_keys=True, indent=2, default=placeholder)
+
+    def splice(match):
+        outer, ind = match[1], match[1] + "  "
+        body = (",\n" + ind).join(map(float.__repr__, arrays[int(match[3])]))
+        return f"{outer}{match[2]}[\n{ind}{body}\n{outer}]"
+
+    return re.sub(rf'^( *)(.*?)"{mark}(\d+)"', splice, text, flags=re.M)
+
+
+class _Splice:
+    """Where ``_dumps`` splices in float array number ``index``."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+
 def main(argv=None) -> int:
     start = time.perf_counter()
     try:
@@ -494,7 +547,7 @@ def main(argv=None) -> int:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

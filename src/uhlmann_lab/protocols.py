@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_density_cap, check_pure_cap
+from .errors import (DENSITY_DIM_CAP, DimensionCapError, DimensionMismatch,
+                     check_density_cap, check_pure_cap)
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
 from .qcore.metrics import factor_trace_distance, trace_distance
@@ -313,10 +314,14 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
 
 def check_amplifier_cap(dA: int, dB: int, k: int, g_dim: int, T: int = 0) -> None:
     """Cap the amplifier's state: (dA dB)^k g_dim amplitudes for the solver's
-    input, and 2^T times as many for the walk's branches."""
+    input, and 2^T times as many for the walk's branches. The range basis of
+    P holds dA dB such vectors, and may be as large as the largest density
+    operator."""
     size = (dA * dB) ** k * g_dim
     check_pure_cap(size, "amplifier state")
     check_pure_cap(size * 2 ** T, "amplifier state")
+    if dA * dB * size > DENSITY_DIM_CAP ** 2:
+        raise DimensionCapError(dA * dB * size, DENSITY_DIM_CAP ** 2, "amplifier range basis")
 
 
 def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
@@ -354,7 +359,8 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
 # The amplifier's registers are ordered A_1..A_k, B_1..B_k, G, so the solver
 # acts on the trailing block. The walk carries vectors in the solver's output
 # frame, R v: there the "solver maps to |D>" measurement is a plain projection,
-# and the final single-copy readout needs no R.
+# and the final single-copy readout needs no R. The other measurement, P, has
+# rank dA dB, and the walk applies it through an orthonormal basis of its range.
 
 def _amp_dims(psi, k, g_dim):
     return [psi.dA] * k + [psi.dB] * k + [g_dim]
@@ -367,8 +373,32 @@ def _amp_start(psi, solver: FoldedSolver, k):
 
 
 def _rotate(vec, u):
-    """Apply ``u`` to the trailing registers of ``vec``."""
-    return (vec.reshape(-1, u.shape[0]) @ u.T).reshape(-1)
+    """Apply ``u`` to the trailing registers of ``vec``: the one place the
+    amplifier applies its solver."""
+    return (vec.reshape(-1, u.shape[1]) @ u.T).reshape(-1)
+
+
+def _amp_range(psi, solver: FoldedSolver, k: int, i: int) -> np.ndarray:
+    """Rows w_b = R (|C>^{⊗(k-1)} on the blocks j != i ⊗ |b>_{A_i B_i} ⊗ |0>_G),
+    b = (a, beta): an orthonormal basis of the range of P for index i.
+
+    w_b lives on the rows A_i = a, and its B-side vector there depends on beta
+    and the other A registers but not on a. So one application of R, on the
+    dA^{k-1} dB distinct B-side inputs, gives every row.
+    """
+    dA, dB, g = psi.dA, psi.dB, solver.g_dim
+    head, tail = dA ** i, dA ** (k - 1 - i)
+    rest = tensor_power(psi, k - 1).reshape(head * tail, dB ** i, dB ** (k - 1 - i))
+    inputs = np.zeros((head * tail, dB, dB ** i, dB, dB ** (k - 1 - i)), dtype=complex)
+    for beta in range(dB):
+        inputs[:, beta, :, beta, :] = rest
+    # Only the G = 0 columns of R meet these inputs.
+    r0 = solver.unitary.reshape(-1, dB ** k, g)[:, :, 0]
+    side = _rotate(inputs, r0).reshape(head, tail, dB, -1).transpose(2, 0, 1, 3)
+    rows = np.zeros((dA, dB, head, dA, tail, side.shape[-1]), dtype=complex)
+    for a in range(dA):
+        rows[a, :, :, a] = side
+    return rows.reshape(dA * dB, -1)
 
 
 def _project(vec, dims, block, ids, k):
@@ -394,21 +424,24 @@ def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
 
 
 def _amp_projectors(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None):
-    """(P, Q) on the blocks j != i, as closures on output-frame vectors:
-    P = R (|C><C| ⊗ |0><0|_G) R† and Q = |D><D|. i = None gives the full
-    (hatted) projectors."""
+    """(start, P, Q) for index i: the walk's start R (|C>^{⊗k} ⊗ |0>_G), and
+    as closures on output-frame vectors P = R (|C><C| on the blocks j != i ⊗
+    |0><0|_G) R†, applied through its range basis W as (W v̄)‾ W, and
+    Q = |D><D| on the blocks j != i. i = None gives the full (hatted)
+    projectors, whose P has the start as its only range vector."""
     psi, phi = x.states()
     dims = _amp_dims(psi, k, solver.g_dim)
-    ids = [j for j in range(k) if j != i]
-    cvec, dvec = tensor_power(psi, len(ids)), tensor_power(phi, len(ids))
-    r_dag = solver.unitary.conj().T
-
-    def p(vec):
-        back = _rotate(vec, r_dag).reshape(-1, solver.g_dim)
-        back[:, 1:] = 0.0
-        return _rotate(_project(back.reshape(-1), dims, cvec, ids, k), solver.unitary)
-
-    return p, lambda vec: _project(vec, dims, dvec, ids, k)
+    if i is None:
+        start = _amp_start(psi, solver, k)
+        w = start[None, :]
+        ids = range(k)
+    else:
+        w = _amp_range(psi, solver, k, i)
+        start = psi.amplitudes @ w
+        ids = [j for j in range(k) if j != i]
+    dvec = tensor_power(phi, len(ids))
+    return (start, lambda vec: (w @ vec.conj()).conj() @ w,
+            lambda vec: _project(vec, dims, dvec, ids, k))
 
 
 def _alternate(vec, p, q, T: int, cut: float, visit):
@@ -449,8 +482,7 @@ def _amp_fidelity_for_index(x: UhlmannInstance, solver: FoldedSolver, k: int, T:
         if np.linalg.norm(succ) > 1e-14:
             fids.append(read(succ))
 
-    p, q = _amp_projectors(x, solver, k, i)
-    running = _alternate(_amp_start(psi, solver, k), p, q, T, 1e-14, visit)
+    running = _alternate(*_amp_projectors(x, solver, k, i), T, 1e-14, visit)
     return sum(fids + [read(vec) for vec in running])
 
 
@@ -492,13 +524,12 @@ def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
     collapses each round, instead of recording outcomes coherently."""
     psi, phi = x.states()
     dims = _amp_dims(psi, cfg.k, solver.g_dim)
-    start = _amp_start(psi, solver, cfg.k)
+    walks = [_amp_projectors(x, solver, cfg.k, i) for i in range(cfg.k)]
     rng = cfg.seed.child("amplify-incoherent").generator()
     samples = np.empty(trials)
     for trial in range(trials):
         i = int(rng.integers(cfg.k))
-        p, q = _amp_projectors(x, solver, cfg.k, i)
-        vec = start
+        vec, p, q = walks[i]
         for _ in range(cfg.T):
             hit = p(vec)
             prob = _weight(hit)
@@ -524,9 +555,7 @@ def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
                             T: int) -> float:
     """Max residual of intermediate branches outside span{v, w} for the hatted
     algorithm (full P/Q projectors)."""
-    psi, _ = x.states()
-    p, q = _amp_projectors(x, solver, k)
-    v = _amp_start(psi, solver, k)
+    v, p, q = _amp_projectors(x, solver, k)
     w = q(v)
     nw = np.linalg.norm(w)
     basis = [v]

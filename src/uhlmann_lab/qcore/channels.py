@@ -190,7 +190,7 @@ def encode_matrix(m: np.ndarray) -> list:
     out = np.empty(2 * flat.size)
     out[0::2] = flat.real
     out[1::2] = flat.imag
-    return [float(v) for v in out]
+    return out.tolist()
 
 
 def decode_matrix(values, d: int) -> np.ndarray:

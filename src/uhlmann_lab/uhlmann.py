@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInstance
+from .errors import DimensionMismatch, InvalidInstance, check_density_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.gates import GateCircuit
 from .qcore.metrics import PartialIsometryOp, factor_fidelity, sgn_eta
@@ -217,6 +217,10 @@ def instance_with_fidelity(kappa: float, dA: int, dB: int, seed) -> UhlmannInsta
         raise ValueError("kappa must lie in [0, 1]")
     if min(dA, dB) < 2 and kappa < 1.0:
         raise DimensionMismatch("need dA, dB >= 2 for kappa < 1")
+    # Each local unitary is as large as a density operator of its dimension.
+    check_density_cap(dA, "local unitary")
+    check_density_cap(dB, "local unitary")
+    check_pure_cap(dA * dB, "instance state")
     rng = as_seed(seed).child("fid-instance").generator()
     psi = np.zeros((dA, dB), dtype=complex)
     phi = np.zeros((dA, dB), dtype=complex)

@@ -538,3 +538,55 @@ def test_malformed_input_file_exits_2(scenario, content, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("dA", [100000, 4097])
+def test_generated_instance_cap_is_checked_before_the_locals_are_drawn(dA, capsys,
+                                                                       monkeypatch):
+    import uhlmann_lab.uhlmann as uhlmann
+
+    def unreachable(*args):
+        raise AssertionError("local unitary drawn before the cap check")
+
+    monkeypatch.setattr(uhlmann, "haar_unitary", unreachable)
+    code = main(["uhlmann", "--param", f"dA={dA}", "--param", "dB=2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: local unitary dimension {dA} exceeds cap 4096")
+
+
+def test_generated_instance_state_cap():
+    from uhlmann_lab.errors import DimensionCapError
+    from uhlmann_lab.uhlmann import instance_with_fidelity
+    with pytest.raises(DimensionCapError, match="instance state dimension 4194304"):
+        instance_with_fidelity(0.5, 2048, 2048, 0)
+
+
+@pytest.mark.parametrize("report", [
+    {"scenario": "x", "results": {"a": {"b": {"c": [0.5, -1.25]}}, "d": {}}, "pass": True},
+    {"empty": [], "ints": [1, 2, 3], "mixed": [1, 2.5, -3], "bools": [True, False, None]},
+    {"edges": [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, -2.5e-7],
+     "scalar": -0.0, "nested": [[0.25], [], [[1e-300, 3.0]], {"k": [2.0]}]},
+    {"nonfinite": [1.0, float("nan"), float("inf"), -float("inf")],
+     "inner": [[float("nan")], [0.5]]},
+    {"SPLICE0": [0.5], "s": "SPLICE1", "t": "xSPLICE_0", "u": "éSPLICE\n", "v": [1.5]},
+    [0.5, 0.25],
+    [[1.0, 2.0], []],
+    [],
+])
+def test_report_writer_matches_json_dumps(report):
+    from uhlmann_lab.cli import _dumps
+    assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_report_writer_rejects_what_json_rejects():
+    from uhlmann_lab.cli import _dumps
+    with pytest.raises(TypeError):
+        _dumps({"a": [1.0], "b": np.int64(3)})
+
+
+def test_report_bytes_are_the_stdlib_encoding(capsys):
+    main(["uhlmann", "--param", "dA=3", "--param", "dB=4"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert '"w_matrix": [\n      ' in out

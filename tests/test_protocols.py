@@ -315,11 +315,11 @@ def _dense_tree(p, q, vec, T, cut):
     for _ in range(T):
         nxt = []
         for branch in active:
-            hit = p @ branch
+            hit = p(branch)
             for comp in (hit, branch - hit):
                 if np.linalg.norm(comp) < cut:
                     continue
-                succ = q @ comp
+                succ = q(comp)
                 comps.append(comp)
                 succs.append(succ)
                 rests.append(comp - succ)
@@ -341,18 +341,24 @@ class DenseAmplifier:
         g0 = np.zeros((solver.g_dim,) * 2)
         g0[0, 0] = 1.0
         self.g0 = _dense_on(g0, [2 * k], self.dims)
+        self._projectors = {}
 
     def blocks(self, state, ids):
-        out = np.eye(len(self.start))
-        for j in ids:
-            out = out @ _dense_on(np.outer(state.amplitudes, state.amplitudes.conj()),
-                                  [j, self.k + j], self.dims)
-        return out
+        """|state><state| on each pair (A_j, B_j), j in ``ids``."""
+        pair = np.outer(state.amplitudes, state.amplitudes.conj())
+        return _dense_on(linalg.kron_all([pair] * len(ids)),
+                         [reg for j in ids for reg in (j, self.k + j)], self.dims)
 
     def projectors(self, i=None):
-        others = [j for j in range(self.k) if j != i]
-        return (self.blocks(self.psi, others) @ self.g0,
-                self.r.conj().T @ self.blocks(self.phi, others) @ self.r)
+        """(P, Q) as matrix-vector products, P = |C><C| ⊗ |0><0|_G and
+        Q = R† |D><D| R on the blocks j != i."""
+        if i not in self._projectors:
+            others = [j for j in range(self.k) if j != i]
+            p = self.blocks(self.psi, others) * np.diag(self.g0)  # @ g0, diagonal
+            d = self.blocks(self.phi, others)
+            self._projectors[i] = (lambda v: p @ v,
+                                   lambda v: self.r.conj().T @ (d @ (self.r @ v)))
+        return self._projectors[i]
 
     def readout(self, vec, i):
         out = self.r @ vec
@@ -375,7 +381,7 @@ class DenseAmplifier:
         """(max residual outside span{v, Qv}, (kept P parts, running branches))."""
         p, q = self.projectors()
         v = self.start
-        w = q @ v
+        w = q(v)
         basis = [v]
         if np.linalg.norm(w) > 1e-12:
             w = w - v * (v.conj() @ w)
@@ -396,13 +402,13 @@ class DenseAmplifier:
             p, q = self.projectors(i)
             vec = self.start
             for _ in range(cfg.T):
-                hit = p @ vec
+                hit = p(vec)
                 prob = float(np.real(hit.conj() @ hit))
                 if rng.random() < prob:
                     vec = hit / np.sqrt(prob)
                 else:
                     vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-                succ = q @ vec
+                succ = q(vec)
                 prob = float(np.real(succ.conj() @ succ))
                 if rng.random() < prob:
                     vec = succ / np.sqrt(prob)
@@ -428,7 +434,10 @@ def _triple_product_solver(x, k, theta, junk=None):
     return np.kron(uk, np.eye(2)) @ cj @ np.kron(np.eye(dbk), ry)
 
 
-AMP_INSTANCES = {"epr": EPR_INSTANCE, "kappa0.8": instance_with_fidelity(0.8, 2, 2, 1)}
+# The non-square instances tell the A and B registers of a block apart.
+AMP_INSTANCES = {"epr": EPR_INSTANCE, "kappa0.8": instance_with_fidelity(0.8, 2, 2, 1),
+                 "kappa0.8_3x2": instance_with_fidelity(0.8, 3, 2, 1),
+                 "kappa0.7_2x4": instance_with_fidelity(0.7, 2, 4, 2)}
 
 
 def _amp_solver(x, kind, k):
@@ -476,7 +485,7 @@ def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-@pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
+@pytest.mark.parametrize("name", ["epr", "kappa0.8"])
 def test_engineered_solver_is_the_triple_product(name, k):
     x = AMP_INSTANCES[name]
     for nu in (0.0, 0.37, 1.0):
@@ -487,6 +496,59 @@ def test_engineered_solver_is_the_triple_product(name, k):
     assert np.allclose(engineered_solver(x, k, 0.37, junk)[0].unitary,
                        _triple_product_solver(x, k, math.acos(math.sqrt(0.37)), junk),
                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["exact", "engineered"])
+@pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
+def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
+    import uhlmann_lab.protocols as protocols
+    x = AMP_INSTANCES[name]
+    solver = _amp_solver(x, kind, k)
+    ref = DenseAmplifier(x, solver, k)
+    psi, _ = x.states()
+    for i in range(k):
+        w = protocols._amp_range(psi, solver, k, i)
+        assert w.shape == (psi.dA * psi.dB, len(ref.start))
+        assert np.allclose(w.conj() @ w.T, np.eye(len(w)), rtol=0, atol=1e-12)
+        # R P R† in the output frame, P = |C><C| on the blocks j != i ⊗ |0><0|_G.
+        p_in = ref.blocks(ref.psi, [j for j in range(k) if j != i]) * np.diag(ref.g0)
+        dense_p = ref.r @ p_in @ ref.r.conj().T
+        assert np.allclose(w.T @ w.conj(), dense_p, rtol=0, atol=1e-12)
+        start, p, _ = protocols._amp_projectors(x, solver, k, i)
+        assert np.allclose(start, ref.r @ ref.start, rtol=0, atol=1e-12)
+        vec = haar_state_vector(len(ref.start), generator(i))
+        assert np.allclose(p(vec), dense_p @ vec, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["epr", "kappa0.8_3x2"])
+def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    x = AMP_INSTANCES[name]
+    k = 3
+    solver = _amp_solver(x, "engineered", k)
+    calls = []
+    real = protocols._rotate
+    monkeypatch.setattr(protocols, "_rotate", lambda vec, u: calls.append(1) or real(vec, u))
+    counts = []
+    for T in (1, 6):
+        calls.clear()
+        amplify_run(x, solver, AmplifierConfig(k, T, Seed(2)), 30)
+        counts.append(len(calls))
+    # One range basis per index, and the start vector of the folded fidelity.
+    assert counts[0] == counts[1] <= k + 1
+    calls.clear()
+    amplify_run_incoherent(x, solver, AmplifierConfig(k, 6, Seed(2)), 25)
+    assert len(calls) <= k + 1
+
+
+def test_amplifier_range_basis_is_capped():
+    from uhlmann_lab.errors import DimensionCapError
+    from uhlmann_lab.protocols import check_amplifier_cap
+    check_amplifier_cap(4, 4, 4, 2, 3)
+    # (dA dB)^3 * 2 = 2^19 amplitudes fit, but not dA dB = 64 of them.
+    with pytest.raises(DimensionCapError, match="amplifier range basis dimension 33554432"):
+        check_amplifier_cap(8, 8, 3, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ COMMANDS = [
     "amplify --param k=2 --trials 50",
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
+    "amplify --param k=7 --param T=4",
     "commit --param schemes=10",
     "commit scheme.json",
     "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
