@@ -272,15 +272,18 @@ def run_qip(args):
     psi, phi = x.states()
     target = uhlmann.apply_uhlmann(x, 0.0, psi).density()
     td_out = trace_distance(res.output_state, target) if res.output_state else 1.0
+    # The tolerance enters under the root: ~1e-16 of rounding in kappa near 1
+    # would otherwise move 5 sqrt(mu) by ~5e-8.
     mu = max(0.0, 1 - info["kappa"])
-    envelope = math.sqrt(4.0 / (m + 1)) + 5 * math.sqrt(mu) + oracle.prep_error + 0.05
+    envelope = (math.sqrt(4.0 / (m + 1)) + 5 * math.sqrt(mu + args.tol)
+                + oracle.prep_error + 0.05)
     results = {"m": m, "prover": prover_name, "mode": oracle.mode,
                "prep_error": oracle.prep_error, "accept_prob": res.accept_prob,
                "output_distance": td_out, "kappa": info["kappa"]}
     checks = []
     if res.accept_prob >= 0.5:
         checks.append(_check("soundness_envelope", td_out, envelope,
-                             "td(out, Phi(C)) <= sqrt(4/(m+1)) + 5 sqrt(mu) + prep + 0.05"))
+                             "td(out, Phi(C)) <= sqrt(4/(m+1)) + 5 sqrt(mu + tol) + prep + 0.05"))
     # No prover acting on B beats the Uhlmann fidelity kappa^m in the good
     # branch, and the honest prover attains it; the junk branch has weight e.
     good = (1 - oracle.prep_error) * info["kappa"] ** m

@@ -115,6 +115,16 @@ def swap_matrix(d1: int, d2: int) -> np.ndarray:
     return permute_rows(np.eye(d1 * d2), [d1, d2], [1, 0])
 
 
+def is_diagonal(m: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square matrix ``m`` is exactly 0.
+
+    Read in place: past its first entry, the flattened D×D matrix is D-1
+    rows of D+1 entries, D off-diagonal ones followed by a diagonal one.
+    """
+    d = m.shape[0]
+    return d < 2 or not m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any()
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,8 +94,17 @@ class DensityOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def is_diagonal(self) -> bool:
+        """Whether the matrix is exactly diagonal (read once: it is read-only)."""
+        return linalg.is_diagonal(self.matrix)
+
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """The spectrum, ascending: the diagonal of an exactly diagonal matrix,
+        else ``eigvalsh`` of the hermitized matrix."""
+        if self.is_diagonal:
+            return np.sort(self.matrix.diagonal().real)
+        return np.linalg.eigvalsh(linalg.hermitize(self.matrix))
 
     def purify(self) -> BipartiteState:
         """Canonical purification |rho> = sum_i sqrt(l_i) |e_i>|i> with split (d, d)."""

@@ -46,17 +46,26 @@ def entropies(rho: DensityOp, epsilon: float = 0.0) -> EntropyReport:
     The smoothed max-entropy drops the smallest-eigenvalue tail of mass at
     most epsilon and renormalizes, which upper-bounds the true smoothed
     value.
+
+    An exactly diagonal rho = diag(p) costs O(D^2): its spectrum is p, and
+    with s_b = sum_a p_ab the Renyi-2 term is -log2 sum_ab p_ab^2 / s_b over
+    the b that ``psd_power`` keeps in the support of sigma = diag(s).
     """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
-    vals = np.clip(np.linalg.eigvalsh(linalg.hermitize(rho.matrix)), 0.0, None)
+    vals = np.clip(rho.eigenvalues(), 0.0, None)
     h_min = -math.log2(vals.max())
     h_max = 2.0 * math.log2(np.sqrt(vals).sum())
-    if len(rho.dims) >= 2:
+    if len(rho.dims) < 2:
+        h2 = -math.log2(float(np.sum(vals ** 2)))
+    elif rho.is_diagonal:
+        p = rho.matrix.diagonal().real.reshape(rho.dims[0], -1)
+        s = p.sum(0)
+        keep = s > 1e-12 * max(s.max(), 1.0)
+        h2 = -math.log2(max(float(np.sum(p[:, keep] ** 2 / s[keep])), 1e-300))
+    else:
         sigma = partial_trace(rho, list(range(1, len(rho.dims)))).matrix
         h2 = h2_conditional(rho.matrix, (rho.dims[0], rho.dim // rho.dims[0]), sigma)
-    else:
-        h2 = -math.log2(float(np.real(np.trace(rho.matrix @ rho.matrix))))
     h_max_smoothed = smoothed_h_max(vals, epsilon)
     return EntropyReport(float(h_min), float(h_max), float(h2),
                          float(h_max_smoothed), float(epsilon))
@@ -256,10 +265,8 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
         raise DimensionMismatch("source must be a qubit state")
     seed = as_seed(seed)
     if s is None:
-        eps = (delta / 40.0) ** 4
-        rep = entropies(DensityOp(rho.matrix, (rho.dim,)), eps)
-        s = int(np.clip(math.ceil(rep.h_max_smoothed + 8 * math.log2(4.0 / delta)),
-                        0, n))
+        h = smoothed_h_max(rho.eigenvalues(), (delta / 40.0) ** 4)
+        s = int(np.clip(math.ceil(h + 8 * math.log2(4.0 / delta)), 0, n))
     if not (0 <= s <= n):
         raise ValueError(f"s must lie in 0..{n}")
     d, d_c, d_e = 2 ** n, 2 ** s, 2 ** (n - s)
@@ -306,10 +313,9 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
 def roundtrip_bound(source, s: int, delta: float) -> float:
     """The codec contract max(delta, 20 nu^{1/4}) with nu from the decoupling
     bound 2^{-(s - h_max_smoothed)/2} + 8 eps, capped at 1."""
-    rho = _source_state(source)
     eps = (delta / 40.0) ** 4
-    rep = entropies(DensityOp(rho.matrix, (rho.dim,)), eps)
-    nu = 2.0 ** (-0.5 * (s - rep.h_max_smoothed)) + 8 * eps
+    h = smoothed_h_max(_source_state(source).eigenvalues(), eps)
+    nu = 2.0 ** (-0.5 * (s - h)) + 8 * eps
     return float(min(1.0, max(delta, 20.0 * nu ** 0.25)))
 
 

@@ -454,6 +454,34 @@ def test_qip_accept_checks_can_fail(argv, shift, capsys, monkeypatch):
     assert code == 1
 
 
+def test_qip_soundness_bound_is_stable_at_kappa_one(capsys, monkeypatch):
+    from uhlmann_lab import uhlmann
+    real = uhlmann.validate_instance
+    bounds = []
+    for kappa in (1.0, 1.0 - 1e-16):
+        monkeypatch.setattr(uhlmann, "validate_instance",
+                            lambda x, kappa=kappa: {**real(x), "kappa": kappa})
+        code, report = run_cli(capsys, "qip", "--param", "m=2")
+        check = report["checks"][0]
+        assert code == 0 and check["name"] == "soundness_envelope"
+        bounds.append(check["bound"])
+    assert report["results"]["kappa"] < 1.0
+    assert abs(bounds[0] - bounds[1]) < 1e-10
+
+
+def test_entropy_of_a_diagonal_state_runs_no_eigensolver(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigensolver called on a diagonal state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    monkeypatch.setattr(np.linalg, "eigh", unreachable)
+    code, report = run_cli(capsys, "entropy", "--param", "state=mm:11")
+    assert code == 0 and report["pass"]
+    res = report["results"]
+    assert (res["h_min"], res["h2_lower"]) == (11.0, 1.0)
+    assert abs(res["h_max"] - 11.0) < 1e-12
+
+
 def test_compress_admits_what_the_factor_cap_admits(capsys):
     from uhlmann_lab import shannon
     from uhlmann_lab.qcore.states import maximally_mixed

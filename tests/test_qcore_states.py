@@ -274,6 +274,27 @@ def test_density_op_invariants():
     assert abs(np.trace(rho.matrix) - 1) < 1e-10
 
 
+def test_eigenvalues_read_a_diagonal_and_eigensolve_the_rest(monkeypatch):
+    probs = np.array([0.4, 0.0, 0.1, 0.3, 0.2])
+    diagonal = DensityOp(np.diag(probs), (5,))
+    dense = DensityOp(np.diag(probs) + 0.05 * (np.eye(5, k=4) + np.eye(5, k=-4)), (5,))
+    want = np.linalg.eigvalsh(dense.matrix)
+    assert diagonal.is_diagonal and not dense.is_diagonal
+    assert np.array_equal(diagonal.eigenvalues(), np.sort(probs))
+    assert np.allclose(diagonal.eigenvalues(), np.linalg.eigvalsh(diagonal.matrix),
+                       rtol=0, atol=1e-15)
+
+    def unreachable(*args):
+        raise AssertionError("eigensolver called on a diagonal matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    assert np.array_equal(diagonal.eigenvalues(), np.sort(probs))
+    with pytest.raises(AssertionError):
+        dense.eigenvalues()
+    monkeypatch.undo()
+    assert np.array_equal(dense.eigenvalues(), want)
+
+
 def test_density_cap_names_offending_size():
     with pytest.raises(DimensionCapError) as err:
         maximally_mixed((2,) * 13)

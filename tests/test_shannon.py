@@ -15,7 +15,8 @@ from uhlmann_lab.rng import Seed, child_seed, generator
 from uhlmann_lab.shannon import (CompressionCodec, commitment_channel, compress,
                                  decoder_from_uhlmann, decoupling_experiment,
                                  decoupling_fidelity, entropies, h2_conditional,
-                                 haar_overlap, roundtrip, truncation_codec)
+                                 haar_overlap, roundtrip, smoothed_h_max,
+                                 truncation_codec)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,72 @@ def test_h2_conditional_matches_kron_formula(split):
             x = np.kron(np.eye(dA), linalg.psd_power(sigma, -0.5)) @ rho
             want = -math.log2(float(np.real(np.trace(x @ x))))
             assert abs(h2_conditional(rho, split, sigma) - want) < 1e-12
+
+
+def _dense_entropies(m, dims, epsilon):
+    """(h_min, h_max, h2_lower, h_max_smoothed) by the dense route: eigvalsh,
+    Tr rho^2 as a matrix product, h2_conditional at sigma = rho_B."""
+    vals = np.clip(np.linalg.eigvalsh(linalg.hermitize(m)), 0.0, None)
+    if len(dims) >= 2:
+        split = (dims[0], m.shape[0] // dims[0])
+        h2 = h2_conditional(m, split, linalg.partial_trace_matrix(m, list(split), [1]))
+    else:
+        h2 = -math.log2(float(np.real(np.trace(m @ m))))
+    return (-math.log2(vals.max()), 2.0 * math.log2(np.sqrt(vals).sum()), h2,
+            smoothed_h_max(vals, epsilon))
+
+
+def _no_eigensolver(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigensolver called on a diagonal input")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    monkeypatch.setattr(np.linalg, "eigh", unreachable)
+
+
+def _assert_report(rep, want, epsilon):
+    got = (rep.h_min, rep.h_max, rep.h2_lower, rep.h_max_smoothed)
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
+    assert rep.epsilon == epsilon
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("dims", [(4,), (2, 2), (3, 4), (2, 3, 2)])
+def test_diagonal_route_matches_dense_route(dims, epsilon, monkeypatch):
+    rng = generator(70 + len(dims) + math.prod(dims))
+    probs = rng.random(math.prod(dims)) ** 3
+    m = np.diag(probs / probs.sum()).astype(complex)
+    want = _dense_entropies(m, dims, epsilon)
+    rho = DensityOp(m, dims)
+    _no_eigensolver(monkeypatch)
+    _assert_report(entropies(rho, epsilon), want, epsilon)
+
+
+@pytest.mark.parametrize("tiny", [0.0, 9e-13])
+def test_diagonal_route_cuts_sigma_support_like_psd_power(tiny, monkeypatch):
+    # (2, 4) registers: marginal s_3 = tiny lies below psd_power's 1e-12 cut,
+    # s_1 carries one heavy entry, the others spread over both rows.
+    p = np.array([[0.30, 0.05, 0.10, tiny],
+                  [0.20, 0.00, 0.35, 0.0]])
+    p[0, 0] -= tiny
+    m = np.diag(p.reshape(-1)).astype(complex)
+    want = _dense_entropies(m, (2, 4), 0.0)
+    rho = DensityOp(m, (2, 4))
+    _no_eigensolver(monkeypatch)
+    _assert_report(entropies(rho), want, 0.0)
+
+
+def test_one_off_diagonal_pair_takes_the_dense_route():
+    dims = (2, 3, 2)
+    d = math.prod(dims)
+    probs = np.linspace(1.0, 2.0, d)
+    m = np.diag(probs / probs.sum()).astype(complex)
+    m[0, d - 1], m[d - 1, 0] = 0.02 + 0.01j, 0.02 - 0.01j
+    rho = DensityOp(m, dims)
+    assert not rho.is_diagonal
+    _assert_report(entropies(rho, 0.05), _dense_entropies(m, dims, 0.05), 0.05)
+    diag_only = entropies(DensityOp(np.diag(np.diag(m)), dims), 0.05)
+    assert abs(diag_only.h_min - entropies(rho, 0.05).h_min) > 1e-3
 
 
 # ---------------------------------------------------------------------------

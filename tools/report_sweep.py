@@ -101,6 +101,9 @@ COMMANDS = [
     "interfere pair.json",
     "interfere --param qubits=9",
     "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
+    "entropy --param state=mm:10",
+    "entropy --param state=mm:2 --param epsilon=0.1",
+    "entropy --param state=haar:8",
     "entropy state.json",
 ]
 
