@@ -20,10 +20,10 @@ import time
 
 import numpy as np
 
-from .errors import UhlmannLabError
+from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap
 from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
 from .qcore.gates import GateCircuit, random_circuit
-from .qcore.metrics import fidelity, trace_distance
+from .qcore.metrics import trace_distance
 from .qcore.states import DensityOp, maximally_mixed
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .rng import Seed
@@ -69,16 +69,21 @@ def _param(args, key: str, default, kind, interval: str):
 
     ``interval`` reads "[low, high]", with "(" or ")" marking an open end.
     """
-    raw = args.params.get(key, default)
+    return _in_interval(f"--param {key}", args.params.get(key, default), kind, interval)
+
+
+def _in_interval(name: str, raw, kind, interval: str):
+    """``raw`` as ``kind`` inside ``interval`` (see ``_param``), else a
+    UsageError that names it as ``name``."""
     try:
         value = kind(raw)
     except ValueError:
-        raise UsageError(f"--param {key}={raw!r} is not a valid {kind.__name__}") from None
+        raise UsageError(f"{name}={raw!r} is not a valid {kind.__name__}") from None
     low, high = (float(end) for end in interval[1:-1].split(","))
     inside = ((value > low if interval[0] == "(" else value >= low)
               and (value < high if interval[-1] == ")" else value <= high))
     if not inside:  # NaN is never inside
-        raise UsageError(f"--param {key}={raw} out of range {interval}")
+        raise UsageError(f"{name}={raw} out of range {interval}")
     return value
 
 
@@ -142,8 +147,13 @@ def _write_transcript(args, records) -> None:
 
 
 def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
+    """The state named by ``mm:n`` (n qubits), ``diag:p0,p1,...``, ``haar:d``
+    (drawn from ``seed``) or a circuit file. Sizes are range-checked, and
+    capped before anything is built."""
     if spec.startswith("mm:"):
-        n = int(spec.split(":", 1)[1])
+        n = _in_interval(f"{spec}: n", spec[3:], int, "[0, inf)")
+        if n > DENSITY_DIM_CAP.bit_length():  # 2^n is far past the cap
+            raise UsageError(f"{spec}: dimension 2^{n} exceeds cap {DENSITY_DIM_CAP}")
         return maximally_mixed((2,) * n)
     if spec.startswith("diag:"):
         try:
@@ -154,10 +164,12 @@ def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
             raise UsageError(f"{spec}: probabilities must be >= 0 and sum to 1")
         return DensityOp(np.diag(probs).astype(complex), (len(probs),))
     if spec.startswith("haar:"):
-        d = int(spec.split(":", 1)[1])
+        d = _in_interval(f"{spec}: d", spec[5:], int, "[1, inf)")
+        check_density_cap(d, f"{spec} state")
         v = haar_state_vector(d, seed.generator())
         return DensityOp(np.outer(v, v.conj()), (d,))
     circ = _load(spec, GateCircuit.from_json_dict)
+    check_density_cap(circ.dim, f"{spec} state")
     vec = circ.state()
     return DensityOp(np.outer(vec, vec.conj()), (circ.dim,))
 

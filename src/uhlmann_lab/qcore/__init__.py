@@ -6,9 +6,9 @@ from .states import (BipartiteState, DensityOp, apply_circuit, maximally_entangl
                      maximally_mixed, partial_trace, tensor_power)
 from .metrics import (PartialIsometryOp, factor_fidelity, factor_trace_distance, fidelity,
                       sgn_eta, trace_distance)
-from .channels import (ChannelDesc, apply_to_first, channel_from_circuit,
-                       check_trace_preserving, complementary, compose, identity_channel,
-                       push_factor, run_channel, unitary_channel)
+from .channels import (ChannelDesc, channel_from_circuit, check_trace_preserving,
+                       complementary, compose, identity_channel, push_factor,
+                       unitary_channel)
 from .random_ops import (haar_state_vector, haar_unitary, pauli_matrix, random_clifford,
                          random_density, random_state, random_symplectic)
 from . import linalg
@@ -19,9 +19,9 @@ __all__ = [
     "maximally_mixed", "partial_trace", "tensor_power",
     "PartialIsometryOp", "factor_fidelity", "factor_trace_distance", "fidelity",
     "sgn_eta", "trace_distance",
-    "ChannelDesc", "apply_to_first", "channel_from_circuit",
-    "check_trace_preserving", "complementary", "compose", "identity_channel",
-    "push_factor", "run_channel", "unitary_channel",
+    "ChannelDesc", "channel_from_circuit", "check_trace_preserving",
+    "complementary", "compose", "identity_channel", "push_factor",
+    "unitary_channel",
     "haar_state_vector", "haar_unitary", "pauli_matrix", "random_clifford",
     "random_density", "random_state", "random_symplectic",
     "linalg",

@@ -55,10 +55,15 @@ def factor_fidelity(l, k) -> float:
     """F(L L^dag, K K^dag) = ||L^dag K||_1^2 (Uhlmann form), clamped to [0,1].
 
     L and K are factors (one column each for a pure state, a purification's
-    amplitude matrix for its reduced state); only their k_L x k_K product is
-    decomposed.
+    amplitude matrix for its reduced state, a channel's output with the
+    environment in the columns). A factor with more columns than rows is
+    replaced by R^dag from the reduced QR L^dag = Q R: then L = R^dag Q^dag,
+    so L L^dag = R^dag R and ||L^dag K||_1 = ||R K||_1 (Q^dag has orthonormal
+    rows). The decomposed product is at most rows x rows, however wide the
+    factors are.
     """
-    l, k = _factor_pair(l, k)
+    l, k = (np.linalg.qr(f.conj().T, mode="r").conj().T if f.shape[1] > f.shape[0] else f
+            for f in _factor_pair(l, k))
     val = np.linalg.svd(l.conj().T @ k, compute_uv=False).sum() ** 2
     return float(np.clip(val, 0.0, 1.0))
 

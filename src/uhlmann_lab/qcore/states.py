@@ -79,7 +79,7 @@ class DensityOp:
         dims = tuple(int(d) for d in (self.dims if not np.isscalar(self.dims) else (self.dims,)))
         d = math.prod(dims)
         check_density_cap(d)
-        m = np.asarray(self.matrix, dtype=complex).copy()
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} vs register dims {dims}")
         if np.linalg.norm(m - m.conj().T, ord=np.inf) > _VALIDATE_ATOL:

@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import (ChannelDesc, apply_to_first, channel_from_json_dict,
-                             channel_to_json_dict, complementary, dilation_from_isometry,
-                             push_factor, run_channel)
+from .qcore.channels import (ChannelDesc, channel_from_json_dict, channel_to_json_dict,
+                             complementary, dilation_from_isometry, push_factor)
 from .qcore.gates import GateCircuit
-from .qcore.metrics import factor_trace_distance, fidelity
+from .qcore.metrics import factor_fidelity, factor_trace_distance
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .qcore.states import BipartiteState, DensityOp, maximally_entangled, partial_trace
 from .rng import Seed, as_seed
@@ -97,20 +96,24 @@ def h2_conditional(mat: np.ndarray, split, sigma: np.ndarray) -> float:
 # Decoupling and decoding
 
 def decoupling_fidelity(ch: ChannelDesc) -> float:
-    """F(N^c(Phi_AR), N^c(id/dA) ⊗ id/dR) via the complementary channel."""
+    """F(N^c(Phi_AR), N^c(id/dA) ⊗ id/dR) via the complementary channel, in
+    Uhlmann form: Phi_AR has the one-column factor |Phi> and id/d the factor
+    id/sqrt(d), so both sides are pushed through N^c as factors."""
     comp = complementary(ch)
     dA = ch.d_in
-    phi = maximally_entangled(dA)
-    joint = apply_to_first(comp, phi)  # registers (env, R)
-    marg = run_channel(comp, DensityOp(np.eye(dA) / dA, (dA,)))
-    product = np.kron(marg.matrix, np.eye(dA) / dA)
-    return fidelity(joint.matrix, product)
+    root = np.eye(dA) / np.sqrt(dA)
+    joint = push_factor(comp, maximally_entangled(dA).amplitudes.reshape(-1, 1),
+                        after=dA)  # registers (env, R)
+    marg = push_factor(comp, root)
+    check_pure_cap(marg.size * dA * dA, "decoupling product factor")
+    return factor_fidelity(joint, np.kron(marg, root))
 
 
 def _decoder_instance(ch: ChannelDesc):
     """The purification pair (|E>, |F>) split as ((C, R) | (B, A', R'))."""
     dA, dB, dC = ch.d_in, ch.d_out, ch.d_env
     check_pure_cap(dC * dA * dB * dA * dA, "decoder instance")
+    check_density_cap(dB * dA * dA, "decoder dilation")
     iso = ch.isometry()  # columns indexed by A: |a> -> (B, C)
     # |E> on (R, B, C, A', R'): V on the A half of Phi_RA, ancillas |0>.
     e = np.zeros((dA, dB * dC, dA, dA), dtype=complex)  # (R, BC, A', R')
@@ -133,19 +136,17 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     """Decoder channel for a decodable channel, via the canonical Uhlmann
     unitary between the two standard purifications; reports the achieved
     fidelity F((D ∘ N)(Phi_AR), Phi_A'R)."""
-    dA, dB, dC = ch.d_in, ch.d_out, ch.d_env
+    dA, dB = ch.d_in, ch.d_out
     psi, phi = _decoder_instance(ch)
     x = UhlmannInstance(raw_pair=(psi, phi))
     u = canonical_uhlmann(x, 0.0).completion()
     # Decoder: input B; append |0>_{A'R'}; apply u on (B, A', R'); keep A'.
     decoder = ChannelDesc(linalg.permute_rows(u, [dB, dA, dA], [1, 0, 2]),
                           dB, dA * dA, (dA, dB * dA))
-    sent = apply_to_first(ch, maximally_entangled(dA))
-    out = apply_to_first(decoder, sent)
-    # The target is pure, so the fidelity is <Phi|out|Phi>.
-    target = maximally_entangled(dA).amplitudes
-    fid = float(np.clip(np.real(np.vdot(target, out.matrix @ target)), 0.0, 1.0))
-    return {"decoder": decoder, "fidelity": fid}
+    target = maximally_entangled(dA).amplitudes.reshape(-1, 1)
+    out = push_factor(decoder, push_factor(ch, target, after=dA), after=dA)
+    # The target is pure, so F = <Phi|L L^dag|Phi> = ||Phi^dag L||^2.
+    return {"decoder": decoder, "fidelity": factor_fidelity(target, out)}
 
 
 def commitment_channel(scheme) -> ChannelDesc:
@@ -338,10 +339,8 @@ def haar_overlap(encoder: ChannelDesc, decoder: ChannelDesc, samples: int, seed)
     rng = as_seed(seed).child("haar-overlap").generator()
     vals = np.empty(samples)
     for i in range(samples):
-        theta = haar_state_vector(d, rng)
-        mid = run_channel(encoder, DensityOp(np.outer(theta, theta.conj()), (d,)))
-        out = run_channel(decoder, mid)
-        vals[i] = float(np.real(theta.conj() @ out.matrix @ theta))
+        theta = haar_state_vector(d, rng).reshape(-1, 1)
+        vals[i] = factor_fidelity(theta, push_factor(decoder, push_factor(encoder, theta)))
     r_over_m = decoder.d_in / d
     sem = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return {"overlap_mean": float(vals.mean()), "bound": float(r_over_m),

@@ -306,7 +306,11 @@ def test_haar_source_follows_seed():
     ["channel", "--param", "qubits=abc"], ["blackhole", "--param", "r=abc"],
     ["interfere", "--param", "qubits=0"], ["interfere", "--param", "qubits=70"],
     ["interfere", "--param", "pairs=0"],
-    ["commit", "--param", "schemes=0"]])
+    ["commit", "--param", "schemes=0"],
+    ["entropy", "--param", "state=mm:abc"], ["entropy", "--param", "state=haar:x"],
+    ["entropy", "--param", "state=haar:0"], ["entropy", "--param", "state=mm:-1"],
+    ["compress", "--param", "source=mm:abc"], ["compress", "--param", "source=haar:x"],
+    ["compress", "--param", "source=haar:0"], ["compress", "--param", "source=mm:-1"]])
 def test_invalid_values_exit_2(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -337,6 +341,42 @@ def test_over_cap_circuit_instance_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "4194304" in captured.err
+
+
+@pytest.mark.parametrize("spec, size", [("mm:14", "2^14"), ("haar:4097", "4097")])
+def test_over_cap_state_spec_exits_2_before_building(spec, size, capsys, monkeypatch):
+    import uhlmann_lab.cli as cli
+    monkeypatch.setattr(cli, "haar_state_vector", None)  # never reached
+    code = main(["entropy", "--param", f"state={spec}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and size in captured.err
+
+
+def test_over_cap_circuit_state_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n_qubits": 13, "gates": [{"g": "H", "q": [0]}]}))
+    monkeypatch.setattr(GateCircuit, "state", None)  # never reached
+    code = main(["entropy", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "8192" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["channel", "--param", "qubits=8"],
+                                  ["blackhole", "--param", "qubits=10", "--param", "r=1"]])
+def test_decoding_builds_no_density(argv, capsys, monkeypatch):
+    import uhlmann_lab.qcore.linalg as linalg
+    import uhlmann_lab.qcore.metrics as metrics
+    from uhlmann_lab.qcore.states import DensityOp
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(metrics, "fidelity", unreachable)
+    monkeypatch.setattr(linalg, "psd_sqrt", unreachable)
+    monkeypatch.setattr(DensityOp, "__post_init__", unreachable)
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["pass"]
 
 
 def test_szk_simulator_check_at_kappa_one(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,9 @@ import pytest
 
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
-                               apply_to_first, channel_from_circuit,
-                               check_trace_preserving, complementary, compose,
-                               identity_channel, maximally_entangled, maximally_mixed,
-                               run_channel, unitary_channel)
+                               channel_from_circuit, check_trace_preserving,
+                               complementary, compose, identity_channel,
+                               maximally_entangled, maximally_mixed, unitary_channel)
 from uhlmann_lab.qcore.channels import dilation_from_isometry, push_factor
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
@@ -22,20 +21,37 @@ def depolarizing_channel(d=2) -> ChannelDesc:
     return ChannelDesc(u, d, d * d, (d, d * d))
 
 
+def _factor(rho) -> np.ndarray:
+    """A factor L with L L^dag = rho, from the eigendecomposition."""
+    vals, vecs = np.linalg.eigh(rho.matrix if isinstance(rho, DensityOp) else rho)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _push(ch: ChannelDesc, rho) -> np.ndarray:
+    """N(rho) as a matrix, from the factor push_factor returns."""
+    out = push_factor(ch, _factor(rho))
+    return out @ out.conj().T
+
+
+def _kraus_sum(ch: ChannelDesc, rho: np.ndarray) -> np.ndarray:
+    """Reference N(rho) = sum_e K_e rho K_e^dag."""
+    return sum(k @ rho @ k.conj().T for k in ch.kraus_operators())
+
+
 def test_identity_channel():
     rho = DensityOp(random_density(4, generator(1)), (4,))
-    out = run_channel(identity_channel(4), rho)
-    assert np.linalg.norm(out.matrix - rho.matrix, ord=np.inf) < 1e-12
+    out = _push(identity_channel(4), rho)
+    assert np.linalg.norm(out - rho.matrix, ord=np.inf) < 1e-12
 
 
 def test_depolarizing_matches_kraus_oracle():
     ch = depolarizing_channel(2)
     rho = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
-    out = run_channel(ch, rho)
-    assert np.linalg.norm(out.matrix - np.eye(2) / 2, ord=np.inf) < 1e-10
+    out = _push(ch, rho)
+    assert np.linalg.norm(out - np.eye(2) / 2, ord=np.inf) < 1e-10
     kraus = ch.kraus_operators()
     acc = sum(k @ rho.matrix @ k.conj().T for k in kraus)
-    assert np.linalg.norm(out.matrix - acc, ord=np.inf) < 1e-12
+    assert np.linalg.norm(out - acc, ord=np.inf) < 1e-12
     # Kraus completeness.
     total = sum(k.conj().T @ k for k in kraus)
     assert np.linalg.norm(total - np.eye(2), ord=np.inf) < 1e-10
@@ -45,8 +61,8 @@ def test_complementary_of_isometric_channel_is_trivial_env():
     # Isometric channel (nothing traced): complementary output is rank one.
     iso = ChannelDesc(haar_unitary(8, generator(2)), 2, 4, (8, 1))
     comp = complementary(iso)
-    out = run_channel(comp, DensityOp(np.diag([1.0, 0]).astype(complex), (2,)))
-    vals = np.linalg.eigvalsh(out.matrix)
+    out = _push(comp, np.diag([1.0, 0]).astype(complex))
+    vals = np.linalg.eigvalsh(out)
     assert vals[-1] > 1 - 1e-9  # rank 1
 
 
@@ -59,8 +75,8 @@ def test_complementary_swaps_roles():
     big = u @ np.kron(rho.matrix, np.diag([1.0, 0, 0, 0])) @ u.conj().T
     want_out = linalg.partial_trace_matrix(big, [4, 2], [0])
     want_env = linalg.partial_trace_matrix(big, [4, 2], [1])
-    assert np.linalg.norm(run_channel(ch, rho).matrix - want_out, ord=np.inf) < 1e-10
-    assert np.linalg.norm(run_channel(comp, rho).matrix - want_env, ord=np.inf) < 1e-10
+    assert np.linalg.norm(_push(ch, rho) - want_out, ord=np.inf) < 1e-10
+    assert np.linalg.norm(_push(comp, rho) - want_env, ord=np.inf) < 1e-10
 
 
 def test_trace_preservation_check():
@@ -70,13 +86,27 @@ def test_trace_preservation_check():
         ChannelDesc(0.5 * np.eye(4), 2, 2, (2, 2)).check_unitary()
 
 
+def test_trace_preservation_reads_the_anc_state_columns():
+    # Tr N(|i><i|) = 1/4 for every i: the error is 3/4.
+    with pytest.raises(ValueError, match="0.75"):
+        check_trace_preserving(ChannelDesc(0.5 * np.eye(4), 2, 2, (2, 2)))
+    # Rows and columns index (in, anc): only the anc = 1 columns keep norm 1.
+    u = np.diag([0.5, 1.0, 0.5, 1.0]).astype(complex)
+    assert check_trace_preserving(ChannelDesc(u, 2, 2, (2, 2), anc_state=1)) == 0.0
+    with pytest.raises(ValueError, match="0.75"):
+        check_trace_preserving(ChannelDesc(u, 2, 2, (2, 2), anc_state=0))
+    ch = ChannelDesc(haar_unitary(12, generator(12)), 3, 4, (2, 6), anc_state=2)
+    traces = [np.trace(_kraus_sum(ch, np.diag(np.eye(3)[i]))).real for i in range(3)]
+    assert abs(check_trace_preserving(ch) - max(abs(t - 1) for t in traces)) < 1e-15
+
+
 def test_compose_matches_sequential():
     first = ChannelDesc(haar_unitary(8, generator(5)), 4, 2, (2, 4))
     second = ChannelDesc(haar_unitary(8, generator(6)), 2, 4, (4, 2))
     rho = DensityOp(random_density(4, generator(7)), (4,))
-    combined = run_channel(compose(second, first), rho)
-    sequential = run_channel(second, run_channel(first, rho))
-    assert np.linalg.norm(combined.matrix - sequential.matrix, ord=np.inf) < 1e-10
+    combined = _push(compose(second, first), rho)
+    sequential = _kraus_sum(second, _kraus_sum(first, rho.matrix))
+    assert np.linalg.norm(combined - sequential, ord=np.inf) < 1e-10
     with pytest.raises(DimensionMismatch):
         compose(first, first)
 
@@ -86,23 +116,23 @@ def test_channel_from_circuit():
     circ = GateCircuit(2, (("CNOT", (0, 1)),))
     ch = channel_from_circuit(circ, 1, [1])
     plus = DensityOp(np.full((2, 2), 0.5, dtype=complex), (2,))
-    out = run_channel(ch, plus)
-    assert np.linalg.norm(out.matrix - np.eye(2) / 2, ord=np.inf) < 1e-10
+    out = _push(ch, plus)
+    assert np.linalg.norm(out - np.eye(2) / 2, ord=np.inf) < 1e-10
     zero = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
-    assert np.linalg.norm(run_channel(ch, zero).matrix - zero.matrix, ord=np.inf) < 1e-10
+    assert np.linalg.norm(_push(ch, zero) - zero.matrix, ord=np.inf) < 1e-10
 
 
 def test_unitary_channel_roundtrip():
     u = haar_unitary(4, generator(8))
     rho = DensityOp(random_density(4, generator(9)), (4,))
-    out = run_channel(unitary_channel(u), rho)
-    assert np.linalg.norm(out.matrix - u @ rho.matrix @ u.conj().T, ord=np.inf) < 1e-11
+    out = _push(unitary_channel(u), rho)
+    assert np.linalg.norm(out - u @ rho.matrix @ u.conj().T, ord=np.inf) < 1e-11
 
 
 def test_channel_input_dimension_check():
     ch = identity_channel(4)
     with pytest.raises(DimensionMismatch):
-        run_channel(ch, maximally_mixed((2,)))
+        _push(ch, maximally_mixed((2,)))
 
 
 def test_push_factor_acts_on_its_register():
@@ -146,12 +176,12 @@ def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_st
     mixed = DensityOp(random_density(d_in * rest, rng), dims)
     v = rng.standard_normal(d_in * rest) + 1j * rng.standard_normal(d_in * rest)
     pure = BipartiteState(v / np.linalg.norm(v), (d_in, rest))
-    for state, mat, dims_in in ((mixed, mixed.matrix, mixed.dims),
-                                (pure, pure.density().matrix, pure.split)):
-        out = apply_to_first(ch, state)
-        assert out.dims == (ch.d_out,) + dims_in[1:]
+    for factor, mat in ((_factor(mixed), mixed.matrix),
+                        (pure.amplitudes.reshape(-1, 1), pure.density().matrix)):
+        out = push_factor(ch, factor, after=rest)
+        assert out.shape == (ch.d_out * rest, ch.d_env * factor.shape[1])
         want = _dilate_conjugate_trace(ch, mat, rest)
-        assert np.linalg.norm(out.matrix - want, ord=np.inf) < 1e-12
+        assert np.linalg.norm(out @ out.conj().T - want, ord=np.inf) < 1e-12
 
 
 @pytest.mark.parametrize("d_in,d_anc,anc_state", [(2, 3, 2), (3, 4, 1), (1, 4, 3), (2, 2, 0)])

@@ -200,6 +200,21 @@ def test_factor_forms_on_non_square_splits():
         assert abs(factor_trace_distance(m_psi, m_phi) - trace_distance(rho, sigma)) < 1e-10
 
 
+@pytest.mark.parametrize("cols", [2048, 2])
+def test_factor_fidelity_of_wide_factors_decomposes_rows_by_rows(cols, monkeypatch):
+    # A 4 x 2048 factor is replaced by the 4 x 4 R^dag of its adjoint's QR.
+    rng = generator(46)
+    l, k = _factor(4, 2048, rng), _factor(4, cols, rng, rank=2)
+    want = fidelity(l @ l.conj().T, k @ k.conj().T)
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *args, **kw: shapes.append(m.shape) or real(m, *args, **kw))
+    assert abs(factor_fidelity(l, k) - want) < 1e-12
+    assert abs(factor_fidelity(k, l) - want) < 1e-12
+    assert shapes and max(max(shape) for shape in shapes) <= 4
+
+
 def test_factor_forms_reject_mismatched_rows():
     with pytest.raises(DimensionMismatch):
         factor_fidelity(np.ones((3, 1)), np.ones((4, 1)))

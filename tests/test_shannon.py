@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.crypto import CommitmentScheme
-from uhlmann_lab.errors import DimensionMismatch
-from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, fidelity,
-                               identity_channel, linalg, maximally_entangled,
-                               maximally_mixed, run_channel, trace_distance,
+from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
+from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, complementary,
+                               fidelity, identity_channel, linalg, maximally_entangled,
+                               maximally_mixed, push_factor, trace_distance,
                                unitary_channel)
-from uhlmann_lab.qcore.channels import apply_to_first
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_density
 from uhlmann_lab.rng import Seed, child_seed, generator
 from uhlmann_lab.shannon import (CompressionCodec, commitment_channel, compress,
@@ -150,6 +149,13 @@ def test_one_off_diagonal_pair_takes_the_dense_route():
 # ---------------------------------------------------------------------------
 # Decoupling condition and decoding
 
+def kraus_apply(ch, rho, rest=1):
+    """Reference (N ⊗ id_rest)(rho): the sum of (K ⊗ id) rho (K ⊗ id)^dag
+    over the channel's Kraus operators."""
+    ops = [np.kron(k, np.eye(rest)) for k in ch.kraus_operators()]
+    return sum(op @ rho @ op.conj().T for op in ops)
+
+
 def test_decoupling_identity_channel():
     assert abs(decoupling_fidelity(identity_channel(4)) - 1.0) < 1e-9
 
@@ -186,8 +192,8 @@ def test_decoder_isometric_encoding_vs_pseudoinverse_oracle():
     iso = ch.isometry()
     pinv = np.linalg.pinv(iso)
     phi = maximally_entangled(2)
-    sent = apply_to_first(ch, phi)
-    dec = np.kron(pinv, np.eye(2)) @ sent.matrix @ np.kron(pinv, np.eye(2)).conj().T
+    sent = kraus_apply(ch, phi.density().matrix, rest=2)
+    dec = np.kron(pinv, np.eye(2)) @ sent @ np.kron(pinv, np.eye(2)).conj().T
     oracle_fid = fidelity(dec / np.trace(dec).real, phi.density().matrix)
     assert abs(res["fidelity"] - oracle_fid) < 1e-8
 
@@ -213,9 +219,8 @@ def test_commitment_channel_binding_cases():
     # psi_0 = psi_1: channel output independent of b.
     same = commitment_channel(CommitmentScheme(raw_states=(s0, s0)))
     assert decoder_from_uhlmann(same)["fidelity"] <= 0.5 + 1e-8
-    out0 = run_channel(same, DensityOp(np.diag([1.0, 0]).astype(complex), (2,)))
-    out1 = run_channel(same, DensityOp(np.diag([0, 1.0]).astype(complex), (2,)))
-    assert trace_distance(out0, out1) < 1e-10
+    out0, out1 = (push_factor(same, np.eye(2)[:, [b]]) for b in (0, 1))
+    assert trace_distance(out0 @ out0.conj().T, out1 @ out1.conj().T) < 1e-10
 
 
 def test_commitment_channel_decoupling_bound():
@@ -231,6 +236,69 @@ def test_commitment_channel_decoupling_bound():
     bound = 1 - 8 * math.sqrt(eps)
     assert dec >= min(bound, 0.0) - 1e-9  # vacuous here; value is still reported
     assert 0.0 <= dec <= 1.0
+
+
+def reference_channels():
+    """Haar, Clifford, radiation (r = 1 and r = n) and commitment channels,
+    with anc_state != 0 and dA != dB among them."""
+    from uhlmann_lab.crypto import commitment_from_instance
+    from uhlmann_lab.physics import radiation_channel
+    from uhlmann_lab.qcore.random_ops import random_clifford
+    from uhlmann_lab.uhlmann import instance_with_fidelity
+    scrambler = random_clifford(4, Seed(17))
+    scheme = commitment_from_instance(instance_with_fidelity(0.6, 2, 2, 9))
+    return {
+        "haar": ChannelDesc(haar_unitary(8, generator(60)), 2, 4, (4, 2), anc_state=3),
+        "haar-qutrit": ChannelDesc(haar_unitary(12, generator(61)), 3, 4, (2, 6), anc_state=1),
+        "clifford": ChannelDesc(random_clifford(3, Seed(16)), 2, 4, (4, 2)),
+        "radiation-r1": radiation_channel(scrambler, 1),
+        "radiation-rn": radiation_channel(scrambler, 4),
+        "commitment": commitment_channel(scheme),
+    }
+
+
+@pytest.mark.parametrize("name", ["haar", "haar-qutrit", "clifford", "radiation-r1",
+                                  "radiation-rn", "commitment"])
+def test_decoupling_and_decoder_match_kraus_sum_references(name):
+    ch = reference_channels()[name]
+    dA = ch.d_in
+    phi = maximally_entangled(dA).amplitudes
+    # Decoupling: F(N^c(Phi), N^c(id/dA) ⊗ id/dA) on dense Kraus sums.
+    comp = complementary(ch)
+    joint = kraus_apply(comp, np.outer(phi, phi.conj()), rest=dA)
+    product = np.kron(kraus_apply(comp, np.eye(dA) / dA), np.eye(dA) / dA)
+    assert abs(decoupling_fidelity(ch) - fidelity(joint, product)) < 1e-12
+    # Decoder: <Phi|(D ∘ N ⊗ id)(Phi)|Phi> on dense Kraus sums.
+    res = decoder_from_uhlmann(ch)
+    out = kraus_apply(res["decoder"], kraus_apply(ch, np.outer(phi, phi.conj()), dA), dA)
+    assert abs(res["fidelity"] - np.vdot(phi, out @ phi).real) < 1e-12
+
+
+@pytest.mark.parametrize("codec", ["compress", "truncation"])
+def test_haar_overlap_matches_kraus_sum_reference(codec):
+    if codec == "compress":
+        rho = DensityOp(random_density(8, generator(6), rank=2), (8,))
+        built = compress(rho, 0.1, Seed(6), s=1)
+        enc, dec = built.encoder, built.decoder
+        assert enc.anc_state == 3 and dec.anc_state == 12
+    else:
+        enc, dec = truncation_codec(3, 1)
+    res = haar_overlap(enc, dec, 20, Seed(8))
+    rng = Seed(8).child("haar-overlap").generator()
+    vals = []
+    for _ in range(20):
+        theta = haar_state_vector(8, rng)
+        out = kraus_apply(dec, kraus_apply(enc, np.outer(theta, theta.conj())))
+        vals.append(np.vdot(theta, out @ theta).real)
+    assert abs(res["overlap_mean"] - np.mean(vals)) < 1e-12
+    assert abs(res["stderr"] - np.std(vals, ddof=1) / np.sqrt(20)) < 1e-12
+
+
+def test_decoder_dilation_is_capped_before_the_solve():
+    # dB dA^2 = 8192 > 4096, while the instance holds 2^15 amplitudes.
+    ch = ChannelDesc(np.eye(2048), 2, 1024, (2048, 1))
+    with pytest.raises(DimensionCapError, match="decoder dilation dimension 8192"):
+        decoder_from_uhlmann(ch)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +393,10 @@ def test_codec_serialization_roundtrip():
 
 
 def dense_roundtrip(codec, purification):
-    """td((D ∘ E)(psi), psi) through the dense densities."""
-    out = apply_to_first(codec.decoder, apply_to_first(codec.encoder, purification))
-    return trace_distance(out, purification.density())
+    """td((D ∘ E)(psi), psi) through the dense densities and Kraus sums."""
+    rho, rest = purification.density().matrix, purification.dB
+    out = kraus_apply(codec.decoder, kraus_apply(codec.encoder, rho, rest), rest)
+    return trace_distance(out, rho)
 
 
 def source(kind, n, seed):
@@ -384,9 +453,7 @@ def test_roundtrip_of_rotated_purification_matches_dense_reference():
 
 
 def test_roundtrip_builds_no_density(monkeypatch):
-    import uhlmann_lab.qcore.channels as channels
     import uhlmann_lab.qcore.metrics as metrics
-    import uhlmann_lab.shannon as shannon
 
     def unreachable(*args, **kwargs):
         raise AssertionError("dense path taken")
@@ -394,9 +461,7 @@ def test_roundtrip_builds_no_density(monkeypatch):
     mm5 = maximally_mixed((32,))
     purification = mm5.purify()
     codecs = {s: compress(mm5, 0.1, Seed(2), s=s) for s in (5, 3)}
-    for module, name in ((shannon, "apply_to_first"), (channels, "apply_to_first"),
-                         (metrics, "trace_distance")):
-        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.setattr(metrics, "trace_distance", unreachable)
     monkeypatch.setattr(DensityOp, "__post_init__", unreachable)
     shapes = []
     real = np.linalg.eigvalsh
