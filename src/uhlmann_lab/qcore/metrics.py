@@ -129,7 +129,9 @@ class PartialIsometryOp:
         d = self.left.shape[0]
         q, _ = np.linalg.qr(np.hstack([self.left, self.right]))
         u, _, vh = np.linalg.svd((q.conj().T @ self.left) @ (self.right.conj().T @ q))
-        return np.eye(d) + q @ (u @ vh - np.eye(q.shape[1])) @ q.conj().T
+        out = q @ (u @ vh - np.eye(q.shape[1])) @ q.conj().T
+        out.flat[::d + 1] += 1.0  # + I in place: no second d x d array
+        return out
 
 
 def sgn_eta(m: np.ndarray, eta: float = 0.0) -> PartialIsometryOp:

@@ -23,6 +23,9 @@ _PAULI_1 = {
     (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),        # Y = iXZ
 }
 
+# Basis columns projected at a time while looking for U|0^n>.
+_BLOCK = 64
+
 
 def _symplectic_product(v, w) -> int:
     # Interleaved (x, z) pairs: <v,w> = sum_i v_x[i] w_z[i] + v_z[i] w_x[i].
@@ -149,13 +152,22 @@ def random_clifford(n: int, seed) -> np.ndarray:
     g = random_symplectic(n, rng)
     signs = rng.integers(0, 2, size=2 * n)
     d = 2 ** n
-    # Stabilizers of U|0^n>: the images of Z_1..Z_n.
-    proj = np.eye(d, dtype=complex)
-    for i in range(n):
-        perm, phase = pauli_action(g[2 * i + 1], int(signs[2 * i + 1]))
-        proj = 0.5 * (proj + phase[:, None] * proj[perm])
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    phi = proj[:, col]
+    # U|0^n> is a nonzero column of the stabilizer projector P = prod_i
+    # (1 + S_i)/2, S_i the images of Z_1..Z_n. Column c depends only on e_c,
+    # and every entry is a dyadic combination of +-1 and +-i, so it is exact;
+    # its squared norm <c|P|c> is 0 or one common value. The largest-norm
+    # column is therefore the first nonzero one, and projecting blocks of
+    # basis columns until one holds it gives it by the same operations as
+    # the whole d x d projector.
+    stabilizers = [pauli_action(g[2 * i + 1], int(signs[2 * i + 1])) for i in range(n)]
+    for start in range(0, d, _BLOCK):
+        block = np.eye(d, min(_BLOCK, d - start), -start, dtype=complex)
+        for perm, phase in stabilizers:
+            block = 0.5 * (block + phase[:, None] * block[perm])
+        nonzero = np.flatnonzero(block.any(axis=0))
+        if nonzero.size:
+            break
+    phi = block[:, nonzero[0]]
     phi = phi / np.linalg.norm(phi)
     pivot = int(np.argmax(np.abs(phi)))
     phi = phi * (np.abs(phi[pivot]) / phi[pivot])

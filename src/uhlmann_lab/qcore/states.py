@@ -82,7 +82,7 @@ class DensityOp:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} vs register dims {dims}")
-        if np.linalg.norm(m - m.conj().T, ord=np.inf) > _VALIDATE_ATOL:
+        if linalg.hermitian_residual(m) > _VALIDATE_ATOL:
             raise NotPositive("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > _VALIDATE_ATOL:
             raise ValueError(f"trace is {np.trace(m).real}, expected 1")

@@ -110,7 +110,8 @@ def decoupling_fidelity(ch: ChannelDesc) -> float:
 
 
 def _decoder_instance(ch: ChannelDesc):
-    """The purification pair (|E>, |F>) split as ((C, R) | (B, A', R'))."""
+    """The Uhlmann instance of the purification pair (|E>, |F>), split as
+    ((C, R) | (B, A', R'))."""
     dA, dB, dC = ch.d_in, ch.d_out, ch.d_env
     check_pure_cap(dC * dA * dB * dA * dA, "decoder instance")
     check_density_cap(dB * dA * dA, "decoder dilation")
@@ -129,7 +130,7 @@ def _decoder_instance(ch: ChannelDesc):
     f = linalg.permute_registers_vec(
         f.reshape(-1), [dA, dA, dB, dC, dA], [3, 0, 2, 1, 4])
     split = (dC * dA, dB * dA * dA)
-    return (BipartiteState(e, split), BipartiteState(f, split))
+    return UhlmannInstance(raw_pair=(BipartiteState(e, split), BipartiteState(f, split)))
 
 
 def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
@@ -137,12 +138,14 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     unitary between the two standard purifications; reports the achieved
     fidelity F((D ∘ N)(Phi_AR), Phi_A'R)."""
     dA, dB = ch.d_in, ch.d_out
-    psi, phi = _decoder_instance(ch)
-    x = UhlmannInstance(raw_pair=(psi, phi))
-    u = canonical_uhlmann(x, 0.0).completion()
-    # Decoder: input B; append |0>_{A'R'}; apply u on (B, A', R'); keep A'.
-    decoder = ChannelDesc(linalg.permute_rows(u, [dB, dA, dA], [1, 0, 2]),
-                          dB, dA * dA, (dA, dB * dA))
+    # Decoder: input B; append |0>_{A'R'}; apply the completion on (B, A', R');
+    # keep A'. Neither the completion nor its reordering is bound to a name,
+    # so each is freed once the next copy exists: at most two dilation-sized
+    # arrays are alive at once.
+    decoder = ChannelDesc(
+        linalg.permute_rows(canonical_uhlmann(_decoder_instance(ch), 0.0).completion(),
+                            [dB, dA, dA], [1, 0, 2]),
+        dB, dA * dA, (dA, dB * dA))
     target = maximally_entangled(dA).amplitudes.reshape(-1, 1)
     out = push_factor(decoder, push_factor(ch, target, after=dA), after=dA)
     # The target is pure, so F = <Phi|L L^dag|Phi> = ||Phi^dag L||^2.

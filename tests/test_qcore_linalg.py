@@ -71,3 +71,14 @@ def test_is_diagonal_on_strided_views():
     assert not linalg.is_diagonal(big[::2, ::2])
     assert not linalg.is_diagonal(big.T[::2, ::2])
     assert linalg.is_diagonal(big[1::2, 1::2])
+
+
+def test_hermitian_residual_equals_inf_norm_bit_for_bit():
+    rng = generator(12)
+    for d in (1, 5, 37, 100):  # 37 and 100 are not multiples of the band
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        skewed = a + a.conj().T
+        skewed[-1, 0] += 10.0  # the largest row sum sits in the last band
+        for m in (a, skewed, a + a.conj().T, linalg.hermitize(a)):
+            got = linalg.hermitian_residual(m)
+            assert got.tobytes() == np.linalg.norm(m - m.conj().T, ord=np.inf).tobytes()

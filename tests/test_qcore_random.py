@@ -132,12 +132,62 @@ def _dense_pauli_clifford(n, seed):
     return np.stack(cols, axis=1)
 
 
+def _projector_clifford(n, seed):
+    """Reference synthesis: U|0^n> as the first nonzero column of the whole
+    d x d stabilizer projector, built through the Paulis' index maps."""
+    rng = as_seed(seed).child("clifford").generator()
+    g = random_symplectic(n, rng)
+    signs = rng.integers(0, 2, size=2 * n)
+    d = 2 ** n
+    proj = np.eye(d, dtype=complex)
+    for i in range(n):
+        perm, phase = pauli_action(g[2 * i + 1], int(signs[2 * i + 1]))
+        proj = 0.5 * (proj + phase[:, None] * proj[perm])
+    phi = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    phi = phi / np.linalg.norm(phi)
+    pivot = int(np.argmax(np.abs(phi)))
+    u = np.empty((d, d), dtype=complex)
+    u[:, 0] = phi * (np.abs(phi[pivot]) / phi[pivot])
+    filled = 1
+    for i in reversed(range(n)):
+        perm, phase = pauli_action(g[2 * i], int(signs[2 * i]))
+        u[:, filled:2 * filled] = phase[:, None] * u[perm, :filled]
+        filled *= 2
+    return u
+
+
+# Seeds child_seed(3, "blocks", 100 n + s) whose U|0^n> has its first nonzero
+# amplitude past the first 64 basis states, so the block scan reads more than
+# one block.
+_MULTI_BLOCK = {7: (146, 191), 8: (9, 47), 9: (10, 32), 10: (24, 48)}
+
+
+def _clifford_cases(n, count):
+    seeds = [child_seed(3, "bits", 10 * n + s) for s in range(count)]
+    multi = [child_seed(3, "blocks", 100 * n + s) for s in _MULTI_BLOCK.get(n, ())]
+    return [(seed, False) for seed in seeds] + [(seed, True) for seed in multi]
+
+
 def test_clifford_equals_dense_pauli_construction_bit_for_bit():
-    for n in range(1, 7):
-        for seed in range(4):
-            fast = random_clifford(n, child_seed(3, "bits", 10 * n + seed))
-            dense = _dense_pauli_clifford(n, child_seed(3, "bits", 10 * n + seed))
-            assert np.array_equal(fast.view(float), dense.view(float))
+    # A dense product writes +0.0 where an index map writes -0.0 (a phase -1
+    # times 0), so zeros are made +0.0 on both sides; the signs of zeros are
+    # compared with the full-projector oracle below.
+    for n in range(1, 9):
+        for seed, multi_block in _clifford_cases(n, 4):
+            fast = random_clifford(n, seed)
+            dense = _dense_pauli_clifford(n, seed)
+            assert (fast + 0.0).tobytes() == (dense + 0.0).tobytes()
+            if multi_block:
+                assert np.flatnonzero(fast[:, 0])[0] >= 64
+
+
+def test_clifford_equals_full_projector_construction_bit_for_bit():
+    for n in range(1, 11):
+        for seed, multi_block in _clifford_cases(n, 4 if n < 9 else 2):
+            fast = random_clifford(n, seed)
+            assert fast.tobytes() == _projector_clifford(n, seed).tobytes()
+            if multi_block:
+                assert np.flatnonzero(fast[:, 0])[0] >= 64
 
 
 def test_clifford_needs_a_qubit():

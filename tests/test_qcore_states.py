@@ -280,6 +280,10 @@ def test_bipartite_state_invariants():
 def test_density_op_invariants():
     with pytest.raises(NotPositive):
         DensityOp(np.array([[0.5, 0.5], [-0.5, 0.5]]), (2,))
+    skew = np.eye(37) / 37
+    skew[36, 20] = 1e-6  # in the last, partial band of rows
+    with pytest.raises(NotPositive):
+        DensityOp(skew, (37,))
     with pytest.raises(ValueError):
         DensityOp(np.eye(2), (2,))
     with pytest.raises(DimensionCapError):

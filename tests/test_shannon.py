@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,21 @@ def test_decoder_beats_decoupling_bound():
         assert got >= dec - 1e-9
         # ...and decodability 1-eps implies decoupling 1 - 2 sqrt(eps).
         assert dec >= 1 - 2 * math.sqrt(max(0.0, 1 - got)) - 1e-9
+
+
+def test_decoder_holds_at_most_two_dilations():
+    # The completion, its row reordering and ChannelDesc's copy are each the
+    # decoder's dilation size; each is freed once the next one exists.
+    ch = ChannelDesc(haar_unitary(128, generator(6)), 2, 64, (64, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decoder = decoder_from_uhlmann(ch)["decoder"]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert decoder.dilation.shape == (256, 256)
+    assert peak <= 2.05 * decoder.dilation.nbytes
 
 
 def test_commitment_channel_binding_cases():

@@ -91,6 +91,7 @@ COMMANDS = [
     "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
     "channel --param qubits=5",
     "channel --param qubits=8",
+    "channel --param qubits=10",
     "channel channel.json",
     "compress --param source=mm:3 --param s=2 --param seeds=2",
     "compress --param source=diag:0.7,0.1,0.1,0.1,0,0,0,0 --param s=1",
@@ -99,6 +100,7 @@ COMMANDS = [
     "blackhole --param qubits=6 --param r=4",
     "blackhole --param qubits=10 --param r=6",
     "blackhole --param qubits=10 --param r=1",
+    "blackhole --param qubits=10 --param r=10",
     "blackhole blackhole.json",
     "interfere --param pairs=3",
     "interfere pair.json",
