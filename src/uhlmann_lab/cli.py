@@ -383,8 +383,9 @@ def run_channel(args):
             GateCircuit.from_json_dict(data["dilation"]), int(data["n_input"]), data["env"]))
     else:
         n = _param(args, "qubits", 3, int, "[1, inf)")
-        u = random_clifford(n, args.seed.child("channel"))
-        ch = ChannelDesc(u, 2, 2 ** (n - 1), (2 ** (n - 1), 2))
+        # The input is qubit 0, the rest start in |0>: columns 0 and 2^(n-1).
+        v = random_clifford(n, args.seed.child("channel"), columns=(0, 2 ** (n - 1)))
+        ch = ChannelDesc(v, (2 ** (n - 1), 2))
     dec_fid, decoded, check = _decode(args, ch)
     return {"decoupling_fidelity": dec_fid, "decoder_fidelity": decoded}, [check]
 
@@ -417,7 +418,8 @@ def run_blackhole(args):
     else:
         n = _param(args, "qubits", 6, int, "[2, inf)")
         r = _param(args, "r", 4, int, f"[1, {n}]")
-        ch = physics.radiation_channel(random_clifford(n, args.seed.child("scrambler")), r)
+        ch = physics.radiation_channel(
+            random_clifford(n, args.seed.child("scrambler"), columns=(0, 2 ** (n - 1))), r)
     dec_fid, decoded, check = _decode(args, ch)
     results = {"decoupling": dec_fid, "epr_fidelity": decoded}
     checks = [check]
@@ -460,7 +462,7 @@ SCENARIOS = {
 }
 
 
-def _parse(argv) -> argparse.Namespace:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uhlmann-lab", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -474,7 +476,16 @@ def _parse(argv) -> argparse.Namespace:
                         help="write per-round protocol records as JSON lines")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE")
-    args = parser.parse_intermixed_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()
+# parse_intermixed_args formats this same usage on every call unless it is set.
+_PARSER.usage = _PARSER.format_usage()[len("usage: "):]
+
+
+def _parse(argv) -> argparse.Namespace:
+    args = _PARSER.parse_intermixed_args(argv)
     params = {}
     for entry in args.param:
         if "=" not in entry:

@@ -39,6 +39,12 @@ def check_density_cap(dim: int, what: str = "density operator") -> None:
         raise DimensionCapError(dim, DENSITY_DIM_CAP, what)
 
 
+def check_matrix_cap(entries: int, what: str = "matrix") -> None:
+    """A dense matrix may hold as many entries as a density operator at the cap."""
+    if entries > DENSITY_DIM_CAP ** 2:
+        raise DimensionCapError(entries, DENSITY_DIM_CAP ** 2, what)
+
+
 def check_pure_cap(dim: int, what: str = "state vector") -> None:
     if dim > PURE_AMPLITUDE_CAP:
         raise DimensionCapError(dim, PURE_AMPLITUDE_CAP, what)

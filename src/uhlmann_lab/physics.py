@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc
+from .qcore.channels import ChannelDesc, channel_from_circuit
 from .qcore.gates import GateCircuit
 from .qcore.states import BipartiteState, maximally_entangled
 from .shannon import decoder_from_uhlmann, decoupling_fidelity
@@ -39,7 +39,7 @@ class BlackHoleInstance:
 
     def radiation_channel(self) -> ChannelDesc:
         """The channel that feeds one qubit into the scrambler and emits R."""
-        return radiation_channel(self.P.unitary(), self.r)
+        return channel_from_circuit(self.P, 1, range(self.n - self.r))
 
 
 def _check_radiation(n: int, r: int) -> None:
@@ -49,14 +49,19 @@ def _check_radiation(n: int, r: int) -> None:
         raise DimensionMismatch(f"r = {r} out of range 1..{n}")
 
 
-def radiation_channel(u: np.ndarray, r: int) -> ChannelDesc:
-    """The channel that feeds qubit 0 into the n-qubit scrambler ``u`` (the
-    other inputs start in |0>) and emits its last r output qubits, R."""
-    n = int(u.shape[0]).bit_length() - 1
+def radiation_channel(columns: np.ndarray, r: int) -> ChannelDesc:
+    """The channel that feeds qubit 0 into an n-qubit scrambler U (the other
+    inputs start in |0>) and emits its last r output qubits, R.
+
+    ``columns`` is U[:, [0, 2^(n-1)]], the scrambler's two input columns.
+    """
+    n = int(columns.shape[0]).bit_length() - 1
     _check_radiation(n, r)
+    if columns.shape[1] != 2:
+        raise DimensionMismatch(f"need the scrambler's 2 input columns, got {columns.shape[1]}")
     # Output registers (H = first n-r qubits, R = last r) -> (R, H).
-    return ChannelDesc(linalg.permute_rows(u, [2 ** (n - r), 2 ** r], [1, 0]),
-                       2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
+    return ChannelDesc(linalg.permute_rows(columns, [2 ** (n - r), 2 ** r], [1, 0]),
+                       (2 ** r, 2 ** (n - r)))
 
 
 def bh_decode(inst: BlackHoleInstance, min_decoupling: float = 0.0) -> dict:

@@ -71,16 +71,17 @@ class GateCircuit:
         return GateCircuit(self.n_qubits, rev)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the circuit to a state vector of matching dimension."""
-        if vec.ndim != 1 or vec.shape[0] != self.dim:
+        """Apply the circuit to a state vector of matching dimension, or to
+        each column of a (dim, k) matrix."""
+        if vec.ndim not in (1, 2) or vec.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"state dimension {vec.shape} does not match {self.n_qubits} qubits")
-        check_pure_cap(self.dim)
-        out = vec.astype(complex)
-        dims = [2] * self.n_qubits
+        check_pure_cap(vec.size)
+        out = vec.astype(complex).reshape(-1)
+        dims = [2] * self.n_qubits + list(vec.shape[1:])
         for g, qs in self.gates:
             out = linalg.apply_matrix_to_registers(out, dims, GATES[g], list(qs))
-        return out
+        return out.reshape(vec.shape)
 
     def state(self) -> np.ndarray:
         """The state prepared from |0...0>."""
@@ -90,12 +91,7 @@ class GateCircuit:
     def unitary(self) -> np.ndarray:
         """Materialize the full 2^n x 2^n unitary."""
         check_pure_cap(self.dim * self.dim, "materialized circuit unitary")
-        out = np.eye(self.dim, dtype=complex)
-        dims = [2] * self.n_qubits + [self.dim]
-        flat = out.reshape(-1)
-        for g, qs in self.gates:
-            flat = linalg.apply_matrix_to_registers(flat, dims, GATES[g], list(qs))
-        return flat.reshape(self.dim, self.dim)
+        return self.apply(np.eye(self.dim, dtype=complex))
 
     def to_json_dict(self) -> dict:
         return {"n_qubits": self.n_qubits,

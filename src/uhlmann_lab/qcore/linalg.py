@@ -87,14 +87,6 @@ def permutation_matrix(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return permute_rows(np.eye(math.prod(dims)), dims, perm)
 
 
-def permute_registers_dm(rho: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    tensor = rho.reshape(list(dims) * 2)
-    axes = list(perm) + [p + n for p in perm]
-    d = math.prod(dims)
-    return np.transpose(tensor, axes).reshape(d, d)
-
-
 def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all registers not in ``keep`` (kept registers stay in order)."""
     dims = list(dims)
@@ -108,11 +100,6 @@ def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[in
     d_tr = math.prod(dims[t] for t in traced)
     tensor = tensor.reshape(d_keep, d_keep, d_tr, d_tr)
     return np.trace(tensor, axis1=2, axis2=3)
-
-
-def swap_matrix(d1: int, d2: int) -> np.ndarray:
-    """SWAP between two registers: |i>|j> -> |j>|i>."""
-    return permute_rows(np.eye(d1 * d2), [d1, d2], [1, 0])
 
 
 def is_diagonal(m: np.ndarray) -> bool:

@@ -51,19 +51,26 @@ def _factor_pair(l, k) -> tuple:
     return l, k
 
 
+def reduce_factor(l: np.ndarray) -> np.ndarray:
+    """A factor with the same L L^dag and at most as many columns as rows.
+
+    A factor with more columns than rows is replaced by R^dag from the
+    reduced QR L^dag = Q R: then L = R^dag Q^dag, so L L^dag = R^dag R, and
+    ||L^dag K||_1 = ||R K||_1 for any K (Q^dag has orthonormal rows).
+    """
+    return np.linalg.qr(l.conj().T, mode="r").conj().T if l.shape[1] > l.shape[0] else l
+
+
 def factor_fidelity(l, k) -> float:
     """F(L L^dag, K K^dag) = ||L^dag K||_1^2 (Uhlmann form), clamped to [0,1].
 
     L and K are factors (one column each for a pure state, a purification's
     amplitude matrix for its reduced state, a channel's output with the
-    environment in the columns). A factor with more columns than rows is
-    replaced by R^dag from the reduced QR L^dag = Q R: then L = R^dag Q^dag,
-    so L L^dag = R^dag R and ||L^dag K||_1 = ||R K||_1 (Q^dag has orthonormal
-    rows). The decomposed product is at most rows x rows, however wide the
-    factors are.
+    environment in the columns). Each is first narrowed by
+    ``reduce_factor``, so the decomposed product is at most rows x rows,
+    however wide the factors are.
     """
-    l, k = (np.linalg.qr(f.conj().T, mode="r").conj().T if f.shape[1] > f.shape[0] else f
-            for f in _factor_pair(l, k))
+    l, k = (reduce_factor(f) for f in _factor_pair(l, k))
     val = np.linalg.svd(l.conj().T @ k, compute_uv=False).sum() ** 2
     return float(np.clip(val, 0.0, 1.0))
 
@@ -118,8 +125,9 @@ class PartialIsometryOp:
         if bad > atol:
             raise ValueError(f"singular values deviate from {{0,1}} by {bad:.3g}")
 
-    def completion(self) -> np.ndarray:
-        """A unitary that agrees with W on its support.
+    def completion(self, columns=None) -> np.ndarray:
+        """A unitary that agrees with W on its support, or only its
+        ``columns`` (basis indices): U[:, columns], with no d x d array.
 
         With Q an orthonormal basis of a span containing range and support
         (reduced QR of [left | right]; a rank-deficient stack still gives one),
@@ -127,10 +135,11 @@ class PartialIsometryOp:
         that span of dimension <= 2 rank, and the identity outside it.
         """
         d = self.left.shape[0]
+        cols = np.arange(d) if columns is None else np.asarray(columns)
         q, _ = np.linalg.qr(np.hstack([self.left, self.right]))
         u, _, vh = np.linalg.svd((q.conj().T @ self.left) @ (self.right.conj().T @ q))
-        out = q @ (u @ vh - np.eye(q.shape[1])) @ q.conj().T
-        out.flat[::d + 1] += 1.0  # + I in place: no second d x d array
+        out = q @ (u @ vh - np.eye(q.shape[1])) @ q[cols].conj().T
+        out[cols, np.arange(cols.size)] += 1.0  # + I[:, cols] in place
         return out
 
 

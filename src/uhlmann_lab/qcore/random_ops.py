@@ -145,13 +145,20 @@ def pauli_action(v: np.ndarray, sign: int = 0) -> tuple:
     return perm, phase
 
 
-def random_clifford(n: int, seed) -> np.ndarray:
-    """Uniformly random n-qubit Clifford unitary (dense, up to global phase)."""
-    check_pure_cap(4 ** n, "materialized Clifford")
+def random_clifford(n: int, seed, columns=None) -> np.ndarray:
+    """Uniformly random n-qubit Clifford unitary (dense, up to global phase).
+
+    With ``columns`` (basis indices), only those columns U[:, columns] are
+    built, byte-identical to slicing the whole matrix. The cap is on the
+    entries allocated: d * len(columns), or the d x 64 blocks of the
+    stabilizer scan when they are larger.
+    """
+    d = 2 ** n
+    width = d if columns is None else len(columns)
+    check_pure_cap(d * max(width, _BLOCK), "materialized Clifford")
     rng = as_seed(seed).child("clifford").generator()
     g = random_symplectic(n, rng)
     signs = rng.integers(0, 2, size=2 * n)
-    d = 2 ** n
     # U|0^n> is a nonzero column of the stabilizer projector P = prod_i
     # (1 + S_i)/2, S_i the images of Z_1..Z_n. Column c depends only on e_c,
     # and every entry is a dyadic combination of +-1 and +-i, so it is exact;
@@ -171,14 +178,27 @@ def random_clifford(n: int, seed) -> np.ndarray:
     phi = phi / np.linalg.norm(phi)
     pivot = int(np.argmax(np.abs(phi)))
     phi = phi * (np.abs(phi[pivot]) / phi[pivot])
-    # Columns: U|x> = prod_i (image of X_i)^{x_i} U|0^n>, qubit n-1 first.
-    u = np.empty((d, d), dtype=complex)
-    u[:, 0] = phi
-    filled = 1
-    for i in reversed(range(n)):
-        perm, phase = pauli_action(g[2 * i], int(signs[2 * i]))
-        u[:, filled:2 * filled] = phase[:, None] * u[perm, :filled]
-        filled *= 2
+    # U|x> = prod_i (image of X_i)^{x_i} U|0^n>, the image of qubit n-1 (the
+    # lowest bit of x) applied first.
+    images = [pauli_action(g[2 * i], int(signs[2 * i])) for i in reversed(range(n))]
+    if columns is None:
+        u = np.empty((d, d), dtype=complex)
+        u[:, 0] = phi
+        filled = 1
+        for perm, phase in images:
+            u[:, filled:2 * filled] = phase[:, None] * u[perm, :filled]
+            filled *= 2
+        return u
+    # The whole-matrix fill makes column x from column x - 2^k (k the top bit
+    # of x) by one image; applying the images of x's bits from the lowest up
+    # repeats those operations, so each column is the same bytes.
+    u = np.empty((d, len(columns)), dtype=complex)
+    for j, x in enumerate(columns):
+        col = phi
+        for k, (perm, phase) in enumerate(images):
+            if int(x) >> k & 1:
+                col = phase * col[perm]
+        u[:, j] = col
     return u
 
 

@@ -13,12 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_density_cap, check_pure_cap
+from .errors import DimensionMismatch, check_density_cap, check_matrix_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import (ChannelDesc, channel_from_json_dict, channel_to_json_dict,
-                             complementary, dilation_from_isometry, push_factor)
+                             complementary, push_factor)
 from .qcore.gates import GateCircuit
-from .qcore.metrics import factor_fidelity, factor_trace_distance
+from .qcore.metrics import factor_fidelity, factor_trace_distance, reduce_factor
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .qcore.states import BipartiteState, DensityOp, maximally_entangled, partial_trace
 from .rng import Seed, as_seed
@@ -114,8 +114,8 @@ def _decoder_instance(ch: ChannelDesc):
     ((C, R) | (B, A', R'))."""
     dA, dB, dC = ch.d_in, ch.d_out, ch.d_env
     check_pure_cap(dC * dA * dB * dA * dA, "decoder instance")
-    check_density_cap(dB * dA * dA, "decoder dilation")
-    iso = ch.isometry()  # columns indexed by A: |a> -> (B, C)
+    check_matrix_cap(dB * dA * dA * dB, "decoder isometry")
+    iso = ch.isometry  # columns indexed by A: |a> -> (B, C)
     # |E> on (R, B, C, A', R'): V on the A half of Phi_RA, ancillas |0>.
     e = np.zeros((dA, dB * dC, dA, dA), dtype=complex)  # (R, BC, A', R')
     for r in range(dA):
@@ -139,13 +139,13 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     fidelity F((D ∘ N)(Phi_AR), Phi_A'R)."""
     dA, dB = ch.d_in, ch.d_out
     # Decoder: input B; append |0>_{A'R'}; apply the completion on (B, A', R');
-    # keep A'. Neither the completion nor its reordering is bound to a name,
-    # so each is freed once the next copy exists: at most two dilation-sized
-    # arrays are alive at once.
-    decoder = ChannelDesc(
-        linalg.permute_rows(canonical_uhlmann(_decoder_instance(ch), 0.0).completion(),
-                            [dB, dA, dA], [1, 0, 2]),
-        dB, dA * dA, (dA, dB * dA))
+    # keep A'. Its isometry is the completion's columns |b, 0, 0>, taken in
+    # factored form, with the rows reordered to (A', B, R'). The columns are
+    # not bound to a name, so they are freed once reordered.
+    w = canonical_uhlmann(_decoder_instance(ch), 0.0)
+    decoder = ChannelDesc(linalg.permute_rows(w.completion(np.arange(dB) * dA * dA),
+                                              [dB, dA, dA], [1, 0, 2]),
+                          (dA, dB * dA))
     target = maximally_entangled(dA).amplitudes.reshape(-1, 1)
     out = push_factor(decoder, push_factor(ch, target, after=dA), after=dA)
     # The target is pure, so F = <Phi|L L^dag|Phi> = ||Phi^dag L||^2.
@@ -162,9 +162,9 @@ def commitment_channel(scheme) -> ChannelDesc:
     s0, s1 = scheme.states()
     dC, dR = s0.split
     d_total = 2 * 2 * dC * dR
-    check_density_cap(d_total, "commitment channel dilation")
+    check_pure_cap(2 * d_total, "commitment channel isometry")
     x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    # Isometry |b>|0,0,0> -> (A, X, C, R) amplitudes.
+    # Isometry |b> -> (A, X, C, R) amplitudes.
     cols = np.zeros((d_total, 2), dtype=complex)
     for b in (0, 1):
         amp = np.zeros((2, 2, dC, dR), dtype=complex)
@@ -174,10 +174,9 @@ def commitment_channel(scheme) -> ChannelDesc:
             vb = np.linalg.matrix_power(x_gate, a) @ vb
             amp[:, a, :, :] += np.einsum("i,cr->icr", vb, state.as_matrix()) / np.sqrt(2)
         cols[:, b] = amp.reshape(-1)
-    dilation = dilation_from_isometry(cols, 2, d_total // 2)
     # Output registers (A, X, C, R) -> out (A, C), env (X, R).
-    return ChannelDesc(linalg.permute_rows(dilation, [2, 2, dC, dR], [0, 2, 1, 3]),
-                       2, d_total // 2, (2 * dC, 2 * dR))
+    return ChannelDesc(linalg.permute_rows(cols, [2, 2, dC, dR], [0, 2, 1, 3]),
+                       (2 * dC, 2 * dR))
 
 
 def decoupling_experiment(rho: DensityOp, s: int, samples: int, seed) -> dict:
@@ -300,17 +299,17 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
     alphas = np.linalg.norm(rotated.reshape(d_e, -1), axis=1) ** 2
     y_star = int(np.argmax(alphas))
 
-    # Encoder: channel input A with ancilla E' = |y*>, so the dilated state is
-    # ordered (A, E'); xi expects (E', A) and outputs (E', C, F0), reordered
-    # to put the s-qubit register first.
-    enc_in = linalg.permutation_matrix([d, d_e], [1, 0])
-    encoder = ChannelDesc(linalg.permute_rows(xi, [d_e, d_c, d_e], [1, 0, 2]) @ enc_in,
-                          d, d_e, (d_c, d_e * d_e), anc_state=y_star)
-    # Decoder: input C with ancilla (E' = |y*>, F0 = |0>); xi^dag maps
-    # (E', C, F0) back to (E', A); output order (A | E').
-    dec_in = linalg.permutation_matrix([d_c, d_e, d_e], [1, 0, 2])
-    decoder = ChannelDesc(linalg.permute_rows(xi.conj().T, [d_e, d], [1, 0]) @ dec_in,
-                          d_c, d_e * d_e, (d, d_e), anc_state=y_star * d_e)
+    # xi is built whole: the encoder reads its columns and the decoder its
+    # rows. Encoder: input A with E' = |y*>, the columns |y*, a> of xi; its
+    # outputs (E', C, F0) are reordered to put the s-qubit register first.
+    encoder = ChannelDesc(linalg.permute_rows(xi[:, y_star * d:(y_star + 1) * d],
+                                              [d_e, d_c, d_e], [1, 0, 2]),
+                          (d_c, d_e * d_e))
+    # Decoder: input C with (E' = |y*>, F0 = |0>), the columns |y*, c, 0> of
+    # xi^dag, which maps (E', C, F0) back to (E', A); output order (A | E').
+    rows = slice(y_star * d_c * d_e, (y_star + 1) * d_c * d_e, d_e)
+    decoder = ChannelDesc(linalg.permute_rows(xi[rows].conj().T, [d_e, d], [1, 0]),
+                          (d, d_e))
     return CompressionCodec(encoder, decoder, s, n, y_star, seed)
 
 
@@ -333,7 +332,9 @@ def roundtrip(codec: CompressionCodec, purification: BipartiteState) -> float:
     psi = purification.amplitudes.reshape(-1, 1)
     rest = purification.dB
     push = lambda ch, factor: push_factor(ch, factor, after=rest, what="roundtrip factor")
-    return factor_trace_distance(push(codec.decoder, push(codec.encoder, psi)), psi)
+    # The encoder's output is narrowed before the decoder multiplies its width.
+    return factor_trace_distance(push(codec.decoder, reduce_factor(push(codec.encoder, psi))),
+                                 psi)
 
 
 def haar_overlap(encoder: ChannelDesc, decoder: ChannelDesc, samples: int, seed) -> dict:
@@ -355,6 +356,6 @@ def truncation_codec(m: int, s: int) -> tuple:
     if not (0 <= s <= m):
         raise ValueError("need 0 <= s <= m")
     d, dc = 2 ** m, 2 ** s
-    enc = ChannelDesc(np.eye(d, dtype=complex), d, 1, (dc, d // dc))
-    dec = ChannelDesc(np.eye(d, dtype=complex), dc, d // dc, (d, 1))
+    enc = ChannelDesc(np.eye(d, dtype=complex), (dc, d // dc))
+    dec = ChannelDesc(np.kron(np.eye(dc), np.eye(d // dc, 1)), (d, 1))  # |c> -> |c, 0>
     return enc, dec

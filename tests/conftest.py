@@ -12,8 +12,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from uhlmann_lab.qcore import GATES, GateCircuit
+import math
+
+from uhlmann_lab.qcore import GATES, ChannelDesc, GateCircuit
 from uhlmann_lab.qcore import linalg
+
+
+def swap_matrix(d1: int, d2: int) -> np.ndarray:
+    """SWAP between two registers: |i>|j> -> |j>|i>."""
+    return linalg.permute_rows(np.eye(d1 * d2), [d1, d2], [1, 0])
+
+
+def permute_registers_dm(rho: np.ndarray, dims, perm) -> np.ndarray:
+    """Reorder the registers of a density matrix (rows and columns alike)."""
+    n = len(dims)
+    tensor = rho.reshape(list(dims) * 2)
+    axes = list(perm) + [p + n for p in perm]
+    d = math.prod(dims)
+    return np.transpose(tensor, axes).reshape(d, d)
+
+
+def dilated_channel(u: np.ndarray, d_in: int, d_anc: int, out_split,
+                    anc_state: int = 0) -> ChannelDesc:
+    """The channel of a unitary dilation u on (in ⊗ anc) with the ancilla in
+    |anc_state>: its isometry is those columns of u."""
+    return ChannelDesc(np.asarray(u)[:, anc_state::d_anc], out_split)
 
 
 def kron_oracle_unitary(circ: GateCircuit) -> np.ndarray:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from conftest import dilated_channel
 from uhlmann_lab.crypto import (CommitmentScheme, evaluate, flavor_switch, random_scheme,
                                 tensor_amplify)
 from uhlmann_lab.physics import (OrthPair, controlled_swap_from_uhlmann,
@@ -18,7 +19,7 @@ from uhlmann_lab.physics import (OrthPair, controlled_swap_from_uhlmann,
 from uhlmann_lab.protocols import (AmplifierConfig, ProverStrategy,
                                    amplify_run, dme, dme_exact_unitary, engineered_solver,
                                    szk_conditional_output, szk_run, szk_simulator_distance)
-from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
+from uhlmann_lab.qcore import (BipartiteState, DensityOp, GateCircuit,
                                fidelity, linalg, maximally_entangled, maximally_mixed,
                                random_circuit, trace_distance, unitary_channel)
 from uhlmann_lab.qcore.random_ops import (haar_state_vector, haar_unitary,
@@ -290,7 +291,7 @@ def test_criterion_11_channel_and_blackhole_decoding():
     dec, epr_fid = 0.0, 0.0
     for seed in range(10):
         u = random_clifford(6, child_seed(1111, "scrambler", seed))
-        ch = ChannelDesc(perm @ u, 2, 32, (16, 4))
+        ch = dilated_channel(perm @ u, 2, 32, (16, 4))
         dec = decoupling_fidelity(ch)
         if dec >= 0.99:
             epr_fid = decoder_from_uhlmann(ch)["fidelity"]

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uhlmann_lab import cli
 from uhlmann_lab.cli import _state_from_spec, main
 from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
 from uhlmann_lab.qcore.gates import GateCircuit
@@ -46,8 +50,11 @@ def circuit_szk_config_file(tmp_path):
 
 def identity_completion(monkeypatch):
     """Replace every Uhlmann unitary by the identity: a broken solver."""
-    monkeypatch.setattr(PartialIsometryOp, "completion",
-                        lambda self: np.eye(self.left.shape[0], dtype=complex))
+    def identity(self, columns=None):
+        eye = np.eye(self.left.shape[0], dtype=complex)
+        return eye if columns is None else eye[:, columns]
+
+    monkeypatch.setattr(PartialIsometryOp, "completion", identity)
 
 
 def test_uhlmann_scenario_qutrit(tmp_path, capsys):
@@ -530,16 +537,50 @@ def test_compress_admits_what_the_factor_cap_admits(capsys):
     assert code == 0
     codec = shannon.compress(maximally_mixed((2,) * 5), 0.1, Seed(0).child("codec", 0), s=2)
     d, d_c, d_e = 32, 4, 8
-    enc = codec.encoder.isometry().reshape(d_c, d_e * d_e, d)
-    dec = codec.decoder.isometry().reshape(d, d_e, d_c)
+    enc = codec.encoder.isometry.reshape(d_c, d_e * d_e, d)
+    dec = codec.decoder.isometry.reshape(d, d_e, d_c)
     psi = np.eye(d) / math.sqrt(d)  # (A, R) coefficients of a purification
     branches = np.einsum("xfc,cea,ar->xrfe", dec, enc, psi).reshape(d * d, -1)
     out = branches @ branches.conj().T  # the 1024 x 1024 output density
     diff = out - np.outer(psi.reshape(-1), psi.reshape(-1))
     want = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
     assert abs(report["results"]["max_td"] - want) < 1e-10
-    assert main(["compress", "--param", "source=mm:5", "--param", "s=1"]) == 2
-    assert "roundtrip factor" in capsys.readouterr().err
+    # The encoder's output factor is narrowed to its rank before the decoder
+    # push: at mm:5 s=1 it is 64 x 256, so the push holds 2^20 entries, not 2^22.
+    code, report = run_cli(capsys, "compress", "--param", "source=mm:5", "--param", "s=1",
+                           "--param", "seeds=1")
+    assert code == 0 and report["pass"]
+    for s in (2, 3):
+        assert main(["compress", "--param", "source=mm:6", "--param", f"s={s}",
+                     "--param", "seeds=1"]) == 2
+        assert "roundtrip factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["blackhole", "--param", "qubits=12", "--param", "r=6"],
+                                  ["blackhole", "--param", "qubits=14", "--param", "r=2"],
+                                  ["channel", "--param", "qubits=11"]])
+def test_decoding_admits_what_its_isometries_admit(argv, capsys):
+    # The Clifford's two input columns and the decoder's dB input columns are
+    # all that is built, so these run though a 2^n x 2^n unitary is over cap.
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["pass"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["channel", "--param", "qubits=13"], "decoder isometry dimension 67108864"),
+    (["blackhole", "--param", "qubits=20", "--param", "r=2"],
+     "materialized Clifford dimension 67108864")])
+def test_oversize_decoding_exits_2_before_allocating(argv, what, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and what in capsys.readouterr().err
+    # The refused array would be 1 GiB or more; the largest array built first
+    # is one 64-column block of the Clifford's stabilizer scan (8 MiB at n = 13).
+    assert peak < 64 * 2 ** 20
 
 
 def test_amplify_solver_fidelity_check_can_fail(capsys, monkeypatch):
@@ -658,3 +699,16 @@ def test_report_bytes_are_the_stdlib_encoding(capsys):
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     assert '"w_matrix": [\n      ' in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nosuch"], ["channel", "--seed", "x"], []])
+def test_parser_built_once_prints_what_a_fresh_parser_prints(argv, capsys):
+    # The module's parser has its usage set once; a parser built per call
+    # formats it inside parse_intermixed_args. Help and errors are the same bytes.
+    assert main(argv) in (0, 2)
+    pinned = capsys.readouterr()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit):
+        cli._build_parser().parse_intermixed_args(argv)
+    assert (pinned.out, pinned.err) == (out.getvalue(), err.getvalue())

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dilated_channel
 from uhlmann_lab.crypto import (CommitmentScheme, clone_attack_states, clone_fidelity,
                                 commitment_from_instance, evaluate, flavor_switch,
                                 optimal_binding_attack, random_scheme, tensor_amplify)
@@ -57,7 +58,7 @@ def test_no_sampled_attack_beats_binding_opt():
 def test_attack_channel_interface():
     scheme = _raw_scheme(7)
     u = optimal_binding_attack(scheme)
-    as_channel = ChannelDesc(u, 2, 1, (2, 1))
+    as_channel = ChannelDesc(u, (2, 1))
     rep = evaluate(scheme, attack=as_channel)
     assert abs(rep.binding_attack - rep.binding_opt) < 1e-8
 
@@ -76,7 +77,7 @@ def test_binding_attack_fidelity_matches_dense_formula():
         assert abs(binding_attack_fidelity(scheme, u) - want) < 1e-12
         assert abs(want - abs(np.vdot(s1.amplitudes, out)) ** 2) < 1e-12
         # Channel branch: the Kraus sum on the reveal register.
-        ch = ChannelDesc(haar_unitary(2 * dR, rng), dR, 2, (dR, 2))
+        ch = dilated_channel(haar_unitary(2 * dR, rng), dR, 2, (dR, 2))
         rho = s0.density().matrix
         rho = sum(np.kron(np.eye(dC), k) @ rho @ np.kron(np.eye(dC), k).conj().T
                   for k in ch.kraus_operators())
@@ -101,7 +102,7 @@ def test_attack_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         evaluate(scheme, attack=np.eye(3))
     with pytest.raises(DimensionMismatch):
-        evaluate(scheme, attack=ChannelDesc(np.eye(4), 4, 1, (4, 1)))
+        evaluate(scheme, attack=ChannelDesc(np.eye(4), (4, 1)))
 
 
 def test_mayers_lo_chau_tradeoff():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dilated_channel
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.physics import (BlackHoleInstance, OrthPair,
                                  bh_decode, controlled_swap_from_uhlmann,
                                  distinguisher_to_swap, householder_swap,
-                                 interference_detect, swap_to_distinguisher)
+                                 interference_detect, radiation_channel,
+                                 swap_to_distinguisher)
 from uhlmann_lab.qcore import GATES, ChannelDesc, GateCircuit, linalg, random_circuit
 from uhlmann_lab.qcore.random_ops import haar_state_vector, random_clifford
 from uhlmann_lab.rng import child_seed, generator
@@ -17,7 +19,7 @@ from uhlmann_lab.shannon import decoder_from_uhlmann, decoupling_fidelity
 def scrambler_instance(n, r, seed) -> ChannelDesc:
     u = random_clifford(n, seed)
     perm = linalg.permutation_matrix([2 ** (n - r), 2 ** r], [1, 0])
-    return ChannelDesc(perm @ u, 2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
+    return dilated_channel(perm @ u, 2, 2 ** (n - 1), (2 ** r, 2 ** (n - r)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +51,11 @@ def test_bh_decode_consistent_with_channel_decoder():
     res = bh_decode(inst)
     direct = decoder_from_uhlmann(inst.radiation_channel())
     assert abs(res["epr_fidelity"] - direct["fidelity"]) < 1e-9
+    # The circuit is applied to its two input columns; no unitary is built.
+    sliced = radiation_channel(inst.P.unitary()[:, [0, 4]], 2)
+    assert np.abs(inst.radiation_channel().isometry - sliced.isometry).max() < 1e-15
+    with pytest.raises(DimensionMismatch):
+        radiation_channel(inst.P.unitary(), 2)
 
 
 def test_bh_promise_gate():

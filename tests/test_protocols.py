@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from conftest import dilated_channel, permute_registers_dm, swap_matrix
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    ProverStrategy, amplification_bound,
@@ -94,7 +95,7 @@ def test_szk_post_prover_state_is_permutation_invariant():
     reg_dims = [2] * (2 * (m + 1))
     for block_perm in perms:
         axis_perm = list(block_perm) + [m + 1 + p for p in block_perm]
-        permuted = linalg.permute_registers_dm(rho_star, reg_dims, axis_perm)
+        permuted = permute_registers_dm(rho_star, reg_dims, axis_perm)
         assert np.linalg.norm(permuted - rho_star, ord=np.inf) < 1e-9
 
 
@@ -149,7 +150,7 @@ def _product_provers(x, m):
     """Honest, identity, partial-honest and a prover with channel factors."""
     rng = generator(17)
     u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
-    channels = [ChannelDesc(haar_unitary(4, rng), 2, 2, (2, 2)) for _ in range(2)]
+    channels = [dilated_channel(haar_unitary(4, rng), 2, 2, (2, 2)) for _ in range(2)]
     mixed = ProverStrategy("custom", factors=(channels[0], u, None, channels[1]))
     return [ProverStrategy.honest(x, m), ProverStrategy.identity(m),
             ProverStrategy.partial_honest(x, m, 2), mixed]
@@ -199,7 +200,7 @@ def test_szk_conditional_output_matches_dense_slot_outputs():
 
 def test_szk_channel_factor_must_return_the_b_register():
     x = instance_with_fidelity(0.8, 2, 2, 14)
-    widen = ChannelDesc(np.eye(4), 2, 2, (4, 1))
+    widen = dilated_channel(np.eye(4), 2, 2, (4, 1))
     with pytest.raises(DimensionMismatch):
         szk_run(x, 1, ProverStrategy("custom", factors=(widen, None)), 0)
 
@@ -559,7 +560,7 @@ def test_amplifier_range_basis_is_capped():
 
 def _swap_gate(rest, d, dt):
     """1_rest ⊗ e^{i dt S} on (rest, X, Q) with dim X = dim Q = d."""
-    e = math.cos(dt) * np.eye(d * d) + 1j * math.sin(dt) * linalg.swap_matrix(d, d)
+    e = math.cos(dt) * np.eye(d * d) + 1j * math.sin(dt) * swap_matrix(d, d)
     return np.kron(np.eye(rest), e)
 
 
@@ -690,7 +691,7 @@ def test_partial_swap_matches_expm_oracle():
     rho = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
     sig = DensityOp(np.full((2, 2), 0.5, dtype=complex), (2,))
     dt = math.pi / 4
-    s = linalg.swap_matrix(2, 2)
+    s = swap_matrix(2, 2)
     e = scipy.linalg.expm(-1j * dt * s)
     joint = e @ np.kron(rho.matrix, sig.matrix) @ e.conj().T
     want = linalg.partial_trace_matrix(joint, [2, 2], [1])

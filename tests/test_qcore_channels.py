@@ -1,24 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import dilated_channel, swap_matrix
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
                                channel_from_circuit, check_trace_preserving,
                                complementary, compose, identity_channel,
                                maximally_entangled, maximally_mixed, unitary_channel)
-from uhlmann_lab.qcore.channels import dilation_from_isometry, push_factor
+from uhlmann_lab.qcore.channels import (channel_from_json_dict, channel_to_json_dict,
+                                        encode_matrix, push_factor)
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
 from uhlmann_lab.rng import generator
 
 
 def depolarizing_channel(d=2) -> ChannelDesc:
-    """Fully depolarizing: prepare a maximally entangled ancilla pair, swap in
-    the input, trace everything but the entangled half."""
-    phi = maximally_entangled(d).amplitudes
-    prep = dilation_from_isometry(phi.reshape(d * d, 1), 1, d * d)
-    u = np.kron(linalg.swap_matrix(d, d), np.eye(d)) @ np.kron(np.eye(d), prep)
-    return ChannelDesc(u, d, d * d, (d, d * d))
+    """Fully depolarizing: append a maximally entangled pair, swap in the
+    input, trace everything but the entangled half."""
+    phi = maximally_entangled(d).amplitudes.reshape(d * d, 1)
+    v = np.kron(swap_matrix(d, d), np.eye(d)) @ np.kron(np.eye(d), phi)
+    return ChannelDesc(v, (d, d * d))
 
 
 def _factor(rho) -> np.ndarray:
@@ -59,7 +62,7 @@ def test_depolarizing_matches_kraus_oracle():
 
 def test_complementary_of_isometric_channel_is_trivial_env():
     # Isometric channel (nothing traced): complementary output is rank one.
-    iso = ChannelDesc(haar_unitary(8, generator(2)), 2, 4, (8, 1))
+    iso = dilated_channel(haar_unitary(8, generator(2)), 2, 4, (8, 1))
     comp = complementary(iso)
     out = _push(comp, np.diag([1.0, 0]).astype(complex))
     vals = np.linalg.eigvalsh(out)
@@ -68,7 +71,7 @@ def test_complementary_of_isometric_channel_is_trivial_env():
 
 def test_complementary_swaps_roles():
     u = haar_unitary(8, generator(3))
-    ch = ChannelDesc(u, 2, 4, (4, 2))
+    ch = dilated_channel(u, 2, 4, (4, 2))
     comp = complementary(ch)
     rho = DensityOp(random_density(2, generator(4)), (2,))
     # Outputs are the two marginals of the same dilated state.
@@ -82,31 +85,38 @@ def test_complementary_swaps_roles():
 def test_trace_preservation_check():
     ch = depolarizing_channel(2)
     assert check_trace_preserving(ch) < 1e-12
+    v = ch.isometry
+    assert np.linalg.norm(v.conj().T @ v - np.eye(2), ord=np.inf) <= 1e-9
     with pytest.raises(ValueError):
-        ChannelDesc(0.5 * np.eye(4), 2, 2, (2, 2)).check_unitary()
+        check_trace_preserving(ChannelDesc(0.5 * np.eye(4, 2), (2, 2)))
 
 
 def test_trace_preservation_reads_the_anc_state_columns():
     # Tr N(|i><i|) = 1/4 for every i: the error is 3/4.
     with pytest.raises(ValueError, match="0.75"):
-        check_trace_preserving(ChannelDesc(0.5 * np.eye(4), 2, 2, (2, 2)))
+        check_trace_preserving(dilated_channel(0.5 * np.eye(4), 2, 2, (2, 2)))
     # Rows and columns index (in, anc): only the anc = 1 columns keep norm 1.
     u = np.diag([0.5, 1.0, 0.5, 1.0]).astype(complex)
-    assert check_trace_preserving(ChannelDesc(u, 2, 2, (2, 2), anc_state=1)) == 0.0
+    assert check_trace_preserving(dilated_channel(u, 2, 2, (2, 2), anc_state=1)) == 0.0
     with pytest.raises(ValueError, match="0.75"):
-        check_trace_preserving(ChannelDesc(u, 2, 2, (2, 2), anc_state=0))
-    ch = ChannelDesc(haar_unitary(12, generator(12)), 3, 4, (2, 6), anc_state=2)
+        check_trace_preserving(dilated_channel(u, 2, 2, (2, 2), anc_state=0))
+    ch = dilated_channel(haar_unitary(12, generator(12)), 3, 4, (2, 6), anc_state=2)
     traces = [np.trace(_kraus_sum(ch, np.diag(np.eye(3)[i]))).real for i in range(3)]
     assert abs(check_trace_preserving(ch) - max(abs(t - 1) for t in traces)) < 1e-15
 
 
 def test_compose_matches_sequential():
-    first = ChannelDesc(haar_unitary(8, generator(5)), 4, 2, (2, 4))
-    second = ChannelDesc(haar_unitary(8, generator(6)), 2, 4, (4, 2))
+    first = dilated_channel(haar_unitary(8, generator(5)), 4, 2, (2, 4))
+    second = dilated_channel(haar_unitary(8, generator(6)), 2, 4, (4, 2))
     rho = DensityOp(random_density(4, generator(7)), (4,))
     combined = _push(compose(second, first), rho)
     sequential = _kraus_sum(second, _kraus_sum(first, rho.matrix))
     assert np.linalg.norm(combined - sequential, ord=np.inf) < 1e-10
+    # The composed environment is (env2, env1), the column order of two
+    # sequential pushes, so the output factors agree entry by entry.
+    l = _factor(rho)
+    assert np.abs(push_factor(compose(second, first), l)
+                  - push_factor(second, push_factor(first, l))).max() < 1e-14
     with pytest.raises(DimensionMismatch):
         compose(first, first)
 
@@ -138,7 +148,7 @@ def test_channel_input_dimension_check():
 def test_push_factor_acts_on_its_register():
     # (id ⊗ N ⊗ id)(L L^dag) against the Kraus form of N on the middle register.
     ch = compose(unitary_channel(haar_unitary(3, generator(10))),
-                 ChannelDesc(haar_unitary(6, generator(11)), 3, 2, (3, 2)))
+                 dilated_channel(haar_unitary(6, generator(11)), 3, 2, (3, 2)))
     rng = generator(9)
     for before, after, cols in ((1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 3, 4)):
         d = before * 3 * after
@@ -153,17 +163,19 @@ def test_push_factor_acts_on_its_register():
         push_factor(ch, np.ones((4, 1)), 2, 1)
 
 
-def _dilate_conjugate_trace(ch: ChannelDesc, mat: np.ndarray, rest: int) -> np.ndarray:
+def _dilate_conjugate_trace(u: np.ndarray, d_anc: int, anc_state: int, out_split,
+                            mat: np.ndarray, rest: int) -> np.ndarray:
     """Reference channel application: embed the ancilla in |anc_state>, conjugate
-    the (in, anc, rest) density by the full dilation, trace the environment."""
-    anc = np.zeros((ch.d_anc, ch.d_anc))
-    anc[ch.anc_state, ch.anc_state] = 1.0
+    the (in, anc, rest) density by the full dilation u, trace the environment."""
+    d_in = u.shape[0] // d_anc
+    anc = np.zeros((d_anc, d_anc))
+    anc[anc_state, anc_state] = 1.0
     big = np.kron(mat, anc)  # registers (in, rest, anc)
-    reorder = linalg.permutation_matrix([ch.d_in, rest, ch.d_anc], [0, 2, 1])
+    reorder = linalg.permutation_matrix([d_in, rest, d_anc], [0, 2, 1])
     big = reorder @ big @ reorder.T  # registers (in, anc, rest)
-    u = np.kron(ch.dilation, np.eye(rest))
+    u = np.kron(u, np.eye(rest))
     big = u @ big @ u.conj().T  # registers (out, env, rest)
-    return linalg.partial_trace_matrix(big, [ch.d_out, ch.d_env, rest], [0, 2])
+    return linalg.partial_trace_matrix(big, [*out_split, rest], [0, 2])
 
 
 @pytest.mark.parametrize("d_in,d_anc,out_split,anc_state", [
@@ -171,7 +183,8 @@ def _dilate_conjugate_trace(ch: ChannelDesc, mat: np.ndarray, rest: int) -> np.n
 @pytest.mark.parametrize("rest", [1, 3])
 def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_state, rest):
     rng = generator(20 + 7 * d_in + d_anc + rest)
-    ch = ChannelDesc(haar_unitary(d_in * d_anc, rng), d_in, d_anc, out_split, anc_state)
+    u = haar_unitary(d_in * d_anc, rng)
+    ch = dilated_channel(u, d_in, d_anc, out_split, anc_state)
     dims = (d_in, rest) if rest > 1 else (d_in,)
     mixed = DensityOp(random_density(d_in * rest, rng), dims)
     v = rng.standard_normal(d_in * rest) + 1j * rng.standard_normal(d_in * rest)
@@ -180,14 +193,21 @@ def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_st
                         (pure.amplitudes.reshape(-1, 1), pure.density().matrix)):
         out = push_factor(ch, factor, after=rest)
         assert out.shape == (ch.d_out * rest, ch.d_env * factor.shape[1])
-        want = _dilate_conjugate_trace(ch, mat, rest)
+        want = _dilate_conjugate_trace(u, d_anc, anc_state, out_split, mat, rest)
         assert np.linalg.norm(out @ out.conj().T - want, ord=np.inf) < 1e-12
 
 
 @pytest.mark.parametrize("d_in,d_anc,anc_state", [(2, 3, 2), (3, 4, 1), (1, 4, 3), (2, 2, 0)])
 def test_dilation_from_isometry_places_columns_at_anc_state(d_in, d_anc, anc_state):
-    columns = haar_unitary(d_in * d_anc, generator(30 + d_in + d_anc))[:, :d_in]
-    u = dilation_from_isometry(columns, d_in, d_anc, anc_state)
-    ch = ChannelDesc(u, d_in, d_anc, (d_in * d_anc, 1), anc_state)
-    ch.check_unitary(atol=1e-12)
-    assert np.abs(ch.isometry() - columns).max() < 1e-12
+    """A unitary dilation on (in ⊗ anc) holds the isometry in its columns with
+    the ancilla in |anc_state>; a legacy dilation file loads to exactly those."""
+    u = haar_unitary(d_in * d_anc, generator(30 + d_in + d_anc))
+    legacy = {"matrix": encode_matrix(u), "d_in": d_in, "d_anc": d_anc,
+              "out_split": [d_in * d_anc, 1], "anc_state": anc_state}
+    ch = channel_from_json_dict(json.loads(json.dumps(legacy)))
+    assert ch.isometry.tobytes() == u[:, anc_state::d_anc].tobytes()
+    v = ch.isometry
+    assert np.linalg.norm(v.conj().T @ v - np.eye(d_in), ord=np.inf) <= 1e-12
+    # A channel is written as its isometry and read back unchanged.
+    again = channel_from_json_dict(json.loads(json.dumps(channel_to_json_dict(ch))))
+    assert again.isometry.tobytes() == v.tobytes() and again.out_split == ch.out_split

@@ -36,6 +36,9 @@ def test_random_circuit_matches_kron_oracle():
         # Application on |0000> commutes with dense materialization.
         direct = circ.state()
         assert np.linalg.norm(direct - oracle[:, 0]) < 1e-12
+        # So does application to a few basis columns at once.
+        picked = circ.apply(np.eye(16)[:, [0, 5, 15]])
+        assert np.linalg.norm(picked - oracle[:, [0, 5, 15]], ord=np.inf) < 1e-12
 
 
 def test_circuit_unitarity_invariant():

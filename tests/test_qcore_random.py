@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from uhlmann_lab.errors import DimensionMismatch
-from uhlmann_lab.qcore import linalg, random_clifford, random_state, random_symplectic
+from conftest import swap_matrix
+from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
+from uhlmann_lab.qcore import random_clifford, random_state, random_symplectic
 from uhlmann_lab.qcore.random_ops import pauli_action, pauli_matrix
 from uhlmann_lab.rng import Seed, as_seed, child_seed, generator
 
@@ -78,7 +79,7 @@ def test_clifford_two_design_twirl():
     d = 2
     x = np.zeros((4, 4), dtype=complex)
     x[1, 1] = 1.0  # |01><01|
-    s = linalg.swap_matrix(d, d)
+    s = swap_matrix(d, d)
     acc = np.zeros((4, 4), dtype=complex)
     n_samples = 1500
     for i in range(n_samples):
@@ -183,11 +184,26 @@ def test_clifford_equals_dense_pauli_construction_bit_for_bit():
 
 def test_clifford_equals_full_projector_construction_bit_for_bit():
     for n in range(1, 11):
+        d = 2 ** n
+        # The channel input columns, the last (every image applied) and a spread.
+        columns = sorted({0, d // 2, d - 1, d // 3, (5 * d) // 7})
         for seed, multi_block in _clifford_cases(n, 4 if n < 9 else 2):
             fast = random_clifford(n, seed)
             assert fast.tobytes() == _projector_clifford(n, seed).tobytes()
+            picked = random_clifford(n, seed, columns=columns)
+            assert picked.tobytes() == fast[:, columns].tobytes()
             if multi_block:
                 assert np.flatnonzero(fast[:, 0])[0] >= 64
+
+
+def test_clifford_cap_counts_the_columns_built():
+    with pytest.raises(DimensionCapError, match="materialized Clifford dimension 4194304"):
+        random_clifford(11, 1)
+    assert random_clifford(12, 1, columns=(0, 2048)).shape == (4096, 2)
+    assert random_clifford(14, 1, columns=(0,)).shape == (16384, 1)
+    # The stabilizer scan's 64-column blocks count too: 2^15 x 64 > 2^20.
+    with pytest.raises(DimensionCapError, match="materialized Clifford dimension 2097152"):
+        random_clifford(15, 1, columns=(0, 1))
 
 
 def test_clifford_needs_a_qubit():

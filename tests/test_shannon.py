@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import dilated_channel, swap_matrix
 from uhlmann_lab.crypto import CommitmentScheme
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, complementary,
@@ -163,7 +164,7 @@ def test_decoupling_identity_channel():
 
 def test_decoupling_dephasing_hand_computed():
     from uhlmann_lab.qcore import GATES
-    deph = ChannelDesc(GATES["CNOT"], 2, 2, (2, 2))
+    deph = dilated_channel(GATES["CNOT"], 2, 2, (2, 2))
     # Hand computation: N^c(Phi) is the classically correlated pair, the
     # product target is id/4; F = 1/2.
     assert abs(decoupling_fidelity(deph) - 0.5) < 1e-9
@@ -171,7 +172,7 @@ def test_decoupling_dephasing_hand_computed():
 
 def test_decoupling_trace_channel():
     # Environment = input: F(Phi, id/4) = 1/4 <= 1/2.
-    ch = ChannelDesc(linalg.swap_matrix(2, 2), 2, 2, (2, 2))
+    ch = dilated_channel(swap_matrix(2, 2), 2, 2, (2, 2))
     val = decoupling_fidelity(ch)
     assert abs(val - 0.25) < 1e-9
     assert val <= 0.5
@@ -187,10 +188,10 @@ def test_decoder_unitary_channel():
 def test_decoder_isometric_encoding_vs_pseudoinverse_oracle():
     # 1 qubit -> 3 qubits isometric encoding; brute-force inversion oracle.
     u = haar_unitary(8, generator(4))
-    ch = ChannelDesc(u, 2, 4, (8, 1))
+    ch = dilated_channel(u, 2, 4, (8, 1))
     res = decoder_from_uhlmann(ch)
     assert res["fidelity"] > 1 - 1e-8
-    iso = ch.isometry()
+    iso = ch.isometry
     pinv = np.linalg.pinv(iso)
     phi = maximally_entangled(2)
     sent = kraus_apply(ch, phi.density().matrix, rest=2)
@@ -202,7 +203,7 @@ def test_decoder_isometric_encoding_vs_pseudoinverse_oracle():
 def test_decoder_beats_decoupling_bound():
     for seed in range(50):
         u = haar_unitary(8, generator(child_seed(5, "ch", seed)))
-        ch = ChannelDesc(u, 2, 4, (4, 2))
+        ch = dilated_channel(u, 2, 4, (4, 2))
         dec = decoupling_fidelity(ch)
         got = decoder_from_uhlmann(ch)["fidelity"]
         # decoupling error eps implies decodability with the same eps...
@@ -211,10 +212,12 @@ def test_decoder_beats_decoupling_bound():
         assert dec >= 1 - 2 * math.sqrt(max(0.0, 1 - got)) - 1e-9
 
 
-def test_decoder_holds_at_most_two_dilations():
-    # The completion, its row reordering and ChannelDesc's copy are each the
-    # decoder's dilation size; each is freed once the next one exists.
-    ch = ChannelDesc(haar_unitary(128, generator(6)), 2, 64, (64, 2))
+def test_decoder_holds_at_most_two_isometries():
+    # The completion's dB input columns, their row reordering and
+    # ChannelDesc's copy are each the decoder isometry's size (dB dA^2 x dB),
+    # and each is freed once the next exists; no square dilation is built.
+    v, _ = np.linalg.qr(haar_state_vector(1024 * 2, generator(6)).reshape(1024, 2))
+    ch = ChannelDesc(v, (512, 2))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -222,8 +225,8 @@ def test_decoder_holds_at_most_two_dilations():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert decoder.dilation.shape == (256, 256)
-    assert peak <= 2.05 * decoder.dilation.nbytes
+    assert decoder.isometry.shape == (2048, 512)
+    assert peak <= 2.05 * decoder.isometry.nbytes
 
 
 def test_commitment_channel_binding_cases():
@@ -261,12 +264,13 @@ def reference_channels():
     from uhlmann_lab.physics import radiation_channel
     from uhlmann_lab.qcore.random_ops import random_clifford
     from uhlmann_lab.uhlmann import instance_with_fidelity
-    scrambler = random_clifford(4, Seed(17))
+    scrambler = random_clifford(4, Seed(17), columns=(0, 8))
     scheme = commitment_from_instance(instance_with_fidelity(0.6, 2, 2, 9))
     return {
-        "haar": ChannelDesc(haar_unitary(8, generator(60)), 2, 4, (4, 2), anc_state=3),
-        "haar-qutrit": ChannelDesc(haar_unitary(12, generator(61)), 3, 4, (2, 6), anc_state=1),
-        "clifford": ChannelDesc(random_clifford(3, Seed(16)), 2, 4, (4, 2)),
+        "haar": dilated_channel(haar_unitary(8, generator(60)), 2, 4, (4, 2), anc_state=3),
+        "haar-qutrit": dilated_channel(haar_unitary(12, generator(61)), 3, 4, (2, 6),
+                                       anc_state=1),
+        "clifford": ChannelDesc(random_clifford(3, Seed(16), columns=(0, 4)), (4, 2)),
         "radiation-r1": radiation_channel(scrambler, 1),
         "radiation-rn": radiation_channel(scrambler, 4),
         "commitment": commitment_channel(scheme),
@@ -296,7 +300,7 @@ def test_haar_overlap_matches_kraus_sum_reference(codec):
         rho = DensityOp(random_density(8, generator(6), rank=2), (8,))
         built = compress(rho, 0.1, Seed(6), s=1)
         enc, dec = built.encoder, built.decoder
-        assert enc.anc_state == 3 and dec.anc_state == 12
+        assert built.y_star == 3  # the codec reads xi away from its first block
     else:
         enc, dec = truncation_codec(3, 1)
     res = haar_overlap(enc, dec, 20, Seed(8))
@@ -310,10 +314,13 @@ def test_haar_overlap_matches_kraus_sum_reference(codec):
     assert abs(res["stderr"] - np.std(vals, ddof=1) / np.sqrt(20)) < 1e-12
 
 
-def test_decoder_dilation_is_capped_before_the_solve():
-    # dB dA^2 = 8192 > 4096, while the instance holds 2^15 amplitudes.
-    ch = ChannelDesc(np.eye(2048), 2, 1024, (2048, 1))
-    with pytest.raises(DimensionCapError, match="decoder dilation dimension 8192"):
+def test_decoder_isometry_is_capped_before_the_solve(monkeypatch):
+    # The decoder isometry would hold dB dA^2 x dB = 2^26 entries > 4096^2,
+    # while the instance holds 2^15 amplitudes.
+    from uhlmann_lab import shannon
+    ch = ChannelDesc(np.eye(4096, 2), (4096, 1))
+    monkeypatch.setattr(shannon, "canonical_uhlmann", None)  # never reached
+    with pytest.raises(DimensionCapError, match="decoder isometry dimension 67108864"):
         decoder_from_uhlmann(ch)
 
 

@@ -92,15 +92,23 @@ COMMANDS = [
     "channel --param qubits=5",
     "channel --param qubits=8",
     "channel --param qubits=10",
+    "channel --param qubits=11",
+    "channel --param qubits=13",
     "channel channel.json",
     "compress --param source=mm:3 --param s=2 --param seeds=2",
     "compress --param source=diag:0.7,0.1,0.1,0.1,0,0,0,0 --param s=1",
     "compress --param source=haar:8 --param seeds=2",
     "compress --param source=mm:5 --param s=2 --param seeds=1",
+    "compress --param source=mm:5 --param s=1 --param seeds=1",
+    "compress --param source=mm:5 --param s=0 --param seeds=1",
+    "compress --param source=mm:6 --param s=3 --param seeds=1",
     "blackhole --param qubits=6 --param r=4",
     "blackhole --param qubits=10 --param r=6",
     "blackhole --param qubits=10 --param r=1",
     "blackhole --param qubits=10 --param r=10",
+    "blackhole --param qubits=12 --param r=6",
+    "blackhole --param qubits=14 --param r=2",
+    "blackhole --param qubits=15 --param r=2",
     "blackhole blackhole.json",
     "interfere --param pairs=3",
     "interfere pair.json",
