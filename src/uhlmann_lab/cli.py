@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap
+from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_pure_cap
 from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import trace_distance
@@ -227,6 +227,8 @@ def run_entropy(args):
 
 
 def _prover(args, x, m: int):
+    # m + 1 slots of dA dB amplitudes, capped before the prover's factors are built.
+    check_pure_cap((m + 1) * x.dA * x.dB, "permutation-test slots")
     name = args.params.get("prover", "honest")
     if name == "honest":
         return name, protocols.ProverStrategy.honest(x, m)

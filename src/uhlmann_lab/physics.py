@@ -130,11 +130,11 @@ class HadamardTestCircuit:
         return h @ self.controlled @ h
 
     def run(self, state: np.ndarray) -> dict:
-        """Measure the decision qubit on |0> ⊗ state."""
-        joint = np.zeros(2 * self.dim, dtype=complex)
-        joint[:self.dim] = state
-        out = self.unitary() @ joint
-        branches = out.reshape(2, self.dim)
+        """Measure the decision qubit on |0> ⊗ state: H ⊗ 1, the controlled
+        block and H ⊗ 1 act on the vector, never on each other."""
+        half = np.asarray(state, dtype=complex).reshape(-1) / np.sqrt(2)
+        top, bottom = (self.controlled @ np.concatenate([half, half])).reshape(2, self.dim)
+        branches = np.stack([top + bottom, top - bottom]) / np.sqrt(2)
         p = np.linalg.norm(branches, axis=1) ** 2
         return {"p0": float(p[0]), "p1": float(p[1]),
                 "post0": branches[0] / np.sqrt(p[0]) if p[0] > 1e-14 else None,

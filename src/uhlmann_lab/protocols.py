@@ -20,7 +20,7 @@ from .errors import (DENSITY_DIM_CAP, DimensionCapError, DimensionMismatch,
                      check_density_cap, check_pure_cap)
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
-from .qcore.metrics import factor_trace_distance, trace_distance
+from .qcore.metrics import factor_trace_distance
 from .qcore.states import BipartiteState, DensityOp, tensor_power
 from .rng import Seed, as_seed
 from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
@@ -77,6 +77,69 @@ class ProtocolResult:
     transcript: list = field(default_factory=list)
 
 
+# ---------------------------------------------------------------------------
+# The permutation-test protocol
+
+def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> ProtocolResult:
+    """One seeded run of the permutation-test verifier.
+
+    Prepares m test copies of |C> next to the input copy, block-permutes the
+    B registers, hands them to the prover, un-permutes, and accepts iff every
+    test copy passes the D-basis check. The surviving register-0 pair is the
+    output.
+    """
+    psi, phi = x.states()
+    rng = as_seed(seed).child("szk").generator()
+    perm = rng.permutation(m + 1)
+    accept_prob, factor = _permutation_test(psi, phi, m, perm, prover)
+    accepted = bool(rng.random() < accept_prob)
+    out, td = None, None
+    if accepted and factor is not None:
+        out = DensityOp(factor @ factor.conj().T, psi.split)
+        td = factor_trace_distance(factor, phi.amplitudes)
+    transcript = [{"round": 1, "perm": [int(p) for p in perm], "accept_prob": accept_prob,
+                   "accepted": accepted, "output_td_to_target": td}]
+    return ProtocolResult(accepted, accept_prob, out, transcript)
+
+
+def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
+                      prover: ProverStrategy, prep_error: float = 0.0):
+    """The permutation-test verifier for one permutation (slot j holds
+    register perm[j]), with the m test copies oracle-prepared at error
+    ``prep_error`` (0 is the ideal oracle). Product provers are solved in
+    closed form, joint provers by the dense simulation.
+
+    Returns the acceptance probability and a factor L of the (A_0, B_0)
+    output given acceptance, or L = None for a joint prover accepted with
+    probability at most 1e-12.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # Checked whether or not a run accepts, so admission does not depend on the coins.
+    check_density_cap(psi.dA * psi.dB, "verifier output state")
+    if not prover.is_product():
+        return _joint_test(psi, phi, m, perm, prover, prep_error)
+    if len(prover.factors) != m + 1:
+        raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
+    # Each slot acts alone: the input's slot gives the output, whatever the
+    # test block holds, and each test slot j contributes its row D^dag L_j.
+    j0 = int(np.flatnonzero(perm == 0)[0])
+    tests = [prover.factors[j] for j in range(m + 1) if j != j0]
+    target = phi.amplitudes.conj()
+    xs = [target @ _factor_action(factor, psi) for factor in tests]
+    accept = float(np.prod([np.linalg.norm(row) ** 2 for row in xs]))
+    if prep_error > 0.0:
+        # The junk block's accepted amplitude is (Y - c X) / sqrt(1 - |c|^2),
+        # X and Y the products of the rows on C and on E.
+        e, c = _junk_basis(psi, m)
+        ys = [target @ _factor_action(factor, e) for factor in tests]
+        yy = float(np.prod([np.linalg.norm(row) ** 2 for row in ys]))
+        yx = np.prod([np.vdot(y, x) for y, x in zip(ys, xs)])
+        junk = (yy - 2.0 * (c * yx).real + abs(c) ** 2 * accept) / (1.0 - abs(c) ** 2)
+        accept = (1.0 - prep_error) * accept + prep_error * junk
+    return accept, _factor_action(prover.factors[j0], psi)
+
+
 def _factor_action(factor, psi: BipartiteState) -> np.ndarray:
     """A factor L of (id ⊗ factor)(|psi><psi|) for one register slot: a
     column for the identity or a unitary, the Kraus push on the B register
@@ -92,103 +155,47 @@ def _factor_action(factor, psi: BipartiteState) -> np.ndarray:
     return (psi.as_matrix() @ u.T).reshape(-1, 1)
 
 
-def _slot_metrics(prover: ProverStrategy, psi: BipartiteState, phi: BipartiteState):
-    """Per-slot accept probability <D|(id ⊗ Psi_j)(C)|D> = ||D^dag L_j||^2 and
-    the output factors L_j."""
-    outs = [_factor_action(factor, psi) for factor in prover.factors]
-    target = phi.amplitudes.conj()
-    probs = [float(np.linalg.norm(target @ out) ** 2) for out in outs]
-    return probs, outs
+def _junk_basis(psi: BipartiteState, m: int):
+    """(E, c) for the oracle's junk test block (E^{⊗m} - c C^{⊗m}) / sqrt(1 - |c|^2),
+    orthogonal to C^{⊗m}: E is the last basis state of (A, B), or the first
+    when C is the last one (up to phase), and c = conj(psi[E])^m."""
+    amps = psi.amplitudes
+    index = 0 if np.isclose(abs(amps[-1]), 1.0, rtol=0.0, atol=1e-12) else amps.size - 1
+    e = BipartiteState(linalg.basis_vector(amps.size, index), psi.split)
+    return e, np.conj(amps[index]) ** m
 
 
-# ---------------------------------------------------------------------------
-# The permutation-test protocol
-
-def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> ProtocolResult:
-    """One seeded run of the permutation-test verifier.
-
-    Prepares m test copies of |C> next to the input copy, block-permutes the
-    B registers, hands them to the prover, un-permutes, and accepts iff every
-    test copy passes the D-basis check. The surviving register-0 pair is the
-    output.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    psi, phi = x.states()
-    rng = as_seed(seed).child("szk").generator()
-    perm = rng.permutation(m + 1)
-    transcript = []
-    if prover.is_product():
-        if len(prover.factors) != m + 1:
-            raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
-        # Checked whether or not this run accepts, so a run's admission does
-        # not depend on its coins.
-        check_density_cap(psi.dA * psi.dB, "szk output state")
-        probs, outs = _slot_metrics(prover, psi, phi)
-        # Register i travels to slot position perm^{-1}(i); slot j holds register perm[j].
-        j0 = int(np.argwhere(perm == 0)[0][0])
-        accept_prob = float(np.prod([probs[j] for j in range(m + 1) if j != j0]))
-        accepted = bool(rng.random() < accept_prob)
-        out, td = None, None
-        if accepted:
-            out = DensityOp(outs[j0] @ outs[j0].conj().T, psi.split)
-            td = factor_trace_distance(outs[j0], phi.amplitudes)
-        transcript.append({"round": 1, "slot_of_input": j0,
-                           "accept_prob": accept_prob, "accepted": accepted,
-                           "output_td_to_target": td})
-        return ProtocolResult(accepted, accept_prob, out, transcript)
-    accept_prob, out = _permutation_test(psi, phi, m, perm, prover)
-    accepted = bool(rng.random() < accept_prob)
-    out = DensityOp(out / accept_prob, psi.split) if accepted and accept_prob > 1e-12 else None
-    transcript.append({"round": 1, "perm": [int(p) for p in perm],
-                       "accept_prob": accept_prob, "accepted": accepted,
-                       "output_td_to_target":
-                           trace_distance(out, phi.density()) if out is not None else None})
-    return ProtocolResult(accepted, accept_prob, out, transcript)
-
-
-def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
-                      prover: ProverStrategy, prep_error: float = 0.0):
-    """The dense permutation-test verifier for one verifier permutation.
-
-    Runs the prover round on every oracle-prepared branch and projects the
-    test block onto |D>^{⊗m}. Returns the acceptance probability and the
-    accepted (A_0, B_0) output scaled by it (0.0 when nothing is accepted);
-    ``prep_error = 0`` is the ideal oracle.
-    """
+def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
+                prover: ProverStrategy, prep_error: float):
+    """``_permutation_test`` for a joint prover: runs the prover round on
+    every oracle-prepared branch and projects the test block onto |D>^{⊗m}.
+    The accepted amplitude of a branch, reshaped to (A_0 B_0) x (ancilla), is
+    its part of the output factor."""
     dA, dB = psi.split
     check_pure_cap((dA * dB) ** (m + 1) * prover.joint_anc_dim, "joint protocol state")
     dvec = tensor_power(phi, m)
-    p_one, out = 0.0, 0.0
+    accept, cols = 0.0, []
     for weight, vec in _prepared_branches(psi, m, prep_error):
         vec, dims = _prover_round(vec, psi.split, m, perm, prover)
         keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
         tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-        keep_dims = [dims[a] for a in keep]
         work = linalg.permute_registers_vec(vec, dims, keep + tests)
-        amp = work.reshape(math.prod(keep_dims), -1) @ dvec.conj()
-        p = float(np.real(amp.conj() @ amp))
-        p_one += weight * p
-        if p > 1e-300:
-            rho = linalg.partial_trace_matrix(np.outer(amp, amp.conj()), keep_dims, [0, 1])
-            out = out + weight * rho
-    return p_one, out
+        amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
+        accept += weight * float(np.vdot(amp, amp).real)
+        cols.append(math.sqrt(weight) * amp)
+    return accept, (np.hstack(cols) / math.sqrt(accept) if accept > 1e-12 else None)
 
 
 def _prepared_branches(psi: BipartiteState, m: int, prep_error: float):
     """Oracle output: (weight, joint pure vector) branches on [A-block, B-block].
 
-    Only the m oracle-prepared test copies carry the preparation error; the
-    verifier's input copy is exact.
+    Only the m oracle-prepared test copies carry the preparation error, as
+    the junk block of ``_junk_basis``; the verifier's input copy is exact.
     """
-    tests = [tensor_power(psi, m)]
-    weights = [1.0]
+    tests, weights = [tensor_power(psi, m)], [1.0]
     if prep_error > 0.0:
-        junk = np.zeros_like(tests[0])
-        junk[-1] = 1.0
-        junk = junk - tests[0] * np.vdot(tests[0], junk)
-        junk = junk / np.linalg.norm(junk)
-        tests = [tests[0], junk]
+        e, c = _junk_basis(psi, m)
+        tests.append((tensor_power(e, m) - c * tests[0]) / math.sqrt(1.0 - abs(c) ** 2))
         weights = [1.0 - prep_error, prep_error]
     dA, dB = psi.split
     # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
@@ -198,8 +205,8 @@ def _prepared_branches(psi: BipartiteState, m: int, prep_error: float):
 
 
 def _prover_round(vec, split, m: int, perm, prover: ProverStrategy):
-    """Append the prover's ancilla, hand it the B registers in slot order
-    (slot j holds register perm[j]), apply the prover, and undo the
+    """Append the joint prover's ancilla, hand it the B registers in slot
+    order (slot j holds register perm[j]), apply its unitary, and undo the
     permutation. Returns the vector on [A_0..A_m, B_0..B_m, (ancilla)] and
     those register dimensions."""
     dims = [split[0]] * (m + 1) + [split[1]] * (m + 1)
@@ -210,63 +217,51 @@ def _prover_round(vec, split, m: int, perm, prover: ProverStrategy):
     for j, src in enumerate(perm):
         axis_perm[m + 1 + j] = m + 1 + int(src)
     vec = linalg.permute_registers_vec(vec, dims, axis_perm)
-    if prover.is_product():
-        for j, factor in enumerate(prover.factors):
-            if factor is None:
-                continue
-            if isinstance(factor, ChannelDesc):
-                raise DimensionMismatch("the dense verifier needs unitary product factors")
-            vec = linalg.apply_matrix_to_registers(vec, dims, factor, [m + 1 + j])
-    else:
-        targets = list(range(m + 1, len(dims)))
-        vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary, targets)
+    vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
+                                           list(range(m + 1, len(dims))))
     return linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm)), dims
 
 
 def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
                            seed=0, samples: int = 0):
-    """Exact average over the verifier permutation: (accept prob, conditional output).
+    """Average over the verifier permutation: (accept prob, output given acceptance).
 
-    Product provers are averaged in closed form over the slot that receives
-    the input register; joint provers are averaged over sampled permutations.
+    A product prover's run depends only on the slot that receives the input
+    register, so the m + 1 rotations average it exactly; a joint prover is
+    averaged over ``samples`` sampled permutations (200 when 0).
     """
     psi, phi = x.states()
     if prover.is_product():
-        probs, outs = _slot_metrics(prover, psi, phi)
-        weights, acc = [], 0.0
-        for j in range(m + 1):
-            w = float(np.prod([probs[i] for i in range(m + 1) if i != j]))
-            weights.append(w)
-            acc += w / (m + 1)
-        total = sum(weights)
-        mat = sum(w * (o @ o.conj().T) for w, o in zip(weights, outs)) / total
-        return acc, DensityOp(mat, (psi.dA, psi.dB))
-    rng = as_seed(seed).child("szk-cond").generator()
-    samples = samples or 200
+        perms = [np.roll(np.arange(m + 1), j) for j in range(m + 1)]
+    else:
+        rng = as_seed(seed).child("szk-cond").generator()
+        perms = [rng.permutation(m + 1) for _ in range(samples or 200)]
     acc, mat, wsum = 0.0, 0.0, 0.0
-    for _ in range(samples):
-        p, out = _permutation_test(psi, phi, m, rng.permutation(m + 1), prover)
-        acc += p / samples
-        mat = mat + out
-        wsum += p
+    for perm in perms:
+        p, factor = _permutation_test(psi, phi, m, perm, prover)
+        acc += p / len(perms)
+        if factor is not None:
+            mat = mat + p * (factor @ factor.conj().T)
+            wsum += p
     return acc, DensityOp(mat / wsum, psi.split)
 
 
 def szk_simulate(x: UhlmannInstance, m: int) -> DensityOp:
     """The zero-knowledge simulator output |D><D|^{⊗(m+1)}."""
-    _, phi = x.states()
-    check_density_cap((phi.dA * phi.dB) ** (m + 1), "simulator state")
-    vec = linalg.kron_all([phi.amplitudes] * (m + 1)).reshape(-1)
-    return DensityOp(np.outer(vec, vec.conj()), tuple([phi.dA * phi.dB] * (m + 1)))
+    return _power_density(x.states()[1], m, "simulator state")
 
 
 def szk_honest_post_state(x: UhlmannInstance, m: int) -> DensityOp:
     """The verifier's joint state after the honest (unitary) prover round."""
-    psi, phi = x.states()
-    check_density_cap((psi.dA * psi.dB) ** (m + 1), "honest post state")
-    out = apply_uhlmann(x, 0.0, psi)
-    vec = linalg.kron_all([out.amplitudes] * (m + 1)).reshape(-1)
-    return DensityOp(np.outer(vec, vec.conj()), tuple([psi.dA * psi.dB] * (m + 1)))
+    psi, _ = x.states()
+    return _power_density(apply_uhlmann(x, 0.0, psi), m, "honest post state")
+
+
+def _power_density(state: BipartiteState, m: int, what: str) -> DensityOp:
+    """|state><state|^{⊗(m+1)} on the verifier's registers (A_0..A_m, B_0..B_m)."""
+    check_density_cap((state.dA * state.dB) ** (m + 1), what)
+    vec = tensor_power(state, m + 1)
+    return DensityOp(np.outer(vec, vec.conj()), (state.dA,) * (m + 1) + (state.dB,) * (m + 1))
 
 
 def szk_simulator_distance(x: UhlmannInstance, m: int) -> float:
@@ -788,23 +783,20 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     error ``prep_error`` (realized as a mix with an orthogonal junk state);
     verification projects the test block onto |D>^{⊗m} via the Hadamard-test
     measurement. With the ideal ``OracleConfig()`` this is ``szk_run``'s
-    verifier.
+    verifier. The output state is the output given acceptance, returned
+    whatever the coin.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     psi, phi = x.states()
-    dA, dB = psi.split
     rng = as_seed(seed).child("qip").generator()
     perm = rng.permutation(m + 1)
-    p_one, out = _permutation_test(psi, phi, m, perm, prover, oracle.prep_error)
-    meas_error = 0.0
-    if oracle.mode == "dme":
-        meas_error = dme_error_bound(0.5, oracle.k_q or default_dme_copies(0.05))
+    p_one, factor = _permutation_test(psi, phi, m, perm, prover, oracle.prep_error)
+    meas_error = (dme_error_bound(0.5, oracle.k_q or default_dme_copies(0.05))
+                  if oracle.mode == "dme" else 0.0)
     accepted = bool(rng.random() < p_one)
-    output = DensityOp(out / p_one, (dA, dB)) if p_one > 1e-12 else None
+    output = DensityOp(factor @ factor.conj().T, psi.split) if factor is not None else None
     transcript = [{
         "round": 1, "perm": [int(p) for p in perm],
         "p_accept_and_one": p_one, "prep_error": oracle.prep_error,
         "measurement_error_bound": meas_error, "accepted": accepted,
     }]
-    return ProtocolResult(accepted, float(p_one), output if accepted else None, transcript)
+    return ProtocolResult(accepted, float(p_one), output, transcript)

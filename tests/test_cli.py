@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -514,6 +515,46 @@ def test_qip_soundness_bound_is_stable_at_kappa_one(capsys, monkeypatch):
         bounds.append(check["bound"])
     assert report["results"]["kappa"] < 1.0
     assert abs(bounds[0] - bounds[1]) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [22, 25, 37])
+def test_qip_soundness_reads_the_output_given_acceptance(seed, tmp_path, capsys):
+    # The honest prover's coin rejects at these seeds; the verifier still
+    # returns the output given acceptance, which the soundness check measures.
+    transcript = tmp_path / "qip.jsonl"
+    code, report = run_cli(capsys, "qip", "--param", "m=9", "--param", "prep_error=0.1",
+                           "--seed", str(seed), "--transcript", str(transcript))
+    assert not json.loads(transcript.read_text())["accepted"]
+    assert code == 0
+    assert report["checks"][0]["name"] == "soundness_envelope" and report["checks"][0]["pass"]
+    assert report["results"]["output_distance"] < 1e-9
+
+
+def test_qip_junk_block_when_c_is_the_last_basis_state(tmp_path, capsys):
+    # C = D = |11>: the oracle's junk block starts from |00> instead.
+    path = tmp_path / "basis11.json"
+    one = [[0, 0]] * 3 + [[1, 0]]
+    path.write_text(json.dumps({"raw": {"dA": 2, "dB": 2, "psi": one, "phi": one}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_cli(capsys, "qip", str(path), "--param", "m=2",
+                               "--param", "prep_error=0.1")
+    assert code == 0
+    assert abs(report["results"]["accept_prob"] - 0.9) < 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["szk", "qip"])
+def test_slot_count_is_capped_before_the_prover_is_built(scenario, capsys, monkeypatch):
+    from uhlmann_lab import protocols
+
+    def unreachable(*args):
+        raise AssertionError("prover built before the slot cap check")
+
+    monkeypatch.setattr(protocols.ProverStrategy, "honest", staticmethod(unreachable))
+    code = main([scenario, "--param", "m=2000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "permutation-test slots" in captured.err
 
 
 def test_entropy_of_a_diagonal_state_runs_no_eigensolver(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,95 @@ def test_szk_conditional_output_matches_dense_slot_outputs():
             assert np.abs(cond.matrix - want).max() < 1e-12
 
 
+def _split_provers(x, m, rng):
+    """Unitary (honest and a Haar mix), identity and channel-factor product
+    provers for an instance of any split."""
+    dB = x.dB
+    u = unitary_completion(canonical_uhlmann(x, 0.0)).unitary
+    mixed = (haar_unitary(dB, rng), None, u, haar_unitary(dB, rng))[:m + 1]
+    channels = (dilated_channel(haar_unitary(2 * dB, rng), dB, 2, (dB, 2)), u, None,
+                dilated_channel(haar_unitary(2 * dB, rng), dB, 2, (dB, 2)))[:m + 1]
+    return [ProverStrategy.honest(x, m), ProverStrategy.identity(m),
+            ProverStrategy("custom", factors=mixed)], ProverStrategy("custom", factors=channels)
+
+
+def _kraus_reference(psi, phi, m, perm, slot_kraus, prep_error):
+    """(accept prob, output given acceptance) of the permutation test by dense
+    Kraus sums on registers (A_0 B_0, ..., A_m B_m). Slot j holds register
+    perm[j] and applies the Kraus operators slot_kraus[j]; the junk test block
+    is the normalized part of |last basis state>^{⊗m} orthogonal to |C>^{⊗m}."""
+    dA, dB = psi.split
+    d = dA * dB
+    power = lambda v: linalg.kron_all([v] * m).reshape(-1)
+    copies = power(psi.amplitudes)
+    junk = power(np.eye(d)[-1].astype(complex))
+    junk = junk - copies * np.vdot(copies, junk)
+    junk = junk / np.linalg.norm(junk)
+    slot_of = [int(np.flatnonzero(np.asarray(perm) == i)[0]) for i in range(m + 1)]
+    acc, out = 0.0, 0.0
+    for weight, tests in ((1 - prep_error, copies), (prep_error, junk)):
+        start = np.kron(psi.amplitudes, tests).reshape([dA, dB] * (m + 1))
+        for ks in itertools.product(*[slot_kraus[slot_of[i]] for i in range(m + 1)]):
+            vec = start
+            for i, k in enumerate(ks):
+                vec = np.moveaxis(np.tensordot(k, vec, axes=([1], [2 * i + 1])), 0, 2 * i + 1)
+            amp = vec.reshape(d, -1) @ power(phi.amplitudes).conj()
+            acc += weight * np.vdot(amp, amp).real
+            out = out + weight * np.outer(amp, amp.conj())
+    return acc, out / acc
+
+
+def test_product_closed_form_matches_the_joint_and_kraus_references():
+    # Every product prover against itself as a joint prover (unitary
+    # factors) or the dense Kraus sum (channel factors), at every permutation.
+    # Haar instances make c and <Y, X> complex, so a flipped sign or
+    # conjugate on the junk block's cross term shows.
+    from uhlmann_lab.protocols import _permutation_test
+    rng = generator(41)
+    for split in ((2, 3), (3, 2)):
+        x = random_raw_instance(*split, 7 * split[0])
+        psi, phi = x.states()
+        for m in (1, 2, 3):
+            unitary_provers, channel_prover = _split_provers(x, m, rng)
+            eye = np.eye(x.dB)
+            for perm in itertools.permutations(range(m + 1)):
+                perm = np.array(perm)
+                for prep_error in (0.0, 0.1, 1.0):
+                    for prover in unitary_provers:
+                        joint = ProverStrategy.joint(linalg.kron_all(
+                            [eye if f is None else f for f in prover.factors]))
+                        p, factor = _permutation_test(psi, phi, m, perm, prover, prep_error)
+                        q, want = _permutation_test(psi, phi, m, perm, joint, prep_error)
+                        assert abs(p - q) < 1e-13
+                        assert np.abs(factor @ factor.conj().T
+                                      - want @ want.conj().T).max() < 1e-12
+                    kraus = [[eye] if f is None else
+                             f.kraus_operators() if isinstance(f, ChannelDesc) else [f]
+                             for f in channel_prover.factors]
+                    p, factor = _permutation_test(psi, phi, m, perm, channel_prover, prep_error)
+                    q, want = _kraus_reference(psi, phi, m, perm, kraus, prep_error)
+                    assert abs(p - q) < 1e-13
+                    assert np.abs(factor @ factor.conj().T - want).max() < 1e-12
+            # qip_run takes the same channel-factor prover through a noisy oracle.
+            res = qip_run(x, m, channel_prover, OracleConfig(prep_error=0.1), m)
+            q, want = _kraus_reference(psi, phi, m, res.transcript[0]["perm"], kraus, 0.1)
+            assert abs(res.accept_prob - q) < 1e-13
+            assert np.abs(res.output_state.matrix - want).max() < 1e-12
+
+
+def test_junk_block_is_orthogonal_to_the_test_copies():
+    # For C = |11> (up to phase) the last basis state is C itself; the junk
+    # block then starts from the first basis state.
+    from uhlmann_lab.protocols import _prepared_branches
+    one = np.zeros(4, dtype=complex)
+    one[-1] = 1j
+    for psi in (BipartiteState(one, (2, 2)), random_raw_instance(2, 3, 5).states()[0]):
+        for m in (1, 3):
+            (_, good), (_, junk) = _prepared_branches(psi, m, 0.5)
+            assert abs(np.linalg.norm(junk) - 1.0) < 1e-12
+            assert abs(np.vdot(good, junk)) < 1e-12
+
+
 def test_szk_channel_factor_must_return_the_b_register():
     x = instance_with_fidelity(0.8, 2, 2, 14)
     widen = dilated_channel(np.eye(4), 2, 2, (4, 1))
@@ -217,6 +307,14 @@ def test_szk_joint_prover_dimension_cap():
     big = ProverStrategy.joint(np.eye(2 ** 11), label="custom")
     with pytest.raises(DimensionCapError):
         szk_run(x, 10, big, 0)
+
+
+def test_qip_joint_prover_dimension_cap():
+    from uhlmann_lab.errors import DimensionCapError
+    x = instance_with_fidelity(1.0, 2, 2, 2)
+    big = ProverStrategy.joint(np.eye(2 ** 11), label="custom")
+    with pytest.raises(DimensionCapError):
+        qip_run(x, 10, big, OracleConfig(), 0)
 
 
 def test_szk_product_prover_output_cap_holds_for_every_run():

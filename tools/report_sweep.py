@@ -52,6 +52,8 @@ def input_files() -> dict:
                                        {"g": "CNOT", "q": [0, 1]}, {"g": "H", "q": [1]}]}
     return {
         "qutrit.json": {"raw": {"dA": 3, "dB": 3, "psi": _amp(qutrit), "phi": _amp(qutrit)}},
+        "basis11.json": {"raw": {"dA": 2, "dB": 2, "psi": _amp([0, 0, 0, 1]),
+                                 "phi": _amp([0, 0, 0, 1])}},
         "circuit_instance.json": {"n": 1, "C": EPR, "D": tilted},
         "szk_config.json": {"instance": "circuit_instance.json", "m": 2, "trials": 40,
                             "prover": "identity"},
@@ -82,6 +84,9 @@ COMMANDS = [
     "qip --param mode=dme --param m=2",
     "qip qip_config.json",
     "qip --param kappa=0.3 --param m=2",
+    "qip --param m=12",
+    "qip --param m=12 --param prep_error=0.1",
+    "qip basis11.json --param m=2 --param prep_error=0.1",
     "amplify --param k=2 --trials 50",
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
