@@ -24,7 +24,7 @@ from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_p
 from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import trace_distance
-from .qcore.states import DensityOp, maximally_mixed
+from .qcore.states import SpectralState
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .rng import Seed
 from . import crypto, physics, protocols, shannon, uhlmann
@@ -118,10 +118,11 @@ def _absorb_config(args, data) -> None:
         args.instance = _load(inst, uhlmann.UhlmannInstance.from_json_dict)
     elif inst is not None:
         args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
-    if "seed" in data and "--seed" not in args.raw_argv:
-        args.seed = _seed(data.pop("seed"))
-    if "trials" in data and "--trials" not in args.raw_argv:
-        args.trials = int(data.pop("trials"))
+    seed, trials = data.pop("seed", None), data.pop("trials", None)
+    if seed is not None and "--seed" not in args.raw_argv:
+        args.seed = _seed(seed)
+    if trials is not None and "--trials" not in args.raw_argv:
+        args.trials = int(trials)
     for key, value in data.items():
         args.params.setdefault(key, str(value))
 
@@ -146,15 +147,17 @@ def _write_transcript(args, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
+def _state_from_spec(spec: str, seed: Seed) -> SpectralState:
     """The state named by ``mm:n`` (n qubits), ``diag:p0,p1,...``, ``haar:d``
-    (drawn from ``seed``) or a circuit file. Sizes are range-checked, and
-    capped before anything is built."""
+    (drawn from ``seed``) or a circuit file, held as its spectrum: ``mm:`` and
+    ``diag:`` as p alone, ``haar:`` and a circuit as p = [1] with the state
+    vector as the one column. Sizes are range-checked, and capped before
+    anything is built."""
     if spec.startswith("mm:"):
         n = _in_interval(f"{spec}: n", spec[3:], int, "[0, inf)")
         if n > DENSITY_DIM_CAP.bit_length():  # 2^n is far past the cap
             raise UsageError(f"{spec}: dimension 2^{n} exceeds cap {DENSITY_DIM_CAP}")
-        return maximally_mixed((2,) * n)
+        return SpectralState(np.full(2 ** n, 1.0 / 2 ** n), (2,) * n)
     if spec.startswith("diag:"):
         try:
             probs = np.array([float(p) for p in spec.split(":", 1)[1].split(",")])
@@ -162,16 +165,14 @@ def _state_from_spec(spec: str, seed: Seed) -> DensityOp:
             raise UsageError(f"{spec}: probabilities must be numbers") from None
         if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-8):  # NaN fails too
             raise UsageError(f"{spec}: probabilities must be >= 0 and sum to 1")
-        return DensityOp(np.diag(probs).astype(complex), (len(probs),))
+        return SpectralState(probs, (len(probs),))
     if spec.startswith("haar:"):
         d = _in_interval(f"{spec}: d", spec[5:], int, "[1, inf)")
         check_density_cap(d, f"{spec} state")
-        v = haar_state_vector(d, seed.generator())
-        return DensityOp(np.outer(v, v.conj()), (d,))
+        return SpectralState.pure(haar_state_vector(d, seed.generator()))
     circ = _load(spec, GateCircuit.from_json_dict)
     check_density_cap(circ.dim, f"{spec} state")
-    vec = circ.state()
-    return DensityOp(np.outer(vec, vec.conj()), (circ.dim,))
+    return SpectralState.pure(circ.state())
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +464,22 @@ SCENARIOS = {
     "interfere": run_interfere, "entropy": run_entropy,
 }
 
+_INSTANCE_PARAMS = {"kappa", "overlap", "dA", "dB"}  # read by _load_instance
+
+# The --param keys each scenario reads; any other key is a usage error.
+PARAMS = {
+    "uhlmann": _INSTANCE_PARAMS | {"eta"},
+    "szk": _INSTANCE_PARAMS | {"m", "prover"},
+    "qip": _INSTANCE_PARAMS | {"m", "prover", "mode", "prep_error"},
+    "amplify": {"nu", "k", "T"},
+    "commit": {"schemes", "commit_qubits", "reveal_qubits", "gates"},
+    "channel": {"qubits"},
+    "compress": {"source", "delta", "s", "seeds"},
+    "blackhole": {"qubits", "r"},
+    "interfere": {"pairs", "qubits", "gates"},
+    "entropy": {"state", "epsilon"},
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -500,6 +517,10 @@ def _parse(argv) -> argparse.Namespace:
     args.instance = None
     if args.inputs and args.scenario in ("szk", "qip", "amplify", "uhlmann"):
         _load(args.inputs[0], lambda data: _absorb_config(args, data))
+    unknown = sorted(set(args.params) - PARAMS[args.scenario])
+    if unknown:
+        raise UsageError(f"{args.scenario} takes no --param {', '.join(unknown)}; "
+                         f"it takes {', '.join(sorted(PARAMS[args.scenario]))}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     return args

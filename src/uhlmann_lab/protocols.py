@@ -123,21 +123,27 @@ def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
         raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
     # Each slot acts alone: the input's slot gives the output, whatever the
     # test block holds, and each test slot j contributes its row D^dag L_j.
+    # A factor object shared by several slots (the honest prover's one
+    # unitary) is applied once; the products still run over the slots in order.
     j0 = int(np.flatnonzero(perm == 0)[0])
-    tests = [prover.factors[j] for j in range(m + 1) if j != j0]
+    keys = list(map(id, prover.factors))
+    slots = keys[:j0] + keys[j0 + 1:]
+    in_order = lambda per_factor: np.prod(list(map(per_factor.__getitem__, slots)))
+    factors = dict(zip(keys, prover.factors))
+    actions = {key: _factor_action(factor, psi) for key, factor in factors.items()}
     target = phi.amplitudes.conj()
-    xs = [target @ _factor_action(factor, psi) for factor in tests]
-    accept = float(np.prod([np.linalg.norm(row) ** 2 for row in xs]))
+    xs = {key: target @ actions[key] for key in set(slots)}
+    accept = float(in_order({key: np.linalg.norm(x) ** 2 for key, x in xs.items()}))
     if prep_error > 0.0:
         # The junk block's accepted amplitude is (Y - c X) / sqrt(1 - |c|^2),
         # X and Y the products of the rows on C and on E.
         e, c = _junk_basis(psi, m)
-        ys = [target @ _factor_action(factor, e) for factor in tests]
-        yy = float(np.prod([np.linalg.norm(row) ** 2 for row in ys]))
-        yx = np.prod([np.vdot(y, x) for y, x in zip(ys, xs)])
+        ys = {key: target @ _factor_action(factors[key], e) for key in xs}
+        yy = float(in_order({key: np.linalg.norm(y) ** 2 for key, y in ys.items()}))
+        yx = in_order({key: np.vdot(ys[key], xs[key]) for key in xs})
         junk = (yy - 2.0 * (c * yx).real + abs(c) ** 2 * accept) / (1.0 - abs(c) ** 2)
         accept = (1.0 - prep_error) * accept + prep_error * junk
-    return accept, _factor_action(prover.factors[j0], psi)
+    return accept, actions[keys[j0]]
 
 
 def _factor_action(factor, psi: BipartiteState) -> np.ndarray:

@@ -2,8 +2,8 @@
 distances, SVD thresholding, and seeded randomness."""
 
 from .gates import GATES, GateCircuit, random_circuit
-from .states import (BipartiteState, DensityOp, apply_circuit, maximally_entangled,
-                     maximally_mixed, partial_trace, tensor_power)
+from .states import (BipartiteState, DensityOp, SpectralState, apply_circuit,
+                     maximally_entangled, maximally_mixed, partial_trace, tensor_power)
 from .metrics import (PartialIsometryOp, factor_fidelity, factor_trace_distance, fidelity,
                       sgn_eta, trace_distance)
 from .channels import (ChannelDesc, channel_from_circuit, check_trace_preserving,
@@ -15,7 +15,7 @@ from . import linalg
 
 __all__ = [
     "GATES", "GateCircuit", "random_circuit",
-    "BipartiteState", "DensityOp", "apply_circuit", "maximally_entangled",
+    "BipartiteState", "DensityOp", "SpectralState", "apply_circuit", "maximally_entangled",
     "maximally_mixed", "partial_trace", "tensor_power",
     "PartialIsometryOp", "factor_fidelity", "factor_trace_distance", "fidelity",
     "sgn_eta", "trace_distance",

@@ -1,11 +1,11 @@
-"""Pure bipartite states and density operators."""
+"""Pure bipartite states, density operators, and states held as their spectrum."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,11 +99,14 @@ class DensityOp:
         """Whether the matrix is exactly diagonal (read once: it is read-only)."""
         return linalg.is_diagonal(self.matrix)
 
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal().real
+
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, ascending: the diagonal of an exactly diagonal matrix,
         else ``eigvalsh`` of the hermitized matrix."""
         if self.is_diagonal:
-            return np.sort(self.matrix.diagonal().real)
+            return np.sort(self.diagonal())
         return np.linalg.eigvalsh(linalg.hermitize(self.matrix))
 
     def purify(self) -> BipartiteState:
@@ -113,6 +116,87 @@ class DensityOp:
         vals = vals / vals.sum()
         m = vecs * np.sqrt(vals)  # column i is sqrt(l_i) e_i; M[a, i]
         return BipartiteState(m.reshape(-1), (self.dim, self.dim))
+
+
+@dataclass(frozen=True)
+class SpectralState:
+    """A density operator held as its spectrum: eigenvalues ``p`` and, unless
+    it is diagonal in the computational basis, its orthonormal eigenvectors
+    as the columns of ``vectors`` (d x len(p)). Readers take the spectrum,
+    the diagonal and one purification, so the d x d matrix is never built.
+
+    A state with eigenvectors lives on one register; a diagonal one may be
+    split over several, as ``mm:n`` is over n qubits.
+    """
+
+    p: np.ndarray
+    dims: tuple
+    vectors: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        d = math.prod(dims)
+        check_density_cap(d)
+        p = np.array(self.p, dtype=float).reshape(-1)
+        vecs = self.vectors
+        if vecs is None:
+            if p.size != d:
+                raise DimensionMismatch(f"{p.size} eigenvalues vs register dims {dims}")
+        else:
+            vecs = np.array(vecs, dtype=complex)
+            if len(dims) > 1 or vecs.shape != (d, p.size):
+                raise DimensionMismatch(
+                    f"eigenvectors of shape {vecs.shape} vs {p.size} eigenvalues on one "
+                    f"register of dims {dims}")
+            gram = vecs.conj().T @ vecs
+            if not np.abs(gram - np.eye(p.size)).max() <= _VALIDATE_ATOL:  # NaN fails too
+                raise ValueError("eigenvectors are not orthonormal")
+            vecs.setflags(write=False)
+        if not p.min() >= 0.0:
+            raise NotPositive("negative eigenvalue")
+        if abs(p.sum() - 1.0) > _VALIDATE_ATOL:
+            raise ValueError(f"trace is {p.sum()}, expected 1")
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "vectors", vecs)
+
+    @staticmethod
+    def pure(vec) -> "SpectralState":
+        """|vec><vec| on one register."""
+        vec = np.asarray(vec, dtype=complex).reshape(-1, 1)
+        return SpectralState(np.ones(1), (vec.shape[0],), vec)
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.vectors is None
+
+    def diagonal(self) -> np.ndarray:
+        if self.vectors is None:
+            return self.p
+        return (np.abs(self.vectors) ** 2) @ self.p
+
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum, ascending, with the zeros off the eigenvectors' span."""
+        if self.vectors is None:
+            return np.sort(self.p)
+        return np.sort(np.concatenate([self.p, np.zeros(self.dim - self.p.size)]))
+
+    def purify(self) -> BipartiteState:
+        """|rho> = sum_i sqrt(p_i) |v_i>|i> with split (d, d): column i of the
+        coefficient matrix is sqrt(p_i) v_i, and the columns past len(p) are 0."""
+        d = self.dim
+        check_pure_cap(d * d)
+        root = np.sqrt(self.p / self.p.sum())
+        if self.vectors is None:
+            return BipartiteState(np.diag(root).astype(complex).reshape(-1), (d, d))
+        m = np.zeros((d, d), dtype=complex)
+        m[:, :root.size] = self.vectors * root
+        return BipartiteState(m.reshape(-1), (d, d))
 
 
 def maximally_mixed(dims) -> DensityOp:

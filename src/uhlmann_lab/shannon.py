@@ -20,7 +20,8 @@ from .qcore.channels import (ChannelDesc, channel_from_json_dict, channel_to_jso
 from .qcore.gates import GateCircuit
 from .qcore.metrics import factor_fidelity, factor_trace_distance, reduce_factor
 from .qcore.random_ops import haar_state_vector, random_clifford
-from .qcore.states import BipartiteState, DensityOp, maximally_entangled, partial_trace
+from .qcore.states import (BipartiteState, DensityOp, SpectralState, maximally_entangled,
+                           partial_trace)
 from .rng import Seed, as_seed
 from .uhlmann import UhlmannInstance, canonical_uhlmann
 
@@ -37,7 +38,7 @@ class EntropyReport:
     epsilon: float
 
 
-def entropies(rho: DensityOp, epsilon: float = 0.0) -> EntropyReport:
+def entropies(rho, epsilon: float = 0.0) -> EntropyReport:
     """Unconditional min/max entropies plus a particular-sigma Renyi-2 value.
 
     For two-register inputs the Renyi-2 entry conditions the first register
@@ -46,9 +47,11 @@ def entropies(rho: DensityOp, epsilon: float = 0.0) -> EntropyReport:
     most epsilon and renormalizes, which upper-bounds the true smoothed
     value.
 
-    An exactly diagonal rho = diag(p) costs O(D^2): its spectrum is p, and
-    with s_b = sum_a p_ab the Renyi-2 term is -log2 sum_ab p_ab^2 / s_b over
-    the b that ``psd_power`` keeps in the support of sigma = diag(s).
+    ``rho`` is a DensityOp or a SpectralState; the latter is read through its
+    spectrum alone. An exactly diagonal rho = diag(p) costs O(D^2) as a
+    DensityOp and O(D) as a SpectralState: its spectrum is p, and with
+    s_b = sum_a p_ab the Renyi-2 term is -log2 sum_ab p_ab^2 / s_b over the b
+    that ``psd_power`` keeps in the support of sigma = diag(s).
     """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
@@ -58,7 +61,7 @@ def entropies(rho: DensityOp, epsilon: float = 0.0) -> EntropyReport:
     if len(rho.dims) < 2:
         h2 = -math.log2(float(np.sum(vals ** 2)))
     elif rho.is_diagonal:
-        p = rho.matrix.diagonal().real.reshape(rho.dims[0], -1)
+        p = rho.diagonal().reshape(rho.dims[0], -1)
         s = p.sum(0)
         keep = s > 1e-12 * max(s.max(), 1.0)
         h2 = -math.log2(max(float(np.sum(p[:, keep] ** 2 / s[keep])), 1e-300))
@@ -66,8 +69,9 @@ def entropies(rho: DensityOp, epsilon: float = 0.0) -> EntropyReport:
         sigma = partial_trace(rho, list(range(1, len(rho.dims)))).matrix
         h2 = h2_conditional(rho.matrix, (rho.dims[0], rho.dim // rho.dims[0]), sigma)
     h_max_smoothed = smoothed_h_max(vals, epsilon)
-    return EntropyReport(float(h_min), float(h_max), float(h2),
-                         float(h_max_smoothed), float(epsilon))
+    # + 0.0 reports a pure state's -log2(1) = -0.0 as 0.0; no other value moves.
+    return EntropyReport(*(float(h) + 0.0 for h in (h_min, h_max, h2, h_max_smoothed)),
+                         float(epsilon))
 
 
 def smoothed_h_max(eigenvalues: np.ndarray, epsilon: float) -> float:
@@ -243,13 +247,13 @@ class CompressionCodec:
                                 int(data["y_star"]), Seed(int(data["clifford_seed"])))
 
 
-def _source_state(source, seed=None) -> DensityOp:
-    if isinstance(source, DensityOp):
+def _source_state(source):
+    """A DensityOp or SpectralState as given; a GateCircuit as its pure output."""
+    if isinstance(source, (DensityOp, SpectralState)):
         return source
     if isinstance(source, GateCircuit):
-        vec = source.state()
-        return DensityOp(np.outer(vec, vec.conj()), (source.dim,))
-    raise DimensionMismatch("source must be a DensityOp or GateCircuit")
+        return SpectralState.pure(source.state())
+    raise DimensionMismatch("source must be a DensityOp, SpectralState or GateCircuit")
 
 
 def compress(source, delta: float, seed, s: Optional[int] = None) -> CompressionCodec:

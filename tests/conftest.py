@@ -106,3 +106,12 @@ def fidelity_eig_oracle(rho: np.ndarray, sigma: np.ndarray) -> float:
         return (vecs * np.sqrt(vals)) @ vecs.conj().T
     inner = sqrtm(sqrtm(rho) @ sigma @ sqrtm(rho))
     return float(np.real(np.trace(inner)) ** 2)
+
+
+def no_eigensolver(monkeypatch):
+    """Make ``np.linalg.eigh`` and ``eigvalsh`` raise, for paths that must run none."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    monkeypatch.setattr(np.linalg, "eigh", unreachable)

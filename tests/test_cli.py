@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import no_eigensolver
 from uhlmann_lab import cli
 from uhlmann_lab.cli import _state_from_spec, main
 from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
@@ -293,10 +294,11 @@ def test_qip_rejects_unknown_prover_and_mode(capsys):
 
 
 def test_haar_source_follows_seed():
-    first, other = (_state_from_spec("haar:8", Seed(s)).matrix for s in (0, 5))
-    assert np.abs(first - other).max() > 1e-3
+    first, other = (_state_from_spec("haar:8", Seed(s)) for s in (0, 5))
+    assert np.abs(first.vectors - other.vectors).max() > 1e-3
     v = haar_state_vector(8, as_seed(0).generator())
-    assert np.array_equal(first, np.outer(v, v.conj()))
+    assert np.array_equal(first.vectors, v.reshape(-1, 1))
+    assert np.array_equal(first.p, [1.0])
 
 
 @pytest.mark.parametrize("argv", [
@@ -558,11 +560,7 @@ def test_slot_count_is_capped_before_the_prover_is_built(scenario, capsys, monke
 
 
 def test_entropy_of_a_diagonal_state_runs_no_eigensolver(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("eigensolver called on a diagonal state")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-    monkeypatch.setattr(np.linalg, "eigh", unreachable)
+    no_eigensolver(monkeypatch)
     code, report = run_cli(capsys, "entropy", "--param", "state=mm:11")
     assert code == 0 and report["pass"]
     res = report["results"]
@@ -753,3 +751,137 @@ def test_parser_built_once_prints_what_a_fresh_parser_prints(argv, capsys):
             pytest.raises(SystemExit):
         cli._build_parser().parse_intermixed_args(argv)
     assert (pinned.out, pinned.err) == (out.getvalue(), err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# Sources held as spectra
+
+def wide_circuit_file(tmp_path, n=12):
+    gates = ([{"g": "H", "q": [q]} for q in range(n)]
+             + [{"g": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+             + [{"g": "T", "q": [q]} for q in range(0, n, 2)])
+    path = tmp_path / "wide_state.json"
+    path.write_text(json.dumps({"n_qubits": n, "gates": gates}))
+    return str(path)
+
+
+@pytest.mark.parametrize("which", ["haar:4096", "circuit"])
+def test_pure_source_entropy_at_the_cap_runs_no_eigensolver(which, tmp_path, capsys,
+                                                            monkeypatch):
+    spec = wide_circuit_file(tmp_path) if which == "circuit" else which
+    no_eigensolver(monkeypatch)
+    code, report = run_cli(capsys, "entropy", "--param", f"state={spec}")
+    assert code == 0
+    assert report["results"]["h_max"] == 0.0 and report["results"]["h_min"] == 0.0
+
+
+@pytest.mark.parametrize("epsilon", ["0", "0.1"])
+@pytest.mark.parametrize("which", ["haar:8", "haar:512", "circuit"])
+def test_pure_source_reports_zero_max_entropy(which, epsilon, tmp_path, capsys):
+    spec = wide_circuit_file(tmp_path, 3) if which == "circuit" else which
+    code, report = run_cli(capsys, "entropy", "--param", f"state={spec}",
+                           "--param", f"epsilon={epsilon}")
+    assert code == 0
+    assert abs(report["results"]["h_max"]) <= 1e-15
+    assert abs(report["results"]["h_max_smoothed"]) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Declared --param keys
+
+# For each scenario, runs that give every key it declares a small valid value.
+DECLARED_RUNS = {
+    "uhlmann": [["--param", "kappa=0.7", "--param", "dA=2", "--param", "dB=3",
+                 "--param", "eta=0"],
+                ["--param", "kappa=0.7", "--param", "overlap=0.5"]],
+    "szk": [["--param", "kappa=0.9", "--param", "dA=2", "--param", "dB=2", "--param", "m=2",
+             "--param", "prover=identity", "--trials", "5"],
+            ["--param", "kappa=0.9", "--param", "overlap=0.5", "--param", "m=2",
+             "--trials", "5"]],
+    "qip": [["--param", "kappa=0.9", "--param", "dA=2", "--param", "dB=2", "--param", "m=2",
+             "--param", "prover=honest", "--param", "mode=dme",
+             "--param", "prep_error=0.1"],
+            ["--param", "kappa=0.9", "--param", "overlap=0.5", "--param", "m=2"]],
+    "amplify": [["--param", "nu=0.6", "--param", "k=2", "--param", "T=1", "--trials", "5"]],
+    "commit": [["--param", "schemes=1", "--param", "commit_qubits=1",
+                "--param", "reveal_qubits=1", "--param", "gates=3"]],
+    "channel": [["--param", "qubits=2"]],
+    "compress": [["--param", "source=mm:2", "--param", "delta=0.1", "--param", "s=1",
+                  "--param", "seeds=1"]],
+    "blackhole": [["--param", "qubits=3", "--param", "r=1"]],
+    "interfere": [["--param", "pairs=1", "--param", "qubits=2", "--param", "gates=3"]],
+    "entropy": [["--param", "state=mm:2", "--param", "epsilon=0.1"]],
+}
+
+
+def test_declared_runs_cover_every_scenario_and_key():
+    assert set(DECLARED_RUNS) == set(MISSPELLED) == set(cli.SCENARIOS) == set(cli.PARAMS)
+    for scenario, runs in DECLARED_RUNS.items():
+        given = {arg.split("=")[0] for run in runs for arg in run if "=" in arg}
+        assert given == cli.PARAMS[scenario], scenario
+
+
+class _RecordingParams(dict):
+    """A params dict that records every key a scenario looks up."""
+
+    def __init__(self, params, seen):
+        super().__init__(params)
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("scenario", sorted(DECLARED_RUNS))
+def test_every_key_a_scenario_reads_is_declared_and_accepted(scenario, capsys, monkeypatch):
+    seen = set()
+    runner = cli.SCENARIOS[scenario]
+
+    def recording(args):
+        args.params = _RecordingParams(args.params, seen)
+        return runner(args)
+
+    monkeypatch.setitem(cli.SCENARIOS, scenario, recording)
+    for run in DECLARED_RUNS[scenario]:
+        code, report = run_cli(capsys, scenario, *run, "--seed", "1")
+        assert code == 0, (scenario, run)
+    assert seen == cli.PARAMS[scenario]
+
+
+# A near miss of a declared key, for each scenario.
+MISSPELLED = {"uhlmann": "kapa", "szk": "prove", "qip": "prep", "amplify": "t",
+              "commit": "scheme", "channel": "qubit", "compress": "sources", "blackhole": "R",
+              "interfere": "pair", "entropy": "eps"}
+
+
+@pytest.mark.parametrize("scenario", sorted(MISSPELLED))
+def test_undeclared_key_exits_2_naming_the_accepted_keys(scenario, capsys):
+    key = MISSPELLED[scenario]
+    code = main([scenario, "--param", f"{key}=8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and f"--param {key};" in captured.err
+    assert all(accepted in captured.err for accepted in cli.PARAMS[scenario])
+
+
+def test_config_file_keys_follow_the_declared_keys(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m": 2, "trials": 5, "delta": 0.1}))  # szk reads no delta
+    code = main(["szk", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "delta" in captured.err
+    # A seed and trials in the file lose to the command line, and are no --param.
+    path.write_text(json.dumps({"m": 2, "trials": 5, "seed": 9}))
+    code, report = run_cli(capsys, "szk", str(path), "--seed", "4", "--trials", "6")
+    assert code == 0
+    assert report["seed"] == 4 and report["results"]["trials"] == 6
+    assert report["params"] == {"m": "2"}

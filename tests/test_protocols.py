@@ -275,6 +275,30 @@ def test_product_closed_form_matches_the_joint_and_kraus_references():
             assert np.abs(res.output_state.matrix - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("prep_error", [0.0, 0.1])
+def test_shared_factor_is_applied_once_per_test(prep_error, monkeypatch):
+    # The honest prover repeats one unitary object in all m + 1 slots: one
+    # action on C, and one on the junk basis state E when prep_error > 0.
+    import uhlmann_lab.protocols as protocols
+    x = random_raw_instance(2, 3, 23)
+    psi, phi = x.states()
+    m = 50
+    honest = ProverStrategy.honest(x, m)
+    # The same unitary as 51 distinct objects takes one action per slot.
+    copies = ProverStrategy("custom", factors=tuple(np.array(u) for u in honest.factors))
+    perm = np.roll(np.arange(m + 1), 17)
+    real = protocols._factor_action
+    calls = []
+    monkeypatch.setattr(protocols, "_factor_action",
+                        lambda factor, state: calls.append(1) or real(factor, state))
+    p, factor = protocols._permutation_test(psi, phi, m, perm, honest, prep_error)
+    assert len(calls) <= 2
+    calls.clear()
+    q, want = protocols._permutation_test(psi, phi, m, perm, copies, prep_error)
+    assert len(calls) == (m + 1) + (m if prep_error else 0)
+    assert p == q and np.array_equal(factor, want)  # the same products, in slot order
+
+
 def test_junk_block_is_orthogonal_to_the_test_copies():
     # For C = |11> (up to phase) the last basis state is C itself; the junk
     # block then starts from the first basis state.

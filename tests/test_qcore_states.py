@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch, NotPositive
-from uhlmann_lab.qcore import (BipartiteState, DensityOp, factor_fidelity,
+from uhlmann_lab.qcore import (BipartiteState, DensityOp, SpectralState, factor_fidelity,
                                factor_trace_distance, fidelity, maximally_entangled,
                                maximally_mixed, partial_trace, sgn_eta, tensor_power,
                                trace_distance)
@@ -334,6 +334,63 @@ def test_purification_recovers_state():
     rho = _random_dm(4, 21, rank=2)
     psi = rho.purify()
     assert np.linalg.norm(psi.reduced_a().matrix - rho.matrix, ord=np.inf) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# states held as their spectrum
+
+def _spectral_cases():
+    """(SpectralState, its dense matrix): diagonal on one and on three
+    registers, pure, and rank 2 with complex eigenvectors."""
+    rng = generator(61)
+    probs = np.array([0.4, 0.0, 0.1, 0.3, 0.2, 0.0])
+    vec = haar_state_vector(6, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    return [(SpectralState(probs, (6,)), np.diag(probs)),
+            (SpectralState(np.full(8, 0.125), (2, 2, 2)), np.eye(8) / 8),
+            (SpectralState.pure(vec), np.outer(vec, vec.conj())),
+            (SpectralState([0.75, 0.25], (6,), q), q @ np.diag([0.75, 0.25]) @ q.conj().T)]
+
+
+def test_spectral_state_reads_like_its_matrix():
+    for state, m in _spectral_cases():
+        assert state.dim == m.shape[0]
+        assert state.is_diagonal == (state.vectors is None)
+        assert np.allclose(state.eigenvalues(), np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
+        assert state.eigenvalues().shape == (state.dim,)
+        assert np.allclose(state.diagonal(), m.diagonal().real, rtol=0, atol=1e-15)
+        purification = state.purify()
+        assert purification.split == (state.dim, state.dim)
+        assert np.abs(purification.reduced_a().matrix - m).max() < 1e-14
+
+
+def test_spectral_state_validates_at_construction():
+    q = np.linalg.qr(np.arange(1.0, 13.0).reshape(6, 2) ** 2)[0]
+    with pytest.raises(DimensionMismatch):
+        SpectralState(np.full(4, 0.25), (2, 3))          # 4 eigenvalues, d = 6
+    with pytest.raises(DimensionMismatch):
+        SpectralState([0.5, 0.5], (6,), q[:, :1])        # one column, two eigenvalues
+    with pytest.raises(DimensionMismatch):
+        SpectralState([0.5, 0.5], (2, 3), q)             # eigenvectors on two registers
+    with pytest.raises(ValueError):
+        SpectralState([0.5, 0.5], (6,), 2 * q)           # not orthonormal
+    with pytest.raises(NotPositive):
+        SpectralState([1.5, -0.5], (2,))
+    with pytest.raises(ValueError):
+        SpectralState([0.5, 0.6], (2,))
+    with pytest.raises(DimensionCapError):
+        SpectralState(np.full(8192, 1 / 8192), (2,) * 13)
+    state = SpectralState.pure(haar_state_vector(4, generator(3)))
+    with pytest.raises(ValueError):
+        state.p[0] = 0.5                                 # read-only
+
+
+def test_spectral_purification_is_capped_before_it_is_built():
+    # d = 2048 is in the density cap, but the d x d purification is not.
+    state = SpectralState(np.full(2048, 1 / 2048), (2048,))
+    with pytest.raises(DimensionCapError) as err:
+        state.purify()
+    assert err.value.size == 2048 ** 2
 
 
 def test_tensor_power_is_kron_then_regroup():

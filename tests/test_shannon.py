@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dilated_channel, swap_matrix
+from conftest import dilated_channel, no_eigensolver, swap_matrix
 from uhlmann_lab.crypto import CommitmentScheme
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
-from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, complementary,
+from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
+                               SpectralState, complementary,
                                fidelity, identity_channel, linalg, maximally_entangled,
                                maximally_mixed, push_factor, trace_distance,
                                unitary_channel)
@@ -16,8 +17,8 @@ from uhlmann_lab.rng import Seed, child_seed, generator
 from uhlmann_lab.shannon import (CompressionCodec, commitment_channel, compress,
                                  decoder_from_uhlmann, decoupling_experiment,
                                  decoupling_fidelity, entropies, h2_conditional,
-                                 haar_overlap, roundtrip, smoothed_h_max,
-                                 truncation_codec)
+                                 haar_overlap, roundtrip, roundtrip_bound,
+                                 smoothed_h_max, truncation_codec)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +96,6 @@ def _dense_entropies(m, dims, epsilon):
             smoothed_h_max(vals, epsilon))
 
 
-def _no_eigensolver(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("eigensolver called on a diagonal input")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-    monkeypatch.setattr(np.linalg, "eigh", unreachable)
-
-
 def _assert_report(rep, want, epsilon):
     got = (rep.h_min, rep.h_max, rep.h2_lower, rep.h_max_smoothed)
     assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
@@ -117,7 +110,7 @@ def test_diagonal_route_matches_dense_route(dims, epsilon, monkeypatch):
     m = np.diag(probs / probs.sum()).astype(complex)
     want = _dense_entropies(m, dims, epsilon)
     rho = DensityOp(m, dims)
-    _no_eigensolver(monkeypatch)
+    no_eigensolver(monkeypatch)
     _assert_report(entropies(rho, epsilon), want, epsilon)
 
 
@@ -131,7 +124,7 @@ def test_diagonal_route_cuts_sigma_support_like_psd_power(tiny, monkeypatch):
     m = np.diag(p.reshape(-1)).astype(complex)
     want = _dense_entropies(m, (2, 4), 0.0)
     rho = DensityOp(m, (2, 4))
-    _no_eigensolver(monkeypatch)
+    no_eigensolver(monkeypatch)
     _assert_report(entropies(rho), want, 0.0)
 
 
@@ -495,6 +488,64 @@ def test_roundtrip_builds_no_density(monkeypatch):
     # s = 3: the output factor has rank <= d_e^3 = 64, so the core is 65 x 65.
     assert roundtrip(codecs[3], purification) > 0.5
     assert max(shapes) == (65, 65)
+
+
+# ---------------------------------------------------------------------------
+# Sources held as spectra
+
+GHZ3 = GateCircuit(3, (("H", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 2))))
+
+
+def spectral_and_dense(kind):
+    """A CLI source as a SpectralState and as the dense DensityOp the same
+    state makes, on the same registers."""
+    if kind == "mm":
+        return SpectralState(np.full(8, 0.125), (2, 2, 2)), maximally_mixed((2, 2, 2))
+    if kind == "diag":
+        probs = np.array([0.7, 0.1, 0.1, 0.1, 0, 0, 0, 0])
+        return SpectralState(probs, (8,)), DensityOp(np.diag(probs), (8,))
+    vec = haar_state_vector(8, generator(12)) if kind == "haar" else GHZ3.state()
+    return SpectralState.pure(vec), DensityOp(np.outer(vec, vec.conj()), (8,))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["mm", "diag", "haar", "circuit"])
+def test_spectral_entropies_match_the_dense_route(kind, epsilon, monkeypatch):
+    state, dense = spectral_and_dense(kind)
+    want = _dense_entropies(dense.matrix, dense.dims, epsilon)
+    no_eigensolver(monkeypatch)
+    got = entropies(state, epsilon)
+    assert np.allclose((got.h_min, got.h2_lower), (want[0], want[2]), rtol=0, atol=1e-12)
+    if state.is_diagonal:
+        assert np.allclose((got.h_max, got.h_max_smoothed), (want[1], want[3]),
+                           rtol=0, atol=1e-12)
+        assert entropies(dense, epsilon) == got  # the DensityOp's diagonal route
+    else:
+        # A pure source: exactly 0, where sqrt lifts the dense eigensolver's
+        # ~1e-17 on the zero eigenvalues to ~1e-8.
+        assert abs(got.h_max) <= 1e-15 and abs(got.h_max_smoothed) <= 1e-15
+        assert abs(want[1]) < 1e-6 and abs(want[3]) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["mm", "diag", "haar", "circuit"])
+def test_spectral_source_compresses_like_the_dense_source(kind):
+    state, dense = spectral_and_dense(kind)
+    source = GHZ3 if kind == "circuit" else state  # a circuit is taken as its pure output
+    ours, theirs = state.purify(), dense.purify()
+    for s in range(4):
+        codec = compress(source, 0.1, Seed(3), s=s)
+        reference = compress(dense, 0.1, Seed(3), s=s)
+        assert codec.s == reference.s == s
+        td, want = roundtrip(codec, ours), roundtrip(reference, theirs)
+        if state.is_diagonal:
+            assert abs(td - want) < 1e-12
+        else:
+            # A pure source round-trips exactly at every rate. The dense
+            # purification carries ~1e-9 columns from the eigensolver's zero
+            # eigenvalues, which move its td by up to ~1.5e-8.
+            assert td < 1e-14 and want < 1e-7
+        assert abs(roundtrip_bound(source, s, 0.1) - roundtrip_bound(dense, s, 0.1)) < 1e-12
+    assert compress(source, 0.1, Seed(3)).s == compress(dense, 0.1, Seed(3)).s
 
 
 # ---------------------------------------------------------------------------

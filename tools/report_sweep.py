@@ -107,6 +107,7 @@ COMMANDS = [
     "compress --param source=mm:5 --param s=1 --param seeds=1",
     "compress --param source=mm:5 --param s=0 --param seeds=1",
     "compress --param source=mm:6 --param s=3 --param seeds=1",
+    "compress --param source=state.json",
     "blackhole --param qubits=6 --param r=4",
     "blackhole --param qubits=10 --param r=6",
     "blackhole --param qubits=10 --param r=1",
@@ -122,6 +123,8 @@ COMMANDS = [
     "entropy --param state=mm:10",
     "entropy --param state=mm:2 --param epsilon=0.1",
     "entropy --param state=haar:8",
+    "entropy --param state=haar:512",
+    "entropy --param state=mm:12",
     "entropy state.json",
 ]
 
