@@ -380,15 +380,25 @@ def _decode(args, ch: ChannelDesc):
                                     "decoder fidelity >= decoupling fidelity", ">=")
 
 
+def _input_columns(n: int, seed, d_out: int, d_env: int) -> np.ndarray:
+    """U[:, [0, 2^(n-1)]] of a random n-qubit Clifford U: the isometry of the
+    channel that feeds qubit 0 in, the rest in |0>, with output split
+    (d_out, d_env). The caps a decoding run meets (the Clifford's, then the
+    decoupling and decoder caps) are checked first, in that order, so a size
+    they refuse draws nothing."""
+    check_pure_cap(2 ** n * 2, "materialized Clifford")
+    shannon.check_decoding_caps(2, d_out, d_env)
+    return random_clifford(n, seed, columns=(0, 2 ** (n - 1)))
+
+
 def run_channel(args):
     if args.inputs:
         ch = _load(args.inputs[0], lambda data: channel_from_circuit(
             GateCircuit.from_json_dict(data["dilation"]), int(data["n_input"]), data["env"]))
     else:
         n = _param(args, "qubits", 3, int, "[1, inf)")
-        # The input is qubit 0, the rest start in |0>: columns 0 and 2^(n-1).
-        v = random_clifford(n, args.seed.child("channel"), columns=(0, 2 ** (n - 1)))
-        ch = ChannelDesc(v, (2 ** (n - 1), 2))
+        split = (2 ** (n - 1), 2)
+        ch = ChannelDesc(_input_columns(n, args.seed.child("channel"), *split), split)
     dec_fid, decoded, check = _decode(args, ch)
     return {"decoupling_fidelity": dec_fid, "decoder_fidelity": decoded}, [check]
 
@@ -401,6 +411,8 @@ def run_compress(args):
     s = _param(args, "s", None, int, f"[0, {n_qubits}]") if "s" in args.params else None
     n_seeds = _param(args, "seeds", 5, int, "[1, inf)")
     purification = rho.purify()
+    # roundtrip's cap, checked before the first codec is built.
+    check_density_cap(purification.dA * purification.dB, "roundtrip state")
     tds = []
     for i in range(n_seeds):
         codec = shannon.compress(rho, delta, args.seed.child("codec", i), s=s)
@@ -422,7 +434,7 @@ def run_blackhole(args):
         n = _param(args, "qubits", 6, int, "[2, inf)")
         r = _param(args, "r", 4, int, f"[1, {n}]")
         ch = physics.radiation_channel(
-            random_clifford(n, args.seed.child("scrambler"), columns=(0, 2 ** (n - 1))), r)
+            _input_columns(n, args.seed.child("scrambler"), 2 ** r, 2 ** (n - r)), r)
     dec_fid, decoded, check = _decode(args, ch)
     results = {"decoupling": dec_fid, "epr_fidelity": decoded}
     checks = [check]

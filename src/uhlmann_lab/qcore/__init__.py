@@ -9,8 +9,8 @@ from .metrics import (PartialIsometryOp, factor_fidelity, factor_trace_distance,
 from .channels import (ChannelDesc, channel_from_circuit, check_trace_preserving,
                        complementary, compose, identity_channel, push_factor,
                        unitary_channel)
-from .random_ops import (haar_state_vector, haar_unitary, pauli_matrix, random_clifford,
-                         random_density, random_state, random_symplectic)
+from .random_ops import (haar_state_vector, haar_unitary, random_clifford, random_density,
+                         random_state, random_symplectic)
 from . import linalg
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "ChannelDesc", "channel_from_circuit", "check_trace_preserving",
     "complementary", "compose", "identity_channel", "push_factor",
     "unitary_channel",
-    "haar_state_vector", "haar_unitary", "pauli_matrix", "random_clifford",
+    "haar_state_vector", "haar_unitary", "random_clifford",
     "random_density", "random_state", "random_symplectic",
     "linalg",
 ]

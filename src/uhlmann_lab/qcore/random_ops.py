@@ -12,28 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatch, check_pure_cap
-from . import linalg
 from .states import BipartiteState
 from ..rng import as_seed
 
-_PAULI_1 = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),          # X
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),          # Z
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),        # Y = iXZ
-}
 
-# Basis columns projected at a time while looking for U|0^n>.
-_BLOCK = 64
-
-
-def _symplectic_product(v, w) -> int:
-    # Interleaved (x, z) pairs: <v,w> = sum_i v_x[i] w_z[i] + v_z[i] w_x[i].
-    return int((v[0::2] @ w[1::2] + v[1::2] @ w[0::2]) % 2)
+def _symplectic_product(v, w):
+    # Interleaved (x, z) pairs: <v,w> = sum_i v_x[i] w_z[i] + v_z[i] w_x[i],
+    # for v one vector or a stack of rows.
+    return (v[..., 0::2] @ w[1::2] + v[..., 1::2] @ w[0::2]) % 2
 
 
 def _transvection(h, v):
-    return (v + _symplectic_product(h, v) * h) % 2
+    """Z_h v = v + <v,h> h for v one vector or every row of a stack."""
+    return (v + np.multiply.outer(_symplectic_product(v, h), h)) % 2
 
 
 def _find_transvection(x, y):
@@ -106,20 +97,9 @@ def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
         g = np.zeros((nn, nn), dtype=np.int64)
         g[:2, :2] = np.eye(2, dtype=np.int64)
         g[2:, 2:] = random_symplectic(n - 1, rng)
-    for j in range(nn):
-        g[j] = _transvection(t[0], g[j])
-        g[j] = _transvection(t[1], g[j])
-        g[j] = _transvection(h0, g[j])
-        g[j] = _transvection(f1, g[j])
+    for h in (t[0], t[1], h0, f1):
+        g = _transvection(h, g)
     return g
-
-
-def pauli_matrix(v: np.ndarray, sign: int = 0) -> np.ndarray:
-    """Hermitian Pauli for interleaved bits v: (-1)^sign i^{x.z} ⊗ X^x Z^z."""
-    n = v.size // 2
-    mats = [_PAULI_1[(int(v[2 * i]), int(v[2 * i + 1]))] for i in range(n)]
-    m = linalg.kron_all(mats)
-    return -m if sign else m
 
 
 # (-i)^k for k mod 4: the phase of the Y factors and of the sign bit.
@@ -127,9 +107,10 @@ _MINUS_I_POWERS = np.array([1, -1j, -1, 1j], dtype=complex)
 
 
 def pauli_action(v: np.ndarray, sign: int = 0) -> tuple:
-    """Index map of a Pauli: ``pauli_matrix(v, sign) @ m == phase[:, None] * m[perm]``.
+    """Index map of the Hermitian Pauli P = (-1)^sign i^{x.z} ⊗ X^x Z^z for
+    interleaved bits v: ``P @ m == phase[:, None] * m[perm]``.
 
-    A Pauli has one nonzero per row: row i holds (-1)^sign (-i)^{#Y}
+    P has one nonzero per row: row i holds (-1)^sign (-i)^{#Y}
     (-1)^{popcount(i & zmask)} in column i ^ xmask (qubit 0 is the most
     significant bit). Every phase is exactly +-1 or +-i, so products by it
     are exact.
@@ -145,49 +126,94 @@ def pauli_action(v: np.ndarray, sign: int = 0) -> tuple:
     return perm, phase
 
 
+def _eliminate(rows) -> tuple:
+    """Echelon form over F_2 of (bits, payload) integer rows, each pivot at its
+    row's lowest set bit: ({pivot bit: (bits, payload)}, the payloads of the
+    rows that reduce to zero). Reducing a row by the pivot at its lowest bit
+    clears that bit and changes only higher ones, so the reduction ends."""
+    pivots, zero = {}, []
+    for bits, payload in rows:
+        while bits and bits & -bits in pivots:
+            pivot_bits, pivot_payload = pivots[bits & -bits]
+            bits, payload = bits ^ pivot_bits, payload ^ pivot_payload
+        if bits:
+            pivots[bits & -bits] = (bits, payload)
+        else:
+            zero.append(payload)
+    return pivots, zero
+
+
+def _support_start(stabilizers) -> int:
+    """The smallest basis index c with P|c> != 0, P = prod_i (1 + S_i)/2 for
+    n commuting, independent Paulis S_i given by their index maps.
+
+    P averages the group the S_i generate, so <c|P|c> is 2^-n times the sum
+    of <c|s|c> over its diagonal (Z-type) elements s, a character sum: it is
+    nonzero iff <c|s|c> = +1 for each generator s of that subgroup. Those
+    generators are the products of the S_i whose X masks (``perm[0]``)
+    cancel, found by eliminating the masks. Each is s|c> = sign (-1)^{c.z}|c>;
+    its sign and Z mask are read exactly from the index maps at rows 0 and
+    2^k. The constraints c.z = [sign = -1] are eliminated with each pivot at
+    its row's lowest bit, so a pivot bit depends only on higher bits, and
+    setting every free bit to 0 gives the smallest c.
+    """
+    n = len(stabilizers)
+    _, z_type = _eliminate((int(perm[0]), 1 << i) for i, (perm, _) in enumerate(stabilizers))
+    probes = np.array([0] + [1 << k for k in range(n)])
+    constraints = []
+    for combo in z_type:
+        at, phase = probes, np.ones(n + 1, dtype=complex)
+        for i, (perm, factor) in enumerate(stabilizers):
+            if combo >> i & 1:
+                phase = phase * factor[at]
+                at = perm[at]
+        z = sum(1 << k for k in range(n) if phase[k + 1] != phase[0])
+        constraints.append((z, int(phase[0].real < 0)))
+    pivots, _ = _eliminate(constraints)
+    c = 0
+    for pivot in sorted(pivots, reverse=True):
+        bits, parity = pivots[pivot]
+        if parity ^ ((bits & c).bit_count() & 1):
+            c |= pivot
+    return c
+
+
 def random_clifford(n: int, seed, columns=None) -> np.ndarray:
     """Uniformly random n-qubit Clifford unitary (dense, up to global phase).
 
     With ``columns`` (basis indices), only those columns U[:, columns] are
     built, byte-identical to slicing the whole matrix. The cap is on the
-    entries allocated: d * len(columns), or the d x 64 blocks of the
-    stabilizer scan when they are larger.
+    d * len(columns) entries allocated.
     """
     d = 2 ** n
-    width = d if columns is None else len(columns)
-    check_pure_cap(d * max(width, _BLOCK), "materialized Clifford")
+    check_pure_cap(d * (d if columns is None else len(columns)), "materialized Clifford")
     rng = as_seed(seed).child("clifford").generator()
     g = random_symplectic(n, rng)
     signs = rng.integers(0, 2, size=2 * n)
     # U|0^n> is a nonzero column of the stabilizer projector P = prod_i
-    # (1 + S_i)/2, S_i the images of Z_1..Z_n. Column c depends only on e_c,
-    # and every entry is a dyadic combination of +-1 and +-i, so it is exact;
-    # its squared norm <c|P|c> is 0 or one common value. The largest-norm
-    # column is therefore the first nonzero one, and projecting blocks of
-    # basis columns until one holds it gives it by the same operations as
-    # the whole d x d projector.
+    # (1 + S_i)/2, S_i the images of Z_1..Z_n: the first one, column c, with
+    # every entry a dyadic combination of +-1 and +-i, so exact. Projecting
+    # e_c alone applies the same per-element operations as projecting the
+    # whole identity, so its bytes are the d x d projector's column c.
     stabilizers = [pauli_action(g[2 * i + 1], int(signs[2 * i + 1])) for i in range(n)]
-    for start in range(0, d, _BLOCK):
-        block = np.eye(d, min(_BLOCK, d - start), -start, dtype=complex)
-        for perm, phase in stabilizers:
-            block = 0.5 * (block + phase[:, None] * block[perm])
-        nonzero = np.flatnonzero(block.any(axis=0))
-        if nonzero.size:
-            break
-    phi = block[:, nonzero[0]]
+    phi = np.zeros(d, dtype=complex)
+    phi[_support_start(stabilizers)] = 1
+    for perm, phase in stabilizers:
+        phi = 0.5 * (phi + phase * phi[perm])
     phi = phi / np.linalg.norm(phi)
     pivot = int(np.argmax(np.abs(phi)))
     phi = phi * (np.abs(phi[pivot]) / phi[pivot])
-    # U|x> = prod_i (image of X_i)^{x_i} U|0^n>, the image of qubit n-1 (the
-    # lowest bit of x) applied first.
-    images = [pauli_action(g[2 * i], int(signs[2 * i])) for i in reversed(range(n))]
+    # U|x> = prod_i (image of X_i)^{x_i} U|0^n>, the image of qubit n-1 (bit
+    # k = 0 of x) applied first. Only the images of bits some column sets are
+    # built.
+    images = {k: pauli_action(g[2 * (n - 1 - k)], int(signs[2 * (n - 1 - k)]))
+              for k in range(n) if columns is None or any(int(x) >> k & 1 for x in columns)}
     if columns is None:
         u = np.empty((d, d), dtype=complex)
         u[:, 0] = phi
-        filled = 1
-        for perm, phase in images:
-            u[:, filled:2 * filled] = phase[:, None] * u[perm, :filled]
-            filled *= 2
+        for k in range(n):
+            perm, phase = images[k]
+            u[:, 1 << k:2 << k] = phase[:, None] * u[perm, :1 << k]
         return u
     # The whole-matrix fill makes column x from column x - 2^k (k the top bit
     # of x) by one image; applying the images of x's bits from the lowest up
@@ -195,7 +221,7 @@ def random_clifford(n: int, seed, columns=None) -> np.ndarray:
     u = np.empty((d, len(columns)), dtype=complex)
     for j, x in enumerate(columns):
         col = phi
-        for k, (perm, phase) in enumerate(images):
+        for k, (perm, phase) in images.items():
             if int(x) >> k & 1:
                 col = phase * col[perm]
         u[:, j] = col

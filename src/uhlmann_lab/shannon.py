@@ -113,6 +113,16 @@ def decoupling_fidelity(ch: ChannelDesc) -> float:
     return factor_fidelity(joint, np.kron(marg, root))
 
 
+def check_decoding_caps(d_in: int, d_out: int, d_env: int) -> None:
+    """The caps that ``decoupling_fidelity`` and then ``decoder_from_uhlmann``
+    apply to a channel with these dimensions, checked from the dimensions
+    alone, so a caller can refuse a size before it builds the channel."""
+    # The decoupling product factor (d_env x d_out d_in) ⊗ (d_in x d_in) and
+    # the decoder instance's vector hold the same d_in^3 d_out d_env entries.
+    check_pure_cap(d_in ** 3 * d_out * d_env, "decoupling product factor")
+    check_matrix_cap(d_out * d_in * d_in * d_out, "decoder isometry")
+
+
 def _decoder_instance(ch: ChannelDesc):
     """The Uhlmann instance of the purification pair (|E>, |F>), split as
     ((C, R) | (B, A', R'))."""

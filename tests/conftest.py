@@ -18,6 +18,21 @@ from uhlmann_lab.qcore import GATES, ChannelDesc, GateCircuit
 from uhlmann_lab.qcore import linalg
 
 
+_PAULI_1 = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),          # X
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),          # Z
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),        # Y = iXZ
+}
+
+
+def pauli_matrix(v: np.ndarray, sign: int = 0) -> np.ndarray:
+    """Hermitian Pauli for interleaved bits v: (-1)^sign i^{x.z} ⊗ X^x Z^z."""
+    n = v.size // 2
+    m = linalg.kron_all([_PAULI_1[(int(v[2 * i]), int(v[2 * i + 1]))] for i in range(n)])
+    return -m if sign else m
+
+
 def swap_matrix(d1: int, d2: int) -> np.ndarray:
     """SWAP between two registers: |i>|j> -> |j>|i>."""
     return linalg.permute_rows(np.eye(d1 * d2), [d1, d2], [1, 0])

@@ -597,7 +597,8 @@ def test_compress_admits_what_the_factor_cap_admits(capsys):
 
 @pytest.mark.parametrize("argv", [["blackhole", "--param", "qubits=12", "--param", "r=6"],
                                   ["blackhole", "--param", "qubits=14", "--param", "r=2"],
-                                  ["channel", "--param", "qubits=11"]])
+                                  ["channel", "--param", "qubits=11"],
+                                  ["blackhole", "--param", "qubits=17", "--param", "r=2"]])
 def test_decoding_admits_what_its_isometries_admit(argv, capsys):
     # The Clifford's two input columns and the decoder's dB input columns are
     # all that is built, so these run though a 2^n x 2^n unitary is over cap.
@@ -608,8 +609,16 @@ def test_decoding_admits_what_its_isometries_admit(argv, capsys):
 @pytest.mark.parametrize("argv, what", [
     (["channel", "--param", "qubits=13"], "decoder isometry dimension 67108864"),
     (["blackhole", "--param", "qubits=20", "--param", "r=2"],
-     "materialized Clifford dimension 67108864")])
-def test_oversize_decoding_exits_2_before_allocating(argv, what, capsys):
+     "materialized Clifford dimension 2097152"),
+    (["blackhole", "--param", "qubits=18", "--param", "r=2"],
+     "decoupling product factor dimension 2097152"),
+    (["blackhole", "--param", "qubits=12", "--param", "r=12"], "decoder isometry dimension")])
+def test_oversize_decoding_exits_2_before_allocating(argv, what, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("random_clifford called")
+
+    # Every cap is checked from n and r before the Clifford is drawn.
+    monkeypatch.setattr(cli, "random_clifford", never)
     tracemalloc.start()
     try:
         code = main(argv)
@@ -617,9 +626,21 @@ def test_oversize_decoding_exits_2_before_allocating(argv, what, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2 and what in capsys.readouterr().err
-    # The refused array would be 1 GiB or more; the largest array built first
-    # is one 64-column block of the Clifford's stabilizer scan (8 MiB at n = 13).
-    assert peak < 64 * 2 ** 20
+    # The refused array would be 8 MiB or more (the two Clifford columns at
+    # n = 18); nothing of the run's size is built.
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("source", ["haar:128", "haar:1024", "mm:7"])
+def test_compress_roundtrip_cap_is_checked_before_any_codec(source, capsys, monkeypatch):
+    from uhlmann_lab import shannon
+
+    def never(*args, **kwargs):
+        raise AssertionError("codec built")
+
+    monkeypatch.setattr(shannon, "compress", never)
+    assert main(["compress", "--param", f"source={source}", "--param", "seeds=1"]) == 2
+    assert "roundtrip state dimension" in capsys.readouterr().err
 
 
 def test_amplify_solver_fidelity_check_can_fail(capsys, monkeypatch):

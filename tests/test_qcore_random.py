@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import swap_matrix
+from conftest import pauli_matrix, swap_matrix
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
 from uhlmann_lab.qcore import random_clifford, random_state, random_symplectic
-from uhlmann_lab.qcore.random_ops import pauli_action, pauli_matrix
+from uhlmann_lab.qcore.random_ops import (_find_transvection, _support_start, _transvection,
+                                          pauli_action)
 from uhlmann_lab.rng import Seed, as_seed, child_seed, generator
 
 
@@ -157,16 +158,21 @@ def _projector_clifford(n, seed):
     return u
 
 
-# Seeds child_seed(3, "blocks", 100 n + s) whose U|0^n> has its first nonzero
-# amplitude past the first 64 basis states, so the block scan reads more than
-# one block.
-_MULTI_BLOCK = {7: (146, 191), 8: (9, 47), 9: (10, 32), 10: (24, 48)}
+# Seeds whose U|0^n> has a late first nonzero amplitude: at index 64 or past
+# it for child_seed(3, "blocks", 100 n + s), and at 2^(n-1) or past it (the
+# top bit set on the whole support) for child_seed(3, "support", 100 n + s).
+_PAST_64 = {7: (146, 191), 8: (9, 47), 9: (10, 32), 10: (24, 48)}
+_TOP_BIT = {2: (2, 11), 3: (18, 63), 4: (12, 28), 5: (91, 166), 6: (91, 261), 7: (314,),
+            9: (372,)}
 
 
 def _clifford_cases(n, count):
-    seeds = [child_seed(3, "bits", 10 * n + s) for s in range(count)]
-    multi = [child_seed(3, "blocks", 100 * n + s) for s in _MULTI_BLOCK.get(n, ())]
-    return [(seed, False) for seed in seeds] + [(seed, True) for seed in multi]
+    """(seed, an index the first nonzero amplitude of U|0^n> is known to reach)."""
+    cases = [(child_seed(3, "bits", 10 * n + s), 0) for s in range(count)]
+    cases += [(child_seed(3, "blocks", 100 * n + s), 64) for s in _PAST_64.get(n, ())]
+    cases += [(child_seed(3, "support", 100 * n + s), 2 ** (n - 1))
+              for s in _TOP_BIT.get(n, ())]
+    return cases
 
 
 def test_clifford_equals_dense_pauli_construction_bit_for_bit():
@@ -174,12 +180,11 @@ def test_clifford_equals_dense_pauli_construction_bit_for_bit():
     # times 0), so zeros are made +0.0 on both sides; the signs of zeros are
     # compared with the full-projector oracle below.
     for n in range(1, 9):
-        for seed, multi_block in _clifford_cases(n, 4):
+        for seed, start in _clifford_cases(n, 4):
             fast = random_clifford(n, seed)
             dense = _dense_pauli_clifford(n, seed)
             assert (fast + 0.0).tobytes() == (dense + 0.0).tobytes()
-            if multi_block:
-                assert np.flatnonzero(fast[:, 0])[0] >= 64
+            assert np.flatnonzero(fast[:, 0])[0] >= start
 
 
 def test_clifford_equals_full_projector_construction_bit_for_bit():
@@ -187,23 +192,75 @@ def test_clifford_equals_full_projector_construction_bit_for_bit():
         d = 2 ** n
         # The channel input columns, the last (every image applied) and a spread.
         columns = sorted({0, d // 2, d - 1, d // 3, (5 * d) // 7})
-        for seed, multi_block in _clifford_cases(n, 4 if n < 9 else 2):
+        for seed, start in _clifford_cases(n, 4 if n < 9 else 2):
             fast = random_clifford(n, seed)
             assert fast.tobytes() == _projector_clifford(n, seed).tobytes()
             picked = random_clifford(n, seed, columns=columns)
             assert picked.tobytes() == fast[:, columns].tobytes()
-            if multi_block:
-                assert np.flatnonzero(fast[:, 0])[0] >= 64
+            assert random_clifford(n, seed, columns=(0, d // 2)).tobytes() == \
+                fast[:, [0, d // 2]].tobytes()
+            assert np.flatnonzero(fast[:, 0])[0] >= start
+
+
+def test_support_start_is_the_projectors_first_nonzero_column():
+    for n in range(1, 9):
+        for seed, start in _clifford_cases(n, 25):
+            rng = as_seed(seed).child("clifford").generator()
+            g = random_symplectic(n, rng)
+            signs = rng.integers(0, 2, size=2 * n)
+            paulis = [(g[2 * i + 1], int(signs[2 * i + 1])) for i in range(n)]
+            proj = np.eye(2 ** n, dtype=complex)
+            for v, sign in paulis:
+                proj = 0.5 * (proj + pauli_matrix(v, sign) @ proj)
+            first = int(np.flatnonzero(proj.any(axis=0))[0])
+            assert _support_start([pauli_action(v, sign) for v, sign in paulis]) == first
+            assert first >= start
+
+
+def _per_row_symplectic(n, rng):
+    """The Koenig-Smolin draw with its four transvections applied one row at a time."""
+    nn = 2 * n
+    f1 = rng.integers(0, 2, size=nn)
+    while not f1.any():
+        f1 = rng.integers(0, 2, size=nn)
+    e1 = np.zeros(nn, dtype=np.int64)
+    e1[0] = 1
+    t = _find_transvection(e1, f1)
+    bits = rng.integers(0, 2, size=nn - 1)
+    eprime = e1.copy()
+    eprime[2:] = bits[1:]
+    h0 = _transvection(t[1], _transvection(t[0], eprime))
+    if bits[0] == 1:
+        f1 = f1 * 0
+    g = np.eye(nn, dtype=np.int64)
+    if n > 1:
+        g[2:, 2:] = _per_row_symplectic(n - 1, rng)
+    for j in range(nn):
+        for h in (t[0], t[1], h0, f1):
+            product = int(h[0::2] @ g[j, 1::2] + h[1::2] @ g[j, 0::2]) % 2
+            g[j] = (g[j] + product * h) % 2
+    return g
+
+
+def test_symplectic_equals_per_row_transvections():
+    for n in range(1, 13):
+        for seed in range(40 if n < 8 else 10):
+            fast, slow = generator(seed), generator(seed)
+            g = random_symplectic(n, fast)
+            ref = _per_row_symplectic(n, slow)
+            assert g.dtype == ref.dtype and np.array_equal(g, ref)
+            # Both drew the same numbers: the generators are in the same state.
+            assert fast.integers(2 ** 62) == slow.integers(2 ** 62)
 
 
 def test_clifford_cap_counts_the_columns_built():
     with pytest.raises(DimensionCapError, match="materialized Clifford dimension 4194304"):
         random_clifford(11, 1)
     assert random_clifford(12, 1, columns=(0, 2048)).shape == (4096, 2)
-    assert random_clifford(14, 1, columns=(0,)).shape == (16384, 1)
-    # The stabilizer scan's 64-column blocks count too: 2^15 x 64 > 2^20.
+    # d * len(columns) entries: 2^16 x 2 is in the cap, 2^20 x 2 is not.
+    assert random_clifford(16, 1, columns=(0, 1)).shape == (65536, 2)
     with pytest.raises(DimensionCapError, match="materialized Clifford dimension 2097152"):
-        random_clifford(15, 1, columns=(0, 1))
+        random_clifford(20, 1, columns=(0, 1))
 
 
 def test_clifford_needs_a_qubit():

@@ -115,6 +115,9 @@ COMMANDS = [
     "blackhole --param qubits=12 --param r=6",
     "blackhole --param qubits=14 --param r=2",
     "blackhole --param qubits=15 --param r=2",
+    "blackhole --param qubits=16 --param r=2",
+    "blackhole --param qubits=17 --param r=2",
+    "blackhole --param qubits=18 --param r=2",
     "blackhole blackhole.json",
     "interfere --param pairs=3",
     "interfere pair.json",
