@@ -12,6 +12,7 @@ and wall-clock time go to stderr. Exit codes: 0 all asserted bounds pass,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -38,6 +39,11 @@ def _check(name: str, measured: float, bound: float, formula: str,
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at ``path``. The cyclic collector is off while it
+    parses: the fresh lists of a large instance hold no cycles, and scanning
+    them again and again is a third of the parse."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -45,6 +51,9 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}")
     except OSError as exc:
         raise UsageError(f"{path}: {exc}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load(path: str, build):
@@ -246,13 +255,13 @@ def run_szk(args):
     psi, phi = x.states()
     expected = info["kappa"] ** m if prover_name == "honest" \
         else abs(psi.overlap(phi)) ** (2 * m)
-    accepts = 0
-    records = []
-    for t in range(args.trials):
-        res = protocols.szk_run(x, m, prover, args.seed.child("szk-trial", t))
-        accepts += res.accepted
-        for entry in res.transcript:
-            records.append({"trial": t, **entry})
+    seeds = (args.seed.child("szk-trial", t) for t in range(args.trials))
+    accepts, records = 0, []
+    for t, (accepted, record) in enumerate(
+            protocols.szk_trials(x, m, prover, seeds, records=bool(args.transcript))):
+        accepts += accepted
+        if record is not None:
+            records.append({"trial": t, **record})
     _write_transcript(args, records)
     rate = accepts / args.trials
     sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / args.trials)
@@ -317,9 +326,9 @@ def run_amplify(args):
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
     protocols.check_amplifier_cap(x.dA, x.dB, k, g_dim=2, T=t_rounds)
-    solver, _ = protocols.engineered_solver(x, k, nu)
+    solver, solver_nu = protocols.engineered_solver(x, k, nu)
     cfg = protocols.AmplifierConfig(k, t_rounds, args.seed)
-    res = protocols.amplify_run(x, solver, cfg, args.trials)
+    res = protocols.amplify_run(x, solver, cfg, args.trials, nu=solver_nu)
     results = {"nu_requested": nu, "nu": res["nu"], "k": k, "T": t_rounds,
                "trials": args.trials,
                "empirical_fidelity": res["empirical_fidelity"],
@@ -549,21 +558,7 @@ def _dumps(report) -> str:
     in the report contains it.
     """
     strings, arrays = [], []
-
-    def swap(obj):
-        if isinstance(obj, dict):
-            strings.extend(key for key in obj if isinstance(key, str))
-            return {key: swap(val) for key, val in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            if obj and all(isinstance(v, float) and math.isfinite(v) for v in obj):
-                arrays.append(obj)
-                return _Splice(len(arrays) - 1)
-            return [swap(v) for v in obj]
-        if isinstance(obj, str):
-            strings.append(obj)
-        return obj
-
-    swapped = swap(report)
+    swapped = _swap_arrays(report, strings, arrays)
     mark = "SPLICE"
     while any(mark in text for text in strings):
         mark += "_"
@@ -581,6 +576,25 @@ def _dumps(report) -> str:
         return f"{outer}{match[2]}[\n{ind}{body}\n{outer}]"
 
     return re.sub(rf'^( *)(.*?)"{mark}(\d+)"', splice, text, flags=re.M)
+
+
+def _swap_arrays(obj, strings: list, arrays: list):
+    """``obj`` with each non-empty list of finite floats appended to
+    ``arrays`` and replaced by its ``_Splice``; every string met, keys
+    included, is appended to ``strings``. A module function, not a closure
+    that calls itself: that would be a reference cycle keeping ``arrays``
+    alive until the cyclic collector runs."""
+    if isinstance(obj, dict):
+        strings.extend(key for key in obj if isinstance(key, str))
+        return {key: _swap_arrays(val, strings, arrays) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(v, float) and math.isfinite(v) for v in obj):
+            arrays.append(obj)
+            return _Splice(len(arrays) - 1)
+        return [_swap_arrays(v, strings, arrays) for v in obj]
+    if isinstance(obj, str):
+        strings.append(obj)
+    return obj
 
 
 class _Splice:

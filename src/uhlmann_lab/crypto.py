@@ -87,11 +87,9 @@ class CommitmentScheme:
     def from_json_dict(data: dict) -> "CommitmentScheme":
         if "raw" in data:
             raw = data["raw"]
-            dec = lambda pairs: np.array([complex(re, im) for re, im in pairs])
             split = (int(raw["dC"]), int(raw["dR"]))
-            return CommitmentScheme(raw_states=(
-                BipartiteState(dec(raw["psi0"]), split),
-                BipartiteState(dec(raw["psi1"]), split)))
+            return CommitmentScheme(raw_states=(BipartiteState.from_pairs(raw["psi0"], split),
+                                                BipartiteState.from_pairs(raw["psi1"], split)))
         return CommitmentScheme(C0=GateCircuit.from_json_dict(data["C0"]),
                                 C1=GateCircuit.from_json_dict(data["C1"]),
                                 commit_registers=tuple(data["commit"]))

@@ -85,12 +85,14 @@ def bh_decode(inst: BlackHoleInstance, min_decoupling: float = 0.0) -> dict:
 @dataclass(frozen=True)
 class OrthPair:
     """Two n-qubit circuits (or raw vectors) with orthogonal output states,
-    simulated once, at construction."""
+    simulated once, at construction. The controlled swap between them is
+    solved on first use and held."""
 
     C: Optional[GateCircuit] = None
     D: Optional[GateCircuit] = None
     raw: Optional[tuple] = None
     _vectors: tuple = field(init=False, repr=False, compare=False)
+    _swap: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.raw is not None:
@@ -113,6 +115,14 @@ class OrthPair:
 
     def vectors(self) -> tuple:
         return self._vectors
+
+    def controlled_swap(self) -> np.ndarray:
+        """``controlled_swap_from_uhlmann(self)``, solved once per pair."""
+        if self._swap is None:
+            swap = controlled_swap_from_uhlmann(self)
+            swap.setflags(write=False)
+            object.__setattr__(self, "_swap", swap)
+        return self._swap
 
 
 @dataclass(frozen=True)
@@ -215,9 +225,7 @@ def interference_detect(pair: OrthPair, state, tol: float = 1e-6) -> int:
     if isinstance(state, BipartiteState):
         state = state.amplitudes
     state = np.asarray(state, dtype=complex).reshape(-1)
-    ctrl = controlled_swap_from_uhlmann(pair)
-    test = HadamardTestCircuit(ctrl)
-    res = test.run(state)
+    res = HadamardTestCircuit(pair.controlled_swap()).run(state)
     if min(res["p0"], res["p1"]) > tol:
         raise ValueError(
             f"input violates the ± promise: outcome probabilities "

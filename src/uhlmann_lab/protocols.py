@@ -89,61 +89,133 @@ def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> Protoco
     output.
     """
     psi, phi = x.states()
+    test = _PermutationTest(psi, phi, m, prover)
+    perm, accept_prob, accepted = _szk_coins(test, m, seed)
+    factor = test(perm)[1]
+    out = (DensityOp(factor @ factor.conj().T, psi.split)
+           if accepted and factor is not None else None)
+    return ProtocolResult(accepted, accept_prob, out,
+                          [_szk_record(test, perm, accept_prob, accepted)])
+
+
+def szk_trials(x: UhlmannInstance, m: int, prover: ProverStrategy, seeds,
+               records: bool = False):
+    """``szk_run`` at each seed, without the output states: yields each
+    run's (accepted, transcript record), the record None unless ``records``.
+
+    The runs share one verifier, so a product prover is solved once per
+    input slot, and the coins are drawn as ``szk_run`` draws them.
+    """
+    psi, phi = x.states()
+    test = _PermutationTest(psi, phi, m, prover)
+    for seed in seeds:
+        perm, accept_prob, accepted = _szk_coins(test, m, seed)
+        yield accepted, (_szk_record(test, perm, accept_prob, accepted) if records else None)
+
+
+def _szk_coins(test: _PermutationTest, m: int, seed):
+    """(perm, accept prob, accepted) of one run: the permutation is drawn
+    first, then the acceptance coin."""
     rng = as_seed(seed).child("szk").generator()
     perm = rng.permutation(m + 1)
-    accept_prob, factor = _permutation_test(psi, phi, m, perm, prover)
-    accepted = bool(rng.random() < accept_prob)
-    out, td = None, None
-    if accepted and factor is not None:
-        out = DensityOp(factor @ factor.conj().T, psi.split)
-        td = factor_trace_distance(factor, phi.amplitudes)
-    transcript = [{"round": 1, "perm": [int(p) for p in perm], "accept_prob": accept_prob,
-                   "accepted": accepted, "output_td_to_target": td}]
-    return ProtocolResult(accepted, accept_prob, out, transcript)
+    accept_prob = test(perm)[0]
+    return perm, accept_prob, bool(rng.random() < accept_prob)
+
+
+def _szk_record(test: _PermutationTest, perm, accept_prob: float, accepted: bool) -> dict:
+    return {"round": 1, "perm": perm.tolist(), "accept_prob": accept_prob,
+            "accepted": accepted,
+            "output_td_to_target": test.output_distance(perm) if accepted else None}
 
 
 def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
                       prover: ProverStrategy, prep_error: float = 0.0):
-    """The permutation-test verifier for one permutation (slot j holds
-    register perm[j]), with the m test copies oracle-prepared at error
-    ``prep_error`` (0 is the ideal oracle). Product provers are solved in
-    closed form, joint provers by the dense simulation.
+    """``_PermutationTest(psi, phi, m, prover, prep_error)(perm)``."""
+    return _PermutationTest(psi, phi, m, prover, prep_error)(perm)
 
-    Returns the acceptance probability and a factor L of the (A_0, B_0)
-    output given acceptance, or L = None for a joint prover accepted with
-    probability at most 1e-12.
+
+class _PermutationTest:
+    """The permutation-test verifier as a function of the permutation (slot
+    j holds register perm[j]), with the m test copies oracle-prepared at
+    error ``prep_error`` (0 is the ideal oracle). Calling it returns the
+    acceptance probability and a factor L of the (A_0, B_0) output given
+    acceptance, or L = None for a joint prover accepted with probability at
+    most 1e-12.
+
+    Product provers are solved in closed form, joint provers by the dense
+    simulation. A product prover acts on each slot alone, so a run depends
+    on the permutation only through j0, the slot that receives the input
+    register: that slot gives the output, whatever the test block holds, and
+    each test slot j contributes its row D^dag L_j. A factor object shared by
+    several slots (the honest prover's one unitary) is applied once; the
+    products still run over the test slots in order; and each j0 is solved
+    once.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # Checked whether or not a run accepts, so admission does not depend on the coins.
-    check_density_cap(psi.dA * psi.dB, "verifier output state")
-    if not prover.is_product():
-        return _joint_test(psi, phi, m, perm, prover, prep_error)
-    if len(prover.factors) != m + 1:
-        raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
-    # Each slot acts alone: the input's slot gives the output, whatever the
-    # test block holds, and each test slot j contributes its row D^dag L_j.
-    # A factor object shared by several slots (the honest prover's one
-    # unitary) is applied once; the products still run over the slots in order.
-    j0 = int(np.flatnonzero(perm == 0)[0])
-    keys = list(map(id, prover.factors))
-    slots = keys[:j0] + keys[j0 + 1:]
-    in_order = lambda per_factor: np.prod(list(map(per_factor.__getitem__, slots)))
-    factors = dict(zip(keys, prover.factors))
-    actions = {key: _factor_action(factor, psi) for key, factor in factors.items()}
-    target = phi.amplitudes.conj()
-    xs = {key: target @ actions[key] for key in set(slots)}
-    accept = float(in_order({key: np.linalg.norm(x) ** 2 for key, x in xs.items()}))
-    if prep_error > 0.0:
-        # The junk block's accepted amplitude is (Y - c X) / sqrt(1 - |c|^2),
-        # X and Y the products of the rows on C and on E.
-        e, c = _junk_basis(psi, m)
-        ys = {key: target @ _factor_action(factors[key], e) for key in xs}
-        yy = float(in_order({key: np.linalg.norm(y) ** 2 for key, y in ys.items()}))
-        yx = in_order({key: np.vdot(ys[key], xs[key]) for key in xs})
-        junk = (yy - 2.0 * (c * yx).real + abs(c) ** 2 * accept) / (1.0 - abs(c) ** 2)
-        accept = (1.0 - prep_error) * accept + prep_error * junk
-    return accept, actions[keys[j0]]
+
+    def __init__(self, psi: BipartiteState, phi: BipartiteState, m: int,
+                 prover: ProverStrategy, prep_error: float = 0.0):
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        # Checked whether or not a run accepts, so admission does not depend on the coins.
+        check_density_cap(psi.dA * psi.dB, "verifier output state")
+        self.psi, self.phi, self.m = psi, phi, m
+        self.prover, self.prep_error = prover, prep_error
+        self._runs, self._distances = {}, {}
+        if not prover.is_product():
+            return
+        if len(prover.factors) != m + 1:
+            raise DimensionMismatch(f"prover has {len(prover.factors)} factors, needs {m + 1}")
+        ids = list(map(id, prover.factors))
+        distinct = dict(zip(ids, prover.factors))
+        index = {key: i for i, key in enumerate(distinct)}
+        self._factors = list(distinct.values())
+        # The distinct factor each slot holds.
+        self._slot_factor = np.array([index[key] for key in ids])
+        self._actions = [_factor_action(factor, psi) for factor in self._factors]
+        self._target = phi.amplitudes.conj()
+        self._rows = [self._target @ action for action in self._actions]
+        row_weights = np.array([np.linalg.norm(row) ** 2 for row in self._rows])
+        self._slot_weights = row_weights[self._slot_factor]
+
+    def __call__(self, perm):
+        # A run depends on j0 alone for a product prover, on the whole
+        # permutation for a joint one.
+        key = (int(np.flatnonzero(perm == 0)[0]) if self.prover.is_product()
+               else np.asarray(perm).tobytes())
+        if key not in self._runs:
+            self._runs[key] = (self._product_run(key) if self.prover.is_product() else
+                               _joint_test(self.psi, self.phi, self.m, perm, self.prover,
+                                           self.prep_error))
+        return self._runs[key]
+
+    def output_distance(self, perm) -> Optional[float]:
+        """Trace distance from the output given acceptance to |D><D|, or
+        None when there is no output factor; computed once per factor."""
+        factor = self(perm)[1]
+        if factor is None:
+            return None
+        # Every factor stays held in self._runs, so its id is not reused.
+        if id(factor) not in self._distances:
+            self._distances[id(factor)] = factor_trace_distance(factor, self.phi.amplitudes)
+        return self._distances[id(factor)]
+
+    def _product_run(self, j0: int):
+        # Per-slot values of the test slots, in slot order.
+        tests = lambda per_slot: np.concatenate((per_slot[:j0], per_slot[j0 + 1:]))
+        accept = float(np.prod(tests(self._slot_weights)))
+        if self.prep_error > 0.0:
+            # The junk block's accepted amplitude is (Y - c X) / sqrt(1 - |c|^2),
+            # X and Y the products of the rows on C and on E.
+            e, c = _junk_basis(self.psi, self.m)
+            slots = tests(self._slot_factor)
+            yy, yx = np.zeros(len(self._factors)), np.zeros(len(self._factors), dtype=complex)
+            for i in np.unique(slots).tolist():
+                y = self._target @ _factor_action(self._factors[i], e)
+                yy[i], yx[i] = np.linalg.norm(y) ** 2, np.vdot(y, self._rows[i])
+            junk = ((float(np.prod(yy[slots])) - 2.0 * (c * np.prod(yx[slots])).real
+                     + abs(c) ** 2 * accept) / (1.0 - abs(c) ** 2))
+            accept = (1.0 - self.prep_error) * accept + self.prep_error * junk
+        return accept, self._actions[self._slot_factor[j0]]
 
 
 def _factor_action(factor, psi: BipartiteState) -> np.ndarray:
@@ -242,9 +314,10 @@ def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
     else:
         rng = as_seed(seed).child("szk-cond").generator()
         perms = [rng.permutation(m + 1) for _ in range(samples or 200)]
+    test = _PermutationTest(psi, phi, m, prover)
     acc, mat, wsum = 0.0, 0.0, 0.0
     for perm in perms:
-        p, factor = _permutation_test(psi, phi, m, perm, prover)
+        p, factor = test(perm)
         acc += p / len(perms)
         if factor is not None:
             mat = mat + p * (factor @ factor.conj().T)
@@ -488,11 +561,13 @@ def _amp_fidelity_for_index(x: UhlmannInstance, solver: FoldedSolver, k: int, T:
 
 
 def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
-                trials: int) -> dict:
+                trials: int, nu: Optional[float] = None) -> dict:
     """Monte-Carlo the amplifier: sample i per trial, measure single-copy fidelity.
 
     The coherent evolution is deterministic given i, so the per-index
-    fidelities are computed once and trials sample the index.
+    fidelities are computed once and trials sample the index. ``nu`` is the
+    solver's folded fidelity, computed here unless the caller has it (as
+    ``engineered_solver`` returns it).
     """
     psi, _ = x.states()
     dbk = psi.dB ** cfg.k * solver.g_dim
@@ -505,7 +580,8 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     rng = cfg.seed.child("amplify").generator()
     draws = rng.integers(0, cfg.k, size=trials)
     samples = np.array([per_index[i] for i in draws])
-    nu = folded_fidelity(x, solver, cfg.k)
+    if nu is None:
+        nu = folded_fidelity(x, solver, cfg.k)
     bound = amplification_bound(nu, cfg.T, cfg.k)
     sem = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return {

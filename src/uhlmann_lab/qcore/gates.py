@@ -78,9 +78,9 @@ class GateCircuit:
                 f"state dimension {vec.shape} does not match {self.n_qubits} qubits")
         check_pure_cap(vec.size)
         out = vec.astype(complex).reshape(-1)
-        dims = [2] * self.n_qubits + list(vec.shape[1:])
+        dims = (2,) * self.n_qubits + vec.shape[1:]
         for g, qs in self.gates:
-            out = linalg.apply_matrix_to_registers(out, dims, GATES[g], list(qs))
+            out = linalg.apply_matrix_to_registers(out, dims, GATES[g], qs)
         return out.reshape(vec.shape)
 
     def state(self) -> np.ndarray:

@@ -7,6 +7,7 @@ and ``vec.reshape(dims)`` puts register i on axis i.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -33,23 +34,46 @@ def apply_matrix_to_registers(vec: np.ndarray, dims: Sequence[int], mat: np.ndar
     """Apply ``mat`` to the given registers of a state vector.
 
     ``mat`` acts on the tensor product of the target registers in the order
-    listed; all other registers are untouched.
+    listed; all other registers are untouched. The targets are moved to the
+    front by one transpose-copy, ``mat`` multiplies the (targets, rest)
+    matrix, and one transpose moves them back; the shapes and axis orders
+    come from ``_register_plan``.
     """
-    dims = list(dims)
-    targets = list(targets)
-    d_t = math.prod(dims[t] for t in targets)
-    if mat.shape != (d_t, d_t):
-        raise DimensionMismatch(f"matrix shape {mat.shape} does not act on dims {d_t}")
-    tensor = vec.reshape(dims)
-    rest = [a for a in range(len(dims)) if a not in targets]
-    tensor = np.transpose(tensor, targets + rest)
-    d_r = math.prod(dims[a] for a in rest)
-    tensor = tensor.reshape(d_t, d_r)
-    tensor = mat @ tensor
-    tensor = tensor.reshape([dims[t] for t in targets] + [dims[a] for a in rest])
-    inverse = np.argsort(targets + rest)
-    tensor = np.transpose(tensor, inverse)
-    return tensor.reshape(-1)
+    shape, forward, flat, middle, backward = _register_plan(tuple(dims), tuple(targets))
+    if mat.shape != (flat[0], flat[0]):
+        raise DimensionMismatch(f"matrix shape {mat.shape} does not act on dims {flat[0]}")
+    tensor = vec.reshape(shape).transpose(forward).reshape(flat)
+    return (mat @ tensor).reshape(middle).transpose(backward).reshape(-1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _register_plan(dims: tuple, targets: tuple) -> tuple:
+    """(shape, forward, flat, middle, backward) for ``apply_matrix_to_registers``.
+
+    Each run of adjacent untouched registers is merged into one axis of
+    ``shape``, which leaves the (targets, rest) matrix ``flat`` and its
+    element order as they are. ``forward`` puts the target axes first, in the
+    listed order, and ``backward`` undoes it on ``middle``, the product's
+    (target dims, merged rest dims) shape.
+    """
+    if len(set(targets)) != len(targets) or not all(0 <= t < len(dims) for t in targets):
+        raise DimensionMismatch(f"targets {list(targets)} are not distinct registers "
+                                f"of {len(dims)}")
+    shape, axis_of = [], {}
+    for reg, d in enumerate(dims):
+        if reg in targets:
+            axis_of[reg] = len(shape)
+            shape.append(d)
+        elif reg == 0 or reg - 1 in targets:
+            shape.append(d)
+        else:
+            shape[-1] *= d
+    rest = [axis for axis in range(len(shape)) if axis not in axis_of.values()]
+    forward = tuple(axis_of[t] for t in targets) + tuple(rest)
+    middle = tuple(shape[axis] for axis in forward)
+    flat = (math.prod(dims[t] for t in targets),
+            math.prod(d for reg, d in enumerate(dims) if reg not in targets))
+    return tuple(shape), forward, flat, middle, tuple(np.argsort(forward).tolist())
 
 
 def apply_matrix_to_registers_dm(rho: np.ndarray, dims: Sequence[int], mat: np.ndarray,

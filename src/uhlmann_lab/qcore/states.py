@@ -38,6 +38,17 @@ class BipartiteState:
         if not abs(nrm - 1.0) <= _VALIDATE_ATOL:  # NaN fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3g}")
 
+    @staticmethod
+    def from_pairs(pairs, split) -> "BipartiteState":
+        """The state whose amplitudes are listed as [re, im] number pairs,
+        the form instance and scheme files hold. The pairs are read into a
+        float (n, 2) array viewed as complex, which gives the bits of
+        complex(re, im); strings, other lengths and ragged lists are refused."""
+        parts = np.array(pairs)
+        if parts.dtype.kind not in "biuf" or parts.ndim != 2 or parts.shape[1] != 2:
+            raise ValueError("amplitudes must be a list of [re, im] number pairs")
+        return BipartiteState(np.ascontiguousarray(parts, dtype=float).view(complex), split)
+
     @property
     def dA(self) -> int:
         return self.split[0]

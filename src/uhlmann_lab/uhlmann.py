@@ -88,11 +88,9 @@ class UhlmannInstance:
     def from_json_dict(data: dict) -> "UhlmannInstance":
         if "raw" in data:
             raw = data["raw"]
-            dA, dB = int(raw["dA"]), int(raw["dB"])
-            dec = lambda pairs: np.array([complex(re, im) for re, im in pairs])
-            psi = BipartiteState(dec(raw["psi"]), (dA, dB))
-            phi = BipartiteState(dec(raw["phi"]), (dA, dB))
-            return UhlmannInstance(raw_pair=(psi, phi))
+            split = (int(raw["dA"]), int(raw["dB"]))
+            return UhlmannInstance(raw_pair=(BipartiteState.from_pairs(raw["psi"], split),
+                                             BipartiteState.from_pairs(raw["phi"], split)))
         return UhlmannInstance(n=int(data["n"]),
                                C=GateCircuit.from_json_dict(data["C"]),
                                D=GateCircuit.from_json_dict(data["D"]))

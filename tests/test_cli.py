@@ -696,9 +696,15 @@ def _raw(psi, **extra):
     ("blackhole", {"circuit": EPR_GATES, "r": 5}),
     ("interfere", {"C": EPR_GATES, "D": {"n_qubits": 2, "gates": [{"g": "H", "q": [9]}]}}),
     ("entropy", {"gates": []}),
+    ("uhlmann", _raw([["1", "0"], ["0", "0"]])),
+    ("uhlmann", _raw([[1, 0, 0], [0, 0, 0]])),
+    ("uhlmann", _raw([[1, 0], [0]])),
+    ("commit", {"raw": {"dC": 1, "dR": 2, "psi0": [[1, 0], ["0", 0]],
+                        "psi1": [[0, 0], [1, 0]]}}),
 ], ids=["unnormalized", "nan_string", "nan_literal", "missing_dB", "unknown_gate",
         "config_list", "config_trials", "config_inline_instance", "commit", "channel",
-        "blackhole", "interfere", "entropy_state"])
+        "blackhole", "interfere", "entropy_state", "string_pairs", "three_element_pairs",
+        "ragged_pairs", "commit_string_pair"])
 def test_malformed_input_file_exits_2(scenario, content, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -746,6 +752,86 @@ def test_generated_instance_state_cap():
 def test_report_writer_matches_json_dumps(report):
     from uhlmann_lab.cli import _dumps
     assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_report_writer_leaves_no_cycle_holding_the_report():
+    # With the cyclic collector off, the report's float lists are freed as
+    # soon as the caller drops the report.
+    import gc
+    import weakref
+    from uhlmann_lab.cli import _dumps
+
+    class Floats(list):
+        pass
+
+    report = {"w_matrix": Floats([0.5, -1.25]), "nested": [Floats([2.0])]}
+    refs = [weakref.ref(report["w_matrix"]), weakref.ref(report["nested"][0])]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+        del report
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("content", ['{"raw": {}}', '{"raw": ', None])
+def test_load_json_restores_the_collector_state(collecting, content, tmp_path):
+    import gc
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if content == '{"raw": {}}':
+            assert cli._load_json(str(path)) == {"raw": {}}
+        else:  # a parse error, or a missing file
+            with pytest.raises(cli.UsageError):
+                cli._load_json(str(path))
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_interfere_solves_one_controlled_swap_per_pair(capsys, monkeypatch):
+    import uhlmann_lab.physics as physics
+    real = physics.controlled_swap_from_uhlmann
+    solved = []
+    monkeypatch.setattr(physics, "controlled_swap_from_uhlmann",
+                        lambda pair: solved.append(pair) or real(pair))
+    code, report = run_cli(capsys, "interfere", "--param", "pairs=3")
+    assert code == 0 and report["results"]["correct"] == 6
+    assert len(solved) == 3 and len({id(pair) for pair in solved}) == 3
+
+
+def test_amplify_computes_the_folded_fidelity_once(capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    real = protocols.folded_fidelity
+    calls = []
+    monkeypatch.setattr(protocols, "folded_fidelity",
+                        lambda *args: calls.append(args) or real(*args))
+    code, report = run_cli(capsys, "amplify", "--param", "k=3", "--trials", "20")
+    assert code == 0 and len(calls) == 1
+    assert report["results"]["nu"] == real(*calls[0])
+
+
+def test_szk_builds_transcript_records_only_when_asked(tmp_path, capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    real = protocols._szk_record
+    built = []
+    monkeypatch.setattr(protocols, "_szk_record",
+                        lambda *args: built.append(1) or real(*args))
+    argv = ["szk", "--param", "m=3", "--trials", "30"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and built == []
+    transcript = tmp_path / "rounds.jsonl"
+    code, with_records = run_cli(capsys, *argv, "--transcript", str(transcript))
+    assert code == 0 and len(built) == 30 and with_records == report
+    assert len(transcript.read_text().splitlines()) == 30
 
 
 def test_report_writer_rejects_what_json_rejects():

@@ -17,7 +17,7 @@ from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    exact_solver,
                                    folded_fidelity, partial_swap, qip_run,
                                    szk_conditional_output, szk_honest_post_state,
-                                   szk_run, szk_simulate, szk_simulator_distance)
+                                   szk_run, szk_simulate, szk_simulator_distance, szk_trials)
 from uhlmann_lab.qcore import (BipartiteState, DensityOp, GateCircuit, fidelity, linalg,
                                trace_distance)
 from uhlmann_lab.qcore.channels import ChannelDesc
@@ -182,6 +182,25 @@ def test_szk_run_matches_dense_slot_outputs():
                 assert abs(record["output_td_to_target"]
                            - trace_distance(outs[j0], target)) < 1e-12
             assert accepted_runs > 0
+
+
+def test_szk_trials_match_a_fresh_verifier_per_trial_record_for_record():
+    # szk_trials solves each input slot once for all its trials; szk_run
+    # builds the verifier afresh for every trial. Honest, identity, and
+    # provers with distinct factors, channels among them.
+    m = 3
+    seeds = [Seed(21).child("trial", t) for t in range(40)]
+    for x in (instance_with_fidelity(0.8, 2, 2, 14), overlap_instance(0.9, 0.6, 15)):
+        for prover in _product_provers(x, m):
+            runs = list(szk_trials(x, m, prover, seeds, records=True))
+            fresh = [szk_run(x, m, prover, seed) for seed in seeds]
+            assert [accepted for accepted, _ in runs] == [res.accepted for res in fresh]
+            assert [record for _, record in runs] == [res.transcript[0] for res in fresh]
+            assert all(record is None for _, record in szk_trials(x, m, prover, seeds))
+            # 40 trials over m + 1 input slots: every slot is met again, and
+            # some runs accept.
+            assert len({record["perm"].index(0) for _, record in runs}) == m + 1
+            assert any(accepted for accepted, _ in runs)
 
 
 def test_szk_conditional_output_matches_dense_slot_outputs():

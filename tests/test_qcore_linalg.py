@@ -1,9 +1,13 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import swap_matrix
+from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.rng import generator
 
@@ -17,6 +21,62 @@ def explicit_permutation(dims, perm):
         row = np.ravel_multi_index([digits[q] for q in perm], out_dims)
         p[row, col] = 1.0
     return p
+
+
+def transpose_reference(vec, dims, mat, targets):
+    """The register apply by one transpose of every register: targets to the
+    front, ``mat`` on the (targets, rest) matrix, and back."""
+    dims, targets = list(dims), list(targets)
+    rest = [a for a in range(len(dims)) if a not in targets]
+    tensor = np.transpose(vec.reshape(dims), targets + rest)
+    tensor = mat @ tensor.reshape(math.prod(dims[t] for t in targets), -1)
+    tensor = tensor.reshape([dims[t] for t in targets] + [dims[a] for a in rest])
+    return np.transpose(tensor, np.argsort(targets + rest)).reshape(-1)
+
+
+@st.composite
+def register_applies(draw):
+    """(vec, dims, mat, targets): 1-6 registers of dimension 1-4, or qubit
+    registers with a trailing column register (a (2^n, k) input), and 0-3
+    distinct targets in any order."""
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        registers = list(range(len(dims)))
+    else:
+        registers = list(range(draw(st.integers(1, 5))))
+        dims = [2] * len(registers) + [draw(st.integers(1, 5))]
+    targets = draw(st.permutations(registers))[:draw(st.integers(0, min(3, len(registers))))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = math.prod(dims)
+    d_t = math.prod(dims[t] for t in targets)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    mat = rng.standard_normal((d_t, d_t)) + 1j * rng.standard_normal((d_t, d_t))
+    return vec, dims, mat, targets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(register_applies())
+def test_register_apply_is_bit_identical_to_the_transpose_reference(case):
+    vec, dims, mat, targets = case
+    want = transpose_reference(vec, dims, mat, targets)
+    assert np.array_equal(linalg.apply_matrix_to_registers(vec, dims, mat, targets), want)
+    # The cached plan serves the same shapes again, as lists or as tuples.
+    assert np.array_equal(
+        linalg.apply_matrix_to_registers(vec, tuple(dims), mat, tuple(targets)), want)
+
+
+def test_register_plan_cache_is_bounded():
+    assert linalg._register_plan.cache_info().maxsize is not None
+
+
+def test_register_apply_refuses_repeated_or_missing_targets():
+    vec = np.zeros(8, dtype=complex)
+    for targets in ([0, 0], [3], [-1]):
+        d_t = 2 ** len(targets)
+        with pytest.raises(DimensionMismatch):
+            linalg.apply_matrix_to_registers(vec, [2, 2, 2], np.eye(d_t), targets)
+    with pytest.raises(DimensionMismatch):
+        linalg.apply_matrix_to_registers(vec, [2, 2, 2], np.eye(4), [1])
 
 
 def test_permute_rows_matches_permutation_matrix_product():

@@ -79,6 +79,7 @@ COMMANDS = [
     "uhlmann circuit_instance.json",
     "szk --param kappa=0.99 --param m=4 --trials 100",
     "szk szk_config.json",
+    "szk --param m=4095 --trials 50",
     "qip --param kappa=0.9 --param m=3 --param prep_error=0.05",
     "qip --param m=2 --param prover=identity",
     "qip --param mode=dme --param m=2",
@@ -122,6 +123,7 @@ COMMANDS = [
     "interfere --param pairs=3",
     "interfere pair.json",
     "interfere --param qubits=9",
+    "interfere --param qubits=6 --param pairs=10",
     "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
     "entropy --param state=mm:10",
     "entropy --param state=mm:2 --param epsilon=0.1",
