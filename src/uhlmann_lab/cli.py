@@ -12,6 +12,7 @@ and wall-clock time go to stderr. Exit codes: 0 all asserted bounds pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -22,10 +23,10 @@ import time
 import numpy as np
 
 from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_pure_cap
-from .qcore.channels import ChannelDesc, channel_from_circuit, encode_matrix
+from .qcore.channels import ChannelDesc, channel_from_circuit, interleave
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import trace_distance
-from .qcore.states import SpectralState
+from .qcore.states import SpectralState, pair_array
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .rng import Seed
 from . import crypto, physics, protocols, shannon, uhlmann
@@ -41,12 +42,15 @@ def _check(name: str, measured: float, bound: float, formula: str,
 def _load_json(path: str) -> dict:
     """The JSON document at ``path``. The cyclic collector is off while it
     parses: the fresh lists of a large instance hold no cycles, and scanning
-    them again and again is a third of the parse."""
+    them again and again is a third of the parse. A raw pair list longer than
+    ``_SLICE`` characters is read as a float array (``_read_raw_pairs``)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = _read_raw_pairs(text)
+        return json.loads(text) if doc is None else doc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}")
     except OSError as exc:
@@ -54,6 +58,93 @@ def _load_json(path: str) -> dict:
     finally:
         if enabled:
             gc.enable()
+
+
+_SLICE = 1 << 20  # characters of a raw pair list that json reads at a time
+_PAIR_KEYS = ("psi", "phi", "psi0", "psi1")  # the [re, im] lists of a "raw" block
+_WS = "[ \t\n\r]*"  # JSON whitespace
+_PAIRS_START = re.compile(rf"\[{_WS}\[")
+_PAIRS_END = re.compile(rf"\]{_WS}\]")
+_PAIRS_CUT = re.compile(rf"\]{_WS},")
+
+
+def _read_raw_pairs(text: str):
+    """``json.loads(text)`` with each raw pair list (``_PAIR_KEYS`` of a
+    "raw" block) longer than ``_SLICE`` characters as the float (n, 2) array
+    that ``BipartiteState.from_pairs`` makes of it, read without a Python
+    float per number; None when there is no such list, or when anything is
+    unexpected, so the caller parses the whole text as before.
+
+    Each long ``[[`` ... ``]]`` span is cut out of the text, and a quoted
+    placeholder, grown until the text does not contain it, takes its place.
+    json parses the rest, and must find every placeholder as a whole pair
+    list of a "raw" block. json parses each span in slices of about
+    ``_SLICE`` characters cut after a ``]`` that a comma follows; each slice
+    must be a (k, 2) list of numbers. The text is then valid JSON and its
+    lists are the slices joined, so the arrays hold the same bits.
+    """
+    if len(text) <= _SLICE:
+        return None
+    spans, pos = [], 0
+    while start := _PAIRS_START.search(text, pos):
+        end = _PAIRS_END.search(text, start.end())
+        if end is None:
+            break
+        if end.end() - start.start() > _SLICE:
+            spans.append((start.start(), end.end()))
+        pos = end.end()
+    if not spans:
+        return None
+    mark = "SPLICE"
+    while mark in text:
+        mark += "_"
+    pieces, last = [], 0
+    for i, (first, stop) in enumerate(spans):
+        pieces += [text[last:first], f'"{mark}{i}"']
+        last = stop
+    pieces.append(text[last:])
+    slots = {f"{mark}{i}": span for i, span in enumerate(spans)}
+    try:
+        doc = json.loads("".join(pieces))
+        _fill_pair_slots(doc, mark, slots, text)
+    except Exception:  # anything unexpected: the whole text is parsed as before
+        return None
+    return None if slots else doc
+
+
+def _fill_pair_slots(node, mark: str, slots: dict, text: str, raw: bool = False) -> None:
+    """Replace each placeholder of ``slots`` that ``node`` holds as a pair
+    list of a "raw" block by its span of ``text`` read in slices, and remove
+    it from ``slots``. A ValueError if the mark is met anywhere else."""
+    if isinstance(node, dict):
+        entries = list(node.items())
+    elif isinstance(node, list):
+        entries = list(enumerate(node))
+    else:
+        return
+    for key, value in entries:
+        if isinstance(key, str) and mark in key:
+            raise ValueError("placeholder in a key")
+        if isinstance(value, str) and mark in value:
+            if not (raw and key in _PAIR_KEYS and value in slots):
+                raise ValueError("placeholder outside a raw pair list")
+            node[key] = _pairs_in_slices(text, *slots.pop(value))
+        else:
+            _fill_pair_slots(value, mark, slots, text, isinstance(node, dict) and key == "raw")
+
+
+def _pairs_in_slices(text: str, start: int, end: int) -> np.ndarray:
+    """The pair list ``text[start:end]`` as a float (n, 2) array: each slice
+    goes through ``pair_array``, as ``BipartiteState.from_pairs`` reads a
+    whole list, which raises a ValueError for anything but number pairs."""
+    parts, pos, stop = [], start + 1, end - 1  # inside the outer brackets
+    while True:
+        cut = _PAIRS_CUT.search(text, pos + _SLICE, stop) if pos + _SLICE < stop else None
+        piece = text[pos:cut.start() + 1 if cut else stop]
+        parts.append(pair_array(json.loads(f"[{piece}]")))
+        if cut is None:
+            return np.concatenate(parts)
+        pos = cut.end()
 
 
 def _load(path: str, build):
@@ -148,12 +239,16 @@ def _load_instance(args) -> uhlmann.UhlmannInstance:
     return uhlmann.instance_with_fidelity(kappa, dA, dB, args.seed)
 
 
-def _write_transcript(args, records) -> None:
+@contextlib.contextmanager
+def _transcript(args):
+    """A function that writes one record as a JSON line to ``--transcript``
+    as it is made, so no run holds its records; without the flag it writes
+    nothing."""
     if not args.transcript:
+        yield lambda record: None
         return
     with open(args.transcript, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _state_from_spec(spec: str, seed: Seed) -> SpectralState:
@@ -199,7 +294,7 @@ def run_uhlmann(args):
     results = {
         "kappa": info["kappa"], "dA": info["dA"], "dB": info["dB"], "eta": eta,
         "rank": w.rank(),
-        "w_matrix": encode_matrix(w.matrix),
+        "w_matrix": interleave(w.matrix),
         "isometry_overlap": float(overlap),
         "completion_overlap": float(achieved),
     }
@@ -256,13 +351,13 @@ def run_szk(args):
     expected = info["kappa"] ** m if prover_name == "honest" \
         else abs(psi.overlap(phi)) ** (2 * m)
     seeds = (args.seed.child("szk-trial", t) for t in range(args.trials))
-    accepts, records = 0, []
-    for t, (accepted, record) in enumerate(
-            protocols.szk_trials(x, m, prover, seeds, records=bool(args.transcript))):
-        accepts += accepted
-        if record is not None:
-            records.append({"trial": t, **record})
-    _write_transcript(args, records)
+    trials = protocols.szk_trials(x, m, prover, seeds, records=bool(args.transcript))
+    accepts = 0
+    with _transcript(args) as write:
+        for t, (accepted, record) in enumerate(trials):
+            accepts += accepted
+            if record is not None:
+                write({"trial": t, **record})
     rate = accepts / args.trials
     sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / args.trials)
     sim_dist = protocols.szk_simulator_distance(x, m)
@@ -292,7 +387,9 @@ def run_qip(args):
     oracle = protocols.OracleConfig(prep_error=_param(args, "prep_error", 0.0, float, "[0, 1]"),
                                     mode=mode)
     res = protocols.qip_run(x, m, prover, oracle, args.seed)
-    _write_transcript(args, res.transcript)
+    with _transcript(args) as write:
+        for record in res.transcript:
+            write(record)
     psi, phi = x.states()
     target = uhlmann.apply_uhlmann(x, 0.0, psi).density()
     td_out = trace_distance(res.output_state, target) if res.output_state else 1.0
@@ -548,14 +645,26 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _dumps(report) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte."""
+    return "".join(_report_chunks(report))
+
+
+_CHUNK = 4096  # floats formatted per chunk of a spliced array
+
+
+def _report_chunks(report):
+    """``_dumps(report)`` as an iterator of strings, so a long float array is
+    never held as one text.
 
     With ``indent`` the stdlib runs its pure-Python encoder, which is slow on
-    long float arrays (``w_matrix``). Each non-empty list of finite floats is
-    encoded as a placeholder string instead, then spliced in with
-    float.__repr__, the encoder's own float format. A list holding NaN or an
-    infinity keeps the stdlib path. The placeholder is grown until no string
-    in the report contains it.
+    long float arrays (``w_matrix``). Each non-empty list of finite floats,
+    or 1-D float64 array of finite values, is encoded as a placeholder string
+    instead, then spliced in with float.__repr__, the encoder's own float
+    format, ``_CHUNK`` values at a time. A list holding NaN or an infinity
+    keeps the stdlib path. The placeholder is grown until no string in the
+    report contains it. The rest of the report is encoded here, before the
+    first chunk is taken, so a report that cannot be encoded raises before
+    anything is written.
     """
     strings, arrays = [], []
     swapped = _swap_arrays(report, strings, arrays)
@@ -569,24 +678,42 @@ def _dumps(report) -> str:
         return f"{mark}{obj.index}"
 
     text = json.dumps(swapped, sort_keys=True, indent=2, default=placeholder)
+    return _spliced(text, re.compile(rf'^( *)(.*?)"{mark}(\d+)"', flags=re.M), arrays)
 
-    def splice(match):
+
+def _spliced(text: str, placeholders: re.Pattern, arrays: list):
+    """``text`` with each placeholder match replaced by its float array, one
+    element per line at the placeholder's indent plus two."""
+    last = 0
+    for match in placeholders.finditer(text):
         outer, ind = match[1], match[1] + "  "
-        body = (",\n" + ind).join(map(float.__repr__, arrays[int(match[3])]))
-        return f"{outer}{match[2]}[\n{ind}{body}\n{outer}]"
-
-    return re.sub(rf'^( *)(.*?)"{mark}(\d+)"', splice, text, flags=re.M)
+        sep = ",\n" + ind
+        yield f"{text[last:match.start()]}{outer}{match[2]}[\n{ind}"
+        values = arrays[int(match[3])]
+        for start in range(0, len(values), _CHUNK):
+            part = values[start:start + _CHUNK]
+            part = part.tolist() if isinstance(part, np.ndarray) else part
+            yield (sep if start else "") + sep.join(map(float.__repr__, part))
+        yield f"\n{outer}]"
+        last = match.end()
+    yield text[last:]
 
 
 def _swap_arrays(obj, strings: list, arrays: list):
-    """``obj`` with each non-empty list of finite floats appended to
-    ``arrays`` and replaced by its ``_Splice``; every string met, keys
-    included, is appended to ``strings``. A module function, not a closure
-    that calls itself: that would be a reference cycle keeping ``arrays``
-    alive until the cyclic collector runs."""
+    """``obj`` with each non-empty list of finite floats, and each non-empty
+    1-D float64 array of finite values, appended to ``arrays`` and replaced
+    by its ``_Splice``; any other 1-D float64 array becomes its list. Every
+    string met, keys included, is appended to ``strings``. A module
+    function, not a closure that calls itself: that would be a reference
+    cycle keeping ``arrays`` alive until the cyclic collector runs."""
     if isinstance(obj, dict):
         strings.extend(key for key in obj if isinstance(key, str))
         return {key: _swap_arrays(val, strings, arrays) for key, val in obj.items()}
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        if not (obj.size and np.isfinite(obj).all()):
+            return obj.tolist()
+        arrays.append(obj)
+        return _Splice(len(arrays) - 1)
     if isinstance(obj, (list, tuple)):
         if obj and all(isinstance(v, float) and math.isfinite(v) for v in obj):
             arrays.append(obj)
@@ -622,12 +749,10 @@ def main(argv=None) -> int:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    text = _dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    chunks = _report_chunks(report)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
     elapsed = time.perf_counter() - start
     summary = ", ".join(f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in checks)
     print(f"[{args.scenario}] {summary or 'no checks'} "

@@ -248,56 +248,74 @@ def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
     """``_permutation_test`` for a joint prover: runs the prover round on
     every oracle-prepared branch and projects the test block onto |D>^{⊗m}.
     The accepted amplitude of a branch, reshaped to (A_0 B_0) x (ancilla), is
-    its part of the output factor."""
+    its part of the output factor. Each branch's joint vector is made only
+    when its round starts, and the round holds at most two at a time."""
     dA, dB = psi.split
     check_pure_cap((dA * dB) ** (m + 1) * prover.joint_anc_dim, "joint protocol state")
     dvec = tensor_power(phi, m)
+    ancilla = [2 * (m + 1)] if prover.joint_anc_dim > 1 else []
+    keep = [0, m + 1] + ancilla
+    tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
     accept, cols = 0.0, []
-    for weight, vec in _prepared_branches(psi, m, prep_error):
-        vec, dims = _prover_round(vec, psi.split, m, perm, prover)
-        keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
-        tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-        work = linalg.permute_registers_vec(vec, dims, keep + tests)
+    for weight, test in _prepared_tests(psi, m, prep_error):
+        # The vector is made in the argument, so the round owns it alone.
+        work = _prover_round(_joint_start(psi, test, m), psi.split, m, perm, prover,
+                             keep + tests)
         amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
+        del work
         accept += weight * float(np.vdot(amp, amp).real)
         cols.append(math.sqrt(weight) * amp)
     return accept, (np.hstack(cols) / math.sqrt(accept) if accept > 1e-12 else None)
 
 
-def _prepared_branches(psi: BipartiteState, m: int, prep_error: float):
-    """Oracle output: (weight, joint pure vector) branches on [A-block, B-block].
+def _prepared_tests(psi: BipartiteState, m: int, prep_error: float) -> list:
+    """The oracle's branches as (weight, test block) pairs: the test block is
+    the m oracle-prepared copies, which alone carry the preparation error, as
+    the junk block of ``_junk_basis``; the verifier's input copy is exact."""
+    good = tensor_power(psi, m)
+    if prep_error == 0.0:
+        return [(1.0, good)]
+    e, c = _junk_basis(psi, m)
+    junk = (tensor_power(e, m) - c * good) / math.sqrt(1.0 - abs(c) ** 2)
+    return [(1.0 - prep_error, good), (prep_error, junk)]
 
-    Only the m oracle-prepared test copies carry the preparation error, as
-    the junk block of ``_junk_basis``; the verifier's input copy is exact.
-    """
-    tests, weights = [tensor_power(psi, m)], [1.0]
-    if prep_error > 0.0:
-        e, c = _junk_basis(psi, m)
-        tests.append((tensor_power(e, m) - c * tests[0]) / math.sqrt(1.0 - abs(c) ** 2))
-        weights = [1.0 - prep_error, prep_error]
+
+def _joint_start(psi: BipartiteState, test: np.ndarray, m: int) -> np.ndarray:
+    """The joint vector |psi> ⊗ test on [A-block, B-block], for a test block
+    of m copies."""
     dA, dB = psi.split
     # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
-    return [(weight, linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
-                                                  [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3]))
-            for weight, test in zip(weights, tests)]
+    return linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
+                                        [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3])
 
 
-def _prover_round(vec, split, m: int, perm, prover: ProverStrategy):
+def _prover_round(vec, split, m: int, perm, prover: ProverStrategy, order) -> np.ndarray:
     """Append the joint prover's ancilla, hand it the B registers in slot
     order (slot j holds register perm[j]), apply its unitary, and undo the
-    permutation. Returns the vector on [A_0..A_m, B_0..B_m, (ancilla)] and
-    those register dimensions."""
+    permutation. Returns the vector with the registers of [A_0..A_m,
+    B_0..B_m, (ancilla)] in the order ``order`` lists them.
+
+    Two gathers move the data, and each releases its input once its output
+    exists. The first makes the (slots ⊗ ancilla) x (A_0..A_m) matrix that
+    the unitary multiplies, the operand the register kernel would make from
+    the permuted vector; the second takes the product to ``order``."""
     dims = [split[0]] * (m + 1) + [split[1]] * (m + 1)
     if prover.joint_anc_dim > 1:
         vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
         dims = dims + [prover.joint_anc_dim]
-    axis_perm = list(range(len(dims)))
-    for j, src in enumerate(perm):
-        axis_perm[m + 1 + j] = m + 1 + int(src)
-    vec = linalg.permute_registers_vec(vec, dims, axis_perm)
-    vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
-                                           list(range(m + 1, len(dims))))
-    return linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm)), dims
+    held = [m + 1 + int(src) for src in perm] + list(range(2 * (m + 1), len(dims)))
+    axes = held + list(range(m + 1))
+    size = math.prod(dims[reg] for reg in held)
+    if prover.joint_unitary.shape != (size, size):
+        raise DimensionMismatch(f"matrix shape {prover.joint_unitary.shape} "
+                                f"does not act on dims {size}")
+    tensor = vec.reshape(dims).transpose(axes).reshape(size, -1)
+    del vec
+    out = prover.joint_unitary @ tensor
+    del tensor
+    position = {reg: axis for axis, reg in enumerate(axes)}
+    out = out.reshape([dims[reg] for reg in axes]).transpose([position[reg] for reg in order])
+    return out.reshape(-1)
 
 
 def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
@@ -476,13 +494,19 @@ def _amp_range(psi, solver: FoldedSolver, k: int, i: int) -> np.ndarray:
 
 
 def _project(vec, dims, block, ids, k):
-    """|block><block| on the register pairs (A_j, B_j), j in ``ids``."""
+    """|block><block| on the register pairs (A_j, B_j), j in ``ids``. The
+    outer product of ``block`` and its amplitudes is written through the
+    same ``moveaxis`` view of the output, so it lands in place."""
     axes = list(ids) + [k + j for j in ids]
     front = list(range(len(axes)))
     tensor = np.moveaxis(vec.reshape(dims), axes, front)
     amp = block.conj() @ tensor.reshape(block.size, -1)
-    out = np.outer(block, amp).reshape(tensor.shape)
-    return np.moveaxis(out, front, axes).reshape(-1)
+    out = np.empty(vec.size, dtype=complex)
+    lead = tensor.shape[:len(axes)]
+    np.multiply(block.reshape(lead + (1,) * (tensor.ndim - len(axes))),
+                amp.reshape((1,) * len(axes) + tensor.shape[len(axes):]),
+                out=np.moveaxis(out.reshape(dims), axes, front))
+    return out
 
 
 def _weight(vec) -> float:

@@ -116,13 +116,18 @@ def channel_from_circuit(circuit: GateCircuit, n_input: int,
                        (2 ** len(out_qubits), 2 ** len(env_qubits)))
 
 
-def encode_matrix(m: np.ndarray) -> list:
+def interleave(m: np.ndarray) -> np.ndarray:
     """Row-major flattening with interleaved (re, im) doubles."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     out = np.empty(2 * flat.size)
     out[0::2] = flat.real
     out[1::2] = flat.imag
-    return out.tolist()
+    return out
+
+
+def encode_matrix(m: np.ndarray) -> list:
+    """``interleave(m)`` as a list of floats."""
+    return interleave(m).tolist()
 
 
 def decode_matrix(values, rows: int, cols: int) -> np.ndarray:

@@ -115,15 +115,23 @@ def pauli_action(v: np.ndarray, sign: int = 0) -> tuple:
     significant bit). Every phase is exactly +-1 or +-i, so products by it
     are exact.
     """
+    return _pauli_rows(_pauli_masks(v, sign), np.arange(2 ** (v.size // 2), dtype=np.int64))
+
+
+def _pauli_masks(v: np.ndarray, sign: int) -> tuple:
+    """(xmask, zmask, the phase (-1)^sign (-i)^{#Y}) of ``pauli_action``."""
     n = v.size // 2
     x, z = np.asarray(v[0::2], dtype=np.int64), np.asarray(v[1::2], dtype=np.int64)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(2 ** n, dtype=np.int64)
-    perm = idx ^ int(x @ weights)
-    base = _MINUS_I_POWERS[(int(x @ z) + 2 * int(sign)) % 4]
-    odd = np.bitwise_count(idx & int(z @ weights)) & 1
-    phase = np.where(odd == 1, -base, base)
-    return perm, phase
+    return (int(x @ weights), int(z @ weights),
+            _MINUS_I_POWERS[(int(x @ z) + 2 * int(sign)) % 4])
+
+
+def _pauli_rows(masks: tuple, rows: np.ndarray) -> tuple:
+    """``perm[rows]`` and ``phase[rows]`` of the index map with ``masks``."""
+    xmask, zmask, base = masks
+    odd = np.bitwise_count(rows & zmask) & 1
+    return rows ^ xmask, np.where(odd == 1, -base, base)
 
 
 def _eliminate(rows) -> tuple:
@@ -145,28 +153,29 @@ def _eliminate(rows) -> tuple:
 
 def _support_start(stabilizers) -> int:
     """The smallest basis index c with P|c> != 0, P = prod_i (1 + S_i)/2 for
-    n commuting, independent Paulis S_i given by their index maps.
+    n commuting, independent Paulis S_i given by their ``_pauli_masks``.
 
     P averages the group the S_i generate, so <c|P|c> is 2^-n times the sum
     of <c|s|c> over its diagonal (Z-type) elements s, a character sum: it is
     nonzero iff <c|s|c> = +1 for each generator s of that subgroup. Those
     generators are the products of the S_i whose X masks (``perm[0]``)
     cancel, found by eliminating the masks. Each is s|c> = sign (-1)^{c.z}|c>;
-    its sign and Z mask are read exactly from the index maps at rows 0 and
-    2^k. The constraints c.z = [sign = -1] are eliminated with each pivot at
-    its row's lowest bit, so a pivot bit depends only on higher bits, and
+    its sign and Z mask are read exactly at rows 0 and 2^k, n + 1 rows of
+    each factor's index map (``_pauli_rows``), never a whole map. The
+    constraints c.z = [sign = -1] are eliminated with each pivot at its
+    row's lowest bit, so a pivot bit depends only on higher bits, and
     setting every free bit to 0 gives the smallest c.
     """
     n = len(stabilizers)
-    _, z_type = _eliminate((int(perm[0]), 1 << i) for i, (perm, _) in enumerate(stabilizers))
-    probes = np.array([0] + [1 << k for k in range(n)])
+    _, z_type = _eliminate((xmask, 1 << i) for i, (xmask, _, _) in enumerate(stabilizers))
+    probes = np.array([0] + [1 << k for k in range(n)], dtype=np.int64)
     constraints = []
     for combo in z_type:
         at, phase = probes, np.ones(n + 1, dtype=complex)
-        for i, (perm, factor) in enumerate(stabilizers):
+        for i, masks in enumerate(stabilizers):
             if combo >> i & 1:
-                phase = phase * factor[at]
-                at = perm[at]
+                at, factor = _pauli_rows(masks, at)
+                phase = phase * factor
         z = sum(1 << k for k in range(n) if phase[k + 1] != phase[0])
         constraints.append((z, int(phase[0].real < 0)))
     pivots, _ = _eliminate(constraints)
@@ -195,35 +204,39 @@ def random_clifford(n: int, seed, columns=None) -> np.ndarray:
     # every entry a dyadic combination of +-1 and +-i, so exact. Projecting
     # e_c alone applies the same per-element operations as projecting the
     # whole identity, so its bytes are the d x d projector's column c.
-    stabilizers = [pauli_action(g[2 * i + 1], int(signs[2 * i + 1])) for i in range(n)]
+    stabilizers = [_pauli_masks(g[2 * i + 1], signs[2 * i + 1]) for i in range(n)]
     phi = np.zeros(d, dtype=complex)
     phi[_support_start(stabilizers)] = 1
-    for perm, phase in stabilizers:
+    rows = np.arange(d, dtype=np.int64)
+    for masks in stabilizers:  # one index map at a time
+        perm, phase = _pauli_rows(masks, rows)
         phi = 0.5 * (phi + phase * phi[perm])
     phi = phi / np.linalg.norm(phi)
     pivot = int(np.argmax(np.abs(phi)))
     phi = phi * (np.abs(phi[pivot]) / phi[pivot])
     # U|x> = prod_i (image of X_i)^{x_i} U|0^n>, the image of qubit n-1 (bit
-    # k = 0 of x) applied first. Only the images of bits some column sets are
-    # built.
-    images = {k: pauli_action(g[2 * (n - 1 - k)], int(signs[2 * (n - 1 - k)]))
-              for k in range(n) if columns is None or any(int(x) >> k & 1 for x in columns)}
+    # k = 0 of x) applied first. Each image is built once, when its bit is
+    # reached, and only if some column sets that bit.
+    image = lambda k: _pauli_rows(_pauli_masks(g[2 * (n - 1 - k)], signs[2 * (n - 1 - k)]), rows)
     if columns is None:
         u = np.empty((d, d), dtype=complex)
         u[:, 0] = phi
         for k in range(n):
-            perm, phase = images[k]
+            perm, phase = image(k)
             u[:, 1 << k:2 << k] = phase[:, None] * u[perm, :1 << k]
         return u
     # The whole-matrix fill makes column x from column x - 2^k (k the top bit
     # of x) by one image; applying the images of x's bits from the lowest up
     # repeats those operations, so each column is the same bytes.
+    cols = [phi] * len(columns)
+    for k in range(n):
+        hits = [j for j, x in enumerate(columns) if int(x) >> k & 1]
+        if hits:
+            perm, phase = image(k)
+            for j in hits:
+                cols[j] = phase * cols[j][perm]
     u = np.empty((d, len(columns)), dtype=complex)
-    for j, x in enumerate(columns):
-        col = phi
-        for k, (perm, phase) in images.items():
-            if int(x) >> k & 1:
-                col = phase * col[perm]
+    for j, col in enumerate(cols):
         u[:, j] = col
     return u
 

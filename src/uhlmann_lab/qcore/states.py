@@ -16,6 +16,16 @@ from .gates import GateCircuit
 _VALIDATE_ATOL = 1e-8
 
 
+def pair_array(pairs) -> np.ndarray:
+    """[re, im] number pairs as a float (n, 2) array; strings, other lengths
+    and ragged lists are refused with a ValueError. A float (n, 2) array, as
+    the CLI reads a long list, is returned as it is."""
+    parts = np.asarray(pairs)
+    if parts.dtype.kind not in "biuf" or parts.ndim != 2 or parts.shape[1] != 2:
+        raise ValueError("amplitudes must be a list of [re, im] number pairs")
+    return np.ascontiguousarray(parts, dtype=float)
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Normalized complex amplitude vector with an (dA, dB) register split."""
@@ -41,13 +51,9 @@ class BipartiteState:
     @staticmethod
     def from_pairs(pairs, split) -> "BipartiteState":
         """The state whose amplitudes are listed as [re, im] number pairs,
-        the form instance and scheme files hold. The pairs are read into a
-        float (n, 2) array viewed as complex, which gives the bits of
-        complex(re, im); strings, other lengths and ragged lists are refused."""
-        parts = np.array(pairs)
-        if parts.dtype.kind not in "biuf" or parts.ndim != 2 or parts.shape[1] != 2:
-            raise ValueError("amplitudes must be a list of [re, im] number pairs")
-        return BipartiteState(np.ascontiguousarray(parts, dtype=float).view(complex), split)
+        the form instance and scheme files hold: ``pair_array(pairs)``
+        viewed as complex, which gives the bits of complex(re, im)."""
+        return BipartiteState(pair_array(pairs).view(complex), split)
 
     @property
     def dA(self) -> int:

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import no_eigensolver
 from uhlmann_lab import cli
@@ -992,3 +993,165 @@ def test_config_file_keys_follow_the_declared_keys(tmp_path, capsys):
     assert code == 0
     assert report["seed"] == 4 and report["results"]["trials"] == 6
     assert report["params"] == {"m": "2"}
+
+
+# ---------------------------------------------------------------------------
+# Raw pair lists read in slices, reports written in chunks
+
+_JSON_WS = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "\n    "])
+_NUMBER = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),  # past 2^53, and past int64
+    st.sampled_from(["-0", "0", "1", "true", "false", "-0.0", "5e-324", "1e400", "NaN",
+                     "Infinity", "-Infinity"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def _pair_list(draw):
+    def pair():
+        w = [draw(_JSON_WS) for _ in range(4)]
+        return f"[{w[0]}{draw(_NUMBER)}{w[1]},{w[2]}{draw(_NUMBER)}{w[3]}]"
+    pairs = [pair() for _ in range(draw(st.integers(2, 12)))]
+    seps = [f"{draw(_JSON_WS)},{draw(_JSON_WS)}" for _ in pairs[1:]]
+    body = pairs[0] + "".join(sep + p for sep, p in zip(seps, pairs[1:]))
+    return f"[{draw(_JSON_WS)}{body}{draw(_JSON_WS)}]"
+
+
+def _pairs_or_error(value):
+    from uhlmann_lab.qcore.states import pair_array
+    try:
+        return pair_array(value).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(psi=_pair_list(), phi=_pair_list(), ws=_JSON_WS, indent=st.sampled_from(["", "\n  "]))
+def test_sliced_reader_gives_the_bits_of_json_load(psi, phi, ws, indent, tmp_path_factory):
+    # With 8-character slices every pair list takes the slice path, cut
+    # after almost every pair.
+    text = (f'{{{indent}"raw":{ws}{{{indent}"dA": 1,{ws}"dB": 2,{indent}"psi":{ws}{psi},'
+            f'{indent}"phi": {phi}{ws}}}{indent}}}')
+    path = tmp_path_factory.getbasetemp() / "pairs.json"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_SLICE", 8)
+        loaded = cli._load_json(str(path))
+    want = json.loads(text)
+    got = [_pairs_or_error(loaded["raw"][key]) for key in ("psi", "phi")]
+    assert got == [_pairs_or_error(want["raw"][key]) for key in ("psi", "phi")]
+    if all(isinstance(g, bytes) for g in got):  # both lists are number pairs
+        assert all(isinstance(loaded["raw"][key], np.ndarray) for key in ("psi", "phi"))
+
+
+_FOUR = "[[1, 0], [0, 0], [0, 0], [0, 0]]"
+
+
+@pytest.mark.parametrize("scenario,content", [
+    ("uhlmann", '{"raw": {"dA": 2, "dB": 2, "psi": [[1, 0], [0, 0], ["0", 0], [0, 0]], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", '{"raw": {"dA": 2, "dB": 2, "psi": [[1, 0, 0], [0, 0, 0], [0, 0, 0], '
+                f'[0, 0, 0]], "phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": [[1, 0], [0], [0, 0], [0, 0]], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "note": "x{_FOUR}y", "psi": "{_FOUR}", '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": [[1, [2]], [0, 0], [0, 0], [0, 0]], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", '{"raw": {"dA": 1, "dB": 1, "psi": [[1, [2]]}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": [[1, 0], [0, 0], [0, 0],], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": [[1, 0] x, [0, 0], [0, 0], [0, 0]], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": [[NaN, 0], [0, 0], [0, 0], [0, 0]], '
+                f'"phi": {_FOUR}}}}}'),
+    ("uhlmann", f'{{"raw": {{"dA": 2, "dB": 2, "psi": {_FOUR}}}, "phi": {_FOUR}}}'),
+    ("commit", '{"raw": {"dC": 2, "dR": 2, "psi0": [[1, 0], ["0", 0], [0, 0], [0, 0]], '
+               f'"psi1": {_FOUR}}}}}'),
+])
+def test_malformed_raw_pairs_exit_2_as_when_read_whole(scenario, content, tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert main([scenario, str(path)]) == 2
+    whole = capsys.readouterr()
+    assert whole.out == "" and whole.err.startswith(f"error: {path}: ")
+    monkeypatch.setattr(cli, "_SLICE", 8)
+    assert main([scenario, str(path)]) == 2
+    assert capsys.readouterr() == whole
+
+
+def test_long_pair_lists_outside_a_raw_block_stay_lists(tmp_path, monkeypatch):
+    text = json.dumps({"other": [[1.0, 2.0], [3.0, 4.0]],
+                       "raw": {"psi": [[0.5, 0.0], [0.0, 0.5]]}})
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "_SLICE", 8)
+    loaded = cli._load_json(str(path))
+    assert loaded == json.loads(text) and isinstance(loaded["raw"]["psi"], list)
+
+
+def test_uhlmann_raw_file_to_out_holds_no_float_per_amplitude(tmp_path, capsys, monkeypatch):
+    # 64 KiB slices make a raw 128 x 128 instance (1.5 MB of text) take the
+    # path a 512 x 512 one takes at the default slice size. Read as Python
+    # lists it peaks at ~6 MiB; read in slices and written in chunks, ~3 MiB.
+    rng = np.random.default_rng(3)
+    pairs = lambda v: [[float(c.real), float(c.imag)] for c in v]
+    path, out = tmp_path / "instance.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"raw": {"dA": 128, "dB": 128,
+                                        "psi": pairs(haar_state_vector(128 * 128, rng)),
+                                        "phi": pairs(haar_state_vector(128 * 128, rng))}}))
+    monkeypatch.setattr(cli, "_SLICE", 1 << 16)
+    main(["uhlmann", "--param", "dA=2"])  # first-call imports and caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["uhlmann", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert len(report["results"]["w_matrix"]) == 2 * 128 * 128
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_report_that_cannot_be_encoded_writes_no_bytes(to_file, tmp_path, capsys,
+                                                         monkeypatch):
+    # The unencodable value sorts after a float array that is spliced in.
+    monkeypatch.setitem(cli.SCENARIOS, "entropy", lambda args: (
+        {"a": np.linspace(0.0, 1.0, 10000), "z": object()}, []))
+    out = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        main(["entropy"] + (["--out", str(out)] if to_file else []))
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_report_writer_splices_arrays_in_chunks(monkeypatch):
+    from uhlmann_lab.cli import _dumps
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    arrays = {f"n{size}": np.linspace(-1.0, 2.0, size) for size in range(1, 11)}
+    report = {**arrays, "lists": [a.tolist() for a in arrays.values()],
+              "nan": np.array([0.5, np.nan]), "empty": np.zeros(0), "edges":
+              np.array([-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1])}
+    plain = json.loads(json.dumps(report, default=lambda a: a.tolist()))
+    assert _dumps(report) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_szk_writes_each_transcript_record_before_the_next_is_made(tmp_path, capsys,
+                                                                   monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    real_record, real_dumps = protocols._szk_record, json.dumps
+    events = []
+    monkeypatch.setattr(protocols, "_szk_record",
+                        lambda *args: events.append("made") or real_record(*args))
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: (
+        events.append("written") if isinstance(obj, dict) and "trial" in obj else None)
+        or real_dumps(obj, **kw))
+    transcript = tmp_path / "rounds.jsonl"
+    code, _ = run_cli(capsys, "szk", "--param", "m=3", "--trials", "5",
+                      "--transcript", str(transcript))
+    assert code == 0 and events == ["made", "written"] * 5
+    assert len(transcript.read_text().splitlines()) == 5

@@ -83,13 +83,14 @@ def test_szk_post_prover_state_is_permutation_invariant():
     u = scipy.linalg.expm(1j * 0.3 * (lambda h: h + h.conj().T)(
         rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))))
     prover = ProverStrategy.joint(u, anc_dim=anc)
-    from uhlmann_lab.protocols import _prepared_branches, _prover_round
-    [(_, start)] = _prepared_branches(psi, m, 0.0)
+    from uhlmann_lab.protocols import _joint_start, _prepared_tests, _prover_round
+    [(_, test)] = _prepared_tests(psi, m, 0.0)
+    start = _joint_start(psi, test, m)
     dims = [2] * (m + 1) + [2] * (m + 1) + [anc]
     rho_star = 0.0
     perms = list(itertools.permutations(range(m + 1)))
     for perm in perms:
-        vec, _ = _prover_round(start, psi.split, m, np.array(perm), prover)
+        vec = _prover_round(start, psi.split, m, np.array(perm), prover, range(len(dims)))
         dm = np.outer(vec, vec.conj())
         dm = linalg.partial_trace_matrix(dm, dims, list(range(2 * (m + 1))))
         rho_star = rho_star + dm / len(perms)
@@ -321,12 +322,12 @@ def test_shared_factor_is_applied_once_per_test(prep_error, monkeypatch):
 def test_junk_block_is_orthogonal_to_the_test_copies():
     # For C = |11> (up to phase) the last basis state is C itself; the junk
     # block then starts from the first basis state.
-    from uhlmann_lab.protocols import _prepared_branches
+    from uhlmann_lab.protocols import _joint_start, _prepared_tests
     one = np.zeros(4, dtype=complex)
     one[-1] = 1j
     for psi in (BipartiteState(one, (2, 2)), random_raw_instance(2, 3, 5).states()[0]):
         for m in (1, 3):
-            (_, good), (_, junk) = _prepared_branches(psi, m, 0.5)
+            good, junk = (_joint_start(psi, test, m) for _, test in _prepared_tests(psi, m, 0.5))
             assert abs(np.linalg.norm(junk) - 1.0) < 1e-12
             assert abs(np.vdot(good, junk)) < 1e-12
 
@@ -991,3 +992,95 @@ def test_qip_ideal_oracle_joint_prover_matches_szk():
                                       ord=np.inf) < 1e-12
                 outputs += 1
         assert probs >= 4 and outputs >= 2
+
+
+def _project_by_outer(vec, dims, block, ids, k):
+    """The amplifier's projection as an outer product copied back by moveaxis."""
+    axes = list(ids) + [k + j for j in ids]
+    front = list(range(len(axes)))
+    tensor = np.moveaxis(vec.reshape(dims), axes, front)
+    amp = block.conj() @ tensor.reshape(block.size, -1)
+    out = np.outer(block, amp).reshape(tensor.shape)
+    return np.moveaxis(out, front, axes).reshape(-1)
+
+
+def test_project_writes_the_outer_products_bits_in_place():
+    from uhlmann_lab.protocols import _project
+    rng = generator(41)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        dA, dB, g = (int(d) for d in rng.integers(1, 4, size=3))
+        dims = [dA] * k + [dB] * k + [g]
+        ids = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+        vec = haar_state_vector(math.prod(dims), rng)
+        block = haar_state_vector((dA * dB) ** len(ids), rng)
+        got = _project(vec, dims, block, ids, k)
+        assert got.tobytes() == _project_by_outer(vec, dims, block, ids, k).tobytes()
+
+
+def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):
+    """The joint-prover round through the register kernel: permute the slots,
+    apply the unitary to the B registers and the ancilla, permute back, then
+    regroup (A_0, B_0, ancilla) ahead of the test registers."""
+    from uhlmann_lab.protocols import _joint_start, _prepared_tests
+    from uhlmann_lab.qcore.states import tensor_power
+    dA, dB = psi.split
+    dvec = tensor_power(phi, m)
+    accept, cols = 0.0, []
+    for weight, test in _prepared_tests(psi, m, prep_error):
+        vec = _joint_start(psi, test, m)
+        dims = [dA] * (m + 1) + [dB] * (m + 1)
+        if prover.joint_anc_dim > 1:
+            vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
+            dims = dims + [prover.joint_anc_dim]
+        axis_perm = list(range(len(dims)))
+        for j, src in enumerate(perm):
+            axis_perm[m + 1 + j] = m + 1 + int(src)
+        vec = linalg.permute_registers_vec(vec, dims, axis_perm)
+        vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
+                                               list(range(m + 1, len(dims))))
+        vec = linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm))
+        keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
+        tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
+        work = linalg.permute_registers_vec(vec, dims, keep + tests)
+        amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
+        accept += weight * float(np.vdot(amp, amp).real)
+        cols.append(math.sqrt(weight) * amp)
+    return accept, np.hstack(cols) / math.sqrt(accept)
+
+
+def test_joint_round_gathers_the_register_kernels_bits():
+    from uhlmann_lab.protocols import _joint_test
+    rng = generator(43)
+    for case in range(24):
+        m = int(rng.integers(1, 4))
+        dA, dB = (int(d) for d in rng.integers(1, 4, size=2))
+        anc = int(rng.integers(1, 3))
+        psi, phi = (BipartiteState(haar_state_vector(dA * dB, rng), (dA, dB)) for _ in "ab")
+        prover = ProverStrategy.joint(haar_unitary(dB ** (m + 1) * anc, rng), anc_dim=anc)
+        perm = rng.permutation(m + 1)
+        for prep_error in (0.0, 0.1):
+            got = _joint_test(psi, phi, m, perm, prover, prep_error)
+            want = _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error)
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes(), case
+
+
+def test_joint_round_holds_two_joint_vectors_at_a_time():
+    # At m = 8 on a 2 x 2 instance a joint vector is 4 MiB; the test block
+    # and |D>^{⊗8} are 1 MiB each, so two joint vectors make ~10 MiB. Through
+    # the register kernel the round held four at once (~17 MiB).
+    import tracemalloc
+    from uhlmann_lab.protocols import _joint_test
+    m = 8
+    x = instance_with_fidelity(0.9, 2, 2, 5)
+    psi, phi = x.states()
+    prover = ProverStrategy.joint(linalg.kron_all([canonical_uhlmann(x, 0.0).completion()]
+                                                  * (m + 1)))
+    tracemalloc.start()
+    try:
+        accept, _ = _joint_test(psi, phi, m, np.arange(m + 1)[::-1], prover, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(accept - validate_instance(x)["kappa"] ** m) < 1e-9
+    assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -4,8 +4,8 @@ import pytest
 from conftest import pauli_matrix, swap_matrix
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
 from uhlmann_lab.qcore import random_clifford, random_state, random_symplectic
-from uhlmann_lab.qcore.random_ops import (_find_transvection, _support_start, _transvection,
-                                          pauli_action)
+from uhlmann_lab.qcore.random_ops import (_find_transvection, _pauli_masks, _support_start,
+                                          _transvection, pauli_action)
 from uhlmann_lab.rng import Seed, as_seed, child_seed, generator
 
 
@@ -213,7 +213,7 @@ def test_support_start_is_the_projectors_first_nonzero_column():
             for v, sign in paulis:
                 proj = 0.5 * (proj + pauli_matrix(v, sign) @ proj)
             first = int(np.flatnonzero(proj.any(axis=0))[0])
-            assert _support_start([pauli_action(v, sign) for v, sign in paulis]) == first
+            assert _support_start([_pauli_masks(v, sign) for v, sign in paulis]) == first
             assert first >= start
 
 
@@ -269,3 +269,19 @@ def test_clifford_needs_a_qubit():
             random_clifford(n, 1)
         with pytest.raises(DimensionMismatch):
             random_symplectic(n, generator(1))
+
+
+def test_clifford_columns_hold_one_index_map_at_a_time():
+    # 24 d bytes per index map: holding all 14 stabilizer maps at once
+    # peaked at ~27 complex vectors of d; one map at a time, at ~6.
+    import tracemalloc
+    n = 14
+    random_clifford(3, 0, columns=(0, 4))
+    tracemalloc.start()
+    try:
+        u = random_clifford(n, 5, columns=(0, 2 ** (n - 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (2 ** n, 2)
+    assert peak < 8 * 16 * 2 ** n, f"peak {peak / (16 * 2 ** n):.1f} complex vectors"

@@ -43,6 +43,15 @@ def _amp(values):
     return [[float(v), 0.0] for v in values]
 
 
+def _haar_pairs(d: int, seed: int) -> list:
+    """A seeded Haar-random state of dimension d as [re, im] pairs."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.stack([v.real, v.imag], axis=1).tolist()
+
+
 def input_files() -> dict:
     """File name -> JSON content of every input the sweep reads."""
     eps = 0.01
@@ -66,6 +75,11 @@ def input_files() -> dict:
                       "D": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]},
                                                      {"g": "H", "q": [1]}]}},
         "state.json": GHZ3,
+        # Pair lists of ~2.9 MB and ~1.5 MB: longer than the CLI's read slice.
+        "raw256.json": {"raw": {"dA": 256, "dB": 256, "psi": _haar_pairs(256 * 256, 1),
+                                "phi": _haar_pairs(256 * 256, 2)}},
+        "raw_scheme.json": {"raw": {"dC": 2048, "dR": 16, "psi0": _haar_pairs(2048 * 16, 3),
+                                    "psi1": _haar_pairs(2048 * 16, 4)}},
     }
 
 
@@ -77,6 +91,7 @@ COMMANDS = [
     "uhlmann --param kappa=0.5 --param overlap=0.2",
     "uhlmann qutrit.json",
     "uhlmann circuit_instance.json",
+    "uhlmann raw256.json",
     "szk --param kappa=0.99 --param m=4 --trials 100",
     "szk szk_config.json",
     "szk --param m=4095 --trials 50",
@@ -94,6 +109,7 @@ COMMANDS = [
     "amplify --param k=7 --param T=4",
     "commit --param schemes=10",
     "commit scheme.json",
+    "commit raw_scheme.json",
     "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
     "channel --param qubits=5",
     "channel --param qubits=8",
