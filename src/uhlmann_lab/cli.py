@@ -534,8 +534,7 @@ def run_compress(args):
 
 def run_blackhole(args):
     if args.inputs:
-        ch = _load(args.inputs[0], lambda data: physics.BlackHoleInstance(
-            GateCircuit.from_json_dict(data["circuit"]), int(data["r"])).radiation_channel())
+        ch = _load(args.inputs[0], lambda data: _radiation_from_file(args.inputs[0], data))
     else:
         n = _param(args, "qubits", 6, int, "[2, inf)")
         r = _param(args, "r", 4, int, f"[1, {n}]")
@@ -548,6 +547,17 @@ def run_blackhole(args):
         checks.append(_check("epr_recovery", decoded, 0.98,
                              "decoupling >= 0.99 implies EPR fidelity >= 0.98", ">="))
     return results, checks
+
+
+def _radiation_from_file(path: str, data: dict):
+    """The radiation channel of a black-hole file: the circuit applied to its
+    two input columns, |0...0> and |10...0>. r and the decoding caps are
+    checked before the circuit runs."""
+    circuit = GateCircuit.from_json_dict(data["circuit"])
+    n = circuit.n_qubits
+    r = _in_interval(f"{path}: r", data["r"], int, f"[1, {n}]")
+    shannon.check_decoding_caps(2, 2 ** r, 2 ** (n - r))
+    return physics.radiation_channel(channel_from_circuit(circuit, 1, ()).isometry, r)
 
 
 def run_interfere(args):

@@ -74,15 +74,6 @@ class CommitmentScheme:
         """(psi_0, psi_1) ordered (commit, reveal)."""
         return self._states
 
-    def to_json_dict(self) -> dict:
-        if self.raw_states is not None:
-            enc = lambda v: [[float(c.real), float(c.imag)] for c in v]
-            s0, s1 = self.raw_states
-            return {"raw": {"dC": s0.dA, "dR": s0.dB,
-                            "psi0": enc(s0.amplitudes), "psi1": enc(s1.amplitudes)}}
-        return {"C0": self.C0.to_json_dict(), "C1": self.C1.to_json_dict(),
-                "commit": list(self.commit_registers)}
-
     @staticmethod
     def from_json_dict(data: dict) -> "CommitmentScheme":
         if "raw" in data:

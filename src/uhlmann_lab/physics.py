@@ -1,9 +1,9 @@
 """Black-hole radiation decoding and interference detection.
 
-Radiation decoding reduces a scrambling circuit to a single-input-qubit
-channel and reuses the Uhlmann decoder; interference detection builds a
-controlled swap between two orthogonal states from one Uhlmann solve and
-runs the Hadamard test with it.
+Radiation decoding reduces a scrambler's two input columns to a
+single-input-qubit channel for the Uhlmann decoder of ``shannon``;
+interference detection builds a controlled swap between two orthogonal
+states from one Uhlmann solve and runs the Hadamard test with it.
 """
 
 from __future__ import annotations
@@ -15,38 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import ChannelDesc, channel_from_circuit
+from .qcore.channels import ChannelDesc
 from .qcore.gates import GateCircuit
 from .qcore.states import BipartiteState, maximally_entangled
-from .shannon import decoder_from_uhlmann, decoupling_fidelity
 from .uhlmann import UhlmannInstance, canonical_uhlmann
-
-
-@dataclass(frozen=True)
-class BlackHoleInstance:
-    """Scrambler P on n qubits mapping A ⊗ G -> H ⊗ R; A is qubit 0 and R is
-    the last r output qubits."""
-
-    P: GateCircuit
-    r: int
-
-    def __post_init__(self):
-        _check_radiation(self.P.n_qubits, self.r)
-
-    @property
-    def n(self) -> int:
-        return self.P.n_qubits
-
-    def radiation_channel(self) -> ChannelDesc:
-        """The channel that feeds one qubit into the scrambler and emits R."""
-        return channel_from_circuit(self.P, 1, range(self.n - self.r))
-
-
-def _check_radiation(n: int, r: int) -> None:
-    if n < 2:
-        raise DimensionMismatch("need at least 2 qubits")
-    if not (1 <= r <= n):
-        raise DimensionMismatch(f"r = {r} out of range 1..{n}")
 
 
 def radiation_channel(columns: np.ndarray, r: int) -> ChannelDesc:
@@ -56,7 +28,10 @@ def radiation_channel(columns: np.ndarray, r: int) -> ChannelDesc:
     ``columns`` is U[:, [0, 2^(n-1)]], the scrambler's two input columns.
     """
     n = int(columns.shape[0]).bit_length() - 1
-    _check_radiation(n, r)
+    if n < 2:
+        raise DimensionMismatch("need at least 2 qubits")
+    if not (1 <= r <= n):
+        raise DimensionMismatch(f"r = {r} out of range 1..{n}")
     if columns.shape[1] != 2:
         raise DimensionMismatch(f"need the scrambler's 2 input columns, got {columns.shape[1]}")
     # Output registers (H = first n-r qubits, R = last r) -> (R, H).
@@ -64,48 +39,23 @@ def radiation_channel(columns: np.ndarray, r: int) -> ChannelDesc:
                        (2 ** r, 2 ** (n - r)))
 
 
-def bh_decode(inst: BlackHoleInstance, min_decoupling: float = 0.0) -> dict:
-    """Decode the infalling qubit from the radiation register.
-
-    Prechecks the decoupling fidelity of the reduced channel; instances below
-    ``min_decoupling`` are reported undecodable without building a decoder.
-    """
-    ch = inst.radiation_channel()
-    dec_fid = decoupling_fidelity(ch)
-    result = {"decoupling": float(dec_fid), "promise_met": dec_fid >= min_decoupling}
-    if dec_fid < min_decoupling:
-        result.update({"decoder": None, "epr_fidelity": None})
-        return result
-    decoded = decoder_from_uhlmann(ch)
-    result.update({"decoder": decoded["decoder"],
-                   "epr_fidelity": decoded["fidelity"]})
-    return result
-
-
 @dataclass(frozen=True)
 class OrthPair:
-    """Two n-qubit circuits (or raw vectors) with orthogonal output states,
-    simulated once, at construction. The controlled swap between them is
-    solved on first use and held."""
+    """Two n-qubit circuits with orthogonal output states, simulated once, at
+    construction. The controlled swap between them is solved on first use
+    and held."""
 
-    C: Optional[GateCircuit] = None
-    D: Optional[GateCircuit] = None
-    raw: Optional[tuple] = None
+    C: GateCircuit
+    D: GateCircuit
     _vectors: tuple = field(init=False, repr=False, compare=False)
     _swap: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.raw is not None:
-            a = np.asarray(self.raw[0], dtype=complex).reshape(-1)
-            b = np.asarray(self.raw[1], dtype=complex).reshape(-1)
-        else:
-            if self.C.n_qubits != self.D.n_qubits:
-                raise DimensionMismatch("circuits act on different qubit counts")
-            # The controlled-swap instance is checked before any simulation.
-            check_pure_cap(16 * 4 ** self.C.n_qubits, "interference instance")
-            a, b = self.C.state(), self.D.state()
-        if a.shape != b.shape:
-            raise DimensionMismatch("states live in different dimensions")
+        if self.C.n_qubits != self.D.n_qubits:
+            raise DimensionMismatch("circuits act on different qubit counts")
+        # The controlled-swap instance is checked before any simulation.
+        check_pure_cap(16 * 4 ** self.C.n_qubits, "interference instance")
+        a, b = self.C.state(), self.D.state()
         overlap = abs(np.vdot(a, b))
         if overlap > 1e-9:
             raise DimensionMismatch(f"states are not orthogonal: |<C|D>| = {overlap:.3g}")

@@ -128,12 +128,6 @@ def _szk_record(test: _PermutationTest, perm, accept_prob: float, accepted: bool
             "output_td_to_target": test.output_distance(perm) if accepted else None}
 
 
-def _permutation_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
-                      prover: ProverStrategy, prep_error: float = 0.0):
-    """``_PermutationTest(psi, phi, m, prover, prep_error)(perm)``."""
-    return _PermutationTest(psi, phi, m, prover, prep_error)(perm)
-
-
 class _PermutationTest:
     """The permutation-test verifier as a function of the permutation (slot
     j holds register perm[j]), with the m test copies oracle-prepared at
@@ -245,7 +239,7 @@ def _junk_basis(psi: BipartiteState, m: int):
 
 def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
                 prover: ProverStrategy, prep_error: float):
-    """``_permutation_test`` for a joint prover: runs the prover round on
+    """``_PermutationTest`` for a joint prover: runs the prover round on
     every oracle-prepared branch and projects the test block onto |D>^{⊗m}.
     The accepted amplitude of a branch, reshaped to (A_0 B_0) x (ancilla), is
     its part of the output factor. Each branch's joint vector is made only
@@ -318,28 +312,22 @@ def _prover_round(vec, split, m: int, perm, prover: ProverStrategy, order) -> np
     return out.reshape(-1)
 
 
-def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy,
-                           seed=0, samples: int = 0):
-    """Average over the verifier permutation: (accept prob, output given acceptance).
-
-    A product prover's run depends only on the slot that receives the input
-    register, so the m + 1 rotations average it exactly; a joint prover is
-    averaged over ``samples`` sampled permutations (200 when 0).
+def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy):
+    """Average over the verifier permutation: (accept prob, output given
+    acceptance), for a product prover. Its run depends only on the slot that
+    receives the input register, so the m + 1 rotations average it exactly.
     """
+    if not prover.is_product():
+        raise ValueError("the conditional output is averaged for product provers only")
     psi, phi = x.states()
-    if prover.is_product():
-        perms = [np.roll(np.arange(m + 1), j) for j in range(m + 1)]
-    else:
-        rng = as_seed(seed).child("szk-cond").generator()
-        perms = [rng.permutation(m + 1) for _ in range(samples or 200)]
+    perms = [np.roll(np.arange(m + 1), j) for j in range(m + 1)]
     test = _PermutationTest(psi, phi, m, prover)
     acc, mat, wsum = 0.0, 0.0, 0.0
     for perm in perms:
         p, factor = test(perm)
         acc += p / len(perms)
-        if factor is not None:
-            mat = mat + p * (factor @ factor.conj().T)
-            wsum += p
+        mat = mat + p * (factor @ factor.conj().T)
+        wsum += p
     return acc, DensityOp(mat / wsum, psi.split)
 
 
@@ -414,12 +402,6 @@ def check_amplifier_cap(dA: int, dB: int, k: int, g_dim: int, T: int = 0) -> Non
     check_pure_cap(size * 2 ** T, "amplifier state")
     if dA * dB * size > DENSITY_DIM_CAP ** 2:
         raise DimensionCapError(dA * dB * size, DENSITY_DIM_CAP ** 2, "amplifier range basis")
-
-
-def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
-    """R~ = (unitary completion)^{⊗k}, the exact transporter."""
-    u = canonical_uhlmann(x, 0.0).completion()
-    return FoldedSolver(linalg.kron_all([u] * k), 1)
 
 
 def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = None):
@@ -781,15 +763,20 @@ class ApproxMeasureResult:
     error_bound: float
 
 
+# The trace-distance error a DME-mode measurement is sized for when no copy
+# count is given.
+_DME_ERROR = 0.05
+
+
 def approx_measure(tau, psi, k_q: int = None, mode: str = "ideal_reflection",
-                   seed=0, target_error: float = 0.05) -> ApproxMeasureResult:
+                   seed=0) -> ApproxMeasureResult:
     """Hadamard-test measurement of |psi><psi| on the last register of tau.
 
     An ancilla |+> controls e^{i pi |psi><psi|} (exact reflection in
     ``ideal_reflection`` mode, DME with k_q program copies in ``dme`` mode);
     measuring the ancilla in the ± basis yields bit b with
     Pr[b=1] ≈ Tr(|psi><psi| tau). In ``dme`` mode an omitted k_q is the
-    fewest copies whose ``dme_error_bound`` meets ``target_error``.
+    fewest copies whose ``dme_error_bound`` meets 0.05 (``_DME_ERROR``).
     """
     if isinstance(psi, BipartiteState):
         psi = psi.amplitudes
@@ -797,7 +784,7 @@ def approx_measure(tau, psi, k_q: int = None, mode: str = "ideal_reflection",
     if mode == "ideal_reflection":
         result = _approx_measure_pure(tau, psi)
     elif mode == "dme":
-        result = _approx_measure_dme(tau, psi, k_q or default_dme_copies(target_error))
+        result = _approx_measure_dme(tau, psi, k_q or default_dme_copies(_DME_ERROR))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rng = as_seed(seed).child("approx-measure").generator()
@@ -877,7 +864,6 @@ def _approx_measure_dme(tau, psi, k_q: int):
 class OracleConfig:
     prep_error: float = 0.0
     mode: str = "ideal_reflection"
-    k_q: Optional[int] = None
 
 
 def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
@@ -895,8 +881,8 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     psi, phi = x.states()
     rng = as_seed(seed).child("qip").generator()
     perm = rng.permutation(m + 1)
-    p_one, factor = _permutation_test(psi, phi, m, perm, prover, oracle.prep_error)
-    meas_error = (dme_error_bound(0.5, oracle.k_q or default_dme_copies(0.05))
+    p_one, factor = _PermutationTest(psi, phi, m, prover, oracle.prep_error)(perm)
+    meas_error = (dme_error_bound(0.5, default_dme_copies(_DME_ERROR))
                   if oracle.mode == "dme" else 0.0)
     accepted = bool(rng.random() < p_one)
     output = DensityOp(factor @ factor.conj().T, psi.split) if factor is not None else None

@@ -78,19 +78,6 @@ def push_factor(ch: ChannelDesc, factor: np.ndarray, before: int = 1, after: int
     return out.transpose(2, 0, 3, 1, 4).reshape(before * ch.d_out * after, ch.d_env * k)
 
 
-def compose(second: ChannelDesc, first: ChannelDesc) -> ChannelDesc:
-    """The channel second ∘ first: V = (V2 ⊗ 1_env1) V1, rows (out2, env2, env1)."""
-    if second.d_in != first.d_out:
-        raise DimensionMismatch(
-            f"cannot compose: {second.d_in} != {first.d_out}")
-    v = second.isometry @ first.isometry.reshape(first.d_out, first.d_env * first.d_in)
-    return ChannelDesc(v.reshape(-1, first.d_in), (second.d_out, second.d_env * first.d_env))
-
-
-def identity_channel(d: int) -> ChannelDesc:
-    return ChannelDesc(np.eye(d, dtype=complex), (d, 1))
-
-
 def unitary_channel(u: np.ndarray) -> ChannelDesc:
     u = np.asarray(u, dtype=complex)
     return ChannelDesc(u, (u.shape[0], 1))
@@ -108,6 +95,7 @@ def channel_from_circuit(circuit: GateCircuit, n_input: int,
     if any(q < 0 or q >= n for q in env_qubits):
         raise DimensionMismatch(f"env qubits {env_qubits} out of range")
     d_in = 2 ** n_input
+    check_pure_cap(circuit.dim * d_in)
     inputs = np.zeros((circuit.dim, d_in), dtype=complex)
     inputs[np.arange(d_in) * (circuit.dim // d_in), np.arange(d_in)] = 1.0
     out_qubits = [q for q in range(n) if q not in env_qubits]
@@ -123,39 +111,6 @@ def interleave(m: np.ndarray) -> np.ndarray:
     out[0::2] = flat.real
     out[1::2] = flat.imag
     return out
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    """``interleave(m)`` as a list of floats."""
-    return interleave(m).tolist()
-
-
-def decode_matrix(values, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    flat = arr[0::2] + 1j * arr[1::2]
-    return flat.reshape(rows, cols)
-
-
-def channel_to_json_dict(ch: ChannelDesc) -> dict:
-    return {"isometry": encode_matrix(ch.isometry), "d_in": ch.d_in,
-            "out_split": list(ch.out_split)}
-
-
-def channel_from_json_dict(data: dict) -> ChannelDesc:
-    """A channel from its isometry, from a circuit, or from a legacy unitary
-    dilation ``"matrix"`` on (in ⊗ anc), whose columns with the ancilla in
-    |anc_state> are the isometry."""
-    if "isometry" in data:
-        d_in, out_split = int(data["d_in"]), tuple(data["out_split"])
-        v = decode_matrix(data["isometry"], out_split[0] * out_split[1], d_in)
-        return ChannelDesc(v, out_split)
-    if "matrix" in data:
-        d_in, d_anc = int(data["d_in"]), int(data["d_anc"])
-        dilation = decode_matrix(data["matrix"], d_in * d_anc, d_in * d_anc)
-        return ChannelDesc(dilation[:, int(data.get("anc_state", 0))::d_anc],
-                           tuple(data["out_split"]))
-    circ = GateCircuit.from_json_dict(data["dilation"])
-    return channel_from_circuit(circ, int(data["n_input"]), data["env"])
 
 
 def check_trace_preserving(ch: ChannelDesc, atol: float = 1e-9) -> float:

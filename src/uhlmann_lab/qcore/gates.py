@@ -7,7 +7,6 @@ unitary. Qubit 0 is the most significant bit of the state index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -60,16 +59,6 @@ class GateCircuit:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def then(self, other: "GateCircuit") -> "GateCircuit":
-        if other.n_qubits != self.n_qubits:
-            raise DimensionMismatch("circuit arities differ")
-        return GateCircuit(self.n_qubits, self.gates + other.gates)
-
-    def inverse(self) -> "GateCircuit":
-        inv = {"S": "Sdg", "Sdg": "S", "T": "Tdg", "Tdg": "T"}
-        rev = tuple((inv.get(g, g), qs) for g, qs in reversed(self.gates))
-        return GateCircuit(self.n_qubits, rev)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the circuit to a state vector of matching dimension, or to
         each column of a (dim, k) matrix."""
@@ -93,21 +82,10 @@ class GateCircuit:
         check_pure_cap(self.dim * self.dim, "materialized circuit unitary")
         return self.apply(np.eye(self.dim, dtype=complex))
 
-    def to_json_dict(self) -> dict:
-        return {"n_qubits": self.n_qubits,
-                "gates": [{"g": g, "q": list(qs)} for g, qs in self.gates]}
-
     @staticmethod
     def from_json_dict(data: dict) -> "GateCircuit":
         gates = tuple((entry["g"], tuple(entry["q"])) for entry in data.get("gates", []))
         return GateCircuit(int(data["n_qubits"]), gates)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "GateCircuit":
-        return GateCircuit.from_json_dict(json.loads(text))
 
 
 def random_circuit(n_qubits: int, n_gates: int, rng: np.random.Generator) -> GateCircuit:

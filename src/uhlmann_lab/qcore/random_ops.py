@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionMismatch, check_pure_cap
-from .states import BipartiteState
 from ..rng import as_seed
 
 
@@ -248,15 +247,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     ph = np.diag(r).copy()
     ph = ph / np.abs(ph)
     return q * ph
-
-
-def random_state(d: int, seed, split=None) -> BipartiteState:
-    """Haar-random pure state: normalized complex Gaussian vector."""
-    check_pure_cap(d)
-    rng = as_seed(seed).child("haar-state").generator()
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v = v / np.linalg.norm(v)
-    return BipartiteState(v, split or (1, d))
 
 
 def haar_state_vector(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..errors import DimensionMismatch, NotPositive, check_density_cap, check_pure_cap
 from . import linalg
-from .gates import GateCircuit
 
 _VALIDATE_ATOL = 1e-8
 
@@ -244,27 +243,3 @@ def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     out = linalg.partial_trace_matrix(op.matrix, op.dims, keep)
     return DensityOp(out, tuple(op.dims[k] for k in keep))
 
-
-def apply_circuit(circuit: GateCircuit, state=None, split=None) -> BipartiteState:
-    """Run a circuit on a BipartiteState, a raw vector, or a basis label.
-
-    ``state`` may be a BipartiteState, a complex vector, an int basis index,
-    or None (the all-zeros state). The output split defaults to the input's
-    (or to an even qubit split).
-    """
-    dim = circuit.dim
-    if state is None:
-        vec = linalg.basis_vector(dim, 0)
-    elif isinstance(state, BipartiteState):
-        vec = state.amplitudes
-        split = split or state.split
-    elif np.isscalar(state) and not isinstance(state, complex):
-        vec = linalg.basis_vector(dim, int(state))
-    else:
-        vec = np.asarray(state, dtype=complex).reshape(-1)
-    if vec.shape[0] != dim:
-        raise DimensionMismatch(f"state dim {vec.shape[0]} vs circuit dim {dim}")
-    if split is None:
-        half = circuit.n_qubits // 2
-        split = (2 ** half, 2 ** (circuit.n_qubits - half))
-    return BipartiteState(circuit.apply(vec), split)

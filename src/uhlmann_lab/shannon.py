@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_density_cap, check_matrix_cap, check_pure_cap
 from .qcore import linalg
-from .qcore.channels import (ChannelDesc, channel_from_json_dict, channel_to_json_dict,
-                             complementary, push_factor)
+from .qcore.channels import ChannelDesc, complementary, push_factor
 from .qcore.gates import GateCircuit
 from .qcore.metrics import factor_fidelity, factor_trace_distance, reduce_factor
 from .qcore.random_ops import haar_state_vector, random_clifford
@@ -242,19 +241,6 @@ class CompressionCodec:
     n: int
     y_star: int
     clifford_seed: Seed
-
-    def to_json_dict(self) -> dict:
-        return {"encoder": channel_to_json_dict(self.encoder),
-                "decoder": channel_to_json_dict(self.decoder),
-                "s": self.s, "n": self.n, "y_star": self.y_star,
-                "clifford_seed": self.clifford_seed.value}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CompressionCodec":
-        return CompressionCodec(channel_from_json_dict(data["encoder"]),
-                                channel_from_json_dict(data["decoder"]),
-                                int(data["s"]), int(data["n"]),
-                                int(data["y_star"]), Seed(int(data["clifford_seed"])))
 
 
 def _source_state(source):

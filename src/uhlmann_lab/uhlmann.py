@@ -11,7 +11,6 @@ a dB x dB partial isometry acting on register B that maps psi toward phi.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,14 +75,6 @@ class UhlmannInstance:
         """(psi, phi) = (|C>, |D>) as BipartiteStates."""
         return self._states
 
-    def to_json_dict(self) -> dict:
-        if self.raw_pair is not None:
-            psi, phi = self.raw_pair
-            enc = lambda v: [[float(c.real), float(c.imag)] for c in v]
-            return {"raw": {"dA": self.dA, "dB": self.dB,
-                            "psi": enc(psi.amplitudes), "phi": enc(phi.amplitudes)}}
-        return {"n": self.n, "C": self.C.to_json_dict(), "D": self.D.to_json_dict()}
-
     @staticmethod
     def from_json_dict(data: dict) -> "UhlmannInstance":
         if "raw" in data:
@@ -94,10 +85,6 @@ class UhlmannInstance:
         return UhlmannInstance(n=int(data["n"]),
                                C=GateCircuit.from_json_dict(data["C"]),
                                D=GateCircuit.from_json_dict(data["D"]))
-
-    @staticmethod
-    def from_json(text: str) -> "UhlmannInstance":
-        return UhlmannInstance.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -632,6 +632,32 @@ def test_oversize_decoding_exits_2_before_allocating(argv, what, capsys, monkeyp
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("scenario, content, what", [
+    ("channel", {"dilation": {"n_qubits": 40, "gates": []}, "n_input": 1, "env": [39]},
+     "state vector dimension 2199023255552"),
+    ("blackhole", {"circuit": {"n_qubits": 40, "gates": []}, "r": 2},
+     "decoupling product factor dimension"),
+    ("blackhole", {"circuit": {"n_qubits": 18, "gates": [{"g": "H", "q": [0]}]}, "r": 2},
+     "decoupling product factor dimension 2097152"),
+    ("blackhole", {"circuit": {"n_qubits": 12, "gates": []}, "r": 12},
+     "decoder isometry dimension"),
+    ("blackhole", {"circuit": {"n_qubits": 3, "gates": []}, "r": 0}, "r=0 out of range [1, 3]")],
+    ids=["channel_n40", "blackhole_n40", "blackhole_n18", "blackhole_n12_r12", "blackhole_r0"])
+def test_oversize_circuit_file_exits_2_before_simulating(scenario, content, what, tmp_path,
+                                                         capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("circuit simulated")
+
+    # The caps and r are checked from the file's n before the circuit runs.
+    monkeypatch.setattr(GateCircuit, "apply", never)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(content))
+    code = main([scenario, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and what in captured.err
+
+
 @pytest.mark.parametrize("source", ["haar:128", "haar:1024", "mm:7"])
 def test_compress_roundtrip_cap_is_checked_before_any_codec(source, capsys, monkeypatch):
     from uhlmann_lab import shannon

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -177,17 +176,6 @@ def test_commitment_from_instance():
     x = instance_with_fidelity(0.0, 2, 2, 6)
     rep = evaluate(commitment_from_instance(x))
     assert rep.binding_opt < 1e-9
-
-
-def test_scheme_json_roundtrip():
-    scheme = random_scheme(1, 2, 8, 17)
-    again = CommitmentScheme.from_json_dict(
-        json.loads(json.dumps(scheme.to_json_dict())))
-    r0, r1 = evaluate(scheme), evaluate(again)
-    assert abs(r0.hiding_stat - r1.hiding_stat) < 1e-12
-    raw = _raw_scheme(5)
-    again = CommitmentScheme.from_json_dict(raw.to_json_dict())
-    assert np.allclose(again.raw_states[0].amplitudes, raw.raw_states[0].amplitudes)
 
 
 def test_circuit_scheme_holds_its_states():

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import dilated_channel
 from uhlmann_lab.errors import DimensionMismatch
-from uhlmann_lab.physics import (BlackHoleInstance, OrthPair,
-                                 bh_decode, controlled_swap_from_uhlmann,
+from uhlmann_lab.physics import (OrthPair, controlled_swap_from_uhlmann,
                                  distinguisher_to_swap, householder_swap,
                                  interference_detect, radiation_channel,
                                  swap_to_distinguisher)
-from uhlmann_lab.qcore import GATES, ChannelDesc, GateCircuit, linalg, random_circuit
+from uhlmann_lab.qcore import (GATES, ChannelDesc, GateCircuit, channel_from_circuit, linalg,
+                               random_circuit)
 from uhlmann_lab.qcore.random_ops import haar_state_vector, random_clifford
 from uhlmann_lab.rng import child_seed, generator
 from uhlmann_lab.shannon import decoder_from_uhlmann, decoupling_fidelity
@@ -25,44 +25,39 @@ def scrambler_instance(n, r, seed) -> ChannelDesc:
 # ---------------------------------------------------------------------------
 # Black-hole decoding
 
+def bh_epr_fidelity(circuit: GateCircuit, r: int) -> float:
+    """The decoder's EPR fidelity on the radiation channel that ``blackhole
+    FILE`` builds: the circuit's two input columns, the last r qubits kept."""
+    columns = circuit.apply(np.eye(circuit.dim)[:, [0, circuit.dim // 2]])
+    return decoder_from_uhlmann(radiation_channel(columns, r))["fidelity"]
+
+
 def test_bh_identity_radiation_contains_qubit():
-    inst = BlackHoleInstance(GateCircuit(2, ()), 2)
-    res = bh_decode(inst)
-    assert res["epr_fidelity"] > 1 - 1e-8
-    assert res["promise_met"]
+    assert bh_epr_fidelity(GateCircuit(2, ()), 2) > 1 - 1e-8
 
 
 def test_bh_qubit_dumped_into_horizon():
     # A stays in H (identity circuit, R = the ancilla qubit only): nothing to decode.
-    inst = BlackHoleInstance(GateCircuit(2, ()), 1)
-    res = bh_decode(inst)
-    assert res["epr_fidelity"] <= 0.5 + 1e-8
+    assert bh_epr_fidelity(GateCircuit(2, ()), 1) <= 0.5 + 1e-8
 
 
 def test_bh_swap_moves_qubit_into_radiation():
-    inst = BlackHoleInstance(GateCircuit(2, (("SWAP", (0, 1)),)), 1)
-    res = bh_decode(inst)
-    assert res["epr_fidelity"] > 1 - 1e-8
+    assert bh_epr_fidelity(GateCircuit(2, (("SWAP", (0, 1)),)), 1) > 1 - 1e-8
 
 
 def test_bh_decode_consistent_with_channel_decoder():
-    inst = BlackHoleInstance(GateCircuit(3, (("H", (0,)), ("CNOT", (0, 1)),
-                                             ("CNOT", (1, 2)))), 2)
-    res = bh_decode(inst)
-    direct = decoder_from_uhlmann(inst.radiation_channel())
-    assert abs(res["epr_fidelity"] - direct["fidelity"]) < 1e-9
-    # The circuit is applied to its two input columns; no unitary is built.
-    sliced = radiation_channel(inst.P.unitary()[:, [0, 4]], 2)
-    assert np.abs(inst.radiation_channel().isometry - sliced.isometry).max() < 1e-15
+    circuit = GateCircuit(3, (("H", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 2))))
+    # The circuit's channel with the horizon (the first n - r qubits) traced.
+    direct = channel_from_circuit(circuit, 1, range(1))
+    assert abs(bh_epr_fidelity(circuit, 2) - decoder_from_uhlmann(direct)["fidelity"]) < 1e-9
+    # The two input columns give that channel; no unitary is needed.
+    sliced = radiation_channel(circuit.unitary()[:, [0, 4]], 2)
+    assert np.abs(direct.isometry - sliced.isometry).max() < 1e-15
     with pytest.raises(DimensionMismatch):
-        radiation_channel(inst.P.unitary(), 2)
-
-
-def test_bh_promise_gate():
-    inst = BlackHoleInstance(GateCircuit(2, ()), 1)
-    res = bh_decode(inst, min_decoupling=0.9)
-    assert not res["promise_met"]
-    assert res["decoder"] is None
+        radiation_channel(circuit.unitary(), 2)
+    for n, r in ((1, 1), (3, 0), (3, 4)):
+        with pytest.raises(DimensionMismatch):
+            radiation_channel(np.eye(2 ** n)[:, [0, 2 ** n // 2]], r)
 
 
 def test_bh_clifford_scrambler():
@@ -137,7 +132,8 @@ def test_controlled_swap_gram_schmidt_pair():
     c = np.array([1.0, 0, 0, 0])
     d = epr - c * (c @ epr)
     d = d / np.linalg.norm(d)
-    pair = OrthPair(raw=(c, d))
+    pair = OrthPair(C=GateCircuit(2, ()), D=GateCircuit(2, (("X", (0,)), ("X", (1,)))))
+    assert np.array_equal(pair.vectors()[1], d)
     ctrl = controlled_swap_from_uhlmann(pair)
     for flag, vin, vout in ((0, c, c), (0, d, d), (1, c, d), (1, d, c)):
         e = np.eye(2)[flag]

@@ -14,7 +14,6 @@ from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    amplify_run_incoherent, approx_measure,
                                    default_dme_copies, dme,
                                    dme_error_bound, dme_exact_unitary, engineered_solver,
-                                   exact_solver,
                                    folded_fidelity, partial_swap, qip_run,
                                    szk_conditional_output, szk_honest_post_state,
                                    szk_run, szk_simulate, szk_simulator_distance, szk_trials)
@@ -29,6 +28,12 @@ from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlma
 
 EPR_CIRCUIT = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
 EPR_INSTANCE = UhlmannInstance(n=1, C=EPR_CIRCUIT, D=EPR_CIRCUIT)
+
+
+def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
+    """R~ = (unitary completion)^{⊗k}, the exact transporter."""
+    u = canonical_uhlmann(x, 0.0).completion()
+    return FoldedSolver(linalg.kron_all([u] * k), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +222,9 @@ def test_szk_conditional_output_matches_dense_slot_outputs():
             assert abs(acc - sum(weights) / (m + 1)) < 1e-12
             want = sum(w * o for w, o in zip(weights, outs)) / sum(weights)
             assert np.abs(cond.matrix - want).max() < 1e-12
+    # A joint prover's run depends on the whole permutation: no exact average.
+    with pytest.raises(ValueError):
+        szk_conditional_output(x, m, ProverStrategy.joint(np.eye(x.dB ** (m + 1))))
 
 
 def _split_provers(x, m, rng):
@@ -262,7 +270,7 @@ def test_product_closed_form_matches_the_joint_and_kraus_references():
     # factors) or the dense Kraus sum (channel factors), at every permutation.
     # Haar instances make c and <Y, X> complex, so a flipped sign or
     # conjugate on the junk block's cross term shows.
-    from uhlmann_lab.protocols import _permutation_test
+    from uhlmann_lab.protocols import _PermutationTest
     rng = generator(41)
     for split in ((2, 3), (3, 2)):
         x = random_raw_instance(*split, 7 * split[0])
@@ -276,15 +284,15 @@ def test_product_closed_form_matches_the_joint_and_kraus_references():
                     for prover in unitary_provers:
                         joint = ProverStrategy.joint(linalg.kron_all(
                             [eye if f is None else f for f in prover.factors]))
-                        p, factor = _permutation_test(psi, phi, m, perm, prover, prep_error)
-                        q, want = _permutation_test(psi, phi, m, perm, joint, prep_error)
+                        p, factor = _PermutationTest(psi, phi, m, prover, prep_error)(perm)
+                        q, want = _PermutationTest(psi, phi, m, joint, prep_error)(perm)
                         assert abs(p - q) < 1e-13
                         assert np.abs(factor @ factor.conj().T
                                       - want @ want.conj().T).max() < 1e-12
                     kraus = [[eye] if f is None else
                              f.kraus_operators() if isinstance(f, ChannelDesc) else [f]
                              for f in channel_prover.factors]
-                    p, factor = _permutation_test(psi, phi, m, perm, channel_prover, prep_error)
+                    p, factor = _PermutationTest(psi, phi, m, channel_prover, prep_error)(perm)
                     q, want = _kraus_reference(psi, phi, m, perm, kraus, prep_error)
                     assert abs(p - q) < 1e-13
                     assert np.abs(factor @ factor.conj().T - want).max() < 1e-12
@@ -311,10 +319,10 @@ def test_shared_factor_is_applied_once_per_test(prep_error, monkeypatch):
     calls = []
     monkeypatch.setattr(protocols, "_factor_action",
                         lambda factor, state: calls.append(1) or real(factor, state))
-    p, factor = protocols._permutation_test(psi, phi, m, perm, honest, prep_error)
+    p, factor = protocols._PermutationTest(psi, phi, m, honest, prep_error)(perm)
     assert len(calls) <= 2
     calls.clear()
-    q, want = protocols._permutation_test(psi, phi, m, perm, copies, prep_error)
+    q, want = protocols._PermutationTest(psi, phi, m, copies, prep_error)(perm)
     assert len(calls) == (m + 1) + (m if prep_error else 0)
     assert p == q and np.array_equal(factor, want)  # the same products, in slot order
 
@@ -797,6 +805,9 @@ def test_approx_measure_dme_within_bound_near_orthogonal_target():
     res = approx_measure(tau, np.array([1.0, 0]), k_q=128, mode="dme")
     assert abs(res.p_one - math.cos(theta) ** 2) <= res.error_bound
     assert res.error_bound == dme_error_bound(0.5, 128)
+    # Without k_q, the fewest copies whose bound meets 0.05.
+    res = approx_measure(tau, np.array([1.0, 0]), mode="dme")
+    assert res.error_bound == dme_error_bound(0.5, default_dme_copies(0.05))
 
 
 def test_dme_error_bound_holds_across_dimensions():

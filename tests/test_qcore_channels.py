@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,9 @@ from conftest import dilated_channel, swap_matrix
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
                                channel_from_circuit, check_trace_preserving,
-                               complementary, compose, identity_channel,
-                               maximally_entangled, maximally_mixed, unitary_channel)
-from uhlmann_lab.qcore.channels import (channel_from_json_dict, channel_to_json_dict,
-                                        encode_matrix, push_factor)
+                               complementary, maximally_entangled, maximally_mixed,
+                               unitary_channel)
+from uhlmann_lab.qcore.channels import push_factor
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_unitary, random_density
 from uhlmann_lab.rng import generator
@@ -43,7 +40,7 @@ def _kraus_sum(ch: ChannelDesc, rho: np.ndarray) -> np.ndarray:
 
 def test_identity_channel():
     rho = DensityOp(random_density(4, generator(1)), (4,))
-    out = _push(identity_channel(4), rho)
+    out = _push(unitary_channel(np.eye(4)), rho)
     assert np.linalg.norm(out - rho.matrix, ord=np.inf) < 1e-12
 
 
@@ -105,22 +102,6 @@ def test_trace_preservation_reads_the_anc_state_columns():
     assert abs(check_trace_preserving(ch) - max(abs(t - 1) for t in traces)) < 1e-15
 
 
-def test_compose_matches_sequential():
-    first = dilated_channel(haar_unitary(8, generator(5)), 4, 2, (2, 4))
-    second = dilated_channel(haar_unitary(8, generator(6)), 2, 4, (4, 2))
-    rho = DensityOp(random_density(4, generator(7)), (4,))
-    combined = _push(compose(second, first), rho)
-    sequential = _kraus_sum(second, _kraus_sum(first, rho.matrix))
-    assert np.linalg.norm(combined - sequential, ord=np.inf) < 1e-10
-    # The composed environment is (env2, env1), the column order of two
-    # sequential pushes, so the output factors agree entry by entry.
-    l = _factor(rho)
-    assert np.abs(push_factor(compose(second, first), l)
-                  - push_factor(second, push_factor(first, l))).max() < 1e-14
-    with pytest.raises(DimensionMismatch):
-        compose(first, first)
-
-
 def test_channel_from_circuit():
     # CNOT dilation, env = target qubit: dephasing on the control.
     circ = GateCircuit(2, (("CNOT", (0, 1)),))
@@ -140,15 +121,14 @@ def test_unitary_channel_roundtrip():
 
 
 def test_channel_input_dimension_check():
-    ch = identity_channel(4)
+    ch = unitary_channel(np.eye(4))
     with pytest.raises(DimensionMismatch):
         _push(ch, maximally_mixed((2,)))
 
 
 def test_push_factor_acts_on_its_register():
     # (id ⊗ N ⊗ id)(L L^dag) against the Kraus form of N on the middle register.
-    ch = compose(unitary_channel(haar_unitary(3, generator(10))),
-                 dilated_channel(haar_unitary(6, generator(11)), 3, 2, (3, 2)))
+    ch = dilated_channel(haar_unitary(6, generator(11)), 3, 2, (3, 2))
     rng = generator(9)
     for before, after, cols in ((1, 1, 1), (2, 1, 3), (1, 2, 2), (2, 3, 4)):
         d = before * 3 * after
@@ -196,18 +176,3 @@ def test_apply_to_first_matches_dilated_reference(d_in, d_anc, out_split, anc_st
         want = _dilate_conjugate_trace(u, d_anc, anc_state, out_split, mat, rest)
         assert np.linalg.norm(out @ out.conj().T - want, ord=np.inf) < 1e-12
 
-
-@pytest.mark.parametrize("d_in,d_anc,anc_state", [(2, 3, 2), (3, 4, 1), (1, 4, 3), (2, 2, 0)])
-def test_dilation_from_isometry_places_columns_at_anc_state(d_in, d_anc, anc_state):
-    """A unitary dilation on (in ⊗ anc) holds the isometry in its columns with
-    the ancilla in |anc_state>; a legacy dilation file loads to exactly those."""
-    u = haar_unitary(d_in * d_anc, generator(30 + d_in + d_anc))
-    legacy = {"matrix": encode_matrix(u), "d_in": d_in, "d_anc": d_anc,
-              "out_split": [d_in * d_anc, 1], "anc_state": anc_state}
-    ch = channel_from_json_dict(json.loads(json.dumps(legacy)))
-    assert ch.isometry.tobytes() == u[:, anc_state::d_anc].tobytes()
-    v = ch.isometry
-    assert np.linalg.norm(v.conj().T @ v - np.eye(d_in), ord=np.inf) <= 1e-12
-    # A channel is written as its isometry and read back unchanged.
-    again = channel_from_json_dict(json.loads(json.dumps(channel_to_json_dict(ch))))
-    assert again.isometry.tobytes() == v.tobytes() and again.out_split == ch.out_split

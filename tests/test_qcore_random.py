@@ -3,10 +3,10 @@ import pytest
 
 from conftest import pauli_matrix, swap_matrix
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
-from uhlmann_lab.qcore import random_clifford, random_state, random_symplectic
+from uhlmann_lab.qcore import random_clifford, random_symplectic
 from uhlmann_lab.qcore.random_ops import (_find_transvection, _pauli_masks, _support_start,
                                           _transvection, pauli_action)
-from uhlmann_lab.rng import Seed, as_seed, child_seed, generator
+from uhlmann_lab.rng import as_seed, child_seed, generator
 
 
 def test_clifford_is_unitary():
@@ -94,13 +94,6 @@ def test_clifford_two_design_twirl():
     beta = (d * d * tr_sx - d * tr_x) / denom
     twirl = alpha * np.eye(4) + beta * s
     assert np.linalg.norm(acc - twirl, ord=2) < 0.05
-
-
-def test_random_state_determinism_and_norm():
-    a = random_state(8, Seed(5))
-    b = random_state(8, Seed(5))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
 
 
 def test_pauli_action_matches_pauli_matrix():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -351,27 +349,6 @@ def test_padding_alpha_out_of_range():
     for alpha in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             pad_instance(x, alpha)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-def test_instance_json_roundtrip_circuit():
-    circ = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-    other = GateCircuit(2, (("X", (1,)),))
-    x = UhlmannInstance(n=1, C=circ, D=other)
-    again = UhlmannInstance.from_json(json.dumps(x.to_json_dict()))
-    assert again.C == circ and again.D == other and again.n == 1
-
-
-def test_instance_json_roundtrip_raw():
-    x = random_raw_instance(2, 3, 9)
-    again = UhlmannInstance.from_json(json.dumps(x.to_json_dict()))
-    psi0, phi0 = x.states()
-    psi1, phi1 = again.states()
-    assert np.allclose(psi0.amplitudes, psi1.amplitudes)
-    assert np.allclose(phi0.amplitudes, phi1.amplitudes)
-    assert again.split == (2, 3)
 
 
 def test_cross_operator_orientation():

@@ -38,6 +38,12 @@ EPR = {"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}
 GHZ3 = {"n_qubits": 3, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
                                  {"g": "CNOT", "q": [1, 2]}]}
 
+SCRAMBLER6 = {"n_qubits": 6, "gates": [
+    {"g": g, "q": q} for g, q in (("H", [0]), ("CNOT", [0, 1]), ("H", [3]), ("CNOT", [1, 2]),
+                                  ("T", [2]), ("CNOT", [3, 4]), ("CZ", [2, 5]), ("H", [5]),
+                                  ("CNOT", [0, 5]), ("S", [4]), ("SWAP", [1, 4]), ("H", [2]),
+                                  ("CNOT", [2, 3]), ("Tdg", [0]), ("CNOT", [5, 0]))]}
+
 
 def _amp(values):
     return [[float(v), 0.0] for v in values]
@@ -71,6 +77,9 @@ def input_files() -> dict:
         "scheme.json": {"C0": EPR, "C1": tilted, "commit": [0]},
         "channel.json": {"dilation": GHZ3, "n_input": 1, "env": [2]},
         "blackhole.json": {"circuit": GHZ3, "r": 2},
+        "blackhole_r1.json": {"circuit": GHZ3, "r": 1},
+        "blackhole_r3.json": {"circuit": GHZ3, "r": 3},
+        "blackhole6.json": {"circuit": SCRAMBLER6, "r": 4},
         "pair.json": {"C": {"n_qubits": 2, "gates": [{"g": "H", "q": [1]}]},
                       "D": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]},
                                                      {"g": "H", "q": [1]}]}},
@@ -136,6 +145,9 @@ COMMANDS = [
     "blackhole --param qubits=17 --param r=2",
     "blackhole --param qubits=18 --param r=2",
     "blackhole blackhole.json",
+    "blackhole blackhole_r1.json",
+    "blackhole blackhole_r3.json",
+    "blackhole blackhole6.json",
     "interfere --param pairs=3",
     "interfere pair.json",
     "interfere --param qubits=9",
