@@ -16,6 +16,7 @@ import contextlib
 import gc
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -40,17 +41,21 @@ def _check(name: str, measured: float, bound: float, formula: str,
 
 
 def _load_json(path: str) -> dict:
-    """The JSON document at ``path``. The cyclic collector is off while it
-    parses: the fresh lists of a large instance hold no cycles, and scanning
-    them again and again is a third of the parse. A raw pair list longer than
-    ``_SLICE`` characters is read as a float array (``_read_raw_pairs``)."""
+    """The JSON document at ``path``, parsed in one go if it has at most
+    ``_SLICE`` bytes, else read in blocks and never held whole. The cyclic
+    collector is off while it parses: the fresh lists of a large instance
+    hold no cycles, and scanning them again and again is a third of it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
+            if os.fstat(fh.fileno()).st_size > _SLICE:
+                doc = _read_in_blocks(fh)
+                if doc is not None:
+                    return doc
+                fh.seek(0)
             text = fh.read()
-        doc = _read_raw_pairs(text)
-        return json.loads(text) if doc is None else doc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}")
     except OSError as exc:
@@ -60,91 +65,84 @@ def _load_json(path: str) -> dict:
             gc.enable()
 
 
-_SLICE = 1 << 20  # characters of a raw pair list that json reads at a time
+_SLICE = 1 << 20  # characters read, and of a raw pair list decoded, at a time
 _PAIR_KEYS = ("psi", "phi", "psi0", "psi1")  # the [re, im] lists of a "raw" block
 _WS = "[ \t\n\r]*"  # JSON whitespace
 _PAIRS_START = re.compile(rf"\[{_WS}\[")
 _PAIRS_END = re.compile(rf"\]{_WS}\]")
 _PAIRS_CUT = re.compile(rf"\]{_WS},")
+_OPEN_TAIL = re.compile(rf"\[{_WS}\Z")  # the start of a "[[" that a block's end cuts
 
 
-def _read_raw_pairs(text: str):
-    """``json.loads(text)`` with each raw pair list (``_PAIR_KEYS`` of a
-    "raw" block) longer than ``_SLICE`` characters as the float (n, 2) array
-    that ``BipartiteState.from_pairs`` makes of it, read without a Python
-    float per number; None when there is no such list, or when anything is
-    unexpected, so the caller parses the whole text as before.
-
-    Each long ``[[`` ... ``]]`` span is cut out of the text, and a quoted
-    placeholder, grown until the text does not contain it, takes its place.
-    json parses the rest, and must find every placeholder as a whole pair
-    list of a "raw" block. json parses each span in slices of about
-    ``_SLICE`` characters cut after a ``]`` that a comma follows; each slice
-    must be a (k, 2) list of numbers. The text is then valid JSON and its
-    lists are the slices joined, so the arrays hold the same bits.
+def _read_in_blocks(fh):
+    """``json.loads`` of the text of ``fh``, read ``_SLICE`` characters at a
+    time, with each raw pair list (``_PAIR_KEYS`` of a "raw" block) longer
+    than ``_SLICE`` as the float (n, 2) array ``BipartiteState.from_pairs``
+    makes of it; None if there is none, or if anything is unexpected. The
+    text outside such ``[[`` ... ``]]`` spans is kept; a span is decoded by
+    ``pair_array`` as its blocks arrive, in slices of ~``_SLICE`` characters
+    cut after a ``]`` that a comma follows. Then a quoted placeholder, grown
+    until the kept text lacks it, takes each span's place, and json must
+    find each as a pair list of a "raw" block: the arrays hold json's bits.
     """
-    if len(text) <= _SLICE:
-        return None
-    spans, pos = [], 0
-    while start := _PAIRS_START.search(text, pos):
-        end = _PAIRS_END.search(text, start.end())
-        if end is None:
-            break
-        if end.end() - start.start() > _SLICE:
-            spans.append((start.start(), end.end()))
-        pos = end.end()
-    if not spans:
-        return None
-    mark = "SPLICE"
-    while mark in text:
-        mark += "_"
-    pieces, last = [], 0
-    for i, (first, stop) in enumerate(spans):
-        pieces += [text[last:first], f'"{mark}{i}"']
-        last = stop
-    pieces.append(text[last:])
-    slots = {f"{mark}{i}": span for i, span in enumerate(spans)}
+    pieces, buf = [], ""  # the skeleton's text, and an array per long span
+
+    def more() -> bool:  # the next block onto ``buf``; False at the end
+        nonlocal buf
+        buf += (block := fh.read(_SLICE))
+        return bool(block)
+
+    def extend(pairs: np.ndarray, piece: str) -> None:
+        part = pair_array(json.loads(f"[{piece}]"))
+        pairs.resize((len(pairs) + len(part), 2), refcheck=False)
+        pairs[len(pairs) - len(part):] = part
+
     try:
-        doc = json.loads("".join(pieces))
-        _fill_pair_slots(doc, mark, slots, text)
-    except Exception:  # anything unexpected: the whole text is parsed as before
+        while True:
+            start = _PAIRS_START.search(buf)
+            keep = start or _OPEN_TAIL.search(buf)
+            keep = keep.start() if keep else len(buf)
+            pieces.append(buf[:keep])
+            buf = buf[keep:]
+            if start is None:
+                if more():
+                    continue
+                break
+            pairs, pos = np.empty((0, 2)), 0  # buf[pos] is the "[" or "," before a slice
+            while True:
+                end = _PAIRS_END.search(buf)
+                stop = end.end() - 1 if end else len(buf)
+                while cut := _PAIRS_CUT.search(buf, pos + 1 + _SLICE, stop):
+                    extend(pairs, buf[pos + 1:cut.start() + 1])
+                    pos = cut.end() - 1
+                if end:
+                    break
+                buf, pos = buf[pos:], 0
+                if not more():
+                    return None  # a span that no "]]" ends
+            if len(pairs) or end.end() > _SLICE:
+                extend(pairs, buf[pos + 1:stop])
+            pieces.append(pairs if len(pairs) else buf[:end.end()])  # a short span stays text
+            buf = buf[end.end():]
+        pieces.append(buf)
+        mark, skeleton = "SPLICE", "".join(p for p in pieces if isinstance(p, str))
+        while mark in skeleton:
+            mark += "_"
+        slots = {f"{mark}{i}": p for i, p in enumerate(pieces) if not isinstance(p, str)}
+
+        def fill(items: list) -> dict:  # an object, with its raw block's spans put in
+            node = dict(items)
+            raw = node.get("raw")
+            for key in _PAIR_KEYS if isinstance(raw, dict) else ():
+                if isinstance(raw.get(key), str) and raw[key].startswith(mark):
+                    raw[key] = slots.pop(raw[key])
+            return node
+
+        doc = slots and json.loads("".join(p if isinstance(p, str) else f'"{mark}{i}"'
+                                           for i, p in enumerate(pieces)), object_pairs_hook=fill)
+    except Exception:  # anything unexpected: the whole file is parsed as before
         return None
-    return None if slots else doc
-
-
-def _fill_pair_slots(node, mark: str, slots: dict, text: str, raw: bool = False) -> None:
-    """Replace each placeholder of ``slots`` that ``node`` holds as a pair
-    list of a "raw" block by its span of ``text`` read in slices, and remove
-    it from ``slots``. A ValueError if the mark is met anywhere else."""
-    if isinstance(node, dict):
-        entries = list(node.items())
-    elif isinstance(node, list):
-        entries = list(enumerate(node))
-    else:
-        return
-    for key, value in entries:
-        if isinstance(key, str) and mark in key:
-            raise ValueError("placeholder in a key")
-        if isinstance(value, str) and mark in value:
-            if not (raw and key in _PAIR_KEYS and value in slots):
-                raise ValueError("placeholder outside a raw pair list")
-            node[key] = _pairs_in_slices(text, *slots.pop(value))
-        else:
-            _fill_pair_slots(value, mark, slots, text, isinstance(node, dict) and key == "raw")
-
-
-def _pairs_in_slices(text: str, start: int, end: int) -> np.ndarray:
-    """The pair list ``text[start:end]`` as a float (n, 2) array: each slice
-    goes through ``pair_array``, as ``BipartiteState.from_pairs`` reads a
-    whole list, which raises a ValueError for anything but number pairs."""
-    parts, pos, stop = [], start + 1, end - 1  # inside the outer brackets
-    while True:
-        cut = _PAIRS_CUT.search(text, pos + _SLICE, stop) if pos + _SLICE < stop else None
-        piece = text[pos:cut.start() + 1 if cut else stop]
-        parts.append(pair_array(json.loads(f"[{piece}]")))
-        if cut is None:
-            return np.concatenate(parts)
-        pos = cut.end()
+    return doc if doc and not slots else None
 
 
 def _load(path: str, build):
@@ -499,14 +497,26 @@ def _input_columns(n: int, seed, d_out: int, d_env: int) -> np.ndarray:
 
 def run_channel(args):
     if args.inputs:
-        ch = _load(args.inputs[0], lambda data: channel_from_circuit(
-            GateCircuit.from_json_dict(data["dilation"]), int(data["n_input"]), data["env"]))
+        ch = _load(args.inputs[0], lambda data: _channel_from_file(args.inputs[0], data))
     else:
         n = _param(args, "qubits", 3, int, "[1, inf)")
         split = (2 ** (n - 1), 2)
         ch = ChannelDesc(_input_columns(n, args.seed.child("channel"), *split), split)
     dec_fid, decoded, check = _decode(args, ch)
     return {"decoupling_fidelity": dec_fid, "decoder_fidelity": decoded}, [check]
+
+
+def _channel_from_file(path: str, data: dict) -> ChannelDesc:
+    """The channel of a channel file's dilation circuit. n_input, the
+    circuit's input block and the decoding caps are checked before the
+    circuit runs, in the order the run would meet them."""
+    circuit = GateCircuit.from_json_dict(data["dilation"])
+    n = circuit.n_qubits
+    n_input = _in_interval(f"{path}: n_input", data["n_input"], int, f"[1, {n}]")
+    check_pure_cap(circuit.dim * 2 ** n_input)
+    n_env = len(data["env"])
+    shannon.check_decoding_caps(2 ** n_input, 2 ** (n - n_env), 2 ** n_env)
+    return channel_from_circuit(circuit, n_input, data["env"])
 
 
 def run_compress(args):

@@ -133,7 +133,9 @@ def canonical_uhlmann(x: UhlmannInstance, eta: float = 0.0) -> PartialIsometryOp
     """
     psi, phi = x.states()
     q, r = np.linalg.qr(psi.as_matrix().T)
-    w = sgn_eta(phi.as_matrix().T @ r.conj().T, eta)
+    cross = phi.as_matrix().T @ r.conj().T
+    del r  # freed before the SVD, which sets the solve's peak
+    w = sgn_eta(cross, eta)
     return PartialIsometryOp(w.left, q @ w.right)
 
 

@@ -206,9 +206,10 @@ def test_decoder_beats_decoupling_bound():
 
 
 def test_decoder_holds_at_most_two_isometries():
-    # The completion's dB input columns, their row reordering and
-    # ChannelDesc's copy are each the decoder isometry's size (dB dA^2 x dB),
-    # and each is freed once the next exists; no square dilation is built.
+    # The completion's dB input columns and their row reordering are each
+    # the decoder isometry's size (dB dA^2 x dB), and the first is freed once
+    # the second exists; ChannelDesc keeps the reordering without a copy, and
+    # no square dilation is built.
     v, _ = np.linalg.qr(haar_state_vector(1024 * 2, generator(6)).reshape(1024, 2))
     ch = ChannelDesc(v, (512, 2))
     tracemalloc.start()

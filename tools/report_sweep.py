@@ -59,7 +59,7 @@ def _haar_pairs(d: int, seed: int) -> list:
 
 
 def input_files() -> dict:
-    """File name -> JSON content of every input the sweep reads."""
+    """File name -> JSON content (or its text) of every input the sweep reads."""
     eps = 0.01
     qutrit = [0.0] * 9
     qutrit[0], qutrit[4], qutrit[8] = math.sqrt(1 - eps), math.sqrt(eps / 2), math.sqrt(eps / 2)
@@ -89,6 +89,11 @@ def input_files() -> dict:
                                 "phi": _haar_pairs(256 * 256, 2)}},
         "raw_scheme.json": {"raw": {"dC": 2048, "dR": 16, "psi0": _haar_pairs(2048 * 16, 3),
                                     "psi1": _haar_pairs(2048 * 16, 4)}},
+        # Pretty-printed, one number a line: whitespace runs and newline-
+        # separated pairs cross the CLI's read blocks.
+        "raw256_indented.json": json.dumps({"raw": {
+            "dA": 256, "dB": 256, "psi": _haar_pairs(256 * 256, 5),
+            "phi": _haar_pairs(256 * 256, 6)}}, indent=1),
     }
 
 
@@ -101,6 +106,7 @@ COMMANDS = [
     "uhlmann qutrit.json",
     "uhlmann circuit_instance.json",
     "uhlmann raw256.json",
+    "uhlmann raw256_indented.json",
     "szk --param kappa=0.99 --param m=4 --trials 100",
     "szk szk_config.json",
     "szk --param m=4095 --trials 50",
@@ -169,7 +175,8 @@ def sweep() -> dict:
     reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in input_files().items():
-            Path(tmp, name).write_text(json.dumps(content))
+            Path(tmp, name).write_text(content if isinstance(content, str)
+                                       else json.dumps(content))
         cwd = os.getcwd()
         os.chdir(tmp)  # config files name their instance relative to here
         try:
