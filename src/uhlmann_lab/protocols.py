@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -393,10 +393,11 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
 
 
 def check_amplifier_cap(dA: int, dB: int, k: int, g_dim: int, T: int = 0) -> None:
-    """Cap the amplifier's state: (dA dB)^k g_dim amplitudes for the solver's
-    input, and 2^T times as many for the walk's branches. The range basis of
-    P holds dA dB such vectors, and may be as large as the largest density
-    operator."""
+    """Cap the amplifier: (dA dB)^k g_dim amplitudes for the solver's input,
+    2^T times as many (the walk may double its branches each round), and the
+    dA dB range vectors of P together at the largest density operator's size.
+    The walk holds only coordinates in the span of P and Q (_amp_frame), so
+    these caps bound the runs admitted rather than what the walk allocates."""
     size = (dA * dB) ** k * g_dim
     check_pure_cap(size, "amplifier state")
     check_pure_cap(size * 2 ** T, "amplifier state")
@@ -432,13 +433,11 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
 
 # The amplifier's registers are ordered A_1..A_k, B_1..B_k, G, so the solver
 # acts on the trailing block. The walk carries vectors in the solver's output
-# frame, R v: there the "solver maps to |D>" measurement is a plain projection,
-# and the final single-copy readout needs no R. The other measurement, P, has
-# rank dA dB, and the walk applies it through an orthonormal basis of its range.
-
-def _amp_dims(psi, k, g_dim):
-    return [psi.dA] * k + [psi.dB] * k + [g_dim]
-
+# frame, R v: there the "solver maps to |D>" measurement Q is a plain
+# projection, and the final single-copy readout needs no R. Every vector of the
+# walk lies in the span of the ranges of P and Q, which has dimension at most
+# dA dB (g + 1), so the walk runs on coordinates in that span (_amp_frame),
+# never on the (dA dB)^k g-amplitude state.
 
 def _amp_start(psi, solver: FoldedSolver, k):
     """R (|C>^{⊗k} ⊗ |0>_G), the walk's start in the output frame."""
@@ -452,42 +451,30 @@ def _rotate(vec, u):
     return (vec.reshape(-1, u.shape[1]) @ u.T).reshape(-1)
 
 
-def _amp_range(psi, solver: FoldedSolver, k: int, i: int) -> np.ndarray:
-    """Rows w_b = R (|C>^{⊗(k-1)} on the blocks j != i ⊗ |b>_{A_i B_i} ⊗ |0>_G),
-    b = (a, beta): an orthonormal basis of the range of P for index i.
+def _amp_side(psi, solver: FoldedSolver, k: int, i: int) -> np.ndarray:
+    """Rows S_beta = R (|C>^{⊗(k-1)} on the blocks j != i ⊗ |beta>_{B_i} ⊗ |0>_G)
+    on the registers (A_j for j != i, B_1..B_k, G), beta < dB.
 
-    w_b lives on the rows A_i = a, and its B-side vector there depends on beta
-    and the other A registers but not on a. So one application of R, on the
-    dA^{k-1} dB distinct B-side inputs, gives every row.
+    The range of P for index i has the orthonormal basis |a>_{A_i} ⊗ S_beta,
+    so one application of R, on the dA^{k-1} dB distinct B-side inputs, gives
+    all of it.
     """
     dA, dB, g = psi.dA, psi.dB, solver.g_dim
     head, tail = dA ** i, dA ** (k - 1 - i)
     rest = tensor_power(psi, k - 1).reshape(head * tail, dB ** i, dB ** (k - 1 - i))
-    inputs = np.zeros((head * tail, dB, dB ** i, dB, dB ** (k - 1 - i)), dtype=complex)
+    inputs = np.zeros((dB, head * tail, dB ** i, dB, dB ** (k - 1 - i)), dtype=complex)
     for beta in range(dB):
-        inputs[:, beta, :, beta, :] = rest
+        inputs[beta, :, :, beta] = rest
     # Only the G = 0 columns of R meet these inputs.
     r0 = solver.unitary.reshape(-1, dB ** k, g)[:, :, 0]
-    side = _rotate(inputs, r0).reshape(head, tail, dB, -1).transpose(2, 0, 1, 3)
-    rows = np.zeros((dA, dB, head, dA, tail, side.shape[-1]), dtype=complex)
-    for a in range(dA):
-        rows[a, :, :, a] = side
-    return rows.reshape(dA * dB, -1)
+    return _rotate(inputs, r0).reshape(dB, -1)
 
 
-def _project(vec, dims, block, ids, k):
-    """|block><block| on the register pairs (A_j, B_j), j in ``ids``. The
-    outer product of ``block`` and its amplitudes is written through the
-    same ``moveaxis`` view of the output, so it lands in place."""
-    axes = list(ids) + [k + j for j in ids]
-    front = list(range(len(axes)))
-    tensor = np.moveaxis(vec.reshape(dims), axes, front)
-    amp = block.conj() @ tensor.reshape(block.size, -1)
+def _project(vec, block):
+    """|block><block| on the leading registers of ``vec``, all k pairs."""
+    amp = block.conj() @ vec.reshape(block.size, -1)
     out = np.empty(vec.size, dtype=complex)
-    lead = tensor.shape[:len(axes)]
-    np.multiply(block.reshape(lead + (1,) * (tensor.ndim - len(axes))),
-                amp.reshape((1,) * len(axes) + tensor.shape[len(axes):]),
-                out=np.moveaxis(out.reshape(dims), axes, front))
+    np.multiply(block[:, None], amp[None, :], out=out.reshape(block.size, -1))
     return out
 
 
@@ -498,30 +485,82 @@ def _weight(vec) -> float:
 def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
     """nu = F((id ⊗ R)(|C><C|^{⊗k}), |D><D|^{⊗k}) computed exactly."""
     psi, phi = x.states()
-    dims = _amp_dims(psi, k, solver.g_dim)
-    return _weight(_project(_amp_start(psi, solver, k), dims, tensor_power(phi, k),
-                            range(k), k))
+    return _weight(_project(_amp_start(psi, solver, k), tensor_power(phi, k)))
 
 
-def _amp_projectors(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None):
-    """(start, P, Q) for index i: the walk's start R (|C>^{⊗k} ⊗ |0>_G), and
-    as closures on output-frame vectors P = R (|C><C| on the blocks j != i ⊗
-    |0><0|_G) R†, applied through its range basis W as (W v̄)‾ W, and
-    Q = |D><D| on the blocks j != i. i = None gives the full (hatted)
-    projectors, whose P has the start as its only range vector."""
+class _Walk(NamedTuple):
+    start: np.ndarray
+    p: Callable
+    q: Callable
+    read: Optional[Callable]
+
+
+def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) -> _Walk:
+    """The walk for index i in coordinates of span(range P ∪ range Q).
+
+    P = R (|C><C| on the blocks j != i ⊗ |0><0|_G) R† and Q = |D><D| on the
+    blocks j != i. With a, b, gamma running over the free registers A_i, B_i
+    and G, range P has the basis w_(a, beta) = |a> ⊗ S_beta (_amp_side) and
+    range Q the basis q_(a, t) = |a> ⊗ |D>^{⊗(k-1)} ⊗ |t>, t = (b, gamma).
+    Their overlap is the identity on a times the dB x dB g block
+    C[beta, t] = <S_beta | D^{⊗(k-1)} ⊗ t>. Its SVD C = U cos V† pairs the
+    principal vectors u_j = sum_beta U[beta, j] w_beta and
+    v_j = sum_t V[t, j] q_t, with Q u_j = cos_j v_j (Jordan's lemma) and
+    (1 - Q) u_j = sin_j e_j. The coordinates are those on the v_t and then
+    the e_j, per a: P acts on each pair (v_j, e_j) as the 2 x 2 block of
+    (cos_j, sin_j), and Q keeps the v_t. The sines are the norms of the
+    residuals (1 - Q) u_j themselves, never sqrt(1 - cos^2), which has no
+    digits left when cos_j rounds to 1 (Björck and Golub, 1973).
+
+    ``read`` is the single-copy readout |<phi|_{A_i B_i} v>|^2, through the
+    Gram of |phi><phi| on the frame. i = None gives the full (hatted)
+    projectors, whose P has the start as its only range vector, and no
+    readout.
+    """
     psi, phi = x.states()
-    dims = _amp_dims(psi, k, solver.g_dim)
+    g = solver.g_dim
     if i is None:
-        start = _amp_start(psi, solver, k)
-        w = start[None, :]
-        ids = range(k)
+        side, dvec, tail = _amp_start(psi, solver, k)[None, :], tensor_power(phi, k), 1
+        coeffs = np.ones((1, 1))
     else:
-        w = _amp_range(psi, solver, k, i)
-        start = psi.amplitudes @ w
-        ids = [j for j in range(k) if j != i]
-    dvec = tensor_power(phi, len(ids))
-    return (start, lambda vec: (w @ vec.conj()).conj() @ w,
-            lambda vec: _project(vec, dims, dvec, ids, k))
+        side, dvec = _amp_side(psi, solver, k, i), tensor_power(phi, k - 1)
+        tail, coeffs = psi.dB ** (k - 1 - i), psi.amplitudes.reshape(psi.dA, psi.dB)
+    nb = side.shape[0]
+    # side[beta] on (l, b, y, gamma): l the registers before B_i, y those after.
+    # It is read in the order (beta, b, gamma, l, y), so the overlaps with
+    # |D> are sums over a contiguous last axis, which numpy adds pairwise.
+    dmat = dvec.reshape(-1, tail)
+    side = side.reshape(nb, dmat.shape[0], nb, tail, g).transpose(0, 2, 4, 1, 3)
+    res = np.multiply(side, dmat.conj(), out=np.empty(side.shape, dtype=complex))
+    cq = res.reshape(nb, nb, g, -1).sum(axis=-1)  # <D, b, gamma | S_beta>
+    np.subtract(side, np.multiply(cq[..., None, None], dmat, out=res), out=res)
+    del side  # res is now (1 - Q) S_beta
+    u, cos, vh = np.linalg.svd(cq.reshape(nb, -1).conj())
+    res = u.T @ res.reshape(nb, -1)  # row j: (1 - Q) u_j
+    sin = np.linalg.norm(res, axis=1)
+    m = vh.shape[0]
+    rows = np.zeros((nb, m + nb))  # u_j in frame coordinates
+    rows[range(nb), range(nb)] = cos
+    rows[range(nb), range(m, m + nb)] = sin
+    keep = np.arange(m + nb) < m
+    blocks = coeffs.shape[0]
+    start = ((coeffs @ u.conj()) @ rows).reshape(-1)
+    p = lambda vec: ((vec.reshape(blocks, -1) @ rows.T) @ rows).reshape(-1)
+    q = lambda vec: (vec.reshape(blocks, -1) * keep).reshape(-1)
+    if i is None:
+        return _Walk(start, p, q, None)
+    # Gram of the frame vectors' slices on B_i: the v_t, then the unit e_j.
+    gram = np.zeros((m + nb, nb, m + nb, nb), dtype=complex)
+    vt = vh.conj().reshape(m * nb, g)
+    gram[:m, :, :m] = (vt.conj() @ vt.T).reshape(m, nb, m, nb)
+    res = res.reshape(nb * nb, -1)
+    scale = np.divide(1.0, sin, out=np.zeros_like(sin), where=sin > 0)
+    gram[m:, :, m:] = ((res.conj() @ res.T).reshape(nb, nb, nb, nb)
+                       * scale[:, None, None, None] * scale[None, None, :, None])
+    phi_pair = phi.amplitudes.reshape(psi.dA, psi.dB)
+    read_gram = np.einsum("ab,cd,jbkd->ajck", phi_pair, phi_pair.conj(),
+                          gram).reshape(start.size, start.size)
+    return _Walk(start, p, q, lambda vec: float(np.vdot(vec, read_gram @ vec).real))
 
 
 def _alternate(vec, p, q, T: int, cut: float, visit):
@@ -550,20 +589,16 @@ def _alternate(vec, p, q, T: int, cut: float, visit):
     return active
 
 
-def _amp_fidelity_for_index(x: UhlmannInstance, solver: FoldedSolver, k: int, T: int,
-                            i: int) -> float:
+def _amp_fidelity_for_index(walk: _Walk, T: int) -> float:
     """F((id ⊗ M_i)(|C><C|), |D><D|) for the run that sampled index i."""
-    psi, phi = x.states()
-    dims = _amp_dims(psi, k, solver.g_dim)
-    read = lambda vec: _weight(_project(vec, dims, phi.amplitudes, [i], k))
     fids = []
 
     def visit(comp, succ, rest):
         if np.linalg.norm(succ) > 1e-14:
-            fids.append(read(succ))
+            fids.append(walk.read(succ))
 
-    running = _alternate(*_amp_projectors(x, solver, k, i), T, 1e-14, visit)
-    return sum(fids + [read(vec) for vec in running])
+    running = _alternate(walk.start, walk.p, walk.q, T, 1e-14, visit)
+    return sum(fids + [walk.read(vec) for vec in running])
 
 
 def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
@@ -581,7 +616,7 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
         raise DimensionMismatch(
             f"solver acts on dim {solver.unitary.shape[0]}, expected {dbk}")
     check_amplifier_cap(psi.dA, psi.dB, cfg.k, solver.g_dim, cfg.T)
-    per_index = [_amp_fidelity_for_index(x, solver, cfg.k, cfg.T, i)
+    per_index = [_amp_fidelity_for_index(_amp_frame(x, solver, cfg.k, i), cfg.T)
                  for i in range(cfg.k)]
     rng = cfg.seed.child("amplify").generator()
     draws = rng.integers(0, cfg.k, size=trials)
@@ -605,28 +640,26 @@ def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
                            cfg: AmplifierConfig, trials: int) -> dict:
     """The sampled-measurement variant: outcomes are drawn and the state
     collapses each round, instead of recording outcomes coherently."""
-    psi, phi = x.states()
-    dims = _amp_dims(psi, cfg.k, solver.g_dim)
-    walks = [_amp_projectors(x, solver, cfg.k, i) for i in range(cfg.k)]
+    walks = [_amp_frame(x, solver, cfg.k, i) for i in range(cfg.k)]
     rng = cfg.seed.child("amplify-incoherent").generator()
     samples = np.empty(trials)
     for trial in range(trials):
-        i = int(rng.integers(cfg.k))
-        vec, p, q = walks[i]
+        walk = walks[int(rng.integers(cfg.k))]
+        vec = walk.start
         for _ in range(cfg.T):
-            hit = p(vec)
+            hit = walk.p(vec)
             prob = _weight(hit)
             if rng.random() < prob:
                 vec = hit / np.sqrt(prob)
             else:
                 vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-            succ = q(vec)
+            succ = walk.q(vec)
             prob = _weight(succ)
             if rng.random() < prob:
                 vec = succ / np.sqrt(prob)
                 break
             vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
-        samples[trial] = _weight(_project(vec, dims, phi.amplitudes, [i], cfg.k))
+        samples[trial] = walk.read(vec)
     sem = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     nu = folded_fidelity(x, solver, cfg.k)
     return {"empirical_fidelity": float(samples.mean()),
@@ -638,7 +671,7 @@ def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
                             T: int) -> float:
     """Max residual of intermediate branches outside span{v, w} for the hatted
     algorithm (full P/Q projectors)."""
-    v, p, q = _amp_projectors(x, solver, k)
+    v, p, q, _ = _amp_frame(x, solver, k)
     w = q(v)
     nw = np.linalg.norm(w)
     basis = [v]

@@ -102,8 +102,11 @@ class PartialIsometryOp:
     right: np.ndarray
 
     def __post_init__(self):
+        # The operator takes the arrays it is given (a copy only to make them
+        # complex and contiguous) and marks them read-only: a caller that
+        # writes to its array later passes a copy.
         for name in ("left", "right"):
-            m = np.asarray(getattr(self, name), dtype=complex).copy()
+            m = np.ascontiguousarray(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 

@@ -94,7 +94,8 @@ class CompletionChannel:
     unitary: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex).copy()
+        # Takes ownership, as PartialIsometryOp does.
+        u = np.ascontiguousarray(self.unitary, dtype=complex)
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 

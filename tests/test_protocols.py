@@ -596,15 +596,24 @@ def _amp_solver(x, kind, k):
         return exact_solver(x, k)
     if kind == "engineered":
         return engineered_solver(x, k, 0.6)[0]
+    if kind == "nu0":
+        return engineered_solver(x, k, 0.0)[0]
     # Junk amplitude sin(1e-13): the parts it spoils have norms between the
     # readout walk's cut-off (1e-14) and the Jordan walk's (1e-12).
     return FoldedSolver(_triple_product_solver(x, k, 1e-13), 2)
 
 
-@pytest.mark.parametrize("T", [1, 2, 4])
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["exact", "engineered", "near_exact"])
-@pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
+# k = 4 runs on the qubit pairs only: the dense reference of a 3x2 pair would
+# hold 2592^2 matrices, and of a 2x4 pair 8192^2. The engineered solver has
+# folded fidelity nu = 0 (ranges of P and Q orthogonal) only on the EPR pair.
+AMP_CASES = [(name, kind, k, T) for name in sorted(AMP_INSTANCES)
+             for kind in ("exact", "engineered", "nu0", "near_exact")
+             for k in (1, 2, 3, 4) for T in (1, 2, 4)
+             if (k < 4 or name in ("epr", "kappa0.8")) and (kind != "nu0" or name == "epr")]
+
+
+@pytest.mark.parametrize("name,kind,k,T", [pytest.param(*case, id="-".join(map(str, case)))
+                                           for case in AMP_CASES])
 def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
     import uhlmann_lab.protocols as protocols
     x = AMP_INSTANCES[name]
@@ -658,18 +667,34 @@ def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
     solver = _amp_solver(x, kind, k)
     ref = DenseAmplifier(x, solver, k)
     psi, _ = x.states()
+    out = ref.r @ ref.start
     for i in range(k):
-        w = protocols._amp_range(psi, solver, k, i)
-        assert w.shape == (psi.dA * psi.dB, len(ref.start))
+        others = [j for j in range(k) if j != i]
+        side = protocols._amp_side(psi, solver, k, i)
+        # w_(a, beta) = |a>_{A_i} ⊗ S_beta, A_i between A_1..A_{i-1} and the rest.
+        head = psi.dA ** i
+        w = np.zeros((psi.dA, psi.dB, head, psi.dA, side.shape[1] // head), dtype=complex)
+        for a in range(psi.dA):
+            w[a, :, :, a] = side.reshape(psi.dB, head, -1)
+        w = w.reshape(psi.dA * psi.dB, -1)
         assert np.allclose(w.conj() @ w.T, np.eye(len(w)), rtol=0, atol=1e-12)
         # R P R† in the output frame, P = |C><C| on the blocks j != i ⊗ |0><0|_G.
-        p_in = ref.blocks(ref.psi, [j for j in range(k) if j != i]) * np.diag(ref.g0)
+        p_in = ref.blocks(ref.psi, others) * np.diag(ref.g0)
         dense_p = ref.r @ p_in @ ref.r.conj().T
         assert np.allclose(w.T @ w.conj(), dense_p, rtol=0, atol=1e-12)
-        start, p, _ = protocols._amp_projectors(x, solver, k, i)
-        assert np.allclose(start, ref.r @ ref.start, rtol=0, atol=1e-12)
-        vec = haar_state_vector(len(ref.start), generator(i))
-        assert np.allclose(p(vec), dense_p @ vec, rtol=0, atol=1e-12)
+        # The frame: the start is R|C...>, P is a rank-dA dB projector that
+        # keeps it, and Q and the readout weigh it as the dense operators do.
+        walk = protocols._amp_frame(x, solver, k, i)
+        dense_q = ref.blocks(ref.phi, others)
+        assert abs(np.vdot(walk.start, walk.start) - 1.0) < 1e-12
+        assert np.allclose(walk.p(walk.start), walk.start, rtol=0, atol=1e-12)
+        succ = walk.q(walk.start)
+        assert abs(np.vdot(succ, succ).real - np.vdot(out, dense_q @ out).real) < 1e-12
+        assert abs(walk.read(walk.start) - ref.readout(ref.start, i)) < 1e-12
+        frame_p = np.array([walk.p(e) for e in np.eye(len(walk.start))]).T
+        assert np.allclose(frame_p @ frame_p, frame_p, rtol=0, atol=1e-12)
+        assert np.allclose(frame_p, frame_p.conj().T, rtol=0, atol=1e-12)
+        assert abs(np.trace(frame_p) - psi.dA * psi.dB) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["epr", "kappa0.8_3x2"])
@@ -691,6 +716,29 @@ def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
     calls.clear()
     amplify_run_incoherent(x, solver, AmplifierConfig(k, 6, Seed(2)), 25)
     assert len(calls) <= k + 1
+
+
+def test_amplifier_walks_in_the_frame_of_p_and_q(monkeypatch):
+    # At the benchmark's size (k = 8, T = 3: a 2^17-amplitude state, 2 MiB)
+    # the walk projects no full state; only the folded fidelity does, when the
+    # caller does not pass it. The run holds a few range-side vectors at once.
+    import tracemalloc
+    import uhlmann_lab.protocols as protocols
+    k, T = 8, 3
+    solver, nu = engineered_solver(EPR_INSTANCE, k, 0.6)
+    calls = []
+    real = protocols._project
+    monkeypatch.setattr(protocols, "_project", lambda *a: calls.append(1) or real(*a))
+    cfg = AmplifierConfig(k, T, Seed(1))
+    tracemalloc.start()
+    try:
+        res = amplify_run(EPR_INSTANCE, solver, cfg, 200, nu=nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and res["nu"] == nu
+    assert peak < 12 * 2 ** 20
+    assert amplify_run(EPR_INSTANCE, solver, cfg, 200)["nu"] == nu and calls == [1]
 
 
 def test_amplifier_range_basis_is_capped():
@@ -1016,17 +1064,18 @@ def _project_by_outer(vec, dims, block, ids, k):
 
 
 def test_project_writes_the_outer_products_bits_in_place():
+    # The folded fidelity projects all k pairs, where the moveaxis is the
+    # identity; its bits are those of the general outer product.
     from uhlmann_lab.protocols import _project
     rng = generator(41)
     for _ in range(60):
         k = int(rng.integers(1, 5))
         dA, dB, g = (int(d) for d in rng.integers(1, 4, size=3))
         dims = [dA] * k + [dB] * k + [g]
-        ids = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
         vec = haar_state_vector(math.prod(dims), rng)
-        block = haar_state_vector((dA * dB) ** len(ids), rng)
-        got = _project(vec, dims, block, ids, k)
-        assert got.tobytes() == _project_by_outer(vec, dims, block, ids, k).tobytes()
+        block = haar_state_vector((dA * dB) ** k, rng)
+        got = _project(vec, block)
+        assert got.tobytes() == _project_by_outer(vec, dims, block, range(k), k).tobytes()
 
 
 def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):

@@ -7,10 +7,10 @@ from uhlmann_lab.qcore import (BipartiteState, GateCircuit, PartialIsometryOp, f
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_clifford
 from uhlmann_lab.rng import child_seed, generator
-from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
-                                 cross_operator, instance_with_fidelity, pad_instance,
-                                 qutrit_example, random_raw_instance, unitary_completion,
-                                 validate_instance)
+from uhlmann_lab.uhlmann import (CompletionChannel, UhlmannInstance, apply_uhlmann,
+                                 canonical_uhlmann, cross_operator, instance_with_fidelity,
+                                 pad_instance, qutrit_example, random_raw_instance,
+                                 unitary_completion, validate_instance)
 
 from conftest import fidelity_eig_oracle
 
@@ -230,6 +230,22 @@ def test_completion_rank_above_half_the_dimension():
     for d, k in ((5, 3), (6, 4), (4, 4)):
         assert_completes(PartialIsometryOp(haar_unitary(d, rng)[:, :k],
                                            haar_unitary(d, rng)[:, :k]))
+
+
+def test_partial_isometry_and_completion_take_their_arrays():
+    rng = generator(74)
+    left, right = haar_unitary(4, rng)[:, :2], haar_unitary(4, rng)[:, :2].copy()
+    w = PartialIsometryOp(left, right)
+    # The strided column slice is copied into a contiguous array; the fresh
+    # contiguous complex input is kept as it is, read-only.
+    assert not np.shares_memory(w.left, left) and np.array_equal(w.left, left)
+    assert np.shares_memory(w.right, right) and w.right.flags.c_contiguous
+    assert not (w.left.flags.writeable or w.right.flags.writeable)
+    real = PartialIsometryOp(np.eye(3)[:, :1], np.eye(3)[:, 1:2])
+    assert real.left.dtype == complex and real.left.flags.c_contiguous
+    u = w.completion()
+    channel = CompletionChannel(u)
+    assert np.shares_memory(channel.unitary, u) and not channel.unitary.flags.writeable
 
 
 def test_completion_of_zero_isometry_is_identity():

@@ -122,6 +122,10 @@ COMMANDS = [
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
     "amplify --param k=7 --param T=4",
+    "amplify --param k=8 --param T=3",
+    "amplify --param k=1 --param T=17",
+    "amplify --param k=3 --param nu=1",
+    "amplify --param k=3 --param nu=0",
     "commit --param schemes=10",
     "commit scheme.json",
     "commit raw_scheme.json",
