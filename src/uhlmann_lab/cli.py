@@ -286,9 +286,13 @@ def run_uhlmann(args):
     info = uhlmann.validate_instance(x)
     w = uhlmann.canonical_uhlmann(x, eta)
     psi, phi = x.states()
-    transport = lambda u: abs(np.vdot(phi.amplitudes, (psi.as_matrix() @ u.T).reshape(-1))) ** 2
-    achieved = transport(w.completion())
-    overlap = transport(w.matrix)
+    # <phi|(id x L C R^dag)|psi> = vdot(M_phi conj(L), M_psi conj(R) C^T), with
+    # W = left right^dag and U = I + Q (V - I) Q^dag: O(dA dB rank), no dB x dB product.
+    q, v = w.completion_factors()
+    mp, mf = psi.as_matrix(), phi.as_matrix()
+    achieved = abs(np.vdot(phi.amplitudes, psi.amplitudes)
+                   + np.vdot(mf @ q.conj(), (mp @ q.conj()) @ (v - np.eye(v.shape[0])).T)) ** 2
+    overlap = abs(np.vdot(mf @ w.left.conj(), mp @ w.right.conj())) ** 2
     results = {
         "kappa": info["kappa"], "dA": info["dA"], "dB": info["dB"], "eta": eta,
         "rank": w.rank(),

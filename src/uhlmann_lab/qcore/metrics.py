@@ -128,22 +128,34 @@ class PartialIsometryOp:
         if bad > atol:
             raise ValueError(f"singular values deviate from {{0,1}} by {bad:.3g}")
 
-    def completion(self, columns=None) -> np.ndarray:
-        """A unitary that agrees with W on its support, or only its
-        ``columns`` (basis indices): U[:, columns], with no d x d array.
+    def completion_factors(self) -> tuple:
+        """(Q, V) with U = I + Q (V - I) Q^dag a unitary that agrees with W on
+        its support.
 
-        With Q an orthonormal basis of a span containing range and support
+        Q is an orthonormal basis of a span containing range and support
         (reduced QR of [left | right]; a rank-deficient stack still gives one),
-        U = I + Q (polar(Q^dag W Q) - I) Q^dag: the polar unitary of W inside
-        that span of dimension <= 2 rank, and the identity outside it.
+        of dimension <= 2 rank, and V = polar(Q^dag W Q): U is the polar
+        unitary of W inside that span and the identity outside it. Applying U
+        to n vectors costs O(d n rank), with no d x d array.
         """
-        d = self.left.shape[0]
-        cols = np.arange(d) if columns is None else np.asarray(columns)
         q, _ = np.linalg.qr(np.hstack([self.left, self.right]))
         u, _, vh = np.linalg.svd((q.conj().T @ self.left) @ (self.right.conj().T @ q))
-        out = q @ (u @ vh - np.eye(q.shape[1])) @ q[cols].conj().T
+        return q, u @ vh
+
+    def completion(self, columns=None) -> np.ndarray:
+        """The completion of ``completion_factors`` as a matrix, or only its
+        ``columns`` (basis indices): U[:, columns], with no d x d array."""
+        d = self.left.shape[0]
+        cols = np.arange(d) if columns is None else np.asarray(columns)
+        q, v = self.completion_factors()
+        out = q @ (v - np.eye(q.shape[1])) @ q[cols].conj().T
         out[cols, np.arange(cols.size)] += 1.0  # + I[:, cols] in place
         return out
+
+
+def cutoff_rank(sv: np.ndarray, eta: float) -> int:
+    """How many singular values sgn_eta keeps: those above eta + SGN_BAND."""
+    return int((sv > (eta + SGN_BAND)).sum())
 
 
 def sgn_eta(m: np.ndarray, eta: float = 0.0) -> PartialIsometryOp:
@@ -158,5 +170,5 @@ def sgn_eta(m: np.ndarray, eta: float = 0.0) -> PartialIsometryOp:
     if eta < 0:
         raise ValueError("eta must be >= 0")
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
-    k = int((sv > (eta + SGN_BAND)).sum())
+    k = cutoff_rank(sv, eta)
     return PartialIsometryOp(u[:, :k], vh[:k].conj().T)

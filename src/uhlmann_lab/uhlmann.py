@@ -11,18 +11,37 @@ a dB x dB partial isometry acting on register B that maps psi toward phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInstance, check_density_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.gates import GateCircuit
-from .qcore.metrics import PartialIsometryOp, factor_fidelity, sgn_eta
+from .qcore.metrics import PartialIsometryOp, cutoff_rank
 from .qcore.random_ops import haar_state_vector, haar_unitary
 from .qcore.states import BipartiteState
 from .rng import as_seed
+
+
+# Rows of R (psi^T = Q R) with norm at most TRIM / sqrt(m) are dropped before
+# the cross operator is decomposed; see UhlmannInstance.factors.
+TRIM = 1e-13
+
+
+class CrossFactors(NamedTuple):
+    """Tr_A |phi><psi| as its singular values and eta = 0 factors.
+
+    ``sv`` holds every singular value of the trimmed core, descending;
+    ``left`` and ``right`` hold the columns of the eta = 0 isometry, so the
+    cutoff-eta isometry is their first k(eta) columns."""
+
+    sv: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +94,52 @@ class UhlmannInstance:
         """(psi, phi) = (|C>, |D>) as BipartiteStates."""
         return self._states
 
+    @cached_property
+    def factors(self) -> CrossFactors:
+        """The cross operator Tr_A |phi><psi|, factored once, at first use.
+
+        With psi as a dA x dB matrix M_psi and the thin QR M_psi^T = Q R
+        (m = min(dA, dB) columns),
+
+            Tr_A |phi><psi| = M_phi^T conj(M_psi) = (M_phi^T R^dag) Q^dag.
+
+        The rows of R with norm at most TRIM / sqrt(m) are dropped, wherever
+        they sit: Householder QR of a state such as |0,0> + |5,5> leaves zero
+        rows between nonzero ones. Splitting R into kept and dropped rows
+        (and Q's columns alike) gives Tr_A |phi><psi| = K Q_keep^dag + E with
+        the dB x r core K = M_phi^T R_keep^dag and
+
+            ||E||_2 = ||M_phi^T R_drop^dag Q_drop^dag||_2
+                   <= ||M_phi||_2 ||R_drop||_2 <= ||R_drop||_F <= TRIM,
+
+        since ||M_phi||_2 <= ||M_phi||_F = 1, Q_drop has orthonormal columns
+        and at most m rows of squared norm TRIM^2 / m are dropped. By Weyl's
+        inequality no singular value moves by more than TRIM, far inside
+        metrics.SGN_BAND. K Q_keep^dag has the singular values of K, so one SVD
+        K = X S Y^dag gives them all and W = X_k (Q_keep Y_k)^dag at any
+        cutoff. TRIM lies above the rounding Householder leaves in the rows
+        of a rank-deficient R (<= 6e-16 at m = 1024, against a threshold of
+        3e-15 there), so the noise singular values that would each add
+        ~1e-16 to sqrt(kappa) are never formed.
+
+        Only the eta = 0 columns and the singular values are kept.
+        """
+        psi, phi = self._states
+        q, r = np.linalg.qr(psi.as_matrix().T)
+        keep = np.linalg.norm(r, axis=1) > TRIM / math.sqrt(r.shape[0])
+        if not keep.all():
+            q, r = q[:, keep], r[keep]
+        core = phi.as_matrix().T @ r.conj().T
+        del r  # freed before the SVD, which sets the solve's peak
+        u, sv, vh = np.linalg.svd(core, full_matrices=False)
+        del core
+        k = cutoff_rank(sv, 0.0)
+        out = CrossFactors(sv, np.ascontiguousarray(u[:, :k]),
+                           q @ np.ascontiguousarray(vh[:k].conj().T))
+        for m in out:
+            m.setflags(write=False)
+        return out
+
     @staticmethod
     def from_json_dict(data: dict) -> "UhlmannInstance":
         if "raw" in data:
@@ -110,11 +175,12 @@ class CompletionChannel:
 def validate_instance(x: UhlmannInstance) -> dict:
     """Reduced-state fidelity and dimensions: {kappa, dA, dB}.
 
-    rho_A = M M^dag for the dA x dB amplitude matrix M, so kappa is taken in
-    Uhlmann form on the amplitude matrices.
+    rho_A = M M^dag for the dA x dB amplitude matrix M, so kappa is
+    ||M_psi^dag M_phi||_1^2 (Uhlmann form), the squared sum of the singular
+    values of the cross operator, clamped to [0, 1]; they are read from
+    ``x.factors``.
     """
-    psi, phi = x.states()
-    kappa = factor_fidelity(psi.as_matrix(), phi.as_matrix())
+    kappa = float(np.clip(x.factors.sv.sum() ** 2, 0.0, 1.0))
     return {"kappa": kappa, "dA": x.dA, "dB": x.dB}
 
 
@@ -128,16 +194,15 @@ def cross_operator(x: UhlmannInstance) -> np.ndarray:
 def canonical_uhlmann(x: UhlmannInstance, eta: float = 0.0) -> PartialIsometryOp:
     """The canonical cutoff-eta Uhlmann partial isometry for (|C>, |D>).
 
-    Thresholds ``cross_operator(x)`` through its factors: with the thin QR
-    psi^T = Q R (psi as a dA x dB matrix), Tr_A |phi><psi| = (phi^T R^dag) Q^dag,
-    so only the dB x min(dA, dB) factor phi^T R^dag is decomposed.
+    Thresholds ``cross_operator(x)`` as ``sgn_eta`` does, through
+    ``x.factors``: the first k(eta) of its eta = 0 columns, so a solve at any
+    eta after the first decomposes nothing.
     """
-    psi, phi = x.states()
-    q, r = np.linalg.qr(psi.as_matrix().T)
-    cross = phi.as_matrix().T @ r.conj().T
-    del r  # freed before the SVD, which sets the solve's peak
-    w = sgn_eta(cross, eta)
-    return PartialIsometryOp(w.left, q @ w.right)
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
+    sv, left, right = x.factors
+    k = cutoff_rank(sv, eta)
+    return PartialIsometryOp(left[:, :k], right[:, :k])
 
 
 def unitary_completion(w: PartialIsometryOp) -> CompletionChannel:
@@ -149,13 +214,16 @@ def apply_uhlmann(x: UhlmannInstance, eta: float, target: BipartiteState) -> Bip
     """Coherently apply the unitary completion of W to the B payload of ``target``.
 
     ``target`` is any joint pure state whose second register has dimension dB;
-    the first register rides along untouched.
+    the first register rides along untouched. The completion is applied in
+    factored form, U = I + Q (V - I) Q^dag, in O(dA dB rank) with no dB x dB
+    array: T U^T = T + (T conj(Q)) (V - I)^T Q^T.
     """
     if target.dB != x.dB:
         raise DimensionMismatch(f"target B dimension {target.dB}, instance needs {x.dB}")
-    u = canonical_uhlmann(x, eta).completion()
-    out = (target.as_matrix() @ u.T).reshape(-1)
-    return BipartiteState(out, target.split)
+    q, v = canonical_uhlmann(x, eta).completion_factors()
+    t = target.as_matrix()
+    out = t + ((t @ q.conj()) @ (v - np.eye(v.shape[0])).T) @ q.T
+    return BipartiteState(out.reshape(-1), target.split)
 
 
 def pad_instance(x: UhlmannInstance, alpha: float) -> UhlmannInstance:

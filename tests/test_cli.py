@@ -53,11 +53,10 @@ def circuit_szk_config_file(tmp_path):
 
 def identity_completion(monkeypatch):
     """Replace every Uhlmann unitary by the identity: a broken solver."""
-    def identity(self, columns=None):
-        eye = np.eye(self.left.shape[0], dtype=complex)
-        return eye if columns is None else eye[:, columns]
+    def identity(self):
+        return np.zeros((self.left.shape[0], 0), dtype=complex), np.zeros((0, 0), dtype=complex)
 
-    monkeypatch.setattr(PartialIsometryOp, "completion", identity)
+    monkeypatch.setattr(PartialIsometryOp, "completion_factors", identity)
 
 
 def test_uhlmann_scenario_qutrit(tmp_path, capsys):
@@ -410,9 +409,11 @@ def test_uhlmann_completion_check_can_fail(capsys, monkeypatch):
     for eta in ("0", "0.1"):
         code, report = run_cli(capsys, *argv, "--param", f"eta={eta}")
         assert code == 0 and report["checks"][1]["name"] == "completion_fidelity"
-    # A non-unitary "completion" whose overlap, 1.44 kappa, lies between kappa and 1.
-    real = PartialIsometryOp.completion
-    monkeypatch.setattr(PartialIsometryOp, "completion", lambda self: 1.2 * real(self))
+    # A non-unitary "completion" I + Q (1.2 V - I) Q^dag, here 1.2 U (Q spans
+    # the qubit B), whose overlap, 1.44 kappa, lies between kappa and 1.
+    real = PartialIsometryOp.completion_factors
+    monkeypatch.setattr(PartialIsometryOp, "completion_factors",
+                        lambda self: (lambda q, v: (q, 1.2 * v))(*real(self)))
     code, report = run_cli(capsys, *argv, "--param", "eta=0.1")
     assert code == 1
     assert [c["pass"] for c in report["checks"]] == [True, False]

@@ -18,6 +18,7 @@ PACKAGE = ROOT / "src" / "uhlmann_lab"
 # Unreached names kept on purpose, with the reason.
 KEEP = {
     "cross_operator": "dense reference for the factored canonical Uhlmann solve",
+    "sgn_eta": "dense thresholding, the reference for the factored canonical Uhlmann solve",
     "kraus_operators": "Kraus form of a channel, the reference for push_factor",
     "check_trace_preserving": "the isometry's column-norm check of a channel",
     "check_completes": "checks that a completion is unitary and agrees with W",

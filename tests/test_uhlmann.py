@@ -7,7 +7,7 @@ from uhlmann_lab.qcore import (BipartiteState, GateCircuit, PartialIsometryOp, f
 from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_clifford
 from uhlmann_lab.rng import child_seed, generator
-from uhlmann_lab.uhlmann import (CompletionChannel, UhlmannInstance, apply_uhlmann,
+from uhlmann_lab.uhlmann import (TRIM, CompletionChannel, UhlmannInstance, apply_uhlmann,
                                  canonical_uhlmann, cross_operator, instance_with_fidelity,
                                  pad_instance, qutrit_example, random_raw_instance,
                                  unitary_completion, validate_instance)
@@ -194,6 +194,92 @@ def test_canonical_solve_decomposes_only_thin_factors(monkeypatch):
     monkeypatch.undo()
     assert shapes and all(min(shape) <= 4 for shape in shapes)
     assert w.rank() == 4
+
+
+@pytest.mark.parametrize("d", [64, 256, 1024])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kappa_matches_closed_form_without_noise_singular_values(d, seed):
+    # psi has Schmidt rank 1: the noise rows of its R would add hundreds of
+    # ~1e-16 singular values to sqrt(kappa) (2.4e-14 off at d = 256). The
+    # states themselves come out of two dense Haar products with squared
+    # norms up to ~1e-15 off 1, which moves their kappa by as much.
+    x = instance_with_fidelity(0.9, d, d, seed)
+    psi, phi = x.states()
+    built = abs(np.linalg.norm(psi.amplitudes) ** 2 * np.linalg.norm(phi.amplitudes) ** 2 - 1)
+    assert abs(validate_instance(x)["kappa"] - 0.9) < 2e-15 + built
+    assert x.factors.sv.size == 1 and canonical_uhlmann(x, 0.0).rank() == 1
+
+
+def trimmed_instances():
+    """Pairs whose psi has negligible rows of R: (|0,0> + |5,5>)/sqrt(2), whose
+    zero rows 1-4 sit between kept ones, and a rank-3 state rotated on B."""
+    rng = generator(64)
+    phi = BipartiteState(haar_state_vector(64, rng), (8, 8))
+    bell = np.zeros((8, 8), dtype=complex)
+    bell[0, 0] = bell[5, 5] = 1 / np.sqrt(2)
+    rank3 = np.zeros((8, 8), dtype=complex)
+    rank3[[0, 1, 2], [0, 1, 2]] = 0.8, 0.5, np.sqrt(1 - 0.64 - 0.25)
+    rank3 = rank3 @ haar_unitary(8, rng).T
+    for amp, rank in ((bell, 2), (rank3, 3)):
+        yield UhlmannInstance(raw_pair=(BipartiteState(amp.reshape(-1), (8, 8)), phi)), rank
+
+
+def test_trimmed_solve_matches_dense_solve():
+    for x, rank in trimmed_instances():
+        psi, phi = x.states()
+        assert x.factors.sv.size == rank  # every negligible row dropped
+        want = fidelity_eig_oracle(psi.reduced_a().matrix, phi.reduced_a().matrix)
+        assert abs(validate_instance(x)["kappa"] - want) < 1e-14
+        for eta in (0.0, 0.05):
+            w, ref = canonical_uhlmann(x, eta), sgn_eta(cross_operator(x), eta)
+            assert w.rank() == ref.rank()
+            assert np.abs(w.matrix - ref.matrix).max() < 1e-14
+        assert canonical_uhlmann(x, 0.0).rank() == rank
+
+
+def test_dropped_rows_move_the_cross_operator_by_at_most_trim():
+    # The same QR as the solve: the dropped rows' Frobenius norm bounds the
+    # change to the cross operator, and no singular value moves further.
+    for x in [x for x, _ in trimmed_instances()] + [instance_with_fidelity(0.9, 256, 256, 5)]:
+        psi, _ = x.states()
+        r = np.linalg.qr(psi.as_matrix().T, mode="r")
+        norms = np.linalg.norm(r, axis=1)
+        dropped = norms[norms <= TRIM / np.sqrt(r.shape[0])]
+        assert dropped.size > 0 and np.linalg.norm(dropped) <= TRIM
+        sv = x.factors.sv
+        dense = np.linalg.svd(cross_operator(x), compute_uv=False)
+        assert np.abs(dense[:sv.size] - sv).max() <= TRIM
+        assert dense[sv.size:].max(initial=0.0) <= TRIM
+
+
+def test_full_rank_solve_keeps_every_row_and_its_bits():
+    for dA, dB in ((4, 4), (3, 7), (7, 3), (32, 32)):
+        x = random_raw_instance(dA, dB, child_seed(65, f"{dA}x{dB}"))
+        psi, phi = x.states()
+        q, r = np.linalg.qr(psi.as_matrix().T)
+        ref = sgn_eta(phi.as_matrix().T @ r.conj().T)
+        w = canonical_uhlmann(x, 0.0)
+        assert x.factors.sv.size == min(dA, dB)
+        assert w.left.tobytes() == ref.left.tobytes()
+        assert w.right.tobytes() == (q @ ref.right).tobytes()
+
+
+def test_instance_is_decomposed_once_at_every_eta(monkeypatch):
+    x = instance_with_fidelity(0.7, 4, 6, 66)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    validate_instance(x)
+    first = canonical_uhlmann(x, 0.0)
+    later = [canonical_uhlmann(x, eta) for eta in (0.3, 0.0, 0.9)]
+    validate_instance(x)
+    assert len(calls) == 1
+    assert [w.rank() for w in later] == [first.rank(), first.rank(), 0]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ def input_files() -> dict:
         # Pair lists of ~2.9 MB and ~1.5 MB: longer than the CLI's read slice.
         "raw256.json": {"raw": {"dA": 256, "dB": 256, "psi": _haar_pairs(256 * 256, 1),
                                 "phi": _haar_pairs(256 * 256, 2)}},
+        # psi = (|0,0> + |5,5>)/sqrt(2): the R of its QR has zero rows 1-4,
+        # between the two kept ones.
+        "bell55.json": {"raw": {"dA": 8, "dB": 8, "psi": _amp([math.sqrt(0.5) * (i in (0, 45))
+                                                               for i in range(64)]),
+                                "phi": _haar_pairs(64, 7)}},
         "raw_scheme.json": {"raw": {"dC": 2048, "dR": 16, "psi0": _haar_pairs(2048 * 16, 3),
                                     "psi1": _haar_pairs(2048 * 16, 4)}},
         # Pretty-printed, one number a line: whitespace runs and newline-
@@ -103,7 +108,11 @@ COMMANDS = [
     "uhlmann --param kappa=0.6 --param dA=4 --param dB=2 --param eta=0.05",
     "uhlmann --param kappa=0.5 --param dA=2 --param dB=8 --param eta=0.3",
     "uhlmann --param kappa=0.5 --param overlap=0.2",
+    "uhlmann --param dA=256 --param dB=256",
+    "uhlmann --param kappa=0.8 --param dA=256 --param dB=256 --param eta=0.1",
     "uhlmann qutrit.json",
+    "uhlmann bell55.json",
+    "uhlmann bell55.json --param eta=0.5",
     "uhlmann circuit_instance.json",
     "uhlmann raw256.json",
     "uhlmann raw256_indented.json",
