@@ -424,7 +424,7 @@ def run_amplify(args):
     t_rounds = _param(args, "T", 3, int, "[1, inf)")
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
-    protocols.check_amplifier_cap(x.dA, x.dB, k, g_dim=2, T=t_rounds)
+    protocols.check_amplifier_cap(x.dA, x.dB, k, T=t_rounds)
     solver, solver_nu = protocols.engineered_solver(x, k, nu)
     cfg = protocols.AmplifierConfig(k, t_rounds, args.seed)
     res = protocols.amplify_run(x, solver, cfg, args.trials, nu=solver_nu)

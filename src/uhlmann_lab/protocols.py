@@ -12,12 +12,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (DENSITY_DIM_CAP, DimensionCapError, DimensionMismatch,
-                     check_density_cap, check_pure_cap)
+from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
 from .qcore.metrics import factor_trace_distance
@@ -378,10 +377,16 @@ class AmplifierConfig:
 
 @dataclass(frozen=True)
 class FoldedSolver:
-    """Unitary extension R~ of a k-fold solver, acting on B^{⊗k} ⊗ G."""
+    """A k-fold solver in product form, the same for every k:
+    R = (u^{⊗k} ⊗ 1)(1 ⊗ |0><0|_G + J ⊗ |1><1|_G)(1 ⊗ Ry(theta)_G) on
+    B_1..B_k ⊗ G, with ``u`` a dB x dB unitary on each B_j, ``junk`` the
+    dB x dB unitary J on B_1, and G a qubit that Ry(theta) takes from |0> to
+    cos(theta)|0> + sin(theta)|1>."""
 
-    unitary: np.ndarray
-    g_dim: int = 1
+    u: np.ndarray
+    junk: np.ndarray
+    theta: float
+    g_dim: ClassVar[int] = 2
 
 
 def amplification_bound(nu: float, T: int, k: int) -> float:
@@ -392,42 +397,38 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
     return float(np.clip(val, 0.0, 1.0))
 
 
-def check_amplifier_cap(dA: int, dB: int, k: int, g_dim: int, T: int = 0) -> None:
-    """Cap the amplifier: (dA dB)^k g_dim amplitudes for the solver's input,
-    2^T times as many (the walk may double its branches each round), and the
-    dA dB range vectors of P together at the largest density operator's size.
-    The walk holds only coordinates in the span of P and Q (_amp_frame), so
-    these caps bound the runs admitted rather than what the walk allocates."""
-    size = (dA * dB) ** k * g_dim
-    check_pure_cap(size, "amplifier state")
-    check_pure_cap(size * 2 ** T, "amplifier state")
-    if dA * dB * size > DENSITY_DIM_CAP ** 2:
-        raise DimensionCapError(dA * dB * size, DENSITY_DIM_CAP ** 2, "amplifier range basis")
+def check_amplifier_cap(dA: int, dB: int, k: int, T: int = 0) -> None:
+    """Cap what the amplifier holds. Its k per-index fidelities, and the
+    k + 1 powers of z behind them, fit the state-vector cap; the frame's
+    dA dB (g + 1) coordinates, on which the readout Gram is a matrix, the
+    density-operator cap. The walk's time and memory double with each
+    round, so its up to 2^T branches are capped as the k-fold solver capped
+    them at k = 1: 2^T dA dB g amplitudes at the state-vector cap, T <= 17
+    on a qubit pair."""
+    check_pure_cap(k, "amplifier per-index fidelities")
+    check_density_cap(dA * dB * (FoldedSolver.g_dim + 1), "amplifier frame")
+    # Past 2^63 branches the size is reported as inf rather than built as an integer.
+    check_pure_cap(dA * dB * FoldedSolver.g_dim * (2 ** T if T < 64 else math.inf),
+                   "amplifier branch tree")
 
 
 def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = None):
-    """Solver with folded fidelity nu: exact transport on a cos-weighted branch.
+    """Solver with folded fidelity nu at k copies: exact transport on a
+    cos-weighted branch.
 
-    A one-qubit ancilla G is rotated to cos(t)|0> + sin(t)|1| with
-    cos^2(t) = nu; controlled on G = 1 a junk unitary spoils the B block, and
-    the exact transporter runs afterwards. Returns (solver, nu_actual) where
-    nu_actual is the exactly computed folded fidelity.
+    The ancilla G is rotated to cos(t)|0> + sin(t)|1> with cos^2(t) = nu;
+    controlled on G = 1 the dB x dB ``junk`` unitary (X on the first qubit
+    of B_1 unless given) spoils B_1, and the exact transporter runs on every
+    B_j afterwards. Returns (solver, nu_actual) where nu_actual is the
+    exactly computed folded fidelity.
     """
-    check_amplifier_cap(x.dA, x.dB, k, 2)
-    dB = x.dB
-    u = canonical_uhlmann(x, 0.0).completion()
-    uk = linalg.kron_all([u] * k)
+    check_amplifier_cap(x.dA, x.dB, k)
     if junk is None:
-        # X on the first qubit of the first B register.
-        if dB % 2 != 0:
+        if x.dB % 2 != 0:
             raise DimensionMismatch("default junk needs qubit B registers")
-        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(dB ** k // 2))
-    theta = math.acos(math.sqrt(nu))
-    c, s = math.cos(theta), math.sin(theta)
-    # (uk ⊗ 1)(1 ⊗ |0><0| + junk ⊗ |1><1|)(1 ⊗ Ry(theta)), one G row block at a time.
-    rt = (np.kron(uk, np.array([[c, -s], [0, 0]], dtype=complex))
-          + np.kron(uk @ junk, np.array([[0, 0], [s, c]], dtype=complex)))
-    solver = FoldedSolver(rt, 2)
+        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(x.dB // 2))
+    solver = FoldedSolver(canonical_uhlmann(x, 0.0).completion(), junk,
+                          math.acos(math.sqrt(nu)))
     return solver, folded_fidelity(x, solver, k)
 
 
@@ -436,46 +437,50 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
 # frame, R v: there the "solver maps to |D>" measurement Q is a plain
 # projection, and the final single-copy readout needs no R. Every vector of the
 # walk lies in the span of the ranges of P and Q, which has dimension at most
-# dA dB (g + 1), so the walk runs on coordinates in that span (_amp_frame),
-# never on the (dA dB)^k g-amplitude state.
+# dA dB (g + 1), so the walk runs on coordinates in that span (_amp_frame).
+# The solver is a product, so the frame comes from one copy's quantities
+# (_amp_parts), and no object on the k copies is ever built.
 
-def _amp_start(psi, solver: FoldedSolver, k):
-    """R (|C>^{⊗k} ⊗ |0>_G), the walk's start in the output frame."""
-    vec = np.kron(tensor_power(psi, k), linalg.basis_vector(solver.g_dim, 0))
-    return _rotate(vec, solver.unitary)
+def _amp_parts(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None):
+    """The walk of index i from one copy, per G value gamma = 0, 1: the open
+    factor on B_i, the overlap of the n = k - 1 closed blocks with
+    |D>^{⊗n}, and the squared norm of their residual. i = None is the
+    hatted walk: n = k and no open register.
 
-
-def _rotate(vec, u):
-    """Apply ``u`` to the trailing registers of ``vec``: the one place the
-    amplifier applies its solver."""
-    return (vec.reshape(-1, u.shape[1]) @ u.T).reshape(-1)
-
-
-def _amp_side(psi, solver: FoldedSolver, k: int, i: int) -> np.ndarray:
-    """Rows S_beta = R (|C>^{⊗(k-1)} on the blocks j != i ⊗ |beta>_{B_i} ⊗ |0>_G)
-    on the registers (A_j for j != i, B_1..B_k, G), beta < dB.
-
-    The range of P for index i has the orthonormal basis |a>_{A_i} ⊗ S_beta,
-    so one application of R, on the dA^{k-1} dB distinct B-side inputs, gives
-    all of it.
+    With X = (1 ⊗ u)|C>, X_J = (1 ⊗ uJ)|C>, z = <D|X>, z_J = <D|X_J> and the
+    residuals r = X - z|D>, r_J = X_J - z_J|D>, the factors are c u and
+    z^n on gamma = 0, and on gamma = 1 s uJ and z^n at i = 0, where J acts
+    on B_i, or s u and z_J z^(n-1) at i >= 1, where it acts on a closed
+    block (c, s = cos, sin theta). So every i >= 1 has the same walk.
+    The residual norms are sums of positive terms: N_0 = ||r||^2
+    sum_{l<n} |z|^{2l}, never 1 - |z|^{2n}, which keeps no digits when |z|
+    rounds to 1; and N_1 = N_0 at i = 0, or ||r_J||^2 + |z_J|^2 ||r||^2
+    sum_{l<n-1} |z|^{2l}. The powers are n sequential complex products,
+    each within sqrt(5)/2 ulp (Brent, Percival and Zimmermann, 2007), so
+    z^n is within ~n ulp of the exact power of the rounded z, and the sums
+    within ~3n ulp: about 1e-12 relative at k = 20000.
     """
-    dA, dB, g = psi.dA, psi.dB, solver.g_dim
-    head, tail = dA ** i, dA ** (k - 1 - i)
-    rest = tensor_power(psi, k - 1).reshape(head * tail, dB ** i, dB ** (k - 1 - i))
-    inputs = np.zeros((dB, head * tail, dB ** i, dB, dB ** (k - 1 - i)), dtype=complex)
-    for beta in range(dB):
-        inputs[beta, :, :, beta] = rest
-    # Only the G = 0 columns of R meet these inputs.
-    r0 = solver.unitary.reshape(-1, dB ** k, g)[:, :, 0]
-    return _rotate(inputs, r0).reshape(dB, -1)
-
-
-def _project(vec, block):
-    """|block><block| on the leading registers of ``vec``, all k pairs."""
-    amp = block.conj() @ vec.reshape(block.size, -1)
-    out = np.empty(vec.size, dtype=complex)
-    np.multiply(block[:, None], amp[None, :], out=out.reshape(block.size, -1))
-    return out
+    psi, phi = x.states()
+    for name, op in (("solver", solver.u), ("junk", solver.junk)):
+        if op.shape != (psi.dB, psi.dB):
+            raise DimensionMismatch(f"{name} acts on dim {op.shape[0]}, expected {psi.dB}")
+    uj = solver.u @ solver.junk
+    overlaps = []
+    for w in (solver.u, uj):
+        xv = (psi.as_matrix() @ w.T).reshape(-1)
+        z = np.vdot(phi.amplitudes, xv)
+        overlaps.append((z, _weight(xv - z * phi.amplitudes)))
+    (z, rr), (zj, rrj) = overlaps
+    n = k if i is None else k - 1
+    zpow = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n, z))))
+    geo = np.concatenate(([0.0], np.cumsum((zpow[:-1] * zpow[:-1].conj()).real)))
+    c, s = math.cos(solver.theta), math.sin(solver.theta)
+    w0 = np.ones((1, 1)) if i is None else solver.u
+    if i == 0:
+        gamma1 = (s * uj, zpow[n], rr * geo[n])
+    else:
+        gamma1 = (s * w0, zj * zpow[n - 1], rrj + abs(zj) ** 2 * rr * geo[n - 1])
+    return (c * w0, zpow[n], rr * geo[n]), gamma1
 
 
 def _weight(vec) -> float:
@@ -483,9 +488,9 @@ def _weight(vec) -> float:
 
 
 def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
-    """nu = F((id ⊗ R)(|C><C|^{⊗k}), |D><D|^{⊗k}) computed exactly."""
-    psi, phi = x.states()
-    return _weight(_project(_amp_start(psi, solver, k), tensor_power(phi, k)))
+    """nu = F((id ⊗ R)(|C><C|^{⊗k}), |D><D|^{⊗k})
+    = cos^2(theta) |z|^{2k} + sin^2(theta) |z_J|^2 |z|^{2(k-1)}, exactly."""
+    return float(sum(abs(w[0, 0] * zn) ** 2 for w, zn, _ in _amp_parts(x, solver, k)))
 
 
 class _Walk(NamedTuple):
@@ -500,17 +505,20 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
 
     P = R (|C><C| on the blocks j != i ⊗ |0><0|_G) R† and Q = |D><D| on the
     blocks j != i. With a, b, gamma running over the free registers A_i, B_i
-    and G, range P has the basis w_(a, beta) = |a> ⊗ S_beta (_amp_side) and
-    range Q the basis q_(a, t) = |a> ⊗ |D>^{⊗(k-1)} ⊗ |t>, t = (b, gamma).
-    Their overlap is the identity on a times the dB x dB g block
-    C[beta, t] = <S_beta | D^{⊗(k-1)} ⊗ t>. Its SVD C = U cos V† pairs the
-    principal vectors u_j = sum_beta U[beta, j] w_beta and
-    v_j = sum_t V[t, j] q_t, with Q u_j = cos_j v_j (Jordan's lemma) and
-    (1 - Q) u_j = sin_j e_j. The coordinates are those on the v_t and then
-    the e_j, per a: P acts on each pair (v_j, e_j) as the 2 x 2 block of
-    (cos_j, sin_j), and Q keeps the v_t. The sines are the norms of the
-    residuals (1 - Q) u_j themselves, never sqrt(1 - cos^2), which has no
-    digits left when cos_j rounds to 1 (Björck and Golub, 1973).
+    and G, range P has the basis w_(a, beta) = |a> ⊗ S_beta, with
+    S_beta = R(|C>^{⊗(k-1)} ⊗ |beta>_{B_i} ⊗ |0>_G), and range Q the basis
+    q_(a, t) = |a> ⊗ |D>^{⊗(k-1)} ⊗ |t>, t = (b, gamma). Their overlap is the
+    identity on a times the dB x dB g block C[beta, t] = <D^{⊗(k-1)} ⊗ t | S_beta>,
+    on G = gamma the open factor [b, beta] times the closed overlap
+    (_amp_parts). Its SVD C = U cos V† pairs the principal vectors
+    u_j = sum_beta U[beta, j] w_beta and v_j = sum_t V[t, j] q_t, with
+    Q u_j = cos_j v_j (Jordan's lemma) and (1 - Q) u_j = sin_j e_j. The
+    coordinates are those on the v_t and then the e_j, per a: P acts on
+    each pair (v_j, e_j) as the 2 x 2 block of (cos_j, sin_j), and Q keeps
+    the v_t. (1 - Q) u_j is, on G = gamma, the open factor times U's column
+    j on B_i, times a closed vector of squared norm N_gamma, so the sines
+    are sums of positive terms, never sqrt(1 - cos^2), which has no digits
+    left when cos_j rounds to 1 (Björck and Golub, 1973).
 
     ``read`` is the single-copy readout |<phi|_{A_i B_i} v>|^2, through the
     Gram of |phi><phi| on the frame. i = None gives the full (hatted)
@@ -518,26 +526,13 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
     readout.
     """
     psi, phi = x.states()
-    g = solver.g_dim
-    if i is None:
-        side, dvec, tail = _amp_start(psi, solver, k)[None, :], tensor_power(phi, k), 1
-        coeffs = np.ones((1, 1))
-    else:
-        side, dvec = _amp_side(psi, solver, k, i), tensor_power(phi, k - 1)
-        tail, coeffs = psi.dB ** (k - 1 - i), psi.amplitudes.reshape(psi.dA, psi.dB)
-    nb = side.shape[0]
-    # side[beta] on (l, b, y, gamma): l the registers before B_i, y those after.
-    # It is read in the order (beta, b, gamma, l, y), so the overlaps with
-    # |D> are sums over a contiguous last axis, which numpy adds pairwise.
-    dmat = dvec.reshape(-1, tail)
-    side = side.reshape(nb, dmat.shape[0], nb, tail, g).transpose(0, 2, 4, 1, 3)
-    res = np.multiply(side, dmat.conj(), out=np.empty(side.shape, dtype=complex))
-    cq = res.reshape(nb, nb, g, -1).sum(axis=-1)  # <D, b, gamma | S_beta>
-    np.subtract(side, np.multiply(cq[..., None, None], dmat, out=res), out=res)
-    del side  # res is now (1 - Q) S_beta
+    parts = _amp_parts(x, solver, k, i)
+    nb = parts[0][0].shape[0]
+    coeffs = np.ones((1, 1)) if i is None else psi.amplitudes.reshape(psi.dA, psi.dB)
+    cq = np.stack([zn * w.T for w, zn, _ in parts], axis=-1)  # <D, b, gamma | S_beta>
     u, cos, vh = np.linalg.svd(cq.reshape(nb, -1).conj())
-    res = u.T @ res.reshape(nb, -1)  # row j: (1 - Q) u_j
-    sin = np.linalg.norm(res, axis=1)
+    opened = [(w @ u, norm) for w, _, norm in parts]  # (1 - Q) u_j on (b, gamma)
+    sin = np.sqrt(sum(norm * (abs(wu) ** 2).sum(axis=0) for wu, norm in opened))
     m = vh.shape[0]
     rows = np.zeros((nb, m + nb))  # u_j in frame coordinates
     rows[range(nb), range(nb)] = cos
@@ -550,13 +545,13 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
     if i is None:
         return _Walk(start, p, q, None)
     # Gram of the frame vectors' slices on B_i: the v_t, then the unit e_j.
+    g = solver.g_dim
     gram = np.zeros((m + nb, nb, m + nb, nb), dtype=complex)
     vt = vh.conj().reshape(m * nb, g)
     gram[:m, :, :m] = (vt.conj() @ vt.T).reshape(m, nb, m, nb)
-    res = res.reshape(nb * nb, -1)
     scale = np.divide(1.0, sin, out=np.zeros_like(sin), where=sin > 0)
-    gram[m:, :, m:] = ((res.conj() @ res.T).reshape(nb, nb, nb, nb)
-                       * scale[:, None, None, None] * scale[None, None, :, None])
+    gram[m:, :, m:] = sum(norm * np.einsum("bj,ck->jbkc", (wu * scale).conj(), wu * scale)
+                          for wu, norm in opened)
     phi_pair = phi.amplitudes.reshape(psi.dA, psi.dB)
     read_gram = np.einsum("ab,cd,jbkd->ajck", phi_pair, phi_pair.conj(),
                           gram).reshape(start.size, start.size)
@@ -605,19 +600,16 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
                 trials: int, nu: Optional[float] = None) -> dict:
     """Monte-Carlo the amplifier: sample i per trial, measure single-copy fidelity.
 
-    The coherent evolution is deterministic given i, so the per-index
-    fidelities are computed once and trials sample the index. ``nu`` is the
+    The coherent evolution is deterministic given i, and the same for every
+    i >= 1 (the junk acts on B_1 alone), so the walk runs once for i = 0 and
+    once for the other indices, and trials sample the index. ``nu`` is the
     solver's folded fidelity, computed here unless the caller has it (as
     ``engineered_solver`` returns it).
     """
-    psi, _ = x.states()
-    dbk = psi.dB ** cfg.k * solver.g_dim
-    if solver.unitary.shape != (dbk, dbk):
-        raise DimensionMismatch(
-            f"solver acts on dim {solver.unitary.shape[0]}, expected {dbk}")
-    check_amplifier_cap(psi.dA, psi.dB, cfg.k, solver.g_dim, cfg.T)
-    per_index = [_amp_fidelity_for_index(_amp_frame(x, solver, cfg.k, i), cfg.T)
-                 for i in range(cfg.k)]
+    check_amplifier_cap(x.dA, x.dB, cfg.k, cfg.T)
+    classes = [_amp_fidelity_for_index(_amp_frame(x, solver, cfg.k, i), cfg.T)
+               for i in range(min(cfg.k, 2))]
+    per_index = classes[:1] + classes[1:] * (cfg.k - 1)
     rng = cfg.seed.child("amplify").generator()
     draws = rng.integers(0, cfg.k, size=trials)
     samples = np.array([per_index[i] for i in draws])
@@ -640,11 +632,11 @@ def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
                            cfg: AmplifierConfig, trials: int) -> dict:
     """The sampled-measurement variant: outcomes are drawn and the state
     collapses each round, instead of recording outcomes coherently."""
-    walks = [_amp_frame(x, solver, cfg.k, i) for i in range(cfg.k)]
+    walks = [_amp_frame(x, solver, cfg.k, i) for i in range(min(cfg.k, 2))]
     rng = cfg.seed.child("amplify-incoherent").generator()
     samples = np.empty(trials)
     for trial in range(trials):
-        walk = walks[int(rng.integers(cfg.k))]
+        walk = walks[min(int(rng.integers(cfg.k)), 1)]
         vec = walk.start
         for _ in range(cfg.T):
             hit = walk.p(vec)

@@ -466,10 +466,10 @@ def test_amplify_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):
         raise AssertionError("solved before the cap check")
 
     monkeypatch.setattr(protocols, "canonical_uhlmann", unreachable)
-    code = main(["amplify", "--param", "k=10"])
+    code = main(["amplify", "--param", f"k={2 ** 20 + 1}"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == "" and "amplifier state dimension 2097152" in captured.err
+    assert captured.out == "" and "amplifier per-index fidelities dimension 1048577" in captured.err
 
 
 def test_amplify_walk_cap_is_checked_before_the_solver_is_built(capsys, monkeypatch):
@@ -479,11 +479,22 @@ def test_amplify_walk_cap_is_checked_before_the_solver_is_built(capsys, monkeypa
         raise AssertionError("solved before the cap check")
 
     monkeypatch.setattr(protocols, "canonical_uhlmann", unreachable)
-    # (dA dB)^9 * 2 = 2^19 fits; the walk's 2^T = 8 branches do not.
-    code = main(["amplify", "--param", "k=9"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == "" and "amplifier state dimension 4194304" in captured.err
+    # 2^T dA dB g = 2^(T + 3) amplitudes fit 2^20 up to T = 17; a T past 63
+    # is reported without building 2^T.
+    for rounds, size in ((18, "2097152"), (10 ** 12, "inf")):
+        code = main(["amplify", "--param", f"T={rounds}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and f"amplifier branch tree dimension {size}" in captured.err
+
+
+@pytest.mark.parametrize("k, bound", [(9, 0.0), (20000, 0.193)])
+def test_amplify_runs_past_the_k_fold_caps(k, bound, capsys):
+    # k = 9 was refused while the solver was a k-fold matrix; past
+    # k = (32 T)^2 the bound is positive, and the check can read it.
+    code, report = run_cli(capsys, "amplify", "--param", f"k={k}", "--param", "T=3")
+    assert code == 0 and round(report["results"]["bound"], 3) == bound
+    assert len(report["results"]["per_index_fidelity"]) == k
 
 
 @pytest.mark.parametrize("argv, shift", [

@@ -30,10 +30,11 @@ EPR_CIRCUIT = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
 EPR_INSTANCE = UhlmannInstance(n=1, C=EPR_CIRCUIT, D=EPR_CIRCUIT)
 
 
-def exact_solver(x: UhlmannInstance, k: int) -> FoldedSolver:
-    """R~ = (unitary completion)^{⊗k}, the exact transporter."""
+def exact_solver(x: UhlmannInstance) -> FoldedSolver:
+    """R~ = (unitary completion)^{⊗k}, the exact transporter: theta = 0, so
+    the junk (here the identity) never acts."""
     u = canonical_uhlmann(x, 0.0).completion()
-    return FoldedSolver(linalg.kron_all([u] * k), 1)
+    return FoldedSolver(u, np.eye(x.dB), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def test_amplification_bound_values():
 
 
 def test_amplifier_exact_solver_is_lossless():
-    sol = exact_solver(EPR_INSTANCE, 2)
+    sol = exact_solver(EPR_INSTANCE)
     assert abs(folded_fidelity(EPR_INSTANCE, sol, 2) - 1.0) < 1e-9
     res = amplify_run(EPR_INSTANCE, sol, AmplifierConfig(2, 1, Seed(3)), 20)
     for f in res["per_index_fidelity"]:
@@ -420,9 +421,18 @@ def test_amplifier_jordan_two_dimensionality():
 
 
 def test_amplifier_solver_dimension_check():
-    sol, _ = engineered_solver(EPR_INSTANCE, 2, 0.5)
-    with pytest.raises(DimensionMismatch):
-        amplify_run(EPR_INSTANCE, sol, AmplifierConfig(4, 2, Seed(1)), 10)
+    # A solver for the 2x4 pair acts on B = C^4; the EPR pair's B is a qubit.
+    wide, _ = engineered_solver(instance_with_fidelity(0.7, 2, 4, 2), 2, 0.5)
+    epr, _ = engineered_solver(EPR_INSTANCE, 2, 0.5)
+    cfg = AmplifierConfig(2, 2, Seed(1))
+    for sol, what in ((wide, "solver acts on dim 4"),
+                      (FoldedSolver(epr.u, np.eye(4), epr.theta), "junk acts on dim 4")):
+        for run in (lambda: amplify_run(EPR_INSTANCE, sol, cfg, 10),
+                    lambda: amplify_run_incoherent(EPR_INSTANCE, sol, cfg, 10),
+                    lambda: folded_fidelity(EPR_INSTANCE, sol, 2),
+                    lambda: amplify_jordan_residual(EPR_INSTANCE, sol, 2, 2)):
+            with pytest.raises(DimensionMismatch, match=f"{what}, expected 2"):
+                run()
 
 
 def test_amplifier_coherent_matches_folded_expectation():
@@ -488,7 +498,7 @@ class DenseAmplifier:
         pair = self.psi.amplitudes.reshape(self.psi.dA, self.psi.dB)
         self.start = np.array([np.prod([pair[idx[j], idx[k + j]] for j in range(k)])
                                * (idx[-1] == 0) for idx in np.ndindex(*self.dims)])
-        self.r = _dense_on(solver.unitary, list(range(k, 2 * k + 1)), self.dims)
+        self.r = _dense_on(_dense_solver(solver, k), list(range(k, 2 * k + 1)), self.dims)
         g0 = np.zeros((solver.g_dim,) * 2)
         g0[0, 0] = 1.0
         self.g0 = _dense_on(g0, [2 * k], self.dims)
@@ -569,20 +579,35 @@ class DenseAmplifier:
         return samples
 
 
-def _triple_product_solver(x, k, theta, junk=None):
-    """(uk ⊗ 1)(1 ⊗ |0><0| + junk ⊗ |1><1|)(1 ⊗ Ry(theta)), junk defaulting to X
-    on the first qubit of B_1."""
-    u = canonical_uhlmann(x, 0.0).completion()
-    uk = linalg.kron_all([u] * k)
-    dbk = x.dB ** k
+def _triple_product_solver(x, theta, junk=None):
+    """The product-form solver of the exact transporter u, the junk J
+    (defaulting to X on the first qubit of B_1) and Ry(theta)."""
     if junk is None:
-        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(dbk // 2))
-    c, s = math.cos(theta), math.sin(theta)
+        junk = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(x.dB // 2))
+    return FoldedSolver(canonical_uhlmann(x, 0.0).completion(), junk, theta)
+
+
+def _dense_solver(solver, k):
+    """The solver's R = (u^{⊗k} ⊗ 1)(1 ⊗ |0><0| + J_1 ⊗ |1><1|)(1 ⊗ Ry(theta))
+    as a matrix on B_1..B_k ⊗ G, J_1 its junk on B_1."""
+    dbk = solver.u.shape[0] ** k
+    uk = linalg.kron_all([solver.u] * k)
+    junk = np.kron(solver.junk, np.eye(dbk // solver.u.shape[0]))
+    c, s = math.cos(solver.theta), math.sin(solver.theta)
     ry = np.array([[c, -s], [s, c]], dtype=complex)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     cj = np.kron(np.eye(dbk), p0) + np.kron(junk, p1)
     return np.kron(uk, np.eye(2)) @ cj @ np.kron(np.eye(dbk), ry)
+
+
+def _dense_folded(x, solver, k):
+    """nu of the dense R: the weight of R|C>^{⊗k}|0>_G on |D>^{⊗k}."""
+    from uhlmann_lab.qcore.states import tensor_power
+    psi, phi = x.states()
+    out = tensor_power(psi, k).reshape(-1, x.dB ** k) @ _dense_solver(solver, k)[:, ::2].T
+    overlap = tensor_power(phi, k).conj() @ out.reshape(-1, 2)
+    return float(np.vdot(overlap, overlap).real)
 
 
 # The non-square instances tell the A and B registers of a block apart.
@@ -593,14 +618,14 @@ AMP_INSTANCES = {"epr": EPR_INSTANCE, "kappa0.8": instance_with_fidelity(0.8, 2,
 
 def _amp_solver(x, kind, k):
     if kind == "exact":
-        return exact_solver(x, k)
+        return exact_solver(x)
     if kind == "engineered":
         return engineered_solver(x, k, 0.6)[0]
     if kind == "nu0":
         return engineered_solver(x, k, 0.0)[0]
     # Junk amplitude sin(1e-13): the parts it spoils have norms between the
     # readout walk's cut-off (1e-14) and the Jordan walk's (1e-12).
-    return FoldedSolver(_triple_product_solver(x, k, 1e-13), 2)
+    return _triple_product_solver(x, 1e-13)
 
 
 # k = 4 runs on the qubit pairs only: the dense reference of a 3x2 pair would
@@ -637,7 +662,10 @@ def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
     assert abs(folded_fidelity(x, solver, k) - ref.folded()) < 1e-12
     residual, jordan_tree = ref.jordan(T)
     assert abs(amplify_jordan_residual(x, solver, k, T) - residual) < 1e-12
-    assert walks == [tree for _, tree in expected] + [jordan_tree]
+    # One walk per index class, i = 0 and i >= 1: the dense walks of all
+    # indices i >= 1 make the same tree.
+    assert all(tree == expected[-1][1] for _, tree in expected[1:])
+    assert walks == [tree for _, tree in expected[:2]] + [jordan_tree]
     samples = ref.incoherent(cfg, 25)
     sampled = amplify_run_incoherent(x, solver, cfg, 25)
     assert abs(sampled["empirical_fidelity"] - np.mean(samples)) < 1e-12
@@ -649,48 +677,54 @@ def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
 def test_engineered_solver_is_the_triple_product(name, k):
     x = AMP_INSTANCES[name]
     for nu in (0.0, 0.37, 1.0):
-        theta = math.acos(math.sqrt(nu))
-        assert np.array_equal(engineered_solver(x, k, nu)[0].unitary,
-                              _triple_product_solver(x, k, theta))
-    junk = scipy.stats.unitary_group.rvs(x.dB ** k, random_state=k)
-    assert np.allclose(engineered_solver(x, k, 0.37, junk)[0].unitary,
-                       _triple_product_solver(x, k, math.acos(math.sqrt(0.37)), junk),
-                       rtol=0, atol=1e-12)
+        solver, nu_actual = engineered_solver(x, k, nu)
+        expected = _triple_product_solver(x, math.acos(math.sqrt(nu)))
+        assert solver.theta == expected.theta
+        assert np.array_equal(solver.u, expected.u) and np.array_equal(solver.junk, expected.junk)
+        assert abs(nu_actual - _dense_folded(x, solver, k)) < 1e-12
+    # Any dB x dB junk on B_1: nu and, where the dense walk is small, every
+    # index's fidelity agree with the dense R.
+    junk = scipy.stats.unitary_group.rvs(x.dB, random_state=k)
+    solver, nu_actual = engineered_solver(x, k, 0.37, junk)
+    assert np.array_equal(solver.junk, junk)
+    assert abs(nu_actual - _dense_folded(x, solver, k)) < 1e-12
+    if k < 5:
+        expected = DenseAmplifier(x, solver, k).per_index(3)
+        res = amplify_run(x, solver, AmplifierConfig(k, 3, Seed(3)), 10)
+        assert np.allclose(res["per_index_fidelity"], [f for f, _ in expected],
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["exact", "engineered"])
 @pytest.mark.parametrize("name", sorted(AMP_INSTANCES))
 def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
+    # The frame is an isometric picture of the dense walk: the vectors that
+    # the words of length <= 3 in P, 1 - P, Q and 1 - Q make from the start
+    # have the dense vectors' inner products and readouts, and the frame's P
+    # is a Hermitian idempotent of rank dA dB.
     import uhlmann_lab.protocols as protocols
     x = AMP_INSTANCES[name]
     solver = _amp_solver(x, kind, k)
     ref = DenseAmplifier(x, solver, k)
     psi, _ = x.states()
-    out = ref.r @ ref.start
     for i in range(k):
-        others = [j for j in range(k) if j != i]
-        side = protocols._amp_side(psi, solver, k, i)
-        # w_(a, beta) = |a>_{A_i} ⊗ S_beta, A_i between A_1..A_{i-1} and the rest.
-        head = psi.dA ** i
-        w = np.zeros((psi.dA, psi.dB, head, psi.dA, side.shape[1] // head), dtype=complex)
-        for a in range(psi.dA):
-            w[a, :, :, a] = side.reshape(psi.dB, head, -1)
-        w = w.reshape(psi.dA * psi.dB, -1)
-        assert np.allclose(w.conj() @ w.T, np.eye(len(w)), rtol=0, atol=1e-12)
-        # R P R† in the output frame, P = |C><C| on the blocks j != i ⊗ |0><0|_G.
-        p_in = ref.blocks(ref.psi, others) * np.diag(ref.g0)
-        dense_p = ref.r @ p_in @ ref.r.conj().T
-        assert np.allclose(w.T @ w.conj(), dense_p, rtol=0, atol=1e-12)
-        # The frame: the start is R|C...>, P is a rank-dA dB projector that
-        # keeps it, and Q and the readout weigh it as the dense operators do.
         walk = protocols._amp_frame(x, solver, k, i)
-        dense_q = ref.blocks(ref.phi, others)
-        assert abs(np.vdot(walk.start, walk.start) - 1.0) < 1e-12
-        assert np.allclose(walk.p(walk.start), walk.start, rtol=0, atol=1e-12)
-        succ = walk.q(walk.start)
-        assert abs(np.vdot(succ, succ).real - np.vdot(out, dense_q @ out).real) < 1e-12
-        assert abs(walk.read(walk.start) - ref.readout(ref.start, i)) < 1e-12
+        sides = []
+        for p, q, start in ((walk.p, walk.q, walk.start), (*ref.projectors(i), ref.start)):
+            ops = (p, q, lambda v, p=p: v - p(v), lambda v, q=q: v - q(v))
+            vecs = [start]
+            for length in (1, 2, 3):
+                for word in itertools.product(ops, repeat=length):
+                    vec = start
+                    for op in word:
+                        vec = op(vec)
+                    vecs.append(vec)
+            sides.append(np.array(vecs))
+        frame, dense = sides
+        assert np.allclose(frame.conj() @ frame.T, dense.conj() @ dense.T, rtol=0, atol=1e-12)
+        assert np.allclose([walk.read(v) for v in frame], [ref.readout(v, i) for v in dense],
+                           rtol=0, atol=1e-12)
         frame_p = np.array([walk.p(e) for e in np.eye(len(walk.start))]).T
         assert np.allclose(frame_p @ frame_p, frame_p, rtol=0, atol=1e-12)
         assert np.allclose(frame_p, frame_p.conj().T, rtol=0, atol=1e-12)
@@ -699,36 +733,45 @@ def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
 
 @pytest.mark.parametrize("name", ["epr", "kappa0.8_3x2"])
 def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
+    # The frame is built and the walk run once per index class, i = 0, where
+    # the junk acts, and i >= 1, whatever k and T are.
     import uhlmann_lab.protocols as protocols
     x = AMP_INSTANCES[name]
-    k = 3
-    solver = _amp_solver(x, "engineered", k)
-    calls = []
-    real = protocols._rotate
-    monkeypatch.setattr(protocols, "_rotate", lambda vec, u: calls.append(1) or real(vec, u))
-    counts = []
-    for T in (1, 6):
-        calls.clear()
-        amplify_run(x, solver, AmplifierConfig(k, T, Seed(2)), 30)
-        counts.append(len(calls))
-    # One range basis per index, and the start vector of the folded fidelity.
-    assert counts[0] == counts[1] <= k + 1
-    calls.clear()
-    amplify_run_incoherent(x, solver, AmplifierConfig(k, 6, Seed(2)), 25)
-    assert len(calls) <= k + 1
+    frames, walks = [], []
+    real_frame, real_walk = protocols._amp_frame, protocols._alternate
+    monkeypatch.setattr(protocols, "_amp_frame",
+                        lambda x, s, k, i=None: frames.append(i) or real_frame(x, s, k, i))
+    monkeypatch.setattr(protocols, "_alternate", lambda *a: walks.append(1) or real_walk(*a))
+    for k in (1, 3, 50):
+        solver, nu = engineered_solver(x, k, 0.6)
+        for T in (1, 6):
+            frames.clear()
+            walks.clear()
+            res = amplify_run(x, solver, AmplifierConfig(k, T, Seed(2)), 30, nu=nu)
+            assert frames == [0, 1][:k] and len(walks) == min(k, 2)
+            per_index = res["per_index_fidelity"]
+            assert len(per_index) == k and len(set(per_index[1:])) <= 1
+        frames.clear()
+        amplify_run_incoherent(x, solver, AmplifierConfig(k, 6, Seed(2)), 25)
+        assert frames == [0, 1][:k]
 
 
 def test_amplifier_walks_in_the_frame_of_p_and_q(monkeypatch):
-    # At the benchmark's size (k = 8, T = 3: a 2^17-amplitude state, 2 MiB)
-    # the walk projects no full state; only the folded fidelity does, when the
-    # caller does not pass it. The run holds a few range-side vectors at once.
+    # At the benchmark's size (k = 8, T = 3) every vector of the walk has
+    # dA dB (g + 1) = 12 frame coordinates, and the folded fidelity computed
+    # here is the one the solver was built with.
     import tracemalloc
     import uhlmann_lab.protocols as protocols
     k, T = 8, 3
     solver, nu = engineered_solver(EPR_INSTANCE, k, 0.6)
-    calls = []
-    real = protocols._project
-    monkeypatch.setattr(protocols, "_project", lambda *a: calls.append(1) or real(*a))
+    sizes = []
+    real = protocols._alternate
+
+    def recording(vec, p, q, rounds, cut, visit):
+        return real(vec, p, q, rounds, cut,
+                    lambda *parts: sizes.extend(v.size for v in parts) or visit(*parts))
+
+    monkeypatch.setattr(protocols, "_alternate", recording)
     cfg = AmplifierConfig(k, T, Seed(1))
     tracemalloc.start()
     try:
@@ -736,18 +779,78 @@ def test_amplifier_walks_in_the_frame_of_p_and_q(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [] and res["nu"] == nu
-    assert peak < 12 * 2 ** 20
-    assert amplify_run(EPR_INSTANCE, solver, cfg, 200)["nu"] == nu and calls == [1]
+    assert sizes and set(sizes) == {12} and res["nu"] == nu
+    assert peak < 2 ** 20
+    assert amplify_run(EPR_INSTANCE, solver, cfg, 200)["nu"] == nu
+
+
+def test_single_copy_powers_match_extended_precision():
+    # z^(k-1), z_J z^(k-2) and sum_{l<k-1} |z|^{2l} at k = 20000, against the
+    # same recurrences in extended precision, within the ~k ulp that
+    # _amp_parts states. |z| is near 1, where the sums have most terms, and
+    # a phase on u makes z complex.
+    import uhlmann_lab.protocols as protocols
+    x = instance_with_fidelity(0.99999, 2, 2, 3)
+    psi, phi = x.states()
+    exact = _triple_product_solver(x, 0.3)
+    solver = FoldedSolver(np.exp(0.7j) * exact.u, exact.junk, 0.3)
+    z, zj = (np.vdot(phi.amplitudes, (psi.as_matrix() @ w.T).reshape(-1))
+             for w in (solver.u, solver.u @ solver.junk))
+    assert 0.999 < abs(z) < 1 and abs(z.imag) > 0.1
+    eps = np.finfo(float).eps
+    rr = protocols._amp_parts(x, solver, 2, 1)[0][2]  # ||r||^2 times one term
+    for k in (2, 3, 1000, 20000):
+        zpow = np.cumprod(np.full(k - 1, z, dtype=np.clongdouble))
+        geo = np.sum(np.abs(zpow[:-1]) ** 2) + 1
+        (_, zn, n0), (_, zn_j, _) = protocols._amp_parts(x, solver, k, 1)
+        assert abs(zn - zpow[-1]) <= k * eps * abs(zpow[-1])
+        ref_j = zj * (zpow[-2] if k > 2 else 1)
+        assert abs(zn_j - ref_j) <= k * eps * abs(ref_j)
+        assert abs(n0 / rr - geo) <= 3 * k * eps * geo
+    assert abs(zpow[-1]) ** 2 < 0.9
+
+
+def test_amplify_run_at_k_20000_builds_no_k_fold_object():
+    # Past (32 T)^2 the bound is positive; the run holds the k per-index
+    # fidelities and the k + 1 powers of z, ~1 MB, and no k-fold object.
+    import tracemalloc
+    k, T = 20000, 3
+    solver, nu = engineered_solver(EPR_INSTANCE, k, 0.6)
+    tracemalloc.start()
+    try:
+        res = amplify_run(EPR_INSTANCE, solver, AmplifierConfig(k, T, Seed(1)), 200, nu=nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert len(res["per_index_fidelity"]) == k and round(res["bound"], 3) == 0.193
+    assert res["empirical_fidelity"] >= res["bound"]
 
 
 def test_amplifier_range_basis_is_capped():
     from uhlmann_lab.errors import DimensionCapError
     from uhlmann_lab.protocols import check_amplifier_cap
-    check_amplifier_cap(4, 4, 4, 2, 3)
-    # (dA dB)^3 * 2 = 2^19 amplitudes fit, but not dA dB = 64 of them.
-    with pytest.raises(DimensionCapError, match="amplifier range basis dimension 33554432"):
-        check_amplifier_cap(8, 8, 3, 2, 1)
+    # Every run the k-fold caps admitted is admitted: (dA dB)^k g amplitudes
+    # and 2^T times as many at 2^20, and dA dB times as many at 4096^2.
+    for dA, dB in ((2, 2), (3, 2), (4, 4)):
+        for k in range(1, 12):
+            for T in range(1, 22):
+                size = (dA * dB) ** k * 2
+                if size * 2 ** T <= 2 ** 20 and dA * dB * size <= 4096 ** 2:
+                    check_amplifier_cap(dA, dB, k, T)
+    check_amplifier_cap(2, 2, 2 ** 20, 17)
+    # The frame's readout Gram is a matrix on dA dB (g + 1) coordinates.
+    check_amplifier_cap(32, 32, 4, 3)
+    with pytest.raises(DimensionCapError, match="amplifier frame dimension 6144"):
+        check_amplifier_cap(64, 32, 1, 1)
+    with pytest.raises(DimensionCapError,
+                       match="amplifier per-index fidelities dimension 1048577"):
+        check_amplifier_cap(2, 2, 2 ** 20 + 1, 3)
+    # 2^T dA dB g amplitudes at 2^20; no 2^T is built past 2^63.
+    with pytest.raises(DimensionCapError, match="amplifier branch tree dimension 2097152"):
+        check_amplifier_cap(2, 2, 1, 18)
+    with pytest.raises(DimensionCapError, match="amplifier branch tree dimension inf"):
+        check_amplifier_cap(2, 2, 1, 10 ** 12)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,31 +1154,6 @@ def test_qip_ideal_oracle_joint_prover_matches_szk():
                                       ord=np.inf) < 1e-12
                 outputs += 1
         assert probs >= 4 and outputs >= 2
-
-
-def _project_by_outer(vec, dims, block, ids, k):
-    """The amplifier's projection as an outer product copied back by moveaxis."""
-    axes = list(ids) + [k + j for j in ids]
-    front = list(range(len(axes)))
-    tensor = np.moveaxis(vec.reshape(dims), axes, front)
-    amp = block.conj() @ tensor.reshape(block.size, -1)
-    out = np.outer(block, amp).reshape(tensor.shape)
-    return np.moveaxis(out, front, axes).reshape(-1)
-
-
-def test_project_writes_the_outer_products_bits_in_place():
-    # The folded fidelity projects all k pairs, where the moveaxis is the
-    # identity; its bits are those of the general outer product.
-    from uhlmann_lab.protocols import _project
-    rng = generator(41)
-    for _ in range(60):
-        k = int(rng.integers(1, 5))
-        dA, dB, g = (int(d) for d in rng.integers(1, 4, size=3))
-        dims = [dA] * k + [dB] * k + [g]
-        vec = haar_state_vector(math.prod(dims), rng)
-        block = haar_state_vector((dA * dB) ** k, rng)
-        got = _project(vec, block)
-        assert got.tobytes() == _project_by_outer(vec, dims, block, range(k), k).tobytes()
 
 
 def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):

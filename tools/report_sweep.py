@@ -135,6 +135,8 @@ COMMANDS = [
     "amplify --param k=1 --param T=17",
     "amplify --param k=3 --param nu=1",
     "amplify --param k=3 --param nu=0",
+    "amplify --param k=9 --param T=3",
+    "amplify --param k=20000 --param T=3",
     "commit --param schemes=10",
     "commit scheme.json",
     "commit raw_scheme.json",
