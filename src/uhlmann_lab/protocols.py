@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -399,17 +399,11 @@ def amplification_bound(nu: float, T: int, k: int) -> float:
 
 def check_amplifier_cap(dA: int, dB: int, k: int, T: int = 0) -> None:
     """Cap what the amplifier holds. Its k per-index fidelities, and the
-    k + 1 powers of z behind them, fit the state-vector cap; the frame's
-    dA dB (g + 1) coordinates, on which the readout Gram is a matrix, the
-    density-operator cap. The walk's time and memory double with each
-    round, so its up to 2^T branches are capped as the k-fold solver capped
-    them at k = 1: 2^T dA dB g amplitudes at the state-vector cap, T <= 17
-    on a qubit pair."""
+    k + 1 powers of z behind them, fit the state-vector cap. A run of the
+    walk is T rounds of a D x D state on the frame's D = dA dB (g + 1)
+    coordinates, so T D^2 fits it too: T <= 7281 on a qubit pair."""
     check_pure_cap(k, "amplifier per-index fidelities")
-    check_density_cap(dA * dB * (FoldedSolver.g_dim + 1), "amplifier frame")
-    # Past 2^63 branches the size is reported as inf rather than built as an integer.
-    check_pure_cap(dA * dB * FoldedSolver.g_dim * (2 ** T if T < 64 else math.inf),
-                   "amplifier branch tree")
+    check_pure_cap(T * (dA * dB * (FoldedSolver.g_dim + 1)) ** 2, "amplifier walk")
 
 
 def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = None):
@@ -433,10 +427,10 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
 
 
 # The amplifier's registers are ordered A_1..A_k, B_1..B_k, G, so the solver
-# acts on the trailing block. The walk carries vectors in the solver's output
-# frame, R v: there the "solver maps to |D>" measurement Q is a plain
-# projection, and the final single-copy readout needs no R. Every vector of the
-# walk lies in the span of the ranges of P and Q, which has dimension at most
+# acts on the trailing block. The walk runs in the solver's output frame,
+# R v: there the "solver maps to |D>" measurement Q is a plain projection,
+# and the final single-copy readout needs no R. Every branch of the walk lies
+# in the span of the ranges of P and Q, which has dimension at most
 # dA dB (g + 1), so the walk runs on coordinates in that span (_amp_frame).
 # The solver is a product, so the frame comes from one copy's quantities
 # (_amp_parts), and no object on the k copies is ever built.
@@ -444,8 +438,8 @@ def engineered_solver(x: UhlmannInstance, k: int, nu: float, junk: np.ndarray = 
 def _amp_parts(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None):
     """The walk of index i from one copy, per G value gamma = 0, 1: the open
     factor on B_i, the overlap of the n = k - 1 closed blocks with
-    |D>^{⊗n}, and the squared norm of their residual. i = None is the
-    hatted walk: n = k and no open register.
+    |D>^{⊗n}, and the squared norm of their residual. i = None gives the
+    folded overlap: n = k and no open register.
 
     With X = (1 ⊗ u)|C>, X_J = (1 ⊗ uJ)|C>, z = <D|X>, z_J = <D|X_J> and the
     residuals r = X - z|D>, r_J = X_J - z_J|D>, the factors are c u and
@@ -495,12 +489,12 @@ def folded_fidelity(x: UhlmannInstance, solver: FoldedSolver, k: int) -> float:
 
 class _Walk(NamedTuple):
     start: np.ndarray
-    p: Callable
-    q: Callable
-    read: Optional[Callable]
+    p: np.ndarray
+    q: np.ndarray
+    gram: np.ndarray
 
 
-def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) -> _Walk:
+def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int) -> _Walk:
     """The walk for index i in coordinates of span(range P ∪ range Q).
 
     P = R (|C><C| on the blocks j != i ⊗ |0><0|_G) R† and Q = |D><D| on the
@@ -520,15 +514,13 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
     are sums of positive terms, never sqrt(1 - cos^2), which has no digits
     left when cos_j rounds to 1 (Björck and Golub, 1973).
 
-    ``read`` is the single-copy readout |<phi|_{A_i B_i} v>|^2, through the
-    Gram of |phi><phi| on the frame. i = None gives the full (hatted)
-    projectors, whose P has the start as its only range vector, and no
-    readout.
+    ``p`` is P as a matrix, ``q`` the mask of the coordinates Q keeps, and
+    ``gram`` the Gram G of |phi><phi|_{A_i B_i} on the frame, so that the
+    single-copy readout |<phi|_{A_i B_i} v>|^2 is v† G v.
     """
     psi, phi = x.states()
     parts = _amp_parts(x, solver, k, i)
-    nb = parts[0][0].shape[0]
-    coeffs = np.ones((1, 1)) if i is None else psi.amplitudes.reshape(psi.dA, psi.dB)
+    nb = psi.dB
     cq = np.stack([zn * w.T for w, zn, _ in parts], axis=-1)  # <D, b, gamma | S_beta>
     u, cos, vh = np.linalg.svd(cq.reshape(nb, -1).conj())
     opened = [(w @ u, norm) for w, _, norm in parts]  # (1 - Q) u_j on (b, gamma)
@@ -537,13 +529,9 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
     rows = np.zeros((nb, m + nb))  # u_j in frame coordinates
     rows[range(nb), range(nb)] = cos
     rows[range(nb), range(m, m + nb)] = sin
-    keep = np.arange(m + nb) < m
-    blocks = coeffs.shape[0]
-    start = ((coeffs @ u.conj()) @ rows).reshape(-1)
-    p = lambda vec: ((vec.reshape(blocks, -1) @ rows.T) @ rows).reshape(-1)
-    q = lambda vec: (vec.reshape(blocks, -1) * keep).reshape(-1)
-    if i is None:
-        return _Walk(start, p, q, None)
+    start = ((psi.amplitudes.reshape(psi.dA, nb) @ u.conj()) @ rows).reshape(-1)
+    p = np.kron(np.eye(psi.dA), rows.T @ rows)
+    q = np.tile(np.arange(m + nb) < m, psi.dA)
     # Gram of the frame vectors' slices on B_i: the v_t, then the unit e_j.
     g = solver.g_dim
     gram = np.zeros((m + nb, nb, m + nb, nb), dtype=complex)
@@ -555,45 +543,28 @@ def _amp_frame(x: UhlmannInstance, solver: FoldedSolver, k: int, i: int = None) 
     phi_pair = phi.amplitudes.reshape(psi.dA, psi.dB)
     read_gram = np.einsum("ab,cd,jbkd->ajck", phi_pair, phi_pair.conj(),
                           gram).reshape(start.size, start.size)
-    return _Walk(start, p, q, lambda vec: float(np.vdot(vec, read_gram @ vec).real))
-
-
-def _alternate(vec, p, q, T: int, cut: float, visit):
-    """The coherent alternating-projection walk (Marriott–Watrous), T rounds.
-
-    Each round splits every running branch into its P and 1-P parts, drops a
-    part of norm below ``cut``, and splits each kept part ``comp`` into
-    ``succ`` = Q comp, where the walk stops, and ``rest`` = comp - succ, which
-    runs on if its norm exceeds ``cut``. ``visit(comp, succ, rest)`` sees
-    every split; the branches still running are returned.
-    """
-    active = [vec]
-    for _ in range(T):
-        nxt = []
-        for branch in active:
-            hit = p(branch)
-            for comp in (hit, branch - hit):
-                if np.linalg.norm(comp) < cut:
-                    continue
-                succ = q(comp)
-                rest = comp - succ
-                visit(comp, succ, rest)
-                if np.linalg.norm(rest) > cut:
-                    nxt.append(rest)
-        active = nxt
-    return active
+    return _Walk(start, p, q, read_gram)
 
 
 def _amp_fidelity_for_index(walk: _Walk, T: int) -> float:
-    """F((id ⊗ M_i)(|C><C|), |D><D|) for the run that sampled index i."""
-    fids = []
+    """F((id ⊗ M_i)(|C><C|), |D><D|) for the run that sampled index i.
 
-    def visit(comp, succ, rest):
-        if np.linalg.norm(succ) > 1e-14:
-            fids.append(walk.read(succ))
-
-    running = _alternate(walk.start, walk.p, walk.q, T, 1e-14, visit)
-    return sum(fids + [walk.read(vec) for vec in running])
+    The coherent alternating-projection walk (Marriott–Watrous) records
+    every outcome, so its branches b are orthogonal records and the
+    fidelity is Tr(G sum_b |b><b|). That sum over the branches still
+    running, rho, starts as |start><start|, and each round measures P,
+    rho <- P rho P + (1 - P) rho (1 - P), and then Q, where Q rho Q stops
+    and (1 - Q) rho (1 - Q) runs on: T rounds of D x D products.
+    """
+    rho = np.outer(walk.start, walk.start.conj())
+    miss = np.eye(len(walk.start)) - walk.p
+    stop, run = np.outer(walk.q, walk.q), np.outer(~walk.q, ~walk.q)
+    stopped = np.zeros_like(rho)
+    for _ in range(T):
+        rho = walk.p @ rho @ walk.p + miss @ rho @ miss
+        stopped += rho * stop
+        rho *= run
+    return float(np.sum(walk.gram * (stopped + rho).T).real)
 
 
 def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
@@ -611,8 +582,7 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
                for i in range(min(cfg.k, 2))]
     per_index = classes[:1] + classes[1:] * (cfg.k - 1)
     rng = cfg.seed.child("amplify").generator()
-    draws = rng.integers(0, cfg.k, size=trials)
-    samples = np.array([per_index[i] for i in draws])
+    samples = np.asarray(classes)[np.minimum(rng.integers(0, cfg.k, size=trials), 1)]
     if nu is None:
         nu = folded_fidelity(x, solver, cfg.k)
     bound = amplification_bound(nu, cfg.T, cfg.k)
@@ -639,57 +609,24 @@ def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
         walk = walks[min(int(rng.integers(cfg.k)), 1)]
         vec = walk.start
         for _ in range(cfg.T):
-            hit = walk.p(vec)
+            hit = walk.p @ vec
             prob = _weight(hit)
             if rng.random() < prob:
                 vec = hit / np.sqrt(prob)
             else:
                 vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-            succ = walk.q(vec)
+            succ = vec * walk.q
             prob = _weight(succ)
             if rng.random() < prob:
                 vec = succ / np.sqrt(prob)
                 break
             vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
-        samples[trial] = walk.read(vec)
+        samples[trial] = np.vdot(vec, walk.gram @ vec).real
     sem = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     nu = folded_fidelity(x, solver, cfg.k)
     return {"empirical_fidelity": float(samples.mean()),
             "nu": nu, "bound": amplification_bound(nu, cfg.T, cfg.k),
             "stderr": sem, "trials": trials}
-
-
-def amplify_jordan_residual(x: UhlmannInstance, solver: FoldedSolver, k: int,
-                            T: int) -> float:
-    """Max residual of intermediate branches outside span{v, w} for the hatted
-    algorithm (full P/Q projectors)."""
-    v, p, q, _ = _amp_frame(x, solver, k)
-    w = q(v)
-    nw = np.linalg.norm(w)
-    basis = [v]
-    if nw > 1e-12:
-        w = w / nw
-        w = w - v * (v.conj() @ w)
-        if np.linalg.norm(w) > 1e-9:
-            basis.append(w / np.linalg.norm(w))
-
-    def residual(vec):
-        nrm = np.linalg.norm(vec)
-        if nrm < 1e-12:
-            return 0.0
-        rem = vec.copy()
-        for b in basis:
-            rem = rem - b * (b.conj() @ rem)
-        return float(np.linalg.norm(rem) / nrm)
-
-    worst = 0.0
-
-    def visit(comp, succ, rest):
-        nonlocal worst
-        worst = max(worst, residual(comp), residual(succ), residual(rest))
-
-    _alternate(v, p, q, T, 1e-12, visit)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -479,13 +479,17 @@ def test_amplify_walk_cap_is_checked_before_the_solver_is_built(capsys, monkeypa
         raise AssertionError("solved before the cap check")
 
     monkeypatch.setattr(protocols, "canonical_uhlmann", unreachable)
-    # 2^T dA dB g = 2^(T + 3) amplitudes fit 2^20 up to T = 17; a T past 63
-    # is reported without building 2^T.
-    for rounds, size in ((18, "2097152"), (10 ** 12, "inf")):
+    # T rounds of a 12 x 12 state fit 2^20 up to T = 7281.
+    for rounds in (7282, 10 ** 12):
         code = main(["amplify", "--param", f"T={rounds}"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and f"amplifier branch tree dimension {size}" in captured.err
+        assert captured.out == "" and f"amplifier walk dimension {144 * rounds}" in captured.err
+
+
+def test_amplify_runs_at_the_walk_cap(capsys):
+    code, report = run_cli(capsys, "amplify", "--param", "k=2", "--param", "T=7281")
+    assert code == 0 and report["pass"]
 
 
 @pytest.mark.parametrize("k, bound", [(9, 0.0), (20000, 0.193)])

@@ -9,8 +9,7 @@ import scipy.stats
 from conftest import dilated_channel, permute_registers_dm, swap_matrix
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
-                                   ProverStrategy, amplification_bound,
-                                   amplify_jordan_residual, amplify_run,
+                                   ProverStrategy, amplification_bound, amplify_run,
                                    amplify_run_incoherent, approx_measure,
                                    default_dme_copies, dme,
                                    dme_error_bound, dme_exact_unitary, engineered_solver,
@@ -415,11 +414,6 @@ def test_amplifier_beats_bound():
     assert res["exact_mean_fidelity"] > nu
 
 
-def test_amplifier_jordan_two_dimensionality():
-    sol, _ = engineered_solver(EPR_INSTANCE, 2, 0.6)
-    assert amplify_jordan_residual(EPR_INSTANCE, sol, 2, 3) < 1e-8
-
-
 def test_amplifier_solver_dimension_check():
     # A solver for the 2x4 pair acts on B = C^4; the EPR pair's B is a qubit.
     wide, _ = engineered_solver(instance_with_fidelity(0.7, 2, 4, 2), 2, 0.5)
@@ -429,8 +423,7 @@ def test_amplifier_solver_dimension_check():
                       (FoldedSolver(epr.u, np.eye(4), epr.theta), "junk acts on dim 4")):
         for run in (lambda: amplify_run(EPR_INSTANCE, sol, cfg, 10),
                     lambda: amplify_run_incoherent(EPR_INSTANCE, sol, cfg, 10),
-                    lambda: folded_fidelity(EPR_INSTANCE, sol, 2),
-                    lambda: amplify_jordan_residual(EPR_INSTANCE, sol, 2, 2)):
+                    lambda: folded_fidelity(EPR_INSTANCE, sol, 2)):
             with pytest.raises(DimensionMismatch, match=f"{what}, expected 2"):
                 run()
 
@@ -471,8 +464,8 @@ def _dense_on(mat, regs, dims):
 
 
 def _dense_tree(p, q, vec, T, cut):
-    """The branch tree: (kept P parts, their Q parts, their remainders, running)."""
-    comps, succs, rests, active = [], [], [], [vec]
+    """The branch tree: (kept P parts, their Q parts, running)."""
+    comps, succs, active = [], [], [vec]
     for _ in range(T):
         nxt = []
         for branch in active:
@@ -483,11 +476,10 @@ def _dense_tree(p, q, vec, T, cut):
                 succ = q(comp)
                 comps.append(comp)
                 succs.append(succ)
-                rests.append(comp - succ)
                 if np.linalg.norm(comp - succ) > cut:
                     nxt.append(comp - succ)
         active = nxt
-    return comps, succs, rests, active
+    return comps, succs, active
 
 
 class DenseAmplifier:
@@ -510,7 +502,7 @@ class DenseAmplifier:
         return _dense_on(linalg.kron_all([pair] * len(ids)),
                          [reg for j in ids for reg in (j, self.k + j)], self.dims)
 
-    def projectors(self, i=None):
+    def projectors(self, i):
         """(P, Q) as matrix-vector products, P = |C><C| ⊗ |0><0|_G and
         Q = R† |D><D| R on the blocks j != i."""
         if i not in self._projectors:
@@ -529,7 +521,7 @@ class DenseAmplifier:
         """(fidelity, (kept P parts, running branches)) for each sampled index."""
         out = []
         for i in range(self.k):
-            comps, succs, _, active = _dense_tree(*self.projectors(i), self.start, T, 1e-14)
+            comps, succs, active = _dense_tree(*self.projectors(i), self.start, T, 1e-14)
             finals = [v for v in succs if np.linalg.norm(v) > 1e-14] + active
             out.append((sum(self.readout(v, i) for v in finals), (len(comps), len(active))))
         return out
@@ -537,23 +529,6 @@ class DenseAmplifier:
     def folded(self):
         out = self.r @ self.start
         return float(np.real(out.conj() @ self.blocks(self.phi, range(self.k)) @ out))
-
-    def jordan(self, T):
-        """(max residual outside span{v, Qv}, (kept P parts, running branches))."""
-        p, q = self.projectors()
-        v = self.start
-        w = q(v)
-        basis = [v]
-        if np.linalg.norm(w) > 1e-12:
-            w = w - v * (v.conj() @ w)
-            if np.linalg.norm(w) > 1e-9:
-                basis.append(w / np.linalg.norm(w))
-        span = sum(np.outer(b, b.conj()) for b in basis)
-        comps, succs, rests, active = _dense_tree(p, q, v, T, 1e-12)
-        residual = max((np.linalg.norm(u - span @ u) / np.linalg.norm(u)
-                        for u in comps + succs + rests if np.linalg.norm(u) >= 1e-12),
-                       default=0.0)
-        return residual, (len(comps), len(active))
 
     def incoherent(self, cfg, trials):
         rng = cfg.seed.child("amplify-incoherent").generator()
@@ -623,36 +598,25 @@ def _amp_solver(x, kind, k):
         return engineered_solver(x, k, 0.6)[0]
     if kind == "nu0":
         return engineered_solver(x, k, 0.0)[0]
-    # Junk amplitude sin(1e-13): the parts it spoils have norms between the
-    # readout walk's cut-off (1e-14) and the Jordan walk's (1e-12).
+    # Junk amplitude sin(1e-13): the parts it spoils are small, but above the
+    # dense tree's cut-off (1e-14).
     return _triple_product_solver(x, 1e-13)
 
 
 # k = 4 runs on the qubit pairs only: the dense reference of a 3x2 pair would
-# hold 2592^2 matrices, and of a 2x4 pair 8192^2. The engineered solver has
-# folded fidelity nu = 0 (ranges of P and Q orthogonal) only on the EPR pair.
+# hold 2592^2 matrices, and of a 2x4 pair 8192^2. T = 8 runs on the EPR pair
+# up to k = 3, where the dense tree of 2^8 branches takes well under a second.
 AMP_CASES = [(name, kind, k, T) for name in sorted(AMP_INSTANCES)
              for kind in ("exact", "engineered", "nu0", "near_exact")
-             for k in (1, 2, 3, 4) for T in (1, 2, 4)
-             if (k < 4 or name in ("epr", "kappa0.8")) and (kind != "nu0" or name == "epr")]
+             for k in (1, 2, 3, 4) for T in (1, 2, 4, 8)
+             if (k < 4 or name in ("epr", "kappa0.8")) and (T < 8 or name == "epr" and k < 4)]
 
 
 @pytest.mark.parametrize("name,kind,k,T", [pytest.param(*case, id="-".join(map(str, case)))
                                            for case in AMP_CASES])
-def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
-    import uhlmann_lab.protocols as protocols
+def test_amplifier_matches_dense_reference(name, kind, k, T):
     x = AMP_INSTANCES[name]
     solver = _amp_solver(x, kind, k)
-    walks = []
-    real = protocols._alternate
-
-    def counting(vec, p, q, rounds, cut, visit):
-        seen = []
-        running = real(vec, p, q, rounds, cut, lambda *parts: seen.append(1) or visit(*parts))
-        walks.append((len(seen), len(running)))
-        return running
-
-    monkeypatch.setattr(protocols, "_alternate", counting)
     ref = DenseAmplifier(x, solver, k)
     expected = ref.per_index(T)
     cfg = AmplifierConfig(k, T, Seed(7))
@@ -660,12 +624,9 @@ def test_amplifier_matches_dense_reference(name, kind, k, T, monkeypatch):
     assert np.allclose(res["per_index_fidelity"], [f for f, _ in expected], rtol=0, atol=1e-12)
     assert abs(res["nu"] - ref.folded()) < 1e-12
     assert abs(folded_fidelity(x, solver, k) - ref.folded()) < 1e-12
-    residual, jordan_tree = ref.jordan(T)
-    assert abs(amplify_jordan_residual(x, solver, k, T) - residual) < 1e-12
     # One walk per index class, i = 0 and i >= 1: the dense walks of all
     # indices i >= 1 make the same tree.
     assert all(tree == expected[-1][1] for _, tree in expected[1:])
-    assert walks == [tree for _, tree in expected[:2]] + [jordan_tree]
     samples = ref.incoherent(cfg, 25)
     sampled = amplify_run_incoherent(x, solver, cfg, 25)
     assert abs(sampled["empirical_fidelity"] - np.mean(samples)) < 1e-12
@@ -711,7 +672,8 @@ def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
     for i in range(k):
         walk = protocols._amp_frame(x, solver, k, i)
         sides = []
-        for p, q, start in ((walk.p, walk.q, walk.start), (*ref.projectors(i), ref.start)):
+        for p, q, start in ((walk.p.__matmul__, walk.q.__mul__, walk.start),
+                            (*ref.projectors(i), ref.start)):
             ops = (p, q, lambda v, p=p: v - p(v), lambda v, q=q: v - q(v))
             vecs = [start]
             for length in (1, 2, 3):
@@ -723,25 +685,25 @@ def test_amplifier_range_basis_matches_dense_projector(name, kind, k):
             sides.append(np.array(vecs))
         frame, dense = sides
         assert np.allclose(frame.conj() @ frame.T, dense.conj() @ dense.T, rtol=0, atol=1e-12)
-        assert np.allclose([walk.read(v) for v in frame], [ref.readout(v, i) for v in dense],
-                           rtol=0, atol=1e-12)
-        frame_p = np.array([walk.p(e) for e in np.eye(len(walk.start))]).T
-        assert np.allclose(frame_p @ frame_p, frame_p, rtol=0, atol=1e-12)
-        assert np.allclose(frame_p, frame_p.conj().T, rtol=0, atol=1e-12)
-        assert abs(np.trace(frame_p) - psi.dA * psi.dB) < 1e-12
+        assert np.allclose([np.vdot(v, walk.gram @ v).real for v in frame],
+                           [ref.readout(v, i) for v in dense], rtol=0, atol=1e-12)
+        assert np.allclose(walk.p @ walk.p, walk.p, rtol=0, atol=1e-12)
+        assert np.allclose(walk.p, walk.p.conj().T, rtol=0, atol=1e-12)
+        assert abs(np.trace(walk.p) - psi.dA * psi.dB) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["epr", "kappa0.8_3x2"])
 def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
-    # The frame is built and the walk run once per index class, i = 0, where
-    # the junk acts, and i >= 1, whatever k and T are.
+    # The frame is built and the walk's recurrence run once per index class,
+    # i = 0, where the junk acts, and i >= 1, whatever k and T are.
     import uhlmann_lab.protocols as protocols
     x = AMP_INSTANCES[name]
     frames, walks = [], []
-    real_frame, real_walk = protocols._amp_frame, protocols._alternate
+    real_frame, real_walk = protocols._amp_frame, protocols._amp_fidelity_for_index
     monkeypatch.setattr(protocols, "_amp_frame",
-                        lambda x, s, k, i=None: frames.append(i) or real_frame(x, s, k, i))
-    monkeypatch.setattr(protocols, "_alternate", lambda *a: walks.append(1) or real_walk(*a))
+                        lambda x, s, k, i: frames.append(i) or real_frame(x, s, k, i))
+    monkeypatch.setattr(protocols, "_amp_fidelity_for_index",
+                        lambda *a: walks.append(1) or real_walk(*a))
     for k in (1, 3, 50):
         solver, nu = engineered_solver(x, k, 0.6)
         for T in (1, 6):
@@ -757,31 +719,40 @@ def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
 
 
 def test_amplifier_walks_in_the_frame_of_p_and_q(monkeypatch):
-    # At the benchmark's size (k = 8, T = 3) every vector of the walk has
-    # dA dB (g + 1) = 12 frame coordinates, and the folded fidelity computed
-    # here is the one the solver was built with.
+    # At the benchmark's size (k = 8, T = 3), and at T = 1000, the walk's
+    # state is a matrix on dA dB (g + 1) = 12 frame coordinates, and the
+    # folded fidelity computed here is the one the solver was built with.
     import tracemalloc
     import uhlmann_lab.protocols as protocols
-    k, T = 8, 3
+    k = 8
     solver, nu = engineered_solver(EPR_INSTANCE, k, 0.6)
-    sizes = []
-    real = protocols._alternate
-
-    def recording(vec, p, q, rounds, cut, visit):
-        return real(vec, p, q, rounds, cut,
-                    lambda *parts: sizes.extend(v.size for v in parts) or visit(*parts))
-
-    monkeypatch.setattr(protocols, "_alternate", recording)
-    cfg = AmplifierConfig(k, T, Seed(1))
-    tracemalloc.start()
-    try:
-        res = amplify_run(EPR_INSTANCE, solver, cfg, 200, nu=nu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sizes and set(sizes) == {12} and res["nu"] == nu
-    assert peak < 2 ** 20
+    shapes = []
+    real = protocols._amp_fidelity_for_index
+    monkeypatch.setattr(protocols, "_amp_fidelity_for_index",
+                        lambda walk, T: shapes.extend(a.shape for a in walk) or real(walk, T))
+    for T in (3, 1000):
+        cfg = AmplifierConfig(k, T, Seed(1))
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            res = amplify_run(EPR_INSTANCE, solver, cfg, 200, nu=nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(12,), (12, 12), (12,), (12, 12)] * 2 and res["nu"] == nu
+        assert peak < 2 ** 20
     assert amplify_run(EPR_INSTANCE, solver, cfg, 200)["nu"] == nu
+
+
+@pytest.mark.parametrize("k, nu", [(2, 0.6), (3, 0.4)])
+def test_amplifier_index_fidelity_is_one_to_rounding(k, nu):
+    # On the EPR pair the junk spoils B_1 alone, so every index i >= 1 reads
+    # fidelity 1, to rounding, however many rounds the walk runs.
+    solver, solver_nu = engineered_solver(EPR_INSTANCE, k, nu)
+    for T in (12, 17):
+        res = amplify_run(EPR_INSTANCE, solver, AmplifierConfig(k, T, Seed(0)), 10,
+                          nu=solver_nu)
+        assert np.allclose(res["per_index_fidelity"][1:], 1.0, rtol=0, atol=1e-14)
 
 
 def test_single_copy_powers_match_extended_precision():
@@ -839,18 +810,17 @@ def test_amplifier_range_basis_is_capped():
                 if size * 2 ** T <= 2 ** 20 and dA * dB * size <= 4096 ** 2:
                     check_amplifier_cap(dA, dB, k, T)
     check_amplifier_cap(2, 2, 2 ** 20, 17)
-    # The frame's readout Gram is a matrix on dA dB (g + 1) coordinates.
-    check_amplifier_cap(32, 32, 4, 3)
-    with pytest.raises(DimensionCapError, match="amplifier frame dimension 6144"):
-        check_amplifier_cap(64, 32, 1, 1)
     with pytest.raises(DimensionCapError,
                        match="amplifier per-index fidelities dimension 1048577"):
         check_amplifier_cap(2, 2, 2 ** 20 + 1, 3)
-    # 2^T dA dB g amplitudes at 2^20; no 2^T is built past 2^63.
-    with pytest.raises(DimensionCapError, match="amplifier branch tree dimension 2097152"):
-        check_amplifier_cap(2, 2, 1, 18)
-    with pytest.raises(DimensionCapError, match="amplifier branch tree dimension inf"):
-        check_amplifier_cap(2, 2, 1, 10 ** 12)
+    # The walk is T rounds of a D x D state, D = dA dB (g + 1), and T D^2
+    # fits 2^20: T <= 7281 on a qubit pair (D = 12), D <= 1024 at T = 1.
+    check_amplifier_cap(2, 2, 1, 7281)
+    check_amplifier_cap(20, 17, 1, 1)
+    for (dA, dB, T), size in (((2, 2, 7282), 1048608), ((2, 2, 10 ** 12), 144 * 10 ** 12),
+                              ((32, 32, 3), 28311552), ((64, 32, 1), 37748736)):
+        with pytest.raises(DimensionCapError, match=f"amplifier walk dimension {size}"):
+            check_amplifier_cap(dA, dB, 1, T)
 
 
 # ---------------------------------------------------------------------------

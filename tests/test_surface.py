@@ -33,7 +33,6 @@ KEEP = {
     "clone_attack_states": "the paper's cloning Uhlmann instance for keyed state families",
     "clone_fidelity": "the fidelity the canonical cloning attack achieves",
     "amplify_run_incoherent": "the amplifier with sampled, collapsing measurements",
-    "amplify_jordan_residual": "the Jordan-subspace property of the amplifier's walk",
 }
 
 

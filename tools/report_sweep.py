@@ -133,6 +133,8 @@ COMMANDS = [
     "amplify --param k=7 --param T=4",
     "amplify --param k=8 --param T=3",
     "amplify --param k=1 --param T=17",
+    "amplify --param k=2 --param T=17",
+    "amplify --param k=2 --param T=1000",
     "amplify --param k=3 --param nu=1",
     "amplify --param k=3 --param nu=0",
     "amplify --param k=9 --param T=3",
