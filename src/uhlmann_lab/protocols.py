@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, check_density_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
 from .qcore.metrics import factor_trace_distance
-from .qcore.states import BipartiteState, DensityOp, tensor_power
+from .qcore.states import BipartiteState, DensityOp
 from .rng import Seed, as_seed
 from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
 
@@ -135,14 +135,15 @@ class _PermutationTest:
     acceptance, or L = None for a joint prover accepted with probability at
     most 1e-12.
 
-    Product provers are solved in closed form, joint provers by the dense
-    simulation. A product prover acts on each slot alone, so a run depends
-    on the permutation only through j0, the slot that receives the input
-    register: that slot gives the output, whatever the test block holds, and
-    each test slot j contributes its row D^dag L_j. A factor object shared by
-    several slots (the honest prover's one unitary) is applied once; the
-    products still run over the test slots in order; and each j0 is solved
-    once.
+    A run depends on the permutation only through j0, the slot that
+    receives the input register: the test block and the D-basis check are
+    both symmetric under exchanging test registers, so each j0 is solved
+    once. Product provers are solved in closed form: each slot acts alone,
+    so slot j0 gives the output, whatever the test block holds, and each
+    test slot j contributes its row D^dag L_j. A factor object shared by
+    several slots (the honest prover's one unitary) is applied once, and
+    the products still run over the test slots in order. Joint provers are
+    contracted over the test slots (``_joint_test``).
     """
 
     def __init__(self, psi: BipartiteState, phi: BipartiteState, m: int,
@@ -171,15 +172,12 @@ class _PermutationTest:
         self._slot_weights = row_weights[self._slot_factor]
 
     def __call__(self, perm):
-        # A run depends on j0 alone for a product prover, on the whole
-        # permutation for a joint one.
-        key = (int(np.flatnonzero(perm == 0)[0]) if self.prover.is_product()
-               else np.asarray(perm).tobytes())
-        if key not in self._runs:
-            self._runs[key] = (self._product_run(key) if self.prover.is_product() else
-                               _joint_test(self.psi, self.phi, self.m, perm, self.prover,
-                                           self.prep_error))
-        return self._runs[key]
+        j0 = int(np.flatnonzero(np.asarray(perm) == 0)[0])
+        if j0 not in self._runs:
+            self._runs[j0] = (self._product_run(j0) if self.prover.is_product() else
+                              _joint_test(self.psi, self.phi, self.m, j0, self.prover,
+                                          self.prep_error))
+        return self._runs[j0]
 
     def output_distance(self, perm) -> Optional[float]:
         """Trace distance from the output given acceptance to |D><D|, or
@@ -236,88 +234,59 @@ def _junk_basis(psi: BipartiteState, m: int):
     return e, np.conj(amps[index]) ** m
 
 
-def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, perm,
+def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, j0: int,
                 prover: ProverStrategy, prep_error: float):
-    """``_PermutationTest`` for a joint prover: runs the prover round on
-    every oracle-prepared branch and projects the test block onto |D>^{⊗m}.
-    The accepted amplitude of a branch, reshaped to (A_0 B_0) x (ancilla), is
-    its part of the output factor. Each branch's joint vector is made only
-    when its round starts, and the round holds at most two at a time."""
+    """``_PermutationTest`` for a joint prover whose input register is in
+    slot j0. The test block and |D>^{⊗m} are Kronecker powers, so the
+    projection goes through the prover: with the ancilla entering at 0,
+    each test slot's output axis is contracted with its input axis through
+    g = M_test^T conj(M_D), the dB x dB overlap over A of a test copy with
+    |D>, and slot j0 stays open as H[b0, anc, b']. The accepted amplitude is
+    amp[(a0, b0), anc] = sum_b' psi[a0, b'] H[b0, anc, b'], and its
+    branches, side by side, are the output factor. A run costs O(size^2)
+    for the prover's size x size unitary, and no joint vector is made; the
+    junk branch (E^{⊗m} - c C^{⊗m}) / sqrt(1 - |c|^2) of ``_junk_basis`` is
+    the same contraction on E, less c times the good branch."""
     dA, dB = psi.split
-    check_pure_cap((dA * dB) ** (m + 1) * prover.joint_anc_dim, "joint protocol state")
-    dvec = tensor_power(phi, m)
-    ancilla = [2 * (m + 1)] if prover.joint_anc_dim > 1 else []
-    keep = [0, m + 1] + ancilla
-    tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-    accept, cols = 0.0, []
-    for weight, test in _prepared_tests(psi, m, prep_error):
-        # The vector is made in the argument, so the round owns it alone.
-        work = _prover_round(_joint_start(psi, test, m), psi.split, m, perm, prover,
-                             keep + tests)
-        amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
-        del work
-        accept += weight * float(np.vdot(amp, amp).real)
-        cols.append(math.sqrt(weight) * amp)
-    return accept, (np.hstack(cols) / math.sqrt(accept) if accept > 1e-12 else None)
-
-
-def _prepared_tests(psi: BipartiteState, m: int, prep_error: float) -> list:
-    """The oracle's branches as (weight, test block) pairs: the test block is
-    the m oracle-prepared copies, which alone carry the preparation error, as
-    the junk block of ``_junk_basis``; the verifier's input copy is exact."""
-    good = tensor_power(psi, m)
-    if prep_error == 0.0:
-        return [(1.0, good)]
-    e, c = _junk_basis(psi, m)
-    junk = (tensor_power(e, m) - c * good) / math.sqrt(1.0 - abs(c) ** 2)
-    return [(1.0 - prep_error, good), (prep_error, junk)]
-
-
-def _joint_start(psi: BipartiteState, test: np.ndarray, m: int) -> np.ndarray:
-    """The joint vector |psi> ⊗ test on [A-block, B-block], for a test block
-    of m copies."""
-    dA, dB = psi.split
-    # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
-    return linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
-                                        [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3])
-
-
-def _prover_round(vec, split, m: int, perm, prover: ProverStrategy, order) -> np.ndarray:
-    """Append the joint prover's ancilla, hand it the B registers in slot
-    order (slot j holds register perm[j]), apply its unitary, and undo the
-    permutation. Returns the vector with the registers of [A_0..A_m,
-    B_0..B_m, (ancilla)] in the order ``order`` lists them.
-
-    Two gathers move the data, and each releases its input once its output
-    exists. The first makes the (slots ⊗ ancilla) x (A_0..A_m) matrix that
-    the unitary multiplies, the operand the register kernel would make from
-    the permuted vector; the second takes the product to ``order``."""
-    dims = [split[0]] * (m + 1) + [split[1]] * (m + 1)
-    if prover.joint_anc_dim > 1:
-        vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
-        dims = dims + [prover.joint_anc_dim]
-    held = [m + 1 + int(src) for src in perm] + list(range(2 * (m + 1), len(dims)))
-    axes = held + list(range(m + 1))
-    size = math.prod(dims[reg] for reg in held)
+    anc = prover.joint_anc_dim
+    check_pure_cap((dA * dB) ** (m + 1) * anc, "joint protocol state")
+    size = dB ** (m + 1) * anc
     if prover.joint_unitary.shape != (size, size):
         raise DimensionMismatch(f"matrix shape {prover.joint_unitary.shape} "
                                 f"does not act on dims {size}")
-    tensor = vec.reshape(dims).transpose(axes).reshape(size, -1)
-    del vec
-    out = prover.joint_unitary @ tensor
-    del tensor
-    position = {reg: axis for axis, reg in enumerate(axes)}
-    out = out.reshape([dims[reg] for reg in axes]).transpose([position[reg] for reg in order])
-    return out.reshape(-1)
+    # Axes 0..m are the slots' outputs, m + 1 the ancilla's, m + 2 + j slot j's input.
+    u = prover.joint_unitary.reshape([dB] * (m + 1) + [anc] + [dB] * (m + 1) + [anc])[..., 0]
+    target = phi.as_matrix().conj()
+
+    def accepted(copy: np.ndarray) -> np.ndarray:
+        g, h, axes = copy.T @ target, u, list(range(2 * m + 3))
+        for j in range(m + 1):
+            if j != j0:
+                rest = [a for a in axes if a not in (j, m + 2 + j)]
+                h = np.einsum(h, axes, g, [m + 2 + j, j], rest)
+                axes = rest
+        return np.einsum(psi.as_matrix(), [0, 2], h, [1, 3, 2], [0, 1, 3]).reshape(dA * dB, anc)
+
+    good = accepted(psi.as_matrix())
+    branches = [(1.0, good)]
+    if prep_error > 0.0:
+        e, c = _junk_basis(psi, m)
+        junk = (accepted(e.as_matrix()) - c * good) / math.sqrt(1.0 - abs(c) ** 2)
+        branches = [(1.0 - prep_error, good), (prep_error, junk)]
+    accept = sum(weight * float(np.vdot(amp, amp).real) for weight, amp in branches)
+    if accept <= 1e-12:
+        return accept, None
+    factor = np.hstack([math.sqrt(weight) * amp for weight, amp in branches])
+    return accept, factor / math.sqrt(accept)
 
 
 def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy):
     """Average over the verifier permutation: (accept prob, output given
-    acceptance), for a product prover. Its run depends only on the slot that
-    receives the input register, so the m + 1 rotations average it exactly.
+    acceptance). A run depends only on the slot that receives the input
+    register, so the m + 1 rotations average it exactly. A joint prover's
+    run accepted with probability at most 1e-12 has no factor and adds
+    nothing to the output.
     """
-    if not prover.is_product():
-        raise ValueError("the conditional output is averaged for product provers only")
     psi, phi = x.states()
     perms = [np.roll(np.arange(m + 1), j) for j in range(m + 1)]
     test = _PermutationTest(psi, phi, m, prover)
@@ -325,27 +294,10 @@ def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy):
     for perm in perms:
         p, factor = test(perm)
         acc += p / len(perms)
-        mat = mat + p * (factor @ factor.conj().T)
-        wsum += p
+        if factor is not None:
+            mat = mat + p * (factor @ factor.conj().T)
+            wsum += p
     return acc, DensityOp(mat / wsum, psi.split)
-
-
-def szk_simulate(x: UhlmannInstance, m: int) -> DensityOp:
-    """The zero-knowledge simulator output |D><D|^{⊗(m+1)}."""
-    return _power_density(x.states()[1], m, "simulator state")
-
-
-def szk_honest_post_state(x: UhlmannInstance, m: int) -> DensityOp:
-    """The verifier's joint state after the honest (unitary) prover round."""
-    psi, _ = x.states()
-    return _power_density(apply_uhlmann(x, 0.0, psi), m, "honest post state")
-
-
-def _power_density(state: BipartiteState, m: int, what: str) -> DensityOp:
-    """|state><state|^{⊗(m+1)} on the verifier's registers (A_0..A_m, B_0..B_m)."""
-    check_density_cap((state.dA * state.dB) ** (m + 1), what)
-    vec = tensor_power(state, m + 1)
-    return DensityOp(np.outer(vec, vec.conj()), (state.dA,) * (m + 1) + (state.dB,) * (m + 1))
 
 
 def szk_simulator_distance(x: UhlmannInstance, m: int) -> float:

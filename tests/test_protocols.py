@@ -14,12 +14,13 @@ from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    default_dme_copies, dme,
                                    dme_error_bound, dme_exact_unitary, engineered_solver,
                                    folded_fidelity, partial_swap, qip_run,
-                                   szk_conditional_output, szk_honest_post_state,
-                                   szk_run, szk_simulate, szk_simulator_distance, szk_trials)
+                                   szk_conditional_output, szk_run, szk_simulator_distance,
+                                   szk_trials)
 from uhlmann_lab.qcore import (BipartiteState, DensityOp, GateCircuit, fidelity, linalg,
                                trace_distance)
 from uhlmann_lab.qcore.channels import ChannelDesc
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_density
+from uhlmann_lab.qcore.states import tensor_power
 from uhlmann_lab.rng import Seed, generator
 from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
                                  instance_with_fidelity, overlap_instance, random_raw_instance,
@@ -38,6 +39,69 @@ def exact_solver(x: UhlmannInstance) -> FoldedSolver:
 
 # ---------------------------------------------------------------------------
 # Permutation-test protocol
+
+def _prepared_tests(psi, m, prep_error):
+    """The oracle's branches as (weight, test block) pairs: the m
+    oracle-prepared copies on (A_1..A_m, B_1..B_m), or the junk block
+    (E^{⊗m} - c C^{⊗m}) / sqrt(1 - |c|^2) of ``_junk_basis``."""
+    from uhlmann_lab.protocols import _junk_basis
+    good = tensor_power(psi, m)
+    if prep_error == 0.0:
+        return [(1.0, good)]
+    e, c = _junk_basis(psi, m)
+    junk = (tensor_power(e, m) - c * good) / math.sqrt(1.0 - abs(c) ** 2)
+    return [(1.0 - prep_error, good), (prep_error, junk)]
+
+
+def _joint_start(psi, test, m):
+    """The joint vector |psi> ⊗ test on (A_0..A_m, B_0..B_m)."""
+    dA, dB = psi.split
+    # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
+    return linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
+                                        [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3])
+
+
+def _dense_round(psi, test, m, perm, prover):
+    """The joint prover's round through the register kernel: append the
+    ancilla, permute the slots (slot j holds register perm[j]), apply the
+    unitary to the B registers and the ancilla, and permute back. Returns
+    the vector on (A_0..A_m, B_0..B_m, ancilla) and its register dims."""
+    dA, dB = psi.split
+    vec = _joint_start(psi, test, m)
+    dims = [dA] * (m + 1) + [dB] * (m + 1)
+    if prover.joint_anc_dim > 1:
+        vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
+        dims = dims + [prover.joint_anc_dim]
+    axis_perm = list(range(len(dims)))
+    for j, src in enumerate(perm):
+        axis_perm[m + 1 + j] = m + 1 + int(src)
+    vec = linalg.permute_registers_vec(vec, dims, axis_perm)
+    vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
+                                           list(range(m + 1, len(dims))))
+    return linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm)), dims
+
+
+def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):
+    """(accept prob, output factor) of the joint prover's round on the dense
+    vector: regroup (A_0, B_0, ancilla) ahead of the test registers and
+    project those onto |D>^{⊗m}."""
+    dA, dB = psi.split
+    dvec = tensor_power(phi, m)
+    accept, cols = 0.0, []
+    for weight, test in _prepared_tests(psi, m, prep_error):
+        vec, dims = _dense_round(psi, test, m, perm, prover)
+        keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
+        tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
+        work = linalg.permute_registers_vec(vec, dims, keep + tests)
+        amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
+        accept += weight * float(np.vdot(amp, amp).real)
+        cols.append(math.sqrt(weight) * amp)
+    return accept, np.hstack(cols) / math.sqrt(accept)
+
+
+def _haar_joint_prover(dB, m, anc, rng):
+    return ProverStrategy.joint(haar_unitary(dB ** (m + 1) * anc, rng), anc_dim=anc)
+
 
 def test_szk_honest_fidelity_one():
     x = instance_with_fidelity(1.0, 2, 2, 5)
@@ -88,14 +152,11 @@ def test_szk_post_prover_state_is_permutation_invariant():
     u = scipy.linalg.expm(1j * 0.3 * (lambda h: h + h.conj().T)(
         rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))))
     prover = ProverStrategy.joint(u, anc_dim=anc)
-    from uhlmann_lab.protocols import _joint_start, _prepared_tests, _prover_round
     [(_, test)] = _prepared_tests(psi, m, 0.0)
-    start = _joint_start(psi, test, m)
-    dims = [2] * (m + 1) + [2] * (m + 1) + [anc]
     rho_star = 0.0
     perms = list(itertools.permutations(range(m + 1)))
     for perm in perms:
-        vec = _prover_round(start, psi.split, m, np.array(perm), prover, range(len(dims)))
+        vec, dims = _dense_round(psi, test, m, perm, prover)
         dm = np.outer(vec, vec.conj())
         dm = linalg.partial_trace_matrix(dm, dims, list(range(2 * (m + 1))))
         rho_star = rho_star + dm / len(perms)
@@ -123,14 +184,30 @@ def test_szk_soundness_envelope_exact_average():
             assert trace_distance(cond, target) <= envelope + 1e-9
 
 
+def _power_density(state, m):
+    """|state><state|^{⊗(m+1)} on the verifier's registers (A_0..A_m, B_0..B_m)."""
+    vec = tensor_power(state, m + 1)
+    return DensityOp(np.outer(vec, vec.conj()), (state.dA,) * (m + 1) + (state.dB,) * (m + 1))
+
+
+def _szk_simulate(x, m):
+    """The zero-knowledge simulator output |D><D|^{⊗(m+1)}."""
+    return _power_density(x.states()[1], m)
+
+
+def _szk_honest_post_state(x, m):
+    """The verifier's joint state after the honest (unitary) prover round."""
+    return _power_density(apply_uhlmann(x, 0.0, x.states()[0]), m)
+
+
 def test_szk_simulator():
     x = instance_with_fidelity(1.0, 2, 2, 2)
-    sim = szk_simulate(x, 2)
-    real = szk_honest_post_state(x, 2)
+    sim = _szk_simulate(x, 2)
+    real = _szk_honest_post_state(x, 2)
     assert trace_distance(sim, real) < 1e-9
     # m = 0 degenerate: the simulator is a single copy of |D>.
     _, phi = x.states()
-    sim0 = szk_simulate(x, 0)
+    sim0 = _szk_simulate(x, 0)
     assert trace_distance(sim0, phi.density()) < 1e-12
 
     mu, m = 0.01, 3
@@ -138,7 +215,7 @@ def test_szk_simulator():
     dist = szk_simulator_distance(x, m)
     assert dist <= math.sqrt((m + 1) * mu) + 1e-9
     # Matches the dense computation at small m.
-    dense = trace_distance(szk_simulate(x, m), szk_honest_post_state(x, m))
+    dense = trace_distance(_szk_simulate(x, m), _szk_honest_post_state(x, m))
     assert abs(dist - dense) < 1e-9
 
 
@@ -222,9 +299,42 @@ def test_szk_conditional_output_matches_dense_slot_outputs():
             assert abs(acc - sum(weights) / (m + 1)) < 1e-12
             want = sum(w * o for w, o in zip(weights, outs)) / sum(weights)
             assert np.abs(cond.matrix - want).max() < 1e-12
-    # A joint prover's run depends on the whole permutation: no exact average.
-    with pytest.raises(ValueError):
-        szk_conditional_output(x, m, ProverStrategy.joint(np.eye(x.dB ** (m + 1))))
+    # A joint prover's run depends only on j0 too: the m + 1 rotations give
+    # the average over all (m + 1)! permutations of the dense round.
+    rng = generator(29)
+    for m in (2, 3):
+        for anc in (1, 2):
+            prover = _haar_joint_prover(x.dB, m, anc, rng)
+            runs = [_joint_test_by_register_kernel(psi, phi, m, perm, prover, 0.0)
+                    for perm in itertools.permutations(range(m + 1))]
+            want_acc = sum(p for p, _ in runs) / len(runs)
+            want = sum(p * (f @ f.conj().T) for p, f in runs) / sum(p for p, _ in runs)
+            acc, cond = szk_conditional_output(x, m, prover)
+            assert abs(acc - want_acc) < 1e-12
+            assert np.abs(cond.matrix - want).max() < 1e-12
+
+
+def test_szk_trials_solve_a_joint_prover_once_per_input_slot(monkeypatch):
+    # The test block and the |D>^{⊗m} check are symmetric under exchanging
+    # test registers, so a joint prover's run depends only on j0.
+    import uhlmann_lab.protocols as protocols
+    m = 3
+    x = overlap_instance(0.9, 0.6, 15)
+    psi, phi = x.states()
+    rng = generator(31)
+    real, calls = protocols._joint_test, []
+    monkeypatch.setattr(protocols, "_joint_test",
+                        lambda *args: calls.append(args[3]) or real(*args))
+    for anc in (1, 2):
+        calls.clear()
+        prover = _haar_joint_prover(x.dB, m, anc, rng)
+        seeds = [Seed(23).child("trial", t) for t in range(40)]
+        records = [record for _, record in szk_trials(x, m, prover, seeds, records=True)]
+        assert len(calls) <= m + 1 and len(set(calls)) == len(calls)
+        assert len({tuple(record["perm"]) for record in records}) > m + 1
+        for record in records:
+            want, _ = _joint_test_by_register_kernel(psi, phi, m, record["perm"], prover, 0.0)
+            assert abs(record["accept_prob"] - want) < 1e-13
 
 
 def _split_provers(x, m, rng):
@@ -330,7 +440,6 @@ def test_shared_factor_is_applied_once_per_test(prep_error, monkeypatch):
 def test_junk_block_is_orthogonal_to_the_test_copies():
     # For C = |11> (up to phase) the last basis state is C itself; the junk
     # block then starts from the first basis state.
-    from uhlmann_lab.protocols import _joint_start, _prepared_tests
     one = np.zeros(4, dtype=complex)
     one[-1] = 1j
     for psi in (BipartiteState(one, (2, 2)), random_raw_instance(2, 3, 5).states()[0]):
@@ -1126,38 +1235,7 @@ def test_qip_ideal_oracle_joint_prover_matches_szk():
         assert probs >= 4 and outputs >= 2
 
 
-def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):
-    """The joint-prover round through the register kernel: permute the slots,
-    apply the unitary to the B registers and the ancilla, permute back, then
-    regroup (A_0, B_0, ancilla) ahead of the test registers."""
-    from uhlmann_lab.protocols import _joint_start, _prepared_tests
-    from uhlmann_lab.qcore.states import tensor_power
-    dA, dB = psi.split
-    dvec = tensor_power(phi, m)
-    accept, cols = 0.0, []
-    for weight, test in _prepared_tests(psi, m, prep_error):
-        vec = _joint_start(psi, test, m)
-        dims = [dA] * (m + 1) + [dB] * (m + 1)
-        if prover.joint_anc_dim > 1:
-            vec = np.kron(vec, linalg.basis_vector(prover.joint_anc_dim, 0))
-            dims = dims + [prover.joint_anc_dim]
-        axis_perm = list(range(len(dims)))
-        for j, src in enumerate(perm):
-            axis_perm[m + 1 + j] = m + 1 + int(src)
-        vec = linalg.permute_registers_vec(vec, dims, axis_perm)
-        vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
-                                               list(range(m + 1, len(dims))))
-        vec = linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm))
-        keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
-        tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-        work = linalg.permute_registers_vec(vec, dims, keep + tests)
-        amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
-        accept += weight * float(np.vdot(amp, amp).real)
-        cols.append(math.sqrt(weight) * amp)
-    return accept, np.hstack(cols) / math.sqrt(accept)
-
-
-def test_joint_round_gathers_the_register_kernels_bits():
+def test_joint_round_contraction_matches_the_register_kernel():
     from uhlmann_lab.protocols import _joint_test
     rng = generator(43)
     for case in range(24):
@@ -1165,18 +1243,20 @@ def test_joint_round_gathers_the_register_kernels_bits():
         dA, dB = (int(d) for d in rng.integers(1, 4, size=2))
         anc = int(rng.integers(1, 3))
         psi, phi = (BipartiteState(haar_state_vector(dA * dB, rng), (dA, dB)) for _ in "ab")
-        prover = ProverStrategy.joint(haar_unitary(dB ** (m + 1) * anc, rng), anc_dim=anc)
+        prover = _haar_joint_prover(dB, m, anc, rng)
         perm = rng.permutation(m + 1)
+        j0 = int(np.flatnonzero(perm == 0)[0])
         for prep_error in (0.0, 0.1):
-            got = _joint_test(psi, phi, m, perm, prover, prep_error)
-            want = _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error)
-            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes(), case
+            p, factor = _joint_test(psi, phi, m, j0, prover, prep_error)
+            q, want = _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error)
+            assert abs(p - q) < 1e-13, case
+            assert np.abs(factor @ factor.conj().T - want @ want.conj().T).max() < 1e-12, case
 
 
-def test_joint_round_holds_two_joint_vectors_at_a_time():
-    # At m = 8 on a 2 x 2 instance a joint vector is 4 MiB; the test block
-    # and |D>^{⊗8} are 1 MiB each, so two joint vectors make ~10 MiB. Through
-    # the register kernel the round held four at once (~17 MiB).
+def test_joint_round_makes_no_joint_vector():
+    # At m = 8 on a 2 x 2 instance a joint vector would be 4 MiB. The
+    # contraction's largest array is the unitary with one test slot
+    # contracted: 2^16 amplitudes, 1 MiB.
     import tracemalloc
     from uhlmann_lab.protocols import _joint_test
     m = 8
@@ -1186,9 +1266,9 @@ def test_joint_round_holds_two_joint_vectors_at_a_time():
                                                   * (m + 1)))
     tracemalloc.start()
     try:
-        accept, _ = _joint_test(psi, phi, m, np.arange(m + 1)[::-1], prover, 0.0)
+        accept, _ = _joint_test(psi, phi, m, m, prover, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert abs(accept - validate_instance(x)["kappa"] ** m) < 1e-9
-    assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"

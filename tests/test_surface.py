@@ -25,8 +25,6 @@ KEEP = {
     "pauli_action": "Pauli index maps, the reference for the Clifford's tableau draw",
     "reduced_b": "the B marginal, the reference for the factored reduced states",
     "partial_swap": "the paper's partial-SWAP step that DME repeats",
-    "szk_simulate": "the zero-knowledge simulator's output state",
-    "szk_honest_post_state": "the verifier's state after the honest prover, the simulator's target",
     "pad_instance": "the paper's fidelity-raising padding reduction",
     "commitment_channel": "the paper's channel whose decodability mirrors binding",
     "commitment_from_instance": "the paper's commitment from an Uhlmann instance",
