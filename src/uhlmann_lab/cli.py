@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_pure_cap
 from .qcore.channels import ChannelDesc, channel_from_circuit, interleave
 from .qcore.gates import GateCircuit, random_circuit
-from .qcore.metrics import trace_distance
+from .qcore.metrics import factor_trace_distance
 from .qcore.states import SpectralState, pair_array
 from .qcore.random_ops import haar_state_vector, random_clifford
 from .rng import Seed
@@ -392,9 +392,9 @@ def run_qip(args):
     with _transcript(args) as write:
         for record in res.transcript:
             write(record)
-    psi, phi = x.states()
-    target = uhlmann.apply_uhlmann(x, 0.0, psi).density()
-    td_out = trace_distance(res.output_state, target) if res.output_state else 1.0
+    target = uhlmann.apply_uhlmann(x, 0.0, x.states()[0]).amplitudes
+    td_out = (factor_trace_distance(res.output_factor, target)
+              if res.output_factor is not None else 1.0)
     # The tolerance enters under the root: ~1e-16 of rounding in kappa near 1
     # would otherwise move 5 sqrt(mu) by ~5e-8.
     mu = max(0.0, 1 - info["kappa"])
@@ -681,11 +681,11 @@ def _report_chunks(report):
     never held as one text.
 
     With ``indent`` the stdlib runs its pure-Python encoder, which is slow on
-    long float arrays (``w_matrix``). Each non-empty list of finite floats,
-    or 1-D float64 array of finite values, is encoded as a placeholder string
-    instead, then spliced in with float.__repr__, the encoder's own float
-    format, ``_CHUNK`` values at a time. A list holding NaN or an infinity
-    keeps the stdlib path. The placeholder is grown until no string in the
+    long float arrays (``w_matrix``). Each non-empty 1-D float64 array of
+    finite values is encoded as a placeholder string instead, then spliced
+    in with float.__repr__, the encoder's own float format, ``_CHUNK``
+    values at a time. Lists, and arrays holding NaN or an infinity, keep the
+    stdlib path. The placeholder is grown until no string in the
     report contains it. The rest of the report is encoded here, before the
     first chunk is taken, so a report that cannot be encoded raises before
     anything is written.
@@ -715,8 +715,7 @@ def _spliced(text: str, placeholders: re.Pattern, arrays: list):
         yield f"{text[last:match.start()]}{outer}{match[2]}[\n{ind}"
         values = arrays[int(match[3])]
         for start in range(0, len(values), _CHUNK):
-            part = values[start:start + _CHUNK]
-            part = part.tolist() if isinstance(part, np.ndarray) else part
+            part = values[start:start + _CHUNK].tolist()
             yield (sep if start else "") + sep.join(map(float.__repr__, part))
         yield f"\n{outer}]"
         last = match.end()
@@ -724,12 +723,12 @@ def _spliced(text: str, placeholders: re.Pattern, arrays: list):
 
 
 def _swap_arrays(obj, strings: list, arrays: list):
-    """``obj`` with each non-empty list of finite floats, and each non-empty
-    1-D float64 array of finite values, appended to ``arrays`` and replaced
-    by its ``_Splice``; any other 1-D float64 array becomes its list. Every
-    string met, keys included, is appended to ``strings``. A module
-    function, not a closure that calls itself: that would be a reference
-    cycle keeping ``arrays`` alive until the cyclic collector runs."""
+    """``obj`` with each non-empty 1-D float64 array of finite values
+    appended to ``arrays`` and replaced by its ``_Splice``; any other 1-D
+    float64 array becomes its list. Every string met, keys included, is
+    appended to ``strings``. A module function, not a closure that calls
+    itself: that would be a reference cycle keeping ``arrays`` alive until
+    the cyclic collector runs."""
     if isinstance(obj, dict):
         strings.extend(key for key in obj if isinstance(key, str))
         return {key: _swap_arrays(val, strings, arrays) for key, val in obj.items()}
@@ -739,9 +738,6 @@ def _swap_arrays(obj, strings: list, arrays: list):
         arrays.append(obj)
         return _Splice(len(arrays) - 1)
     if isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(v, float) and math.isfinite(v) for v in obj):
-            arrays.append(obj)
-            return _Splice(len(arrays) - 1)
         return [_swap_arrays(v, strings, arrays) for v in obj]
     if isinstance(obj, str):
         strings.append(obj)

@@ -60,7 +60,7 @@ class CommitmentScheme:
                 raise DimensionMismatch("commit/reveal registers must partition the qubits")
             reveal = [q for q in range(n) if q not in commit]
             split = (2 ** len(commit), 2 ** len(reveal))
-            states = tuple(BipartiteState(linalg.permute_registers_vec(
+            states = tuple(BipartiteState(linalg.permute_rows(
                 circ.state(), [2] * n, list(commit) + reveal), split)
                 for circ in (self.C0, self.C1))
         object.__setattr__(self, "_states", states)
@@ -154,7 +154,7 @@ def flavor_switch(scheme: CommitmentScheme) -> CommitmentScheme:
         amp[0] = s0.as_matrix() / np.sqrt(2)
         amp[1] = ((-1) ** b) * s1.as_matrix() / np.sqrt(2)
         # (flag, C, R) -> (flag, R, C); C' = (flag, R), R' = C.
-        vec = linalg.permute_registers_vec(amp.reshape(-1), [2, dC, dR], [0, 2, 1])
+        vec = linalg.permute_rows(amp.reshape(-1), [2, dC, dR], [0, 2, 1])
         out_states.append(BipartiteState(vec, (2 * dR, dC)))
     return CommitmentScheme(raw_states=tuple(out_states))
 

@@ -72,7 +72,8 @@ class ProverStrategy:
 class ProtocolResult:
     accepted: bool
     accept_prob: float
-    output_state: Optional[DensityOp]
+    # A factor L of the output given acceptance, L L^dag; None without one.
+    output_factor: Optional[np.ndarray]
     transcript: list = field(default_factory=list)
 
 
@@ -85,21 +86,19 @@ def szk_run(x: UhlmannInstance, m: int, prover: ProverStrategy, seed) -> Protoco
     Prepares m test copies of |C> next to the input copy, block-permutes the
     B registers, hands them to the prover, un-permutes, and accepts iff every
     test copy passes the D-basis check. The surviving register-0 pair is the
-    output.
+    output, given as its factor when the run accepts.
     """
     psi, phi = x.states()
     test = _PermutationTest(psi, phi, m, prover)
     perm, accept_prob, accepted = _szk_coins(test, m, seed)
-    factor = test(perm)[1]
-    out = (DensityOp(factor @ factor.conj().T, psi.split)
-           if accepted and factor is not None else None)
-    return ProtocolResult(accepted, accept_prob, out,
+    factor = test(perm)[1] if accepted else None
+    return ProtocolResult(accepted, accept_prob, factor,
                           [_szk_record(test, perm, accept_prob, accepted)])
 
 
 def szk_trials(x: UhlmannInstance, m: int, prover: ProverStrategy, seeds,
                records: bool = False):
-    """``szk_run`` at each seed, without the output states: yields each
+    """``szk_run`` at each seed, without the output factors: yields each
     run's (accepted, transcript record), the record None unless ``records``.
 
     The runs share one verifier, so a product prover is solved once per
@@ -532,7 +531,8 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     check_amplifier_cap(x.dA, x.dB, cfg.k, cfg.T)
     classes = [_amp_fidelity_for_index(_amp_frame(x, solver, cfg.k, i), cfg.T)
                for i in range(min(cfg.k, 2))]
-    per_index = classes[:1] + classes[1:] * (cfg.k - 1)
+    per_index = np.full(cfg.k, classes[-1])
+    per_index[0] = classes[0]
     rng = cfg.seed.child("amplify").generator()
     samples = np.asarray(classes)[np.minimum(rng.integers(0, cfg.k, size=trials), 1)]
     if nu is None:
@@ -542,7 +542,7 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     return {
         "empirical_fidelity": float(samples.mean()),
         "exact_mean_fidelity": float(np.mean(per_index)),
-        "per_index_fidelity": [float(f) for f in per_index],
+        "per_index_fidelity": per_index,
         "nu": nu,
         "bound": bound,
         "stderr": sem,
@@ -695,25 +695,26 @@ def approx_measure(tau, psi, k_q: int = None, mode: str = "ideal_reflection",
     if isinstance(psi, BipartiteState):
         psi = psi.amplitudes
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if mode == "ideal_reflection":
-        result = _approx_measure_pure(tau, psi)
-    elif mode == "dme":
-        result = _approx_measure_dme(tau, psi, k_q or default_dme_copies(_DME_ERROR))
-    else:
+    if mode not in ("ideal_reflection", "dme"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(tau, (BipartiteState, DensityOp)):
+        raise DimensionMismatch("tau must be a BipartiteState or DensityOp")
+    d_m = (tau.split if isinstance(tau, BipartiteState) else tau.dims)[-1]
+    if d_m != psi.shape[0]:
+        raise DimensionMismatch(f"program dim {psi.shape[0]} vs measured register {d_m}")
+    if mode == "dme":
+        result = _approx_measure_density(tau, psi, k_q or default_dme_copies(_DME_ERROR))
+    elif isinstance(tau, BipartiteState):
+        result = _approx_measure_pure(tau, psi)
+    else:
+        result = _approx_measure_density(tau, psi, None)
     rng = as_seed(seed).child("approx-measure").generator()
     result.bit = int(rng.random() < result.p_one)
     result.post_state = result.post_one if result.bit else result.post_zero
     return result
 
 
-def _approx_measure_pure(tau, psi):
-    if isinstance(tau, DensityOp):
-        return _approx_measure_dm_reflection(tau, psi)
-    if not isinstance(tau, BipartiteState):
-        raise DimensionMismatch("tau must be a BipartiteState or DensityOp")
-    if tau.dB != psi.shape[0]:
-        raise DimensionMismatch(f"program dim {psi.shape[0]} vs measured register {tau.dB}")
+def _approx_measure_pure(tau: BipartiteState, psi):
     # Ancilla |+>, controlled reflection, Hadamard, measure. The branch
     # algebra collapses to projections of the measured register.
     mat = tau.as_matrix()
@@ -729,37 +730,33 @@ def _approx_measure_pure(tau, psi):
     return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero, 0.0)
 
 
-def _approx_measure_dm_reflection(tau: DensityOp, psi):
-    d_m = tau.dims[-1]
-    if d_m != psi.shape[0]:
-        raise DimensionMismatch(f"program dim {psi.shape[0]} vs measured register {d_m}")
-    d_rest = tau.dim // d_m
-    proj = np.kron(np.eye(d_rest), np.outer(psi, psi.conj()))
-    hit = proj @ tau.matrix @ proj
-    p_one = float(np.real(np.trace(hit)))
-    rest = (np.eye(tau.dim) - proj) @ tau.matrix @ (np.eye(tau.dim) - proj)
-    p_zero = float(np.real(np.trace(rest)))
-    post_one = DensityOp(hit / p_one, tau.dims) if p_one > 1e-14 else None
-    post_zero = DensityOp(rest / p_zero, tau.dims) if p_zero > 1e-14 else None
-    return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero, 0.0)
-
-
-def _approx_measure_dme(tau, psi, k_q: int):
+def _approx_measure_density(tau, psi, k_q: Optional[int]):
+    """The Hadamard test on tau as a density operator, by DME with k_q
+    program copies, or by the exact reflection when k_q is None."""
     if isinstance(tau, BipartiteState):
-        tau = DensityOp(tau.density().matrix, tau.split)
-    d_m = tau.dims[-1]
-    if d_m != psi.shape[0]:
-        raise DimensionMismatch(f"program dim {psi.shape[0]} vs measured register {d_m}")
+        tau = tau.density()
+    d_m = psi.shape[0]
     sigma = DensityOp(np.outer(psi, psi.conj()), (d_m,)).matrix
-    check_density_cap(2 * tau.dim * d_m, "controlled-DME state")
-    # Control blocks of 2|+><+|⊗tau: |0><0| is left alone, |1><1| takes the partial
-    # swaps, |1><0| the one-sided steps, 1⊗w with w = (cos dt + i sin dt sigma)^{k_q}.
-    dt = math.pi / k_q
-    b11 = tau.matrix
-    for _ in range(k_q):
-        b11 = _partial_swap_step(b11, sigma, dt)
-    w = np.linalg.matrix_power(math.cos(dt) * np.eye(d_m) + 1j * math.sin(dt) * sigma, k_q)
-    b10 = (w @ tau.matrix.reshape(-1, d_m, tau.dim)).reshape(tau.dim, tau.dim)
+    # w acts on the measured register, the last of each row index of mat.
+    on_last = lambda w, mat: (w @ mat.reshape(-1, d_m, tau.dim)).reshape(tau.dim, tau.dim)
+    # Control blocks of 2|+><+|⊗tau: |0><0| is left alone, |1><1| takes the
+    # controlled operation (b11) and |1><0| its one-sided action 1⊗w (b10).
+    if k_q is None:
+        # The reflection w = 1 - 2 sigma: b11 = (1⊗w) tau (1⊗w).
+        w = np.eye(d_m) - 2.0 * sigma
+        b10 = on_last(w, tau.matrix)
+        b11 = on_last(w, b10.conj().T)
+        error = 0.0
+    else:
+        check_density_cap(2 * tau.dim * d_m, "controlled-DME state")
+        # Partial swaps on |1><1|, w = (cos dt + i sin dt sigma)^{k_q} on |1><0|.
+        dt = math.pi / k_q
+        b11 = tau.matrix
+        for _ in range(k_q):
+            b11 = _partial_swap_step(b11, sigma, dt)
+        w = np.linalg.matrix_power(math.cos(dt) * np.eye(d_m) + 1j * math.sin(dt) * sigma, k_q)
+        b10 = on_last(w, tau.matrix)
+        error = dme_error_bound(0.5, k_q)
     # Measure the control in the ± basis: outcome '-' is bit 1.
     one = 0.25 * (tau.matrix + b11 - b10 - b10.conj().T)
     zero = 0.25 * (tau.matrix + b11 + b10 + b10.conj().T)
@@ -767,8 +764,7 @@ def _approx_measure_dme(tau, psi, k_q: int):
     p_zero = float(np.real(np.trace(zero)))
     post_one = DensityOp(linalg.hermitize(one) / p_one, tau.dims) if p_one > 1e-12 else None
     post_zero = DensityOp(linalg.hermitize(zero) / p_zero, tau.dims) if p_zero > 1e-12 else None
-    return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero,
-                               dme_error_bound(0.5, k_q))
+    return ApproxMeasureResult(True, 0, p_one, None, post_one, post_zero, error)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +785,8 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     error ``prep_error`` (realized as a mix with an orthogonal junk state);
     verification projects the test block onto |D>^{⊗m} via the Hadamard-test
     measurement. With the ideal ``OracleConfig()`` this is ``szk_run``'s
-    verifier. The output state is the output given acceptance, returned
-    whatever the coin.
+    verifier. The output factor is that of the output given acceptance,
+    returned whatever the coin.
     """
     psi, phi = x.states()
     rng = as_seed(seed).child("qip").generator()
@@ -799,10 +795,9 @@ def qip_run(x: UhlmannInstance, m: int, prover: ProverStrategy,
     meas_error = (dme_error_bound(0.5, default_dme_copies(_DME_ERROR))
                   if oracle.mode == "dme" else 0.0)
     accepted = bool(rng.random() < p_one)
-    output = DensityOp(factor @ factor.conj().T, psi.split) if factor is not None else None
     transcript = [{
         "round": 1, "perm": [int(p) for p in perm],
         "p_accept_and_one": p_one, "prep_error": oracle.prep_error,
         "measurement_error_bound": meas_error, "accepted": accepted,
     }]
-    return ProtocolResult(accepted, float(p_one), output, transcript)
+    return ProtocolResult(accepted, float(p_one), factor, transcript)

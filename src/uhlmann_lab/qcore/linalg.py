@@ -91,16 +91,10 @@ def apply_matrix_to_registers_dm(rho: np.ndarray, dims: Sequence[int], mat: np.n
     return out.reshape(d, d)
 
 
-def permute_registers_vec(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder registers of a state vector: output register i is input register perm[i]."""
-    tensor = vec.reshape(list(dims))
-    return np.transpose(tensor, list(perm)).reshape(-1)
-
-
 def permute_rows(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """``permutation_matrix(dims, perm) @ m`` by reshape and transpose: the rows
-    of ``m`` are indexed by registers ``dims`` and reordered so that output
-    register i is input register perm[i]."""
+    of ``m`` (the entries of a vector) are indexed by registers ``dims`` and
+    reordered so that output register i is input register perm[i]."""
     n = len(dims)
     tensor = m.reshape(list(dims) + [-1])
     return np.transpose(tensor, list(perm) + [n]).reshape(m.shape)

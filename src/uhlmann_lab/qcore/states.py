@@ -232,7 +232,7 @@ def tensor_power(state: BipartiteState, k: int) -> np.ndarray:
     """|state>^{⊗k} on registers (A_1..A_k, B_1..B_k): the A-block, then the B-block."""
     vec = linalg.kron_all([state.amplitudes] * k).reshape(-1)
     order = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    return linalg.permute_registers_vec(vec, [state.dA, state.dB] * k, order)
+    return linalg.permute_rows(vec, [state.dA, state.dB] * k, order)
 
 
 def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:

@@ -133,15 +133,13 @@ def _decoder_instance(ch: ChannelDesc):
     e = np.zeros((dA, dB * dC, dA, dA), dtype=complex)  # (R, BC, A', R')
     for r in range(dA):
         e[r, :, 0, 0] = iso[:, r] / np.sqrt(dA)
-    e = linalg.permute_registers_vec(
-        e.reshape(-1), [dA, dB, dC, dA, dA], [2, 0, 1, 3, 4])
+    e = linalg.permute_rows(e.reshape(-1), [dA, dB, dC, dA, dA], [2, 0, 1, 3, 4])
     # |F> = Phi_{R A'} ⊗ V|Phi_{A R'}> on (R, A', B, C, R').
     f = np.zeros((dA, dA, dB * dC, dA), dtype=complex)  # (R, A', BC, R')
     for r in range(dA):
         for rp in range(dA):
             f[r, r, :, rp] = iso[:, rp] / dA
-    f = linalg.permute_registers_vec(
-        f.reshape(-1), [dA, dA, dB, dC, dA], [3, 0, 2, 1, 4])
+    f = linalg.permute_rows(f.reshape(-1), [dA, dA, dB, dC, dA], [3, 0, 2, 1, 4])
     split = (dC * dA, dB * dA * dA)
     return UhlmannInstance(raw_pair=(BipartiteState(e, split), BipartiteState(f, split)))
 
@@ -289,8 +287,8 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
     g_vec = g.reshape(-1)
     # Bipartite split: untouched (E, R) first, acted (E', A≅(E'path)) second.
     # F on (E, E', A, R) -> (E, R | E', A); G on (E, E', C, R, F0) -> (E, R | E', C, F0).
-    f_vec = linalg.permute_registers_vec(f_vec, [d_e, d_e, d, d_r], [0, 3, 1, 2])
-    g_vec = linalg.permute_registers_vec(g_vec, [d_e, d_e, d_c, d_r, d_e], [0, 3, 1, 2, 4])
+    f_vec = linalg.permute_rows(f_vec, [d_e, d_e, d, d_r], [0, 3, 1, 2])
+    g_vec = linalg.permute_rows(g_vec, [d_e, d_e, d_c, d_r, d_e], [0, 3, 1, 2, 4])
     split = (d_e * d_r, d_e * d)
     x = UhlmannInstance(raw_pair=(BipartiteState(f_vec, split),
                                   BipartiteState(g_vec, split)))

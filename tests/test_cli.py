@@ -389,6 +389,79 @@ def test_decoding_builds_no_density(argv, capsys, monkeypatch):
     assert code == 0 and report["pass"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["uhlmann"],
+    ["szk", "--param", "m=4", "--trials", "50"],
+    ["qip", "--param", "m=2"],
+    ["qip", "--param", "m=3", "--param", "prep_error=0.05"],
+    ["qip", "--param", "mode=dme", "--param", "m=2"],
+    ["qip", "--param", "m=2", "--param", "prover=identity"],
+    ["qip", "CONFIG"],
+    ["amplify", "--param", "k=2"],
+    ["commit", "--param", "schemes=2"],
+    ["channel", "--param", "qubits=5"],
+    ["compress", "--param", "source=mm:3", "--param", "s=2", "--param", "seeds=1"],
+    ["blackhole", "--param", "qubits=6", "--param", "r=4"],
+    ["interfere", "--param", "pairs=3"],
+    ["entropy", "--param", "state=haar:8"]])
+def test_no_scenario_builds_a_density_operator(argv, tmp_path, capsys, monkeypatch):
+    from uhlmann_lab.qcore.states import DensityOp
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("DensityOp built")
+
+    if "CONFIG" in argv:
+        epr = {"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}]}
+        config = tmp_path / "qip_config.json"
+        config.write_text(json.dumps({"instance": {"n": 1, "C": epr, "D": epr}, "m": 2,
+                                      "prep_error": 0.02}))
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+    monkeypatch.setattr(DensityOp, "__post_init__", unreachable)
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and report["pass"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--param", "prep_error=0.1"],
+                                   ["--param", "prover=identity"]])
+def test_qip_at_the_density_cap_holds_only_factors(extra, capsys):
+    # A (dA dB)^2 density at dA = dB = 64 is 256 MiB; the run holds factors.
+    tracemalloc.start()
+    try:
+        code = main(["qip", "--param", "kappa=0.9", "--param", "dA=64", "--param", "dB=64",
+                     "--param", "m=2", *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["pass"] and report["checks"]
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["--param", "m=3", "--param", "prep_error=0.05", "--param", "kappa=0.9"],
+    ["--param", "m=2", "--param", "kappa=0.9", "--param", "overlap=0.3",
+     "--param", "prover=identity"],
+    ["--param", "m=2", "--param", "kappa=0.7", "--param", "dA=3", "--param", "dB=4"],
+    ["--param", "m=4", "--param", "kappa=0.95", "--param", "overlap=0.6",
+     "--param", "prover=identity", "--param", "prep_error=0.2"]])
+def test_qip_output_distance_matches_the_dense_reference(argv, capsys, monkeypatch):
+    import uhlmann_lab.protocols as protocols
+    from uhlmann_lab.qcore.metrics import trace_distance
+    from uhlmann_lab.qcore.states import DensityOp
+    from uhlmann_lab.uhlmann import apply_uhlmann
+    runs, real = [], protocols.qip_run
+    monkeypatch.setattr(protocols, "qip_run",
+                        lambda x, *a: runs.append((x, real(x, *a))) or runs[-1][1])
+    code, report = run_cli(capsys, "qip", *argv)
+    (x, res), = runs
+    psi = x.states()[0]
+    factor = res.output_factor
+    want = trace_distance(DensityOp(factor @ factor.conj().T, psi.split),
+                          apply_uhlmann(x, 0.0, psi).density())
+    assert code == 0
+    assert abs(report["results"]["output_distance"] - want) < 1e-14
+
+
 def test_szk_simulator_check_at_kappa_one(tmp_path, capsys, monkeypatch):
     # kappa = 1 - 4e-16: both sides of the check are square roots of float noise.
     config = circuit_szk_config_file(tmp_path)

@@ -57,8 +57,8 @@ def _joint_start(psi, test, m):
     """The joint vector |psi> ⊗ test on (A_0..A_m, B_0..B_m)."""
     dA, dB = psi.split
     # (A0, B0, A-tests, B-tests) -> (A0, A-tests, B0, B-tests)
-    return linalg.permute_registers_vec(np.kron(psi.amplitudes, test),
-                                        [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3])
+    return linalg.permute_rows(np.kron(psi.amplitudes, test),
+                               [dA, dB, dA ** m, dB ** m], [0, 2, 1, 3])
 
 
 def _dense_round(psi, test, m, perm, prover):
@@ -75,10 +75,10 @@ def _dense_round(psi, test, m, perm, prover):
     axis_perm = list(range(len(dims)))
     for j, src in enumerate(perm):
         axis_perm[m + 1 + j] = m + 1 + int(src)
-    vec = linalg.permute_registers_vec(vec, dims, axis_perm)
+    vec = linalg.permute_rows(vec, dims, axis_perm)
     vec = linalg.apply_matrix_to_registers(vec, dims, prover.joint_unitary,
                                            list(range(m + 1, len(dims))))
-    return linalg.permute_registers_vec(vec, dims, np.argsort(axis_perm)), dims
+    return linalg.permute_rows(vec, dims, np.argsort(axis_perm)), dims
 
 
 def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):
@@ -92,11 +92,16 @@ def _joint_test_by_register_kernel(psi, phi, m, perm, prover, prep_error):
         vec, dims = _dense_round(psi, test, m, perm, prover)
         keep = [0, m + 1] + list(range(2 * (m + 1), len(dims)))
         tests = list(range(1, m + 1)) + list(range(m + 2, 2 * (m + 1)))
-        work = linalg.permute_registers_vec(vec, dims, keep + tests)
+        work = linalg.permute_rows(vec, dims, keep + tests)
         amp = (work.reshape(-1, dvec.size) @ dvec.conj()).reshape(dA * dB, -1)
         accept += weight * float(np.vdot(amp, amp).real)
         cols.append(math.sqrt(weight) * amp)
     return accept, np.hstack(cols) / math.sqrt(accept)
+
+
+def _output(res) -> np.ndarray:
+    """The output given acceptance, L L^dag, of a run with output factor L."""
+    return res.output_factor @ res.output_factor.conj().T
 
 
 def _haar_joint_prover(dB, m, anc, rng):
@@ -109,7 +114,7 @@ def test_szk_honest_fidelity_one():
     res = szk_run(x, 3, ProverStrategy.honest(x, 3), 7)
     assert abs(res.accept_prob - 1.0) < 1e-9
     assert res.accepted
-    assert fidelity(res.output_state, phi.density()) > 1 - 1e-9
+    assert fidelity(_output(res), phi.density()) > 1 - 1e-9
 
 
 def test_szk_identity_prover_acceptance():
@@ -138,7 +143,7 @@ def test_szk_joint_prover_matches_product():
     a = szk_run(x, m, joint, 13)
     b = szk_run(x, m, ProverStrategy.honest(x, m), 13)
     assert abs(a.accept_prob - b.accept_prob) < 1e-9
-    assert trace_distance(a.output_state, b.output_state) < 1e-9
+    assert trace_distance(_output(a), _output(b)) < 1e-9
 
 
 def test_szk_post_prover_state_is_permutation_invariant():
@@ -258,10 +263,10 @@ def test_szk_run_matches_dense_slot_outputs():
                 assert res.accepted == bool(rng.random() < want)
                 record = res.transcript[0]
                 if not res.accepted:
-                    assert res.output_state is None and record["output_td_to_target"] is None
+                    assert res.output_factor is None and record["output_td_to_target"] is None
                     continue
                 accepted_runs += 1
-                assert np.abs(res.output_state.matrix - outs[j0]).max() < 1e-12
+                assert np.abs(_output(res) - outs[j0]).max() < 1e-12
                 assert abs(record["output_td_to_target"]
                            - trace_distance(outs[j0], target)) < 1e-12
             assert accepted_runs > 0
@@ -410,7 +415,7 @@ def test_product_closed_form_matches_the_joint_and_kraus_references():
             res = qip_run(x, m, channel_prover, OracleConfig(prep_error=0.1), m)
             q, want = _kraus_reference(psi, phi, m, res.transcript[0]["perm"], kraus, 0.1)
             assert abs(res.accept_prob - q) < 1e-13
-            assert np.abs(res.output_state.matrix - want).max() < 1e-12
+            assert np.abs(_output(res) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("prep_error", [0.0, 0.1])
@@ -1147,6 +1152,40 @@ def test_approx_measure_ideal_examples():
     assert np.linalg.norm(res.post_one.amplitudes - zero) < 1e-10
 
 
+def test_approx_measure_ideal_density_path_projects():
+    # Ideal mode on a density operator takes the control-block path with the
+    # exact reflection w = 1 - 2|psi><psi|: the posts are the projections.
+    rng = generator(74)
+    for split in ((1, 2), (2, 3), (3, 2)):
+        dim = split[0] * split[1]
+        tau = DensityOp(random_density(dim, rng), split)
+        psi = haar_state_vector(split[1], rng)
+        res = approx_measure(tau, psi)
+        proj = np.kron(np.eye(split[0]), np.outer(psi, psi.conj()))
+        for post, p in ((res.post_one, proj), (res.post_zero, np.eye(dim) - proj)):
+            hit = p @ tau.matrix @ p
+            assert np.abs(post.matrix - hit / np.trace(hit).real).max() < 1e-14
+        assert abs(res.p_one - np.trace(proj @ tau.matrix).real) < 1e-14
+        assert res.error_bound == 0.0
+        # On tau = |v><v| it reads the pure-state path's probability.
+        pure = BipartiteState(haar_state_vector(dim, rng), split)
+        assert abs(approx_measure(pure.density(), psi).p_one
+                   - approx_measure(pure, psi).p_one) < 1e-14
+
+
+def test_approx_measure_refuses_a_mismatched_program_in_every_path():
+    vec = BipartiteState(haar_state_vector(6, generator(75)), (2, 3))
+    psi = haar_state_vector(2, generator(76))
+    for tau in (vec, vec.density()):
+        for mode in ("ideal_reflection", "dme"):
+            with pytest.raises(DimensionMismatch, match="program dim 2 vs measured register 3"):
+                approx_measure(tau, psi, mode=mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        approx_measure(vec, psi, mode="exact")
+    with pytest.raises(DimensionMismatch, match="BipartiteState or DensityOp"):
+        approx_measure(vec.density().matrix, haar_state_vector(3, generator(77)))
+
+
 def test_approx_measure_dme_calibration():
     tau = DensityOp(np.full((2, 2), 0.5, dtype=complex), (1, 2))
     for k_q in (32, 128):
@@ -1178,7 +1217,7 @@ def test_qip_honest_exact_oracle():
     _, phi = x.states()
     res = qip_run(x, 3, ProverStrategy.honest(x, 3), OracleConfig(), 11)
     assert abs(res.accept_prob - 1.0) < 1e-9
-    assert fidelity(res.output_state, phi.density()) > 1 - 1e-9
+    assert fidelity(_output(res), phi.density()) > 1 - 1e-9
 
 
 def test_qip_preparation_error_propagates():
@@ -1187,7 +1226,7 @@ def test_qip_preparation_error_propagates():
     delta = 0.06
     res = qip_run(x, 3, ProverStrategy.honest(x, 3), OracleConfig(prep_error=delta), 11)
     assert abs(res.accept_prob - (1 - delta)) < delta  # junk branch mostly fails
-    td = trace_distance(res.output_state, phi.density())
+    td = trace_distance(_output(res), phi.density())
     assert td <= delta + 1e-9
 
 
@@ -1200,7 +1239,7 @@ def test_qip_identity_prover_envelope():
     assert res.accept_prob >= 0.5
     target = apply_uhlmann(x, 0.0, psi).density()
     envelope = math.sqrt(4.0 / (m + 1)) + 5 * math.sqrt(mu)
-    assert trace_distance(res.output_state, target) <= envelope + 1e-9
+    assert trace_distance(_output(res), target) <= envelope + 1e-9
 
 
 def test_qip_ideal_oracle_joint_prover_matches_szk():
@@ -1229,8 +1268,7 @@ def test_qip_ideal_oracle_joint_prover_matches_szk():
             assert abs(a.accept_prob - b.accept_prob) < 1e-12
             probs += 1
             if a.accepted and b.accepted:
-                assert np.linalg.norm(a.output_state.matrix - b.output_state.matrix,
-                                      ord=np.inf) < 1e-12
+                assert np.linalg.norm(_output(a) - _output(b), ord=np.inf) < 1e-12
                 outputs += 1
         assert probs >= 4 and outputs >= 2
 
