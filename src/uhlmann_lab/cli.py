@@ -162,17 +162,10 @@ class UsageError(UhlmannLabError):
     pass
 
 
-def _param(args, key: str, default, kind, interval: str):
-    """``--param key`` as ``kind`` inside ``interval``, else a UsageError.
-
-    ``interval`` reads "[low, high]", with "(" or ")" marking an open end.
-    """
-    return _in_interval(f"--param {key}", args.params.get(key, default), kind, interval)
-
-
 def _in_interval(name: str, raw, kind, interval: str):
-    """``raw`` as ``kind`` inside ``interval`` (see ``_param``), else a
-    UsageError that names it as ``name``."""
+    """``raw`` as ``kind`` inside ``interval``, else a UsageError that names
+    it as ``name``. ``interval`` reads "[low, high]", with "(" or ")"
+    marking an open end."""
     try:
         value = kind(raw)
     except ValueError:
@@ -192,10 +185,6 @@ def _seed(value) -> Seed:
         raise UsageError(str(exc)) from None
 
 
-CONFIG_KEYS = {"instance", "m", "k", "T", "trials", "prover", "mode", "seed",
-               "nu", "prep_error", "delta", "epsilon"}
-
-
 def _absorb_config(args, data) -> None:
     """Take in the first input file, parsed once: an Uhlmann instance or an
     experiment config.
@@ -204,7 +193,7 @@ def _absorb_config(args, data) -> None:
     prover, mode, seed, ...}; explicit command-line flags win over it.
     ``amplify`` ignores an instance file.
     """
-    if not (CONFIG_KEYS & set(data)) or "raw" in data or "C" in data:
+    if not (_CONFIG_KEYS & set(data)) or "raw" in data or "C" in data:
         if args.scenario != "amplify":
             args.instance = uhlmann.UhlmannInstance.from_json_dict(data)
         return
@@ -228,13 +217,11 @@ def _absorb_config(args, data) -> None:
 def _load_instance(args) -> uhlmann.UhlmannInstance:
     if args.instance is not None:
         return args.instance
-    kappa = _param(args, "kappa", 1.0, float, "[0, 1]")
-    if "overlap" in args.params:
+    kappa, overlap = args.p["kappa"], args.p["overlap"]
+    if overlap is not None:
         return uhlmann.overlap_instance(
-            kappa, _param(args, "overlap", None, float, f"[0, {kappa}]"), args.seed)
-    dA = _param(args, "dA", 2, int, "[1, inf)")
-    dB = _param(args, "dB", 2, int, "[1, inf)")
-    return uhlmann.instance_with_fidelity(kappa, dA, dB, args.seed)
+            kappa, _in_interval("--param overlap", overlap, float, f"[0, {kappa}]"), args.seed)
+    return uhlmann.instance_with_fidelity(kappa, args.p["dA"], args.p["dB"], args.seed)
 
 
 @contextlib.contextmanager
@@ -282,7 +269,7 @@ def _state_from_spec(spec: str, seed: Seed) -> SpectralState:
 
 def run_uhlmann(args):
     x = _load_instance(args)
-    eta = _param(args, "eta", 0.0, float, "[0, inf)")
+    eta = args.p["eta"]
     info = uhlmann.validate_instance(x)
     w = uhlmann.canonical_uhlmann(x, eta)
     psi, phi = x.states()
@@ -316,9 +303,9 @@ def run_uhlmann(args):
 
 
 def run_entropy(args):
-    spec = args.params.get("state") or (args.inputs[0] if args.inputs else "mm:3")
+    spec = args.inputs[0] if args.inputs and "state" not in args.params else args.p["state"]
     rho = _state_from_spec(spec, args.seed)
-    eps = _param(args, "epsilon", 0.0, float, "[0, 1)")
+    eps = args.p["epsilon"]
     rep = shannon.entropies(rho, eps)
     d = rho.dim
     results = {"state": spec, "h_min": rep.h_min, "h_max": rep.h_max,
@@ -336,17 +323,14 @@ def run_entropy(args):
 def _prover(args, x, m: int):
     # m + 1 slots of dA dB amplitudes, capped before the prover's factors are built.
     check_pure_cap((m + 1) * x.dA * x.dB, "permutation-test slots")
-    name = args.params.get("prover", "honest")
-    if name == "honest":
-        return name, protocols.ProverStrategy.honest(x, m)
-    if name == "identity":
-        return name, protocols.ProverStrategy.identity(m)
-    raise UsageError(f"unknown prover {name!r}")
+    name = args.p["prover"]
+    return name, (protocols.ProverStrategy.honest(x, m) if name == "honest"
+                  else protocols.ProverStrategy.identity(m))
 
 
 def run_szk(args):
     x = _load_instance(args)
-    m = _param(args, "m", 8, int, "[1, inf)")
+    m = args.p["m"]
     info = uhlmann.validate_instance(x)
     prover_name, prover = _prover(args, x, m)
     psi, phi = x.states()
@@ -380,14 +364,10 @@ def run_szk(args):
 
 def run_qip(args):
     x = _load_instance(args)
-    m = _param(args, "m", 8, int, "[1, inf)")
+    m = args.p["m"]
     info = uhlmann.validate_instance(x)
     prover_name, prover = _prover(args, x, m)
-    mode = args.params.get("mode", "ideal_reflection")
-    if mode not in ("ideal_reflection", "dme"):
-        raise UsageError(f"unknown mode {mode!r}")
-    oracle = protocols.OracleConfig(prep_error=_param(args, "prep_error", 0.0, float, "[0, 1]"),
-                                    mode=mode)
+    oracle = protocols.OracleConfig(prep_error=args.p["prep_error"], mode=args.p["mode"])
     res = protocols.qip_run(x, m, prover, oracle, args.seed)
     with _transcript(args) as write:
         for record in res.transcript:
@@ -419,9 +399,7 @@ def run_qip(args):
 
 
 def run_amplify(args):
-    nu = _param(args, "nu", 0.6, float, "[0, 1]")
-    k = _param(args, "k", 2, int, "[1, inf)")
-    t_rounds = _param(args, "T", 3, int, "[1, inf)")
+    nu, k, t_rounds = args.p["nu"], args.p["k"], args.p["T"]
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
     protocols.check_amplifier_cap(x.dA, x.dB, k, T=t_rounds)
@@ -447,13 +425,10 @@ def run_commit(args):
     if args.inputs:
         schemes = [_load(args.inputs[0], crypto.CommitmentScheme.from_json_dict)]
     else:
-        count = _param(args, "schemes", 100, int, "[1, inf)")
-        n_c = _param(args, "commit_qubits", 2, int, "[1, inf)")
-        n_r = _param(args, "reveal_qubits", 2, int, "[1, inf)")
-        gates = _param(args, "gates", 20, int, "[0, inf)")
+        n_c, n_r, gates = args.p["commit_qubits"], args.p["reveal_qubits"], args.p["gates"]
         schemes = [crypto.random_scheme(n_c, n_r, gates,
                                         args.seed.child("scheme", i).value)
-                   for i in range(count)]
+                   for i in range(args.p["schemes"])]
     worst_mlc = 1.0
     worst_flavor = -1.0
     reports = []
@@ -503,7 +478,7 @@ def run_channel(args):
     if args.inputs:
         ch = _load(args.inputs[0], lambda data: _channel_from_file(args.inputs[0], data))
     else:
-        n = _param(args, "qubits", 3, int, "[1, inf)")
+        n = args.p["qubits"]
         split = (2 ** (n - 1), 2)
         ch = ChannelDesc(_input_columns(n, args.seed.child("channel"), *split), split)
     dec_fid, decoded, check = _decode(args, ch)
@@ -524,17 +499,15 @@ def _channel_from_file(path: str, data: dict) -> ChannelDesc:
 
 
 def run_compress(args):
-    spec = args.params.get("source", "mm:3")
+    spec, delta, s = args.p["source"], args.p["delta"], args.p["s"]
     rho = _state_from_spec(spec, args.seed)
-    delta = _param(args, "delta", 0.1, float, "(0, 1)")
-    n_qubits = rho.dim.bit_length() - 1
-    s = _param(args, "s", None, int, f"[0, {n_qubits}]") if "s" in args.params else None
-    n_seeds = _param(args, "seeds", 5, int, "[1, inf)")
+    if s is not None:
+        _in_interval("--param s", s, int, f"[0, {rho.dim.bit_length() - 1}]")
     purification = rho.purify()
     # roundtrip's cap, checked before the first codec is built.
     check_density_cap(purification.dA * purification.dB, "roundtrip state")
     tds = []
-    for i in range(n_seeds):
+    for i in range(args.p["seeds"]):
         codec = shannon.compress(rho, delta, args.seed.child("codec", i), s=s)
         tds.append(shannon.roundtrip(codec, purification))
     bound = shannon.roundtrip_bound(rho, codec.s, delta)
@@ -550,8 +523,8 @@ def run_blackhole(args):
     if args.inputs:
         ch = _load(args.inputs[0], lambda data: _radiation_from_file(args.inputs[0], data))
     else:
-        n = _param(args, "qubits", 6, int, "[2, inf)")
-        r = _param(args, "r", 4, int, f"[1, {n}]")
+        n = args.p["qubits"]
+        r = _in_interval("--param r", args.p["r"], int, f"[1, {n}]")
         ch = physics.radiation_channel(
             _input_columns(n, args.seed.child("scrambler"), 2 ** r, 2 ** (n - r)), r)
     dec_fid, decoded, check = _decode(args, ch)
@@ -579,11 +552,9 @@ def run_interfere(args):
         pairs = [_load(args.inputs[0], lambda data: physics.OrthPair(
             C=GateCircuit.from_json_dict(data["C"]), D=GateCircuit.from_json_dict(data["D"])))]
     else:
-        count = _param(args, "pairs", 20, int, "[1, inf)")
-        n = _param(args, "qubits", 3, int, "[1, inf)")
-        gates = _param(args, "gates", 15, int, "[0, inf)")
+        n, gates = args.p["qubits"], args.p["gates"]
         pairs = []
-        for i in range(count):
+        for i in range(args.p["pairs"]):
             rng = args.seed.child("pair", i).generator()
             c = random_circuit(n, gates, rng)
             d = GateCircuit(n, (("X", (0,)),) + c.gates)
@@ -606,21 +577,32 @@ SCENARIOS = {
     "interfere": run_interfere, "entropy": run_entropy,
 }
 
-_INSTANCE_PARAMS = {"kappa", "overlap", "dA", "dB"}  # read by _load_instance
-
-# The --param keys each scenario reads; any other key is a usage error.
+# Each scenario's --param keys as key: (kind, default, range), the range an
+# interval for ``_in_interval``, a tuple of the allowed values, or None for a
+# state spec. ``_parse`` checks every given value before any scenario runs; the
+# bounds that depend on another value (overlap <= kappa, s <= n, r <= qubits) wait for it.
+_INSTANCE = {"kappa": (float, 1.0, "[0, 1]"), "overlap": (float, None, "[0, 1]"),
+             "dA": (int, 2, "[1, inf)"), "dB": (int, 2, "[1, inf)")}
+_PROVER = {"m": (int, 8, "[1, inf)"), "prover": (str, "honest", ("honest", "identity"))}
 PARAMS = {
-    "uhlmann": _INSTANCE_PARAMS | {"eta"},
-    "szk": _INSTANCE_PARAMS | {"m", "prover"},
-    "qip": _INSTANCE_PARAMS | {"m", "prover", "mode", "prep_error"},
-    "amplify": {"nu", "k", "T"},
-    "commit": {"schemes", "commit_qubits", "reveal_qubits", "gates"},
-    "channel": {"qubits"},
-    "compress": {"source", "delta", "s", "seeds"},
-    "blackhole": {"qubits", "r"},
-    "interfere": {"pairs", "qubits", "gates"},
-    "entropy": {"state", "epsilon"},
+    "uhlmann": {**_INSTANCE, "eta": (float, 0.0, "[0, inf)")},
+    "szk": {**_INSTANCE, **_PROVER},
+    "qip": {**_INSTANCE, **_PROVER, "mode": (str, "ideal_reflection", ("ideal_reflection", "dme")),
+            "prep_error": (float, 0.0, "[0, 1]")},
+    "amplify": {"nu": (float, 0.6, "[0, 1]"), "k": (int, 2, "[1, inf)"),
+                "T": (int, 3, "[1, inf)")},
+    "commit": {"schemes": (int, 100, "[1, inf)"), "commit_qubits": (int, 2, "[1, inf)"),
+               "reveal_qubits": (int, 2, "[1, inf)"), "gates": (int, 20, "[0, inf)")},
+    "channel": {"qubits": (int, 3, "[1, inf)")},
+    "compress": {"source": (str, "mm:3", None), "delta": (float, 0.1, "(0, 1)"),
+                 "s": (int, None, "[0, inf)"), "seeds": (int, 5, "[1, inf)")},
+    "blackhole": {"qubits": (int, 6, "[2, inf)"), "r": (int, 4, "[1, inf)")},
+    "interfere": {"pairs": (int, 20, "[1, inf)"), "qubits": (int, 3, "[1, inf)"),
+                  "gates": (int, 15, "[0, inf)")},
+    "entropy": {"state": (str, "mm:3", None), "epsilon": (float, 0.0, "[0, 1)")},
 }
+# A first input file with any of these keys, and no "raw" or "C", is an experiment config.
+_CONFIG_KEYS = {"instance", "seed", "trials"}.union(*PARAMS.values())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -659,12 +641,24 @@ def _parse(argv) -> argparse.Namespace:
     args.instance = None
     if args.inputs and args.scenario in ("szk", "qip", "amplify", "uhlmann"):
         _load(args.inputs[0], lambda data: _absorb_config(args, data))
-    unknown = sorted(set(args.params) - PARAMS[args.scenario])
+    table = PARAMS[args.scenario]
+    unknown = sorted(set(args.params) - set(table))
     if unknown:
         raise UsageError(f"{args.scenario} takes no --param {', '.join(unknown)}; "
-                         f"it takes {', '.join(sorted(PARAMS[args.scenario]))}")
+                         f"it takes {', '.join(sorted(table))}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    args.p = {}
+    for key, (kind, default, allowed) in table.items():
+        raw = args.params.get(key)
+        if raw is None:
+            args.p[key] = default
+        elif isinstance(allowed, str):
+            args.p[key] = _in_interval(f"--param {key}", raw, kind, allowed)
+        elif allowed is None or raw in allowed:
+            args.p[key] = raw
+        else:
+            raise UsageError(f"--param {key}={raw} is not one of {', '.join(allowed)}")
     return args
 
 
@@ -770,9 +764,14 @@ def main(argv=None) -> int:
         "pass": all(c["pass"] for c in checks),
     }
     chunks = _report_chunks(report)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(chunks)
-        fh.write("\n")
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
+            fh.write("\n")
+    except BrokenPipeError:  # the reader closed stdout; the flush at exit goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     elapsed = time.perf_counter() - start
     summary = ", ".join(f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in checks)
     print(f"[{args.scenario}] {summary or 'no checks'} "

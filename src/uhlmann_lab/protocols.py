@@ -16,7 +16,7 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_density_cap, check_pure_cap
+from .errors import DimensionMismatch, check_density_cap, check_matrix_cap, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
 from .qcore.metrics import factor_trace_distance
@@ -45,6 +45,7 @@ class ProverStrategy:
 
     @staticmethod
     def honest(x: UhlmannInstance, m: int) -> "ProverStrategy":
+        check_density_cap(x.dB, "prover completion")
         u = canonical_uhlmann(x, 0.0).completion()
         return ProverStrategy("honest", factors=tuple([u] * (m + 1)))
 
@@ -55,6 +56,7 @@ class ProverStrategy:
     @staticmethod
     def partial_honest(x: UhlmannInstance, m: int, count: int) -> "ProverStrategy":
         """Applies the honest unitary on ``count`` slots, identity elsewhere."""
+        check_density_cap(x.dB, "prover completion")
         u = canonical_uhlmann(x, 0.0).completion()
         facs = [u] * count + [None] * (m + 1 - count)
         return ProverStrategy("custom", factors=tuple(facs))
@@ -149,8 +151,6 @@ class _PermutationTest:
                  prover: ProverStrategy, prep_error: float = 0.0):
         if m < 1:
             raise ValueError("m must be >= 1")
-        # Checked whether or not a run accepts, so admission does not depend on the coins.
-        check_density_cap(psi.dA * psi.dB, "verifier output state")
         self.psi, self.phi, self.m = psi, phi, m
         self.prover, self.prep_error = prover, prep_error
         self._runs, self._distances = {}, {}
@@ -248,8 +248,8 @@ def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, j0: int,
     the same contraction on E, less c times the good branch."""
     dA, dB = psi.split
     anc = prover.joint_anc_dim
-    check_pure_cap((dA * dB) ** (m + 1) * anc, "joint protocol state")
     size = dB ** (m + 1) * anc
+    check_matrix_cap(size ** 2, "joint prover unitary")
     if prover.joint_unitary.shape != (size, size):
         raise DimensionMismatch(f"matrix shape {prover.joint_unitary.shape} "
                                 f"does not act on dims {size}")

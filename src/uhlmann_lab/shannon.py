@@ -267,7 +267,8 @@ def compress(source, delta: float, seed, s: Optional[int] = None) -> Compression
     seed = as_seed(seed)
     if s is None:
         h = smoothed_h_max(rho.eigenvalues(), (delta / 40.0) ** 4)
-        s = int(np.clip(math.ceil(h + 8 * math.log2(4.0 / delta)), 0, n))
+        # Clamped before the ceiling: a subnormal delta makes the rate infinite.
+        s = max(0, math.ceil(min(h + 8 * math.log2(4.0 / delta), n)))
     if not (0 <= s <= n):
         raise ValueError(f"s must lie in 0..{n}")
     d, d_c, d_e = 2 ** n, 2 ** s, 2 ** (n - s)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1063,23 +1064,15 @@ def test_declared_runs_cover_every_scenario_and_key():
     assert set(DECLARED_RUNS) == set(MISSPELLED) == set(cli.SCENARIOS) == set(cli.PARAMS)
     for scenario, runs in DECLARED_RUNS.items():
         given = {arg.split("=")[0] for run in runs for arg in run if "=" in arg}
-        assert given == cli.PARAMS[scenario], scenario
+        assert given == set(cli.PARAMS[scenario]), scenario
 
 
 class _RecordingParams(dict):
-    """A params dict that records every key a scenario looks up."""
+    """The resolved params, recording every key a scenario reads."""
 
     def __init__(self, params, seen):
         super().__init__(params)
         self.seen = seen
-
-    def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.seen.add(key)
-        return super().__contains__(key)
 
     def __getitem__(self, key):
         self.seen.add(key)
@@ -1092,14 +1085,14 @@ def test_every_key_a_scenario_reads_is_declared_and_accepted(scenario, capsys, m
     runner = cli.SCENARIOS[scenario]
 
     def recording(args):
-        args.params = _RecordingParams(args.params, seen)
+        args.p = _RecordingParams(args.p, seen)
         return runner(args)
 
     monkeypatch.setitem(cli.SCENARIOS, scenario, recording)
     for run in DECLARED_RUNS[scenario]:
         code, report = run_cli(capsys, scenario, *run, "--seed", "1")
         assert code == 0, (scenario, run)
-    assert seen == cli.PARAMS[scenario]
+    assert seen == set(cli.PARAMS[scenario])
 
 
 # A near miss of a declared key, for each scenario.
@@ -1130,6 +1123,176 @@ def test_config_file_keys_follow_the_declared_keys(tmp_path, capsys):
     assert code == 0
     assert report["seed"] == 4 and report["results"]["trials"] == 6
     assert report["params"] == {"m": "2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["szk", "--param", "m=0"], ["qip", "--param", "prep_error=2"],
+    ["uhlmann", "--param", "eta=-1"], ["szk", "--param", "prover=bogus"]])
+def test_given_values_are_checked_before_the_instance_is_drawn(argv, capsys, monkeypatch):
+    from uhlmann_lab import uhlmann
+
+    def no_draw(*args):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(uhlmann, "haar_unitary", no_draw)
+    code = main(argv + ["--param", "kappa=0.9", "--param", "dA=2", "--param", "dB=2048"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --param {argv[-1]} ")
+
+
+def test_values_the_run_ignores_are_checked(tmp_path, capsys):
+    inst = qutrit_instance_file(tmp_path)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"C0": {"n_qubits": 2, "gates": []},
+                                  "C1": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]}]},
+                                  "commit": [0]}))
+    for argv, bad in ((["uhlmann", inst], "kappa=2"), (["commit", str(scheme)], "schemes=0")):
+        assert run_cli(capsys, *argv)[0] == 0
+        code = main(argv + ["--param", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--param {bad} out of range" in captured.err
+
+
+def test_the_first_bad_value_in_table_order_is_named(capsys):
+    code = main(["szk", "--param", "m=0", "--param", "prover=bogus", "--param", "kappa=2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: --param kappa=2 out of range [0, 1]\n"
+
+
+def test_compress_at_a_subnormal_delta_takes_the_full_rate(capsys):
+    # 4 / 5e-324 overflows to inf: the rate is clamped to n before its ceiling.
+    code, report = run_cli(capsys, "compress", "--param", "delta=5e-324", "--param", "seeds=1")
+    assert code == 0 and report["results"]["s"] == 3
+
+
+# The bounds that depend on another value, as README quotes them.
+DEPENDENT = {"overlap": "[0, kappa]", "s": "[0, n]", "r": "[1, qubits]"}
+
+
+def _readme_cli_notes() -> str:
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text[text.index("## CLI"):text.index("## File formats")]
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return " or ".join(f"`{v}`" for v in value)
+    return f"`{value}`" if isinstance(value, str) else str(value)
+
+
+def test_readme_states_the_parameter_table():
+    rows = {}
+    for line in _readme_cli_notes().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            scenarios, keys, kind, default, allowed = cells
+            for scenario in scenarios.split(", "):
+                for key in keys.split(", "):
+                    assert (scenario, key) not in rows
+                    rows[scenario.strip("`"), key.strip("`")] = (kind, default, allowed)
+    table = {(scenario, key): (f"`{kind.__name__}`", _cell(default),
+                               "state spec" if allowed is None else _cell(allowed))
+             for scenario, keys in cli.PARAMS.items()
+             for key, (kind, default, allowed) in keys.items()}
+    assert rows == table
+
+
+def test_readme_quotes_each_range_as_the_table_declares_it():
+    quotes = re.findall(r"`(\w+)` in `([\[(][^`]*[\])])`", _readme_cli_notes())
+    assert {key for key, _ in quotes} >= set(DEPENDENT)
+    for key, quoted in quotes:
+        ranges = {row[key][2] for row in cli.PARAMS.values() if key in row}
+        assert quoted in ranges | {DEPENDENT.get(key)}, (key, quoted)
+
+
+def test_every_default_lies_inside_its_range():
+    for scenario, table in cli.PARAMS.items():
+        for key, (kind, default, allowed) in table.items():
+            if default is None or allowed is None:
+                continue
+            if isinstance(allowed, tuple):
+                assert default in allowed, (scenario, key)
+            else:
+                assert cli._in_interval(key, default, kind, allowed) == default, (scenario, key)
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "uhlmann_lab.cli", "amplify",
+                                 "--param", "k=200000", "--trials", "20"],
+                                stdout=subprocess.PIPE, stderr=err, env=env)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        err.seek(0)
+        text = err.read()
+    assert "Traceback" not in text and "Exception ignored" not in text
+    assert text.startswith("[amplify] amplification_bound=ok")
+
+
+# Sizes the fuzzer stays under, so no example runs long.
+_FUZZ_HIGH = {"m": 3, "schemes": 3, "pairs": 3, "seeds": 3, "gates": 3}
+_SPECS = (["mm:2", "diag:0.5,0.5", "haar:4"], ["mm:-1", "haar:0", "mm:abc", "diag:0.5,0.6"])
+
+
+def _value(draw, key, kind, allowed) -> str:
+    """A value for one row: most often inside its range (kept small), else
+    outside it, or one that no kind parses."""
+    which = draw(st.sampled_from(["inside"] * 4 + ["outside", "unparsable"]))
+    if which == "unparsable":
+        return draw(st.sampled_from(["nan", "1e400", "abc", ""]))
+    if allowed is None:
+        return draw(st.sampled_from(_SPECS[which == "outside"]))
+    if isinstance(allowed, tuple):
+        return draw(st.sampled_from(allowed)) if which == "inside" else "bogus"
+    low, high = (float(end) for end in allowed[1:-1].split(","))
+    if kind is int:
+        value = (st.integers(int(low), _FUZZ_HIGH.get(key, 4)) if which == "inside"
+                 else st.integers(int(low) - 3, int(low) - 1))
+    elif which == "inside":
+        value = st.floats(low, min(high, 2.0), exclude_min=allowed[0] == "(",
+                          exclude_max=allowed[-1] == ")")
+    else:
+        value = st.floats(low - 2.0, low, exclude_max=allowed[0] == "[")
+        if math.isfinite(high):
+            value = st.one_of(value, st.floats(high, high + 2.0, exclude_min=allowed[-1] == "]"))
+    return repr(draw(value))
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    scenario = draw(st.sampled_from(sorted(cli.PARAMS)))
+    table = cli.PARAMS[scenario]
+    keys = draw(st.lists(st.sampled_from(sorted(table)), unique=True))
+    argv = [scenario, "--trials", "3", "--seed", str(draw(st.integers(0, 5)))]
+    for key in keys:
+        argv += ["--param", f"{key}={_value(draw, key, table[key][0], table[key][2])}"]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        argv += ["--param", f"{MISSPELLED[scenario]}=1"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=_fuzzed_argv())
+def test_fuzzed_params_exit_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
 
 
 # ---------------------------------------------------------------------------

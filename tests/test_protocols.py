@@ -467,30 +467,55 @@ def test_szk_prover_arity_check():
         szk_run(x, 3, ProverStrategy.identity(2), 0)
 
 
+def _unitary_view(size: int) -> np.ndarray:
+    """A size x size complex array that allocates one entry: a zero-stride view."""
+    return np.lib.stride_tricks.as_strided(np.zeros(1, dtype=complex), (size, size), (0, 0))
+
+
 def test_szk_joint_prover_dimension_cap():
+    # The cap is on the joint prover's own unitary, dB^(m+1) anc square, not
+    # on the (dA dB)^(m+1) anc vector the contracted round never forms.
     from uhlmann_lab.errors import DimensionCapError
+    for x, m in ((instance_with_fidelity(1.0, 2, 2, 2), 10), (random_raw_instance(64, 2, 3), 3)):
+        joint = ProverStrategy.joint(np.eye(2 ** (m + 1)))
+        for seed in range(2):
+            res, ref = (szk_run(x, m, prover, seed)
+                        for prover in (joint, ProverStrategy.identity(m)))
+            assert abs(res.accept_prob - ref.accept_prob) <= 1e-12
+            assert res.accepted == ref.accepted
+            if res.accepted:
+                assert np.abs(_output(res) - _output(ref)).max() <= 1e-12
     x = instance_with_fidelity(1.0, 2, 2, 2)
-    big = ProverStrategy.joint(np.eye(2 ** 11), label="custom")
-    with pytest.raises(DimensionCapError):
-        szk_run(x, 10, big, 0)
+    with pytest.raises(DimensionCapError, match="joint prover unitary"):
+        szk_run(x, 12, ProverStrategy.joint(_unitary_view(2 ** 13)), 0)
 
 
 def test_qip_joint_prover_dimension_cap():
     from uhlmann_lab.errors import DimensionCapError
     x = instance_with_fidelity(1.0, 2, 2, 2)
-    big = ProverStrategy.joint(np.eye(2 ** 11), label="custom")
-    with pytest.raises(DimensionCapError):
-        qip_run(x, 10, big, OracleConfig(), 0)
+    oracle = OracleConfig(prep_error=0.1)
+    res, ref = (qip_run(x, 10, prover, oracle, 0)
+                for prover in (ProverStrategy.joint(np.eye(2 ** 11)), ProverStrategy.identity(10)))
+    assert abs(res.accept_prob - ref.accept_prob) <= 1e-12
+    assert np.abs(_output(res) - _output(ref)).max() <= 1e-12
+    with pytest.raises(DimensionCapError, match="joint prover unitary"):
+        qip_run(x, 12, ProverStrategy.joint(_unitary_view(2 ** 13)), OracleConfig(), 0)
 
 
 def test_szk_product_prover_output_cap_holds_for_every_run():
-    # The output is a density on dA * dB = 8192 > 4096; the identity prover is
-    # almost never accepted here, and the run must still be refused.
+    # The verifier holds dA dB-amplitude factors, which the instance's own cap
+    # bounds, so the identity prover runs at dA dB = 8192. The honest prover's
+    # dB x dB completion is refused before it is built.
     from uhlmann_lab.errors import DimensionCapError
-    x = random_raw_instance(64, 128, 0)
+    x = random_raw_instance(1, 8192, 0)
+    for build in (lambda: ProverStrategy.honest(x, 1),
+                  lambda: ProverStrategy.partial_honest(x, 1, 1)):
+        with pytest.raises(DimensionCapError, match="prover completion dimension 8192"):
+            build()
+    psi, phi = x.states()
     for seed in range(3):
-        with pytest.raises(DimensionCapError):
-            szk_run(x, 1, ProverStrategy.identity(1), seed)
+        res = szk_run(x, 1, ProverStrategy.identity(1), seed)
+        assert abs(res.accept_prob - abs(psi.overlap(phi)) ** 2) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

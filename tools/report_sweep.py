@@ -128,6 +128,9 @@ COMMANDS = [
     "qip --param m=12 --param prep_error=0.1",
     "qip basis11.json --param m=2 --param prep_error=0.1",
     "qip --param kappa=0.9 --param dA=64 --param dB=64 --param m=2",
+    "qip --param kappa=0.9 --param dA=128 --param dB=64 --param m=2",
+    "qip --param kappa=0.9 --param dA=512 --param dB=512 --param m=3",
+    "szk --param kappa=0.9 --param dA=512 --param dB=512 --param m=3",
     "amplify --param k=2 --trials 50",
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
