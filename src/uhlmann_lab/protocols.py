@@ -45,9 +45,7 @@ class ProverStrategy:
 
     @staticmethod
     def honest(x: UhlmannInstance, m: int) -> "ProverStrategy":
-        check_density_cap(x.dB, "prover completion")
-        u = canonical_uhlmann(x, 0.0).completion()
-        return ProverStrategy("honest", factors=tuple([u] * (m + 1)))
+        return ProverStrategy("honest", factors=tuple([_honest_unitary(x)] * (m + 1)))
 
     @staticmethod
     def identity(m: int) -> "ProverStrategy":
@@ -56,9 +54,7 @@ class ProverStrategy:
     @staticmethod
     def partial_honest(x: UhlmannInstance, m: int, count: int) -> "ProverStrategy":
         """Applies the honest unitary on ``count`` slots, identity elsewhere."""
-        check_density_cap(x.dB, "prover completion")
-        u = canonical_uhlmann(x, 0.0).completion()
-        facs = [u] * count + [None] * (m + 1 - count)
+        facs = [_honest_unitary(x)] * count + [None] * (m + 1 - count)
         return ProverStrategy("custom", factors=tuple(facs))
 
     @staticmethod
@@ -68,6 +64,12 @@ class ProverStrategy:
 
     def is_product(self) -> bool:
         return self.factors is not None
+
+
+def _honest_unitary(x: UhlmannInstance) -> np.ndarray:
+    """The dB x dB completion of the canonical transporter, under the density cap."""
+    check_density_cap(x.dB, "prover completion")
+    return canonical_uhlmann(x, 0.0).completion()
 
 
 @dataclass
@@ -245,11 +247,13 @@ def _joint_test(psi: BipartiteState, phi: BipartiteState, m: int, j0: int,
     branches, side by side, are the output factor. A run costs O(size^2)
     for the prover's size x size unitary, and no joint vector is made; the
     junk branch (E^{⊗m} - c C^{⊗m}) / sqrt(1 - |c|^2) of ``_junk_basis`` is
-    the same contraction on E, less c times the good branch."""
+    the same contraction on E, less c times the good branch. The caps bound
+    the unitary and the dA dB x anc accepted amplitude of each branch."""
     dA, dB = psi.split
     anc = prover.joint_anc_dim
     size = dB ** (m + 1) * anc
     check_matrix_cap(size ** 2, "joint prover unitary")
+    check_pure_cap(dA * dB * anc * (2 if prep_error > 0.0 else 1), "joint output factor")
     if prover.joint_unitary.shape != (size, size):
         raise DimensionMismatch(f"matrix shape {prover.joint_unitary.shape} "
                                 f"does not act on dims {size}")
@@ -284,8 +288,9 @@ def szk_conditional_output(x: UhlmannInstance, m: int, prover: ProverStrategy):
     acceptance). A run depends only on the slot that receives the input
     register, so the m + 1 rotations average it exactly. A joint prover's
     run accepted with probability at most 1e-12 has no factor and adds
-    nothing to the output.
+    nothing to the output. The output is dense, so dA dB has the density cap.
     """
+    check_density_cap(x.dA * x.dB, "conditional output")
     psi, phi = x.states()
     perms = [np.roll(np.arange(m + 1), j) for j in range(m + 1)]
     test = _PermutationTest(psi, phi, m, prover)

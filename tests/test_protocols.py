@@ -502,10 +502,25 @@ def test_qip_joint_prover_dimension_cap():
         qip_run(x, 12, ProverStrategy.joint(_unitary_view(2 ** 13)), OracleConfig(), 0)
 
 
+def test_joint_output_factor_cap():
+    # A 4096-square unitary (dB = 2, m = 1, anc = 1024) passes its own cap,
+    # but the round's accepted amplitude is dA dB x anc per branch: 2^20 at
+    # dA = 512 is admitted, twice that with a junk branch or at dA = 1024 is not.
+    from uhlmann_lab.errors import DimensionCapError
+    prover = ProverStrategy.joint(_unitary_view(4096), anc_dim=1024)
+    x = random_raw_instance(512, 2, 0)
+    assert szk_run(x, 1, prover, 0).accept_prob == 0.0
+    with pytest.raises(DimensionCapError, match="joint output factor dimension 2097152"):
+        qip_run(x, 1, prover, OracleConfig(prep_error=0.1), 0)
+    with pytest.raises(DimensionCapError, match="joint output factor dimension 2097152"):
+        szk_run(random_raw_instance(1024, 2, 0), 1, prover, 0)
+
+
 def test_szk_product_prover_output_cap_holds_for_every_run():
     # The verifier holds dA dB-amplitude factors, which the instance's own cap
     # bounds, so the identity prover runs at dA dB = 8192. The honest prover's
-    # dB x dB completion is refused before it is built.
+    # dB x dB completion, and the dense dA dB-square average of
+    # szk_conditional_output, are refused before they are built.
     from uhlmann_lab.errors import DimensionCapError
     x = random_raw_instance(1, 8192, 0)
     for build in (lambda: ProverStrategy.honest(x, 1),
@@ -516,6 +531,8 @@ def test_szk_product_prover_output_cap_holds_for_every_run():
     for seed in range(3):
         res = szk_run(x, 1, ProverStrategy.identity(1), seed)
         assert abs(res.accept_prob - abs(psi.overlap(phi)) ** 2) <= 1e-12
+    with pytest.raises(DimensionCapError, match="conditional output dimension 8192"):
+        szk_conditional_output(x, 1, ProverStrategy.identity(1))
 
 
 # ---------------------------------------------------------------------------
