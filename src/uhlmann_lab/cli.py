@@ -23,7 +23,8 @@ import time
 
 import numpy as np
 
-from .errors import DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_pure_cap
+from .errors import (DENSITY_DIM_CAP, UhlmannLabError, check_density_cap, check_int,
+                     check_pure_cap)
 from .qcore.channels import ChannelDesc, channel_from_circuit, interleave
 from .qcore.gates import GateCircuit, random_circuit
 from .qcore.metrics import factor_trace_distance
@@ -145,11 +146,14 @@ def _read_in_blocks(fh):
     return doc if doc and not slots else None
 
 
-def _load(path: str, build):
-    """``build`` applied to the JSON document at ``path``. A KeyError,
-    TypeError or ValueError raised while building is a UsageError naming the
-    file."""
-    data = _load_json(path)
+def _load(path: str, build, data=None):
+    """``build`` applied to the JSON object at ``path``, or to ``data`` taken
+    from it. A KeyError, TypeError or ValueError raised while building is a
+    UsageError naming the file."""
+    if data is None:
+        data = _load_json(path)
+        if not isinstance(data, dict):
+            raise UsageError(f"{path}: expected a JSON object")
     try:
         return build(data)
     except KeyError as exc:
@@ -185,38 +189,36 @@ def _seed(value) -> Seed:
         raise UsageError(str(exc)) from None
 
 
-def _absorb_config(args, data) -> None:
+def _absorb_config(args, data: dict) -> None:
     """Take in the first input file, parsed once: an Uhlmann instance or an
     experiment config.
 
     Config JSON carries {instance path or inline dict, m, k, T, trials,
-    prover, mode, seed, ...}; explicit command-line flags win over it.
-    ``amplify`` ignores an instance file.
+    prover, mode, seed, ...}; explicit command-line flags win over it. The
+    instance is kept as (path, document or None), for ``_load_instance``.
     """
     if not (_CONFIG_KEYS & set(data)) or "raw" in data or "C" in data:
-        if args.scenario != "amplify":
-            args.instance = uhlmann.UhlmannInstance.from_json_dict(data)
+        args.instance = (args.inputs[0], data)
         return
-    args.inputs = args.inputs[1:]
+    path, args.inputs = args.inputs[0], args.inputs[1:]
     inst = data.pop("instance", None)
-    if inst is None and args.inputs and args.scenario != "amplify":
+    if inst is None and args.inputs:
         inst = args.inputs[0]
-    if isinstance(inst, str):
-        args.instance = _load(inst, uhlmann.UhlmannInstance.from_json_dict)
-    elif inst is not None:
-        args.instance = uhlmann.UhlmannInstance.from_json_dict(inst)
+    if inst is not None:
+        args.instance = (inst, None) if isinstance(inst, str) else (path, inst)
     seed, trials = data.pop("seed", None), data.pop("trials", None)
     if seed is not None and "--seed" not in args.raw_argv:
-        args.seed = _seed(seed)
+        args.seed = _seed(check_int(seed, "seed"))
     if trials is not None and "--trials" not in args.raw_argv:
-        args.trials = int(trials)
+        args.trials = check_int(trials, "trials")
     for key, value in data.items():
         args.params.setdefault(key, str(value))
 
 
 def _load_instance(args) -> uhlmann.UhlmannInstance:
     if args.instance is not None:
-        return args.instance
+        path, data = args.instance
+        return _load(path, uhlmann.UhlmannInstance.from_json_dict, data)
     kappa, overlap = args.p["kappa"], args.p["overlap"]
     if overlap is not None:
         return uhlmann.overlap_instance(
@@ -401,7 +403,7 @@ def run_qip(args):
 def run_amplify(args):
     nu, k, t_rounds = args.p["nu"], args.p["k"], args.p["T"]
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-    x = uhlmann.UhlmannInstance(n=1, C=epr, D=epr)
+    x = uhlmann.circuit_instance(1, epr, epr)
     protocols.check_amplifier_cap(x.dA, x.dB, k, T=t_rounds)
     solver, solver_nu = protocols.engineered_solver(x, k, nu)
     cfg = protocols.AmplifierConfig(k, t_rounds, args.seed)
@@ -491,11 +493,12 @@ def _channel_from_file(path: str, data: dict) -> ChannelDesc:
     circuit runs, in the order the run would meet them."""
     circuit = GateCircuit.from_json_dict(data["dilation"])
     n = circuit.n_qubits
-    n_input = _in_interval(f"{path}: n_input", data["n_input"], int, f"[1, {n}]")
+    n_input = check_int(data["n_input"], "n_input")
+    _in_interval(f"{path}: n_input", n_input, int, f"[1, {n}]")
     check_pure_cap(circuit.dim * 2 ** n_input)
-    n_env = len(data["env"])
-    shannon.check_decoding_caps(2 ** n_input, 2 ** (n - n_env), 2 ** n_env)
-    return channel_from_circuit(circuit, n_input, data["env"])
+    env = [check_int(q, "env") for q in data["env"]]
+    shannon.check_decoding_caps(2 ** n_input, 2 ** (n - len(env)), 2 ** len(env))
+    return channel_from_circuit(circuit, n_input, env)
 
 
 def run_compress(args):
@@ -542,7 +545,7 @@ def _radiation_from_file(path: str, data: dict):
     checked before the circuit runs."""
     circuit = GateCircuit.from_json_dict(data["circuit"])
     n = circuit.n_qubits
-    r = _in_interval(f"{path}: r", data["r"], int, f"[1, {n}]")
+    r = _in_interval(f"{path}: r", check_int(data["r"], "r"), int, f"[1, {n}]")
     shannon.check_decoding_caps(2, 2 ** r, 2 ** (n - r))
     return physics.radiation_channel(channel_from_circuit(circuit, 1, ()).isometry, r)
 

@@ -1,21 +1,21 @@
 """Canonical quantum bit commitments: security metrics, transformations, and
 Uhlmann-derived attacks.
 
-A scheme is a pair of circuits (or raw states) producing |psi_b> on a fixed
-qubit set, with a designated commit register C sent to the receiver; the
-reveal register R is the complement. Statistical security is what the
+A scheme is a pair of states |psi_b> (a file may name them by circuits),
+with a designated commit register C sent to the receiver; the reveal
+register R is the complement. Statistical security is what the
 simulator certifies: hiding is the Helstrom trace distance and binding the
 Uhlmann fidelity of the commit-register reduced states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_pure_cap
+from .errors import DimensionMismatch, check_int, check_object, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
 from .qcore.gates import GateCircuit, random_circuit
@@ -27,63 +27,38 @@ from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
 
 @dataclass(frozen=True)
 class CommitmentScheme:
-    """Commitment circuits C0, C1 with a commit-register qubit set.
+    """Commitment states (psi_0, psi_1), two BipartiteStates with a common
+    (d_commit, d_reveal) split. A file's circuits are simulated, and its
+    commit qubits moved first, by ``from_json_dict``."""
 
-    Either circuit-form (C0, C1 on n_qubits) or raw-form (state vectors with
-    an explicit (d_commit, d_reveal) factorization, commit register first).
-    Circuits are simulated once, at construction.
-    """
-
-    C0: Optional[GateCircuit] = None
-    C1: Optional[GateCircuit] = None
-    commit_registers: Optional[tuple] = None
-    raw_states: Optional[tuple] = None   # (psi0, psi1) with split (dC, dR)
-    _states: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.raw_states is not None:
-            s0, s1 = self.raw_states
-            if s0.split != s1.split:
-                raise DimensionMismatch("raw commitment states must share a split")
-            states = self.raw_states
-        else:
-            if self.C0 is None or self.C1 is None or self.commit_registers is None:
-                raise ValueError("circuit scheme needs C0, C1 and commit_registers")
-            if self.C0.n_qubits != self.C1.n_qubits:
-                raise DimensionMismatch("C0 and C1 act on different qubit counts")
-            commit = tuple(sorted(int(q) for q in self.commit_registers))
-            object.__setattr__(self, "commit_registers", commit)
-            n = self.C0.n_qubits
-            if any(q < 0 or q >= n for q in commit) or len(set(commit)) != len(commit):
-                raise DimensionMismatch(f"bad commit registers {commit}")
-            if len(commit) in (0, n):
-                raise DimensionMismatch("commit/reveal registers must partition the qubits")
-            reveal = [q for q in range(n) if q not in commit]
-            split = (2 ** len(commit), 2 ** len(reveal))
-            states = tuple(BipartiteState(linalg.permute_rows(
-                circ.state(), [2] * n, list(commit) + reveal), split)
-                for circ in (self.C0, self.C1))
-        object.__setattr__(self, "_states", states)
-
-    @property
-    def split(self) -> tuple:
-        """(d_commit, d_reveal)."""
-        return self._states[0].split
+    raw_states: tuple
 
     def states(self) -> tuple:
         """(psi_0, psi_1) ordered (commit, reveal)."""
-        return self._states
+        return self.raw_states
 
     @staticmethod
     def from_json_dict(data: dict) -> "CommitmentScheme":
-        if "raw" in data:
-            raw = data["raw"]
-            split = (int(raw["dC"]), int(raw["dR"]))
-            return CommitmentScheme(raw_states=(BipartiteState.from_pairs(raw["psi0"], split),
-                                                BipartiteState.from_pairs(raw["psi1"], split)))
-        return CommitmentScheme(C0=GateCircuit.from_json_dict(data["C0"]),
-                                C1=GateCircuit.from_json_dict(data["C1"]),
-                                commit_registers=tuple(data["commit"]))
+        """A file's "raw" pair with its split (dC, dR), or circuits "C0", "C1"
+        on n qubits and "commit", a proper nonempty subset of them."""
+        if "raw" in check_object(data, "scheme"):
+            raw = check_object(data["raw"], "raw")
+            split = (check_int(raw["dC"], "dC"), check_int(raw["dR"], "dR"))
+            return CommitmentScheme((BipartiteState.from_pairs(raw["psi0"], split),
+                                     BipartiteState.from_pairs(raw["psi1"], split)))
+        c0, c1 = GateCircuit.from_json_dict(data["C0"]), GateCircuit.from_json_dict(data["C1"])
+        n = c0.n_qubits
+        if c1.n_qubits != n:
+            raise DimensionMismatch("C0 and C1 act on different qubit counts")
+        commit = sorted(check_int(q, "commit") for q in data["commit"])
+        if any(q < 0 or q >= n for q in commit) or len(set(commit)) != len(commit):
+            raise DimensionMismatch(f"bad commit registers {commit}")
+        if len(commit) in (0, n):
+            raise DimensionMismatch("commit/reveal registers must partition the qubits")
+        order = commit + [q for q in range(n) if q not in commit]
+        split = (2 ** len(commit), 2 ** (n - len(commit)))
+        return CommitmentScheme(tuple(BipartiteState(
+            linalg.permute_rows(c.state(), [2] * n, order), split) for c in (c0, c1)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +118,7 @@ def flavor_switch(scheme: CommitmentScheme) -> CommitmentScheme:
     commits to b via |psi'_b> = (|0>|psi_0> + (-1)^b |1>|psi_1>)/sqrt(2) with
     commit register C' = R ∪ {flag} and reveal register R' = C.
 
-    Returned in raw-state form ordered (C', R') = ((flag, R), C); the exact
+    The states are ordered (C', R') = ((flag, R), C); the exact
     superposition amplitudes are not expressible in the discrete gate set.
     """
     s0, s1 = scheme.states()
@@ -165,43 +140,29 @@ def tensor_amplify(scheme: CommitmentScheme, k: int) -> CommitmentScheme:
         raise ValueError("k must be >= 1")
     if k == 1:
         return scheme
-    if scheme.raw_states is None:
-        n = scheme.C0.n_qubits
-        gates0, gates1 = [], []
-        commit = []
-        for copy in range(k):
-            gates0 += [(g, tuple(q + copy * n for q in qs)) for g, qs in scheme.C0.gates]
-            gates1 += [(g, tuple(q + copy * n for q in qs)) for g, qs in scheme.C1.gates]
-            commit += [q + copy * n for q in scheme.commit_registers]
-        check_pure_cap(2 ** (n * k), "amplified commitment")
-        return CommitmentScheme(C0=GateCircuit(n * k, tuple(gates0)),
-                                C1=GateCircuit(n * k, tuple(gates1)),
-                                commit_registers=tuple(commit))
     s0, s1 = scheme.raw_states
     dC, dR = s0.split
     check_pure_cap((dC * dR) ** k, "amplified commitment")
-    return CommitmentScheme(raw_states=tuple(
+    return CommitmentScheme(tuple(
         BipartiteState(tensor_power(s, k), (dC ** k, dR ** k)) for s in (s0, s1)))
 
 
 def commitment_from_instance(x: UhlmannInstance) -> CommitmentScheme:
-    """C_b := the instance circuits with commit register = the first n qubits.
+    """C_b := the instance's states, commit register = register A.
 
     Fidelity-kappa instances give hiding_stat <= sqrt(1 - kappa) and
     binding_opt = kappa.
     """
-    if x.raw_pair is not None:
-        return CommitmentScheme(raw_states=x.raw_pair)
-    return CommitmentScheme(C0=x.C, C1=x.D,
-                            commit_registers=tuple(range(x.n)))
+    return CommitmentScheme(x.raw_pair)
 
 
 def random_scheme(n_commit: int, n_reveal: int, n_gates: int, seed) -> CommitmentScheme:
+    """Two random circuits' states; the commit register is their first n_commit qubits."""
     rng = as_seed(seed).child("scheme").generator()
     n = n_commit + n_reveal
-    return CommitmentScheme(C0=random_circuit(n, n_gates, rng),
-                            C1=random_circuit(n, n_gates, rng),
-                            commit_registers=tuple(range(n_commit)))
+    circuits = [random_circuit(n, n_gates, rng) for _ in range(2)]
+    return CommitmentScheme(tuple(BipartiteState(c.state(), (2 ** n_commit, 2 ** n_reveal))
+                                  for c in circuits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the size and file-field checks, shared across the package."""
 
 
 class UhlmannLabError(Exception):
@@ -48,3 +48,17 @@ def check_matrix_cap(entries: int, what: str = "matrix") -> None:
 def check_pure_cap(dim: int, what: str = "state vector") -> None:
     if dim > PURE_AMPLITUDE_CAP:
         raise DimensionCapError(dim, PURE_AMPLITUDE_CAP, what)
+
+
+def check_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object (a dict): a file's nested document."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    return value
+
+
+def check_int(value, what: str) -> int:
+    """``value`` if it is an int, bool excluded: a file's integer field."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value

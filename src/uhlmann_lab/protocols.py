@@ -321,14 +321,9 @@ def szk_simulator_distance(x: UhlmannInstance, m: int) -> float:
 
 @dataclass(frozen=True)
 class AmplifierConfig:
-    k: int
+    k: int  # k, T >= 1, as the CLI's --param table checks
     T: int
     seed: Seed
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", as_seed(self.seed))
-        if self.k < 1 or self.T < 1:
-            raise ValueError("k and T must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from ..errors import DimensionMismatch, check_pure_cap
+from ..errors import DimensionMismatch, check_int, check_object, check_pure_cap
 from . import linalg
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -38,22 +38,6 @@ class GateCircuit:
 
     n_qubits: int
     gates: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        object.__setattr__(self, "gates", tuple((str(g), tuple(int(q) for q in qs))
-                                                for g, qs in self.gates))
-        for g, qs in self.gates:
-            if g not in GATES:
-                raise ValueError(f"unknown gate {g!r}")
-            want = 2 if g in TWO_QUBIT else 1
-            if len(qs) != want:
-                raise ValueError(f"gate {g} takes {want} target(s), got {qs}")
-            if any(q < 0 or q >= self.n_qubits for q in qs):
-                raise DimensionMismatch(f"gate {g} targets {qs} outside 0..{self.n_qubits - 1}")
-            if len(set(qs)) != len(qs):
-                raise ValueError(f"gate {g} has repeated targets {qs}")
 
     @property
     def dim(self) -> int:
@@ -84,8 +68,27 @@ class GateCircuit:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GateCircuit":
-        gates = tuple((entry["g"], tuple(entry["q"])) for entry in data.get("gates", []))
-        return GateCircuit(int(data["n_qubits"]), gates)
+        """A file's circuit, checked where it enters: n_qubits in [1, 64], and
+        each gate a known name on as many distinct in-range qubits as it takes.
+        Past 64 qubits the caps are far off, and 2^n is not formed to say so."""
+        n = check_int(check_object(data, "circuit")["n_qubits"], "n_qubits")
+        if not 1 <= n <= 64:
+            raise ValueError(f"n_qubits must lie in [1, 64], got {n}")
+        gates = []
+        for entry in data.get("gates", []):
+            g = check_object(entry, "gate")["g"]
+            qs = tuple(check_int(q, "gate target q") for q in entry["q"])
+            if not isinstance(g, str) or g not in GATES:
+                raise ValueError(f"unknown gate {g!r}")
+            want = 2 if g in TWO_QUBIT else 1
+            if len(qs) != want:
+                raise ValueError(f"gate {g} takes {want} target(s), got {qs}")
+            if any(q < 0 or q >= n for q in qs):
+                raise DimensionMismatch(f"gate {g} targets {qs} outside 0..{n - 1}")
+            if len(set(qs)) != len(qs):
+                raise ValueError(f"gate {g} has repeated targets {qs}")
+            gates.append((g, qs))
+        return GateCircuit(n, tuple(gates))
 
 
 def random_circuit(n_qubits: int, n_gates: int, rng: np.random.Generator) -> GateCircuit:

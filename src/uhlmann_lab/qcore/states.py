@@ -33,8 +33,9 @@ class BipartiteState:
     split: tuple
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        amps = amps.copy()
+        # A read-only view of the caller's array, no copy (a caller that writes
+        # to it later passes a copy); a file's norm is checked in ``from_pairs``.
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "split", (int(self.split[0]), int(self.split[1])))
@@ -43,16 +44,17 @@ class BipartiteState:
             raise DimensionMismatch(
                 f"split {self.split} does not factor vector of length {amps.shape[0]}")
         check_pure_cap(amps.shape[0])
-        nrm = np.linalg.norm(amps)
-        if not abs(nrm - 1.0) <= _VALIDATE_ATOL:  # NaN fails too
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3g}")
 
     @staticmethod
     def from_pairs(pairs, split) -> "BipartiteState":
-        """The state whose amplitudes are listed as [re, im] number pairs,
-        the form instance and scheme files hold: ``pair_array(pairs)``
+        """The normalized state whose amplitudes are listed as [re, im] number
+        pairs, the form instance and scheme files hold: ``pair_array(pairs)``
         viewed as complex, which gives the bits of complex(re, im)."""
-        return BipartiteState(pair_array(pairs).view(complex), split)
+        state = BipartiteState(pair_array(pairs).view(complex), split)
+        nrm = np.linalg.norm(state.amplitudes)
+        if not abs(nrm - 1.0) <= _VALIDATE_ATOL:  # NaN fails too
+            raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3g}")
+        return state
 
     @property
     def dA(self) -> int:

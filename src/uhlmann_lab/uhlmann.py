@@ -1,8 +1,8 @@
 """Canonical Uhlmann partial isometries, completions, instances, padding.
 
 An instance is a pair of bipartite pure states (psi, phi) with a common
-(dA, dB) split, given either as two circuits on 2n qubits (register A is the
-first n qubits) or as raw state vectors. The canonical cutoff-eta isometry is
+(dA, dB) split, which two circuits on 2n qubits may name (register A is the
+first n qubits; ``circuit_instance``). The canonical cutoff-eta isometry is
 
     W = sgn_eta(Tr_A |phi><psi|),
 
@@ -12,13 +12,14 @@ a dB x dB partial isometry acting on register B that maps psi toward phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInstance, check_density_cap, check_pure_cap
+from .errors import (DimensionMismatch, InvalidInstance, check_density_cap, check_int,
+                     check_object, check_pure_cap)
 from .qcore import linalg
 from .qcore.gates import GateCircuit
 from .qcore.metrics import PartialIsometryOp, cutoff_rank
@@ -46,41 +47,14 @@ class CrossFactors(NamedTuple):
 
 @dataclass(frozen=True)
 class UhlmannInstance:
-    """Circuit pair on 2n qubits, or a raw state pair with a common split.
-    Circuits are simulated once, at construction."""
+    """The state pair (psi, phi) = (|C>, |D>), two BipartiteStates with a
+    common split. A file's circuits are simulated by ``from_json_dict``."""
 
-    n: Optional[int] = None
-    C: Optional[GateCircuit] = None
-    D: Optional[GateCircuit] = None
-    raw_pair: Optional[tuple] = None  # (psi, phi) BipartiteStates
-    _states: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.raw_pair is not None:
-            psi, phi = self.raw_pair
-            if not isinstance(psi, BipartiteState) or not isinstance(phi, BipartiteState):
-                raise InvalidInstance("raw_pair must hold two BipartiteStates")
-            if psi.split != phi.split:
-                raise InvalidInstance(f"raw splits differ: {psi.split} vs {phi.split}")
-            if self.n is not None or self.C is not None or self.D is not None:
-                raise InvalidInstance("instance is either circuit-form or raw-form")
-            pair = self.raw_pair
-        else:
-            if self.n is None or self.C is None or self.D is None:
-                raise InvalidInstance("circuit instance needs n, C and D")
-            if self.n < 1:
-                raise InvalidInstance("n must be positive")
-            for circ in (self.C, self.D):
-                if circ.n_qubits != 2 * self.n:
-                    raise InvalidInstance(
-                        f"circuit acts on {circ.n_qubits} qubits, expected {2 * self.n}")
-            split = (2 ** self.n, 2 ** self.n)
-            pair = (BipartiteState(self.C.state(), split), BipartiteState(self.D.state(), split))
-        object.__setattr__(self, "_states", pair)
+    raw_pair: tuple
 
     @property
     def split(self) -> tuple:
-        return self._states[0].split
+        return self.raw_pair[0].split
 
     @property
     def dA(self) -> int:
@@ -92,7 +66,7 @@ class UhlmannInstance:
 
     def states(self) -> tuple:
         """(psi, phi) = (|C>, |D>) as BipartiteStates."""
-        return self._states
+        return self.raw_pair
 
     @cached_property
     def factors(self) -> CrossFactors:
@@ -124,7 +98,7 @@ class UhlmannInstance:
 
         Only the eta = 0 columns and the singular values are kept.
         """
-        psi, phi = self._states
+        psi, phi = self.raw_pair
         q, r = np.linalg.qr(psi.as_matrix().T)
         keep = np.linalg.norm(r, axis=1) > TRIM / math.sqrt(r.shape[0])
         if not keep.all():
@@ -142,14 +116,23 @@ class UhlmannInstance:
 
     @staticmethod
     def from_json_dict(data: dict) -> "UhlmannInstance":
-        if "raw" in data:
-            raw = data["raw"]
-            split = (int(raw["dA"]), int(raw["dB"]))
-            return UhlmannInstance(raw_pair=(BipartiteState.from_pairs(raw["psi"], split),
-                                             BipartiteState.from_pairs(raw["phi"], split)))
-        return UhlmannInstance(n=int(data["n"]),
-                               C=GateCircuit.from_json_dict(data["C"]),
-                               D=GateCircuit.from_json_dict(data["D"]))
+        """A file's "raw" pair with its split (dA, dB), or circuits "C", "D" on 2n qubits."""
+        if "raw" in check_object(data, "instance"):
+            raw = check_object(data["raw"], "raw")
+            split = (check_int(raw["dA"], "dA"), check_int(raw["dB"], "dB"))
+            return UhlmannInstance((BipartiteState.from_pairs(raw["psi"], split),
+                                    BipartiteState.from_pairs(raw["phi"], split)))
+        return circuit_instance(check_int(data["n"], "n"), GateCircuit.from_json_dict(data["C"]),
+                                GateCircuit.from_json_dict(data["D"]))
+
+
+def circuit_instance(n: int, C: GateCircuit, D: GateCircuit) -> UhlmannInstance:
+    """(|C>, |D>) for circuits on 2n qubits, register A the first n, simulated once, here."""
+    if n < 1 or C.n_qubits != 2 * n or D.n_qubits != 2 * n:
+        raise InvalidInstance(f"need n >= 1 and circuits on 2n qubits, got n = {n} and "
+                              f"{C.n_qubits}, {D.n_qubits} qubits")
+    split = (2 ** n, 2 ** n)
+    return UhlmannInstance((BipartiteState(C.state(), split), BipartiteState(D.state(), split)))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from uhlmann_lab.shannon import (compress, decoder_from_uhlmann, decoupling_expe
                                  decoupling_fidelity, haar_overlap, roundtrip,
                                  truncation_codec)
 from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
-                                 instance_with_fidelity, overlap_instance, qutrit_example,
-                                 random_raw_instance, validate_instance)
+                                 circuit_instance, instance_with_fidelity, overlap_instance,
+                                 qutrit_example, random_raw_instance, validate_instance)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -128,7 +128,7 @@ def test_criterion_04_soundness_envelope():
 def test_criterion_05_amplification():
     start = time.perf_counter()
     epr = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-    x = UhlmannInstance(n=1, C=epr, D=epr)
+    x = circuit_instance(1, epr, epr)
     ok = True
     lines = []
     for nu in (0.4, 0.6, 0.8):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import no_eigensolver
 from uhlmann_lab import cli
@@ -854,6 +854,63 @@ def test_malformed_input_file_exits_2(scenario, content, tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("scenario, text", [
+    ("uhlmann", '"T"'), ("szk", '"m"'), ("amplify", '"s"'), ("uhlmann", '["m"]'),
+    ("qip", "5"), ("commit", "null"), ("channel", '"dilation"'), ("blackhole", "[]"),
+    ("interfere", '"C"'), ("entropy", '"n_qubits"'),
+])
+def test_a_document_that_is_not_an_object_exits_2(scenario, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([scenario, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("scenario, content, field", [
+    ("uhlmann", {"n": 1.5, "C": EPR_GATES, "D": EPR_GATES}, "n"),
+    ("uhlmann", {"n": True, "C": EPR_GATES, "D": EPR_GATES}, "n"),
+    ("uhlmann", {"n": 1, "C": {"n_qubits": 2, "gates": [{"g": "H", "q": [0.5]}]},
+                 "D": EPR_GATES}, "gate target q"),
+    ("commit", {"C0": EPR_GATES, "C1": EPR_GATES, "commit": [0.5]}, "commit"),
+    ("szk", {"instance": {"raw": {"dA": 1.0, "dB": 2, "psi": [[1, 0], [0, 0]],
+                                  "phi": [[1, 0], [0, 0]]}}}, "dA"),
+    ("szk", {"instance": {"n": 1, "C": EPR_GATES, "D": EPR_GATES}, "trials": 4.5}, "trials"),
+    ("channel", {"dilation": EPR_GATES, "n_input": True, "env": [1]}, "n_input"),
+    ("channel", {"dilation": EPR_GATES, "n_input": 1, "env": [1.0]}, "env"),
+    ("blackhole", {"circuit": EPR_GATES, "r": 1.5}, "r"),
+    ("entropy", {"n_qubits": 2.0, "gates": []}, "n_qubits"),
+])
+def test_a_file_integer_field_must_be_an_integer(scenario, content, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code = main([scenario, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {field} must be an integer, got ")
+
+
+def test_the_instance_is_built_after_the_params_are_checked(tmp_path, capsys, monkeypatch):
+    from uhlmann_lab.uhlmann import UhlmannInstance
+
+    def unreachable(data):
+        raise AssertionError("instance built before the --param values were checked")
+
+    inst = qutrit_instance_file(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": json.loads((tmp_path / "qutrit.json").read_text()),
+                                  "m": 0}))
+    monkeypatch.setattr(UhlmannInstance, "from_json_dict", staticmethod(unreachable))
+    for argv, bad in ((["uhlmann", inst, "--param", "eta=-1"], "eta=-1"),
+                      (["szk", inst, "--param", "m=0"], "m=0"),
+                      (["szk", str(config)], "m=0")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --param {bad} out of range")
+
+
 @pytest.mark.parametrize("dA", [100000, 4097])
 def test_generated_instance_cap_is_checked_before_the_locals_are_drawn(dA, capsys,
                                                                        monkeypatch):
@@ -1289,6 +1346,107 @@ def test_fuzzed_params_exit_0_1_or_2_without_a_traceback(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+
+
+_GHZ3 = {"n_qubits": 3, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
+                                  {"g": "CNOT", "q": [1, 2]}]}
+_RAW = {"dA": 1, "dB": 2, "psi": [[1, 0], [0, 0]], "phi": [[0.6, 0], [0, 0.8]]}
+# Well-formed documents every key of which its loader reads: (scenarios, document).
+_FILES = {
+    "instance": (("uhlmann", "szk", "qip"), {"n": 1, "C": EPR_GATES, "D": EPR_GATES}),
+    "raw_instance": (("uhlmann", "szk", "qip"), {"raw": _RAW}),
+    "config": (("szk", "qip"), {"instance": {"raw": _RAW}, "m": 2, "trials": 5,
+                                "prover": "identity", "seed": 1}),
+    "amplify_config": (("amplify",), {"k": 2, "T": 2, "trials": 5, "seed": 1}),
+    "scheme": (("commit",), {"C0": _GHZ3, "C1": EPR_GATES | {"n_qubits": 3}, "commit": [2]}),
+    "raw_scheme": (("commit",), {"raw": {"dC": 2, "dR": 1, "psi0": [[1, 0], [0, 0]],
+                                         "psi1": [[0, 0], [1, 0]]}}),
+    "channel": (("channel",), {"dilation": _GHZ3, "n_input": 1, "env": [2]}),
+    "blackhole": (("blackhole",), {"circuit": _GHZ3, "r": 2}),
+    "interfere": (("interfere",), {"C": {"n_qubits": 2, "gates": [{"g": "H", "q": [1]}]},
+                                   "D": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]},
+                                                                  {"g": "H", "q": [1]}]}}),
+    "state": (("entropy",), _GHZ3),
+}
+_DELETE = "<delete>"
+_ODD = [_DELETE, None, True, False, -1, 0, 1, 2, 3, 99, 0.5, 1.5, 2.0, "", "T", "m", "H",
+        "CNOT", [], [0], [0.5], [0, 0], [1, 2], [3], [[1, 0]], [[1, 0], [0, 1]], [2, 0], {},
+        {"g": "H", "q": [0]}]
+_INT_KEYS = {"n", "n_qubits", "dA", "dB", "dC", "dR", "n_input", "r", "seed", "trials"}
+_INT_LIST_KEYS = {"q", "commit", "env"}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _malformed_file(draw):
+    """(scenario, document name, path, value): the document with the value
+    at ``path`` replaced (``_DELETE`` removes it; the empty path is the
+    whole document)."""
+    name = draw(st.sampled_from(sorted(_FILES)))
+    scenarios, doc = _FILES[name]
+    return (draw(st.sampled_from(scenarios)), name,
+            draw(st.sampled_from(list(_paths(doc)))), draw(st.sampled_from(_ODD)))
+
+
+def _must_refuse(path, old, value) -> bool:
+    """Whether the loaders must refuse ``value`` in place of ``old``: a
+    document that is not an object, a nested object that is not one, or an
+    integer field (or one of its list's entries) that is not an integer.
+    Leaving out seed, trials or instance is allowed."""
+    ints = lambda v: isinstance(v, list) and all(type(q) is int for q in v)
+    key = path[-1] if path else None
+    if value is _DELETE or (value is None and key in ("seed", "trials", "instance")):
+        return False
+    return ((isinstance(old, dict) and not isinstance(value, dict))
+            or (key in _INT_KEYS and type(value) is not int)
+            or (key in _INT_LIST_KEYS and not ints(value))
+            or (isinstance(key, int) and path[-2] in _INT_LIST_KEYS and type(value) is not int))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_malformed_file())
+@example(case=("uhlmann", "instance", (), "T"))
+@example(case=("szk", "instance", (), "m"))
+@example(case=("amplify", "amplify_config", (), "s"))
+@example(case=("uhlmann", "instance", (), ["m"]))
+@example(case=("uhlmann", "instance", ("n",), 1.5))
+@example(case=("uhlmann", "instance", ("n",), True))
+@example(case=("uhlmann", "instance", ("C", "gates", 0, "q", 0), 0.5))
+@example(case=("commit", "scheme", ("commit", 0), 0.5))
+def test_malformed_files_exit_0_1_or_2_without_a_traceback(case, tmp_path_factory):
+    scenario, name, path, value = case
+    scenarios, doc = _FILES[name]
+    old, doc = doc, json.loads(json.dumps(doc))
+    for key in path:
+        old = old[key]
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    file = tmp_path_factory.mktemp("fuzz") / "input.json"
+    file.write_text("" if doc is _DELETE else json.dumps(doc))
+    argv = [scenario, str(file)] + ([] if "config" in name else ["--trials", "5"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    allowed = (2,) if _must_refuse(path, old, value) else (0, 1, 2)
+    assert code in allowed, (case, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), case
 
 
 # ---------------------------------------------------------------------------

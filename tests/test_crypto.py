@@ -7,10 +7,10 @@ from conftest import dilated_channel
 from uhlmann_lab.crypto import (CommitmentScheme, clone_attack_states, clone_fidelity,
                                 commitment_from_instance, evaluate, flavor_switch,
                                 optimal_binding_attack, random_scheme, tensor_amplify)
-from uhlmann_lab.qcore import BipartiteState, fidelity
+from uhlmann_lab.qcore import BipartiteState, fidelity, random_circuit
 from uhlmann_lab.qcore.channels import ChannelDesc
 from uhlmann_lab.qcore.random_ops import haar_unitary
-from uhlmann_lab.rng import child_seed, generator
+from uhlmann_lab.rng import as_seed, child_seed, generator
 from uhlmann_lab.uhlmann import instance_with_fidelity, validate_instance
 
 
@@ -140,10 +140,9 @@ def test_tensor_amplify():
     rep4 = evaluate(tensor_amplify(scheme, 4))
     assert abs(rep4.binding_opt - rep.binding_opt ** 4) < 1e-9
     assert rep4.hiding_stat <= 4 * rep.hiding_stat + 1e-9
-    # Circuit form stays circuit form.
     circ_scheme = random_scheme(1, 1, 10, 8)
     doubled = tensor_amplify(circ_scheme, 2)
-    assert doubled.C0 is not None
+    assert doubled.states()[0].split == (4, 4)
     repc = evaluate(circ_scheme)
     repd = evaluate(doubled)
     assert abs(repd.binding_opt - repc.binding_opt ** 2) < 1e-9
@@ -180,20 +179,32 @@ def test_commitment_from_instance():
 
 def test_circuit_scheme_holds_its_states():
     scheme = random_scheme(1, 2, 8, 17)
+    rng = as_seed(17).child("scheme").generator()
+    circuits = [random_circuit(3, 8, rng) for _ in range(2)]
+    files = [{"n_qubits": 3, "gates": [{"g": g, "q": list(qs)} for g, qs in c.gates]}
+             for c in circuits]
     # Commit register = qubit 2, so the held states are reordered (2 | 0, 1).
-    moved = CommitmentScheme(C0=scheme.C0, C1=scheme.C1, commit_registers=[2])
-    for s in (scheme, moved):
+    moved = CommitmentScheme.from_json_dict({"C0": files[0], "C1": files[1], "commit": [2]})
+    first = CommitmentScheme.from_json_dict({"C0": files[0], "C1": files[1], "commit": [0]})
+    for s in (scheme, moved, first):
         assert s.states() is s.states()
-        assert s.split == (2, 4)
-    for held, circ in zip(moved.states(), (scheme.C0, scheme.C1)):
+        assert s.states()[0].split == (2, 4)
+    for held, circ in zip(moved.states(), circuits):
         want = np.transpose(circ.state().reshape(2, 2, 2), (2, 0, 1)).reshape(-1)
         assert np.array_equal(held.amplitudes, want)
-    for held, circ in zip(scheme.states(), (scheme.C0, scheme.C1)):
-        assert np.array_equal(held.amplitudes, circ.state())
-    same = random_scheme(1, 2, 8, 17)
-    assert same == scheme and hash(same) == hash(scheme)
-    assert moved != scheme
-    assert repr(scheme).endswith(", raw_states=None)")
+    for s in (scheme, first):
+        for held, circ in zip(s.states(), circuits):
+            assert np.array_equal(held.amplitudes, circ.state())
+
+
+@pytest.mark.parametrize("commit, error", [
+    ([], "partition"), ([0, 1, 2], "partition"), ([3], "bad commit"), ([1, 1], "bad commit"),
+    ([0.5], "commit must be an integer"), ([True], "commit must be an integer"),
+])
+def test_scheme_file_commit_registers_are_checked(commit, error):
+    circ = {"n_qubits": 3, "gates": [{"g": "H", "q": [0]}]}
+    with pytest.raises((TypeError, ValueError), match=error):
+        CommitmentScheme.from_json_dict({"C0": circ, "C1": circ, "commit": commit})
 
 
 # ---------------------------------------------------------------------------

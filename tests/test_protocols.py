@@ -23,11 +23,11 @@ from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random
 from uhlmann_lab.qcore.states import tensor_power
 from uhlmann_lab.rng import Seed, generator
 from uhlmann_lab.uhlmann import (UhlmannInstance, apply_uhlmann, canonical_uhlmann,
-                                 instance_with_fidelity, overlap_instance, random_raw_instance,
-                                 unitary_completion, validate_instance)
+                                 circuit_instance, instance_with_fidelity, overlap_instance,
+                                 random_raw_instance, unitary_completion, validate_instance)
 
 EPR_CIRCUIT = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-EPR_INSTANCE = UhlmannInstance(n=1, C=EPR_CIRCUIT, D=EPR_CIRCUIT)
+EPR_INSTANCE = circuit_instance(1, EPR_CIRCUIT, EPR_CIRCUIT)
 
 
 def exact_solver(x: UhlmannInstance) -> FoldedSolver:

@@ -47,12 +47,29 @@ def test_circuit_unitarity_invariant():
         assert np.linalg.norm(u.conj().T @ u - np.eye(8), ord=np.inf) < 1e-10
 
 
+def _read(gates, n_qubits=2):
+    return GateCircuit.from_json_dict({"n_qubits": n_qubits,
+                                       "gates": [{"g": g, "q": q} for g, q in gates]})
+
+
 def test_circuit_validation_errors():
     with pytest.raises(DimensionMismatch):
-        GateCircuit(2, (("H", (5,)),))
-    with pytest.raises(ValueError):
-        GateCircuit(2, (("CNOT", (0, 0)),))
-    with pytest.raises(ValueError):
-        GateCircuit(2, (("NOPE", (0,)),))
+        _read([("H", [5])])
+    with pytest.raises(ValueError, match="repeated"):
+        _read([("CNOT", [0, 0])])
+    with pytest.raises(ValueError, match="unknown gate"):
+        _read([("NOPE", [0])])
+    with pytest.raises(ValueError, match="takes 2"):
+        _read([("CNOT", [0])])
+    for n_qubits in (0, 65, 2 ** 40):  # 2^(2^40) is never formed
+        with pytest.raises(ValueError, match=r"n_qubits must lie in \[1, 64\]"):
+            _read([], n_qubits=n_qubits)
+    for bad in (0.5, True, "0"):
+        with pytest.raises(TypeError, match="gate target q must be an integer"):
+            _read([("H", [bad])])
+    with pytest.raises(TypeError, match="n_qubits must be an integer"):
+        _read([], n_qubits=2.0)
     with pytest.raises(DimensionMismatch):
         GateCircuit(2, ()).apply(np.ones(3) / np.sqrt(3))
+    read = _read([("H", [0]), ("CNOT", [0, 1])])
+    assert read == GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))

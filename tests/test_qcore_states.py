@@ -267,10 +267,16 @@ def test_sgn_eta_rejects_bad_input():
 # state containers
 
 def test_bipartite_state_invariants():
-    with pytest.raises(ValueError):
-        BipartiteState(np.array([1.0, 1.0]), (1, 2))
+    with pytest.raises(ValueError, match="not normalized"):
+        BipartiteState.from_pairs([[1.0, 0], [1.0, 0]], (1, 2))
+    with pytest.raises(ValueError, match="not normalized"):
+        BipartiteState.from_pairs([[float("nan"), 0], [0, 0]], (1, 2))
     with pytest.raises(DimensionMismatch):
         BipartiteState(np.array([1.0, 0, 0]), (2, 2))
+    # The state takes its array: no copy, and a read-only view of it.
+    amps = np.array([0.6, 0.8j])
+    held = BipartiteState(amps, (1, 2)).amplitudes
+    assert np.shares_memory(held, amps) and not held.flags.writeable
     psi = maximally_entangled(3)
     assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-10
     assert np.allclose(psi.reduced_a().matrix, np.eye(3) / 3, atol=1e-12)

@@ -8,9 +8,9 @@ from uhlmann_lab.qcore import linalg
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_clifford
 from uhlmann_lab.rng import child_seed, generator
 from uhlmann_lab.uhlmann import (TRIM, CompletionChannel, UhlmannInstance, apply_uhlmann,
-                                 canonical_uhlmann, cross_operator, instance_with_fidelity,
-                                 pad_instance, qutrit_example, random_raw_instance,
-                                 unitary_completion, validate_instance)
+                                 canonical_uhlmann, circuit_instance, cross_operator,
+                                 instance_with_fidelity, pad_instance, qutrit_example,
+                                 random_raw_instance, unitary_completion, validate_instance)
 
 from conftest import fidelity_eig_oracle
 
@@ -25,7 +25,7 @@ def overlap_after(w_matrix, psi: BipartiteState, phi: BipartiteState) -> float:
 
 def test_validate_equal_circuits():
     circ = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-    info = validate_instance(UhlmannInstance(n=1, C=circ, D=circ))
+    info = validate_instance(circuit_instance(1, circ, circ))
     assert abs(info["kappa"] - 1.0) < 1e-10
     assert info["dA"] == info["dB"] == 2
 
@@ -47,39 +47,43 @@ def test_validate_matches_fidelity_oracle():
 
 def test_invalid_instances_raise():
     with pytest.raises(InvalidInstance):
-        UhlmannInstance(n=1, C=GateCircuit(2, ()), D=GateCircuit(3, ()))
+        circuit_instance(1, GateCircuit(2, ()), GateCircuit(3, ()))
     with pytest.raises(InvalidInstance):
-        UhlmannInstance(n=2, C=GateCircuit(2, ()), D=GateCircuit(2, ()))
+        circuit_instance(2, GateCircuit(2, ()), GateCircuit(2, ()))
+    with pytest.raises(InvalidInstance, match="need n >= 1"):
+        circuit_instance(0, GateCircuit(2, ()), GateCircuit(2, ()))
+    circ = {"n_qubits": 2, "gates": []}
     with pytest.raises(InvalidInstance):
-        psi = BipartiteState(np.array([1, 0, 0, 0.0]), (2, 2))
-        phi = BipartiteState(np.array([1, 0, 0, 0.0]), (4, 1))
-        UhlmannInstance(raw_pair=(psi, phi))
-    with pytest.raises(InvalidInstance):
-        UhlmannInstance()
-    with pytest.raises(InvalidInstance):
-        circ = GateCircuit(2, ())
-        state = BipartiteState(np.array([1, 0, 0, 0.0]), (2, 2))
-        UhlmannInstance(n=1, C=circ, D=circ, raw_pair=(state, state))
+        UhlmannInstance.from_json_dict({"n": 1, "C": circ, "D": {"n_qubits": 3}})
+    for n in (1.5, True, "1"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            UhlmannInstance.from_json_dict({"n": n, "C": circ, "D": circ})
+    with pytest.raises(TypeError, match="dB must be an integer"):
+        UhlmannInstance.from_json_dict({"raw": {"dA": 1, "dB": 2.0, "psi": [[1, 0], [0, 0]],
+                                                "phi": [[1, 0], [0, 0]]}})
+    with pytest.raises(TypeError, match="instance must be a JSON object"):
+        UhlmannInstance.from_json_dict(["n"])
 
 
 def test_circuit_instance_holds_its_states():
     c = GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
     d = GateCircuit(2, (("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("H", (1,))))
-    x = UhlmannInstance(n=1, C=c, D=d)
+    x = circuit_instance(1, c, d)
     assert x.states() is x.states()
     psi, phi = x.states()
     assert np.array_equal(psi.amplitudes, c.state()) and np.array_equal(phi.amplitudes, d.state())
     assert psi.split == phi.split == x.split == (2, 2)
-    same = UhlmannInstance(n=1, C=c, D=d)
-    assert same == x and hash(same) == hash(x) and len({x, same}) == 1
-    assert UhlmannInstance(n=1, C=d, D=c) != x
-    assert repr(x) == f"UhlmannInstance(n=1, C={c!r}, D={d!r}, raw_pair=None)"
+    gates = lambda circ: [{"g": g, "q": list(qs)} for g, qs in circ.gates]
+    read = UhlmannInstance.from_json_dict({"n": 1, "C": {"n_qubits": 2, "gates": gates(c)},
+                                           "D": {"n_qubits": 2, "gates": gates(d)}})
+    for held, want in zip(read.states(), x.states()):
+        assert np.array_equal(held.amplitudes, want.amplitudes) and held.split == want.split
 
 
 def test_over_cap_circuit_instance_fails_at_construction():
     circ = GateCircuit(22, ())
     with pytest.raises(DimensionCapError):
-        UhlmannInstance(n=11, C=circ, D=circ)
+        circuit_instance(11, circ, circ)
 
 
 # ---------------------------------------------------------------------------

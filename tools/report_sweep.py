@@ -38,6 +38,9 @@ EPR = {"n_qubits": 2, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]}
 GHZ3 = {"n_qubits": 3, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
                                  {"g": "CNOT", "q": [1, 2]}]}
 
+EPR2 = {"n_qubits": 4, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 2]},
+                                 {"g": "H", "q": [1]}, {"g": "CNOT", "q": [1, 3]}]}
+
 SCRAMBLER6 = {"n_qubits": 6, "gates": [
     {"g": g, "q": q} for g, q in (("H", [0]), ("CNOT", [0, 1]), ("H", [3]), ("CNOT", [1, 2]),
                                   ("T", [2]), ("CNOT", [3, 4]), ("CZ", [2, 5]), ("H", [5]),
@@ -75,6 +78,16 @@ def input_files() -> dict:
         "qip_config.json": {"instance": {"n": 1, "C": EPR, "D": EPR}, "m": 2,
                             "prep_error": 0.02},
         "scheme.json": {"C0": EPR, "C1": tilted, "commit": [0]},
+        # The commit register is the last qubit, so the held states are reordered.
+        "scheme3.json": {"C0": GHZ3, "C1": {"n_qubits": 3, "gates": [
+            {"g": "H", "q": [0]}, {"g": "T", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
+            {"g": "H", "q": [2]}, {"g": "CNOT", "q": [1, 2]}]}, "commit": [2]},
+        # Two EPR pairs across A = qubits 0, 1 and B = qubits 2, 3, against one
+        # EPR pair and a partly entangled pair, turned on B.
+        "circuit_instance2.json": {"n": 2, "C": EPR2, "D": {"n_qubits": 4, "gates": [
+            {"g": g, "q": q} for g, q in (("H", [0]), ("CNOT", [0, 2]), ("H", [1]), ("T", [1]),
+                                          ("H", [1]), ("CNOT", [1, 3]), ("H", [3]),
+                                          ("CNOT", [2, 3]))]}},
         "channel.json": {"dilation": GHZ3, "n_input": 1, "env": [2]},
         "blackhole.json": {"circuit": GHZ3, "r": 2},
         "blackhole_r1.json": {"circuit": GHZ3, "r": 1},
@@ -114,6 +127,7 @@ COMMANDS = [
     "uhlmann bell55.json",
     "uhlmann bell55.json --param eta=0.5",
     "uhlmann circuit_instance.json",
+    "uhlmann circuit_instance2.json",
     "uhlmann raw256.json",
     "uhlmann raw256_indented.json",
     "szk --param kappa=0.99 --param m=4 --trials 100",
@@ -145,6 +159,7 @@ COMMANDS = [
     "amplify --param k=20000 --param T=3",
     "commit --param schemes=10",
     "commit scheme.json",
+    "commit scheme3.json",
     "commit raw_scheme.json",
     "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
     "channel --param qubits=5",
