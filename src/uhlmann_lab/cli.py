@@ -182,11 +182,11 @@ def _in_interval(name: str, raw, kind, interval: str):
     return value
 
 
-def _seed(value) -> Seed:
-    try:
-        return Seed(int(value))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _seed(value: int) -> Seed:
+    """``--seed`` or a config's seed, the one place a seed enters."""
+    if not 0 <= value < 2 ** 64:
+        raise UsageError(f"seed must be a 64-bit unsigned integer, got {value}")
+    return Seed(value)
 
 
 def _absorb_config(args, data: dict) -> None:
@@ -489,7 +489,7 @@ def run_channel(args):
 
 def _channel_from_file(path: str, data: dict) -> ChannelDesc:
     """The channel of a channel file's dilation circuit. n_input, the
-    circuit's input block and the decoding caps are checked before the
+    circuit's input block, env and the decoding caps are checked before the
     circuit runs, in the order the run would meet them."""
     circuit = GateCircuit.from_json_dict(data["dilation"])
     n = circuit.n_qubits
@@ -497,6 +497,8 @@ def _channel_from_file(path: str, data: dict) -> ChannelDesc:
     _in_interval(f"{path}: n_input", n_input, int, f"[1, {n}]")
     check_pure_cap(circuit.dim * 2 ** n_input)
     env = [check_int(q, "env") for q in data["env"]]
+    if len(set(env)) != len(env) or not all(0 <= q < n for q in env):
+        raise ValueError(f"env {env} must list distinct qubits in [0, {n})")
     shannon.check_decoding_caps(2 ** n_input, 2 ** (n - len(env)), 2 ** len(env))
     return channel_from_circuit(circuit, n_input, env)
 
@@ -550,10 +552,23 @@ def _radiation_from_file(path: str, data: dict):
     return physics.radiation_channel(channel_from_circuit(circuit, 1, ()).isometry, r)
 
 
+def _orth_pair_from_file(data: dict) -> physics.OrthPair:
+    """The circuit pair of an interference file: equal qubit counts, then
+    the interference cap as the pair simulates its states, then orthogonal
+    outputs."""
+    pair = physics.OrthPair(C=GateCircuit.from_json_dict(data["C"]),
+                            D=GateCircuit.from_json_dict(data["D"]))
+    if pair.C.n_qubits != pair.D.n_qubits:
+        raise ValueError("circuits act on different qubit counts")
+    overlap = abs(np.vdot(*pair.vectors()))
+    if overlap > 1e-9:
+        raise ValueError(f"states are not orthogonal: |<C|D>| = {overlap:.3g}")
+    return pair
+
+
 def run_interfere(args):
     if args.inputs:
-        pairs = [_load(args.inputs[0], lambda data: physics.OrthPair(
-            C=GateCircuit.from_json_dict(data["C"]), D=GateCircuit.from_json_dict(data["D"])))]
+        pairs = [_load(args.inputs[0], _orth_pair_from_file)]
     else:
         n, gates = args.p["qubits"], args.p["gates"]
         pairs = []
@@ -582,8 +597,9 @@ SCENARIOS = {
 
 # Each scenario's --param keys as key: (kind, default, range), the range an
 # interval for ``_in_interval``, a tuple of the allowed values, or None for a
-# state spec. ``_parse`` checks every given value before any scenario runs; the
-# bounds that depend on another value (overlap <= kappa, s <= n, r <= qubits) wait for it.
+# state spec. ``_parse`` checks the command line's values before any file is
+# read, and a config's as it fills them; the bounds that depend on another
+# value (overlap <= kappa, s <= n, r <= qubits) wait for it.
 _INSTANCE = {"kappa": (float, 1.0, "[0, 1]"), "overlap": (float, None, "[0, 1]"),
              "dA": (int, 2, "[1, inf)"), "dB": (int, 2, "[1, inf)")}
 _PROVER = {"m": (int, 8, "[1, inf)"), "prover": (str, "honest", ("honest", "identity"))}
@@ -642,27 +658,35 @@ def _parse(argv) -> argparse.Namespace:
     args.seed = _seed(args.seed)
     args.raw_argv = list(argv)
     args.instance = None
+    args.p = {key: default for key, (_, default, _) in PARAMS[args.scenario].items()}
+    given = set(params)
+    _check_params(args, given)  # the command line's, before any file is read
     if args.inputs and args.scenario in ("szk", "qip", "amplify", "uhlmann"):
         _load(args.inputs[0], lambda data: _absorb_config(args, data))
+        _check_params(args, set(params) - given)  # the keys a config filled
+    return args
+
+
+def _check_params(args, keys: set) -> None:
+    """Check the ``--param`` values of ``keys`` and ``--trials`` against the
+    scenario's table, and put the typed values of ``keys`` in ``args.p``."""
     table = PARAMS[args.scenario]
-    unknown = sorted(set(args.params) - set(table))
+    unknown = sorted(keys - set(table))
     if unknown:
         raise UsageError(f"{args.scenario} takes no --param {', '.join(unknown)}; "
                          f"it takes {', '.join(sorted(table))}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    args.p = {}
-    for key, (kind, default, allowed) in table.items():
-        raw = args.params.get(key)
-        if raw is None:
-            args.p[key] = default
-        elif isinstance(allowed, str):
+    for key, (kind, _, allowed) in table.items():
+        if key not in keys:
+            continue
+        raw = args.params[key]
+        if isinstance(allowed, str):
             args.p[key] = _in_interval(f"--param {key}", raw, kind, allowed)
         elif allowed is None or raw in allowed:
             args.p[key] = raw
         else:
             raise UsageError(f"--param {key}={raw} is not one of {', '.join(allowed)}")
-    return args
 
 
 def _dumps(report) -> str:

@@ -8,8 +8,8 @@ states from one Uhlmann solve and runs the Hadamard test with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,37 +41,34 @@ def radiation_channel(columns: np.ndarray, r: int) -> ChannelDesc:
 
 @dataclass(frozen=True)
 class OrthPair:
-    """Two n-qubit circuits with orthogonal output states, simulated once, at
-    construction. The controlled swap between them is solved on first use
-    and held."""
+    """Two n-qubit circuits with orthogonal output states (the ``interfere``
+    loader checks a file's pair). The output states are simulated on first
+    use, after the interference cap, and the controlled swap between them is
+    solved on first use; both are held."""
 
     C: GateCircuit
     D: GateCircuit
-    _vectors: tuple = field(init=False, repr=False, compare=False)
-    _swap: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.C.n_qubits != self.D.n_qubits:
-            raise DimensionMismatch("circuits act on different qubit counts")
+    @cached_property
+    def _vectors(self) -> tuple:
         # The controlled-swap instance is checked before any simulation.
         check_pure_cap(16 * 4 ** self.C.n_qubits, "interference instance")
         a, b = self.C.state(), self.D.state()
-        overlap = abs(np.vdot(a, b))
-        if overlap > 1e-9:
-            raise DimensionMismatch(f"states are not orthogonal: |<C|D>| = {overlap:.3g}")
         for v in (a, b):
             v.setflags(write=False)
-        object.__setattr__(self, "_vectors", (a, b))
+        return a, b
+
+    @cached_property
+    def _swap(self) -> np.ndarray:
+        swap = controlled_swap_from_uhlmann(self)
+        swap.setflags(write=False)
+        return swap
 
     def vectors(self) -> tuple:
         return self._vectors
 
     def controlled_swap(self) -> np.ndarray:
         """``controlled_swap_from_uhlmann(self)``, solved once per pair."""
-        if self._swap is None:
-            swap = controlled_swap_from_uhlmann(self)
-            swap.setflags(write=False)
-            object.__setattr__(self, "_swap", swap)
         return self._swap
 
 

@@ -736,7 +736,7 @@ def _approx_measure_density(tau, psi, k_q: Optional[int]):
     if isinstance(tau, BipartiteState):
         tau = tau.density()
     d_m = psi.shape[0]
-    sigma = DensityOp(np.outer(psi, psi.conj()), (d_m,)).matrix
+    sigma = np.outer(psi, psi.conj())
     # w acts on the measured register, the last of each row index of mat.
     on_last = lambda w, mat: (w @ mat.reshape(-1, d_m, tau.dim)).reshape(tau.dim, tau.dim)
     # Control blocks of 2|+><+|⊗tau: |0><0| is left alone, |1><1| takes the

@@ -89,14 +89,11 @@ def unitary_channel(u: np.ndarray) -> ChannelDesc:
 def channel_from_circuit(circuit: GateCircuit, n_input: int,
                          env_qubits: Sequence[int]) -> ChannelDesc:
     """The channel of a circuit: the first ``n_input`` qubits are the input,
-    the rest start in |0>, and ``env_qubits`` (output indices) are traced.
-    V is the circuit applied to the 2^n_input basis states |i>|0...0>."""
+    the rest start in |0>, and ``env_qubits`` (distinct output indices) are
+    traced. V is the circuit applied to the 2^n_input basis states |i>|0...0>;
+    ``cli`` checks a channel file's n_input and env."""
     n = circuit.n_qubits
-    env_qubits = sorted(int(q) for q in env_qubits)
-    if not (0 < n_input <= n):
-        raise DimensionMismatch(f"n_input {n_input} out of range for {n} qubits")
-    if any(q < 0 or q >= n for q in env_qubits):
-        raise DimensionMismatch(f"env qubits {env_qubits} out of range")
+    env_qubits = sorted(env_qubits)
     d_in = 2 ** n_input
     check_pure_cap(circuit.dim * d_in)
     inputs = np.zeros((circuit.dim, d_in), dtype=complex)

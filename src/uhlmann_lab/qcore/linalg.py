@@ -120,36 +120,6 @@ def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[in
     return np.trace(tensor, axis1=2, axis2=3)
 
 
-def is_diagonal(m: np.ndarray) -> bool:
-    """True when every off-diagonal entry of the square matrix ``m`` is exactly 0.
-
-    Read in place: past its first entry, the flattened D×D matrix is D-1
-    rows of D+1 entries, D off-diagonal ones followed by a diagonal one.
-    """
-    d = m.shape[0]
-    return d < 2 or not m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any()
-
-
-# Rows per band in hermitian_residual: the transposed read of 16 columns
-# stays in cache.
-_BAND = 16
-
-
-def hermitian_residual(m: np.ndarray) -> float:
-    """``np.linalg.norm(m - m^dag, ord=np.inf)`` over bands of rows, with no
-    d x d temporary.
-
-    The norm is the largest absolute row sum; each row is summed exactly as
-    in the whole-matrix call, so the value is bit-identical.
-    """
-    d = m.shape[0]
-    row_sums = np.empty(d)
-    for start in range(0, d, _BAND):
-        rows = slice(start, start + _BAND)
-        row_sums[rows] = np.abs(m[rows] - m[:, rows].conj().T).sum(axis=1)
-    return row_sums.max(initial=0)
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 

@@ -17,13 +17,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Seed:
-    """A 64-bit unsigned seed value."""
+    """A 64-bit unsigned seed value (``cli`` checks a given seed's range)."""
 
     value: int
-
-    def __post_init__(self):
-        if not (0 <= int(self.value) < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.value}")
 
     def child(self, tag: str, index: int = 0) -> "Seed":
         return Seed(child_seed(self.value, tag, index))

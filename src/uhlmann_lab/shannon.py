@@ -47,10 +47,10 @@ def entropies(rho, epsilon: float = 0.0) -> EntropyReport:
     value.
 
     ``rho`` is a DensityOp or a SpectralState; the latter is read through its
-    spectrum alone. An exactly diagonal rho = diag(p) costs O(D^2) as a
-    DensityOp and O(D) as a SpectralState: its spectrum is p, and with
-    s_b = sum_a p_ab the Renyi-2 term is -log2 sum_ab p_ab^2 / s_b over the b
-    that ``psd_power`` keeps in the support of sigma = diag(s).
+    spectrum alone. A diagonal SpectralState rho = diag(p) costs O(D): its
+    spectrum is p, and with s_b = sum_a p_ab the Renyi-2 term is
+    -log2 sum_ab p_ab^2 / s_b over the b that ``psd_power`` keeps in the
+    support of sigma = diag(s).
     """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
@@ -59,7 +59,7 @@ def entropies(rho, epsilon: float = 0.0) -> EntropyReport:
     h_max = 2.0 * math.log2(np.sqrt(vals).sum())
     if len(rho.dims) < 2:
         h2 = -math.log2(float(np.sum(vals ** 2)))
-    elif rho.is_diagonal:
+    elif isinstance(rho, SpectralState) and rho.is_diagonal:
         p = rho.diagonal().reshape(rho.dims[0], -1)
         s = p.sum(0)
         keep = s > 1e-12 * max(s.max(), 1.0)

@@ -508,6 +508,36 @@ def test_interference_cap_is_checked_before_any_circuit_is_simulated(capsys, mon
     assert captured.out == "" and "interference instance dimension 4194304" in captured.err
 
 
+@pytest.mark.parametrize("d_gates, reason", [
+    ([{"g": "H", "q": [1]}], "states are not orthogonal: |<C|D>| = 1"),
+    (None, "circuits act on different qubit counts")], ids=["not_orthogonal", "qubit_counts"])
+def test_interfere_file_pair_must_be_orthogonal_on_equal_qubits(d_gates, reason, tmp_path,
+                                                                capsys):
+    c = {"n_qubits": 2, "gates": [{"g": "H", "q": [1]}]}
+    d = {"n_qubits": 2, "gates": d_gates} if d_gates else {"n_qubits": 3, "gates": []}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"C": c, "D": d}))
+    code = main(["interfere", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "-1"], None), (["--seed", str(2 ** 64)], None), ([], {"seed": 2 ** 64})])
+def test_a_seed_outside_64_bits_exits_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"instance": {"n": 1, "C": EPR_GATES, "D": EPR_GATES},
+                                    **config}))
+        argv = [str(path)] + argv
+    code = main(["szk"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    value = config["seed"] if config else argv[-1]
+    assert captured.err == f"error: seed must be a 64-bit unsigned integer, got {value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["uhlmann", "--param", "kappa=0.7", "--param", "dA=3", "--param", "dB=4"],
     ["szk", "--param", "kappa=0.9", "--param", "m=3", "--trials", "20"],
@@ -744,6 +774,20 @@ def test_channel_file_checks_the_decoding_caps_before_simulating(tmp_path, capsy
                                    "4194304 exceeds cap 1048576")
 
 
+@pytest.mark.parametrize("env", [[2, 2], [3], [-1]], ids=["repeated", "past_n", "negative"])
+def test_channel_file_env_lists_distinct_qubits(env, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("circuit simulated")
+
+    monkeypatch.setattr(GateCircuit, "apply", never)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"dilation": _GHZ3, "n_input": 1, "env": env}))
+    code = main(["channel", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: env {env} must list distinct qubits in [0, 3)\n"
+
+
 @pytest.mark.parametrize("scenario, content, what", [
     ("channel", {"dilation": {"n_qubits": 40, "gates": []}, "n_input": 1, "env": [39]},
      "state vector dimension 2199023255552"),
@@ -897,6 +941,9 @@ def test_the_instance_is_built_after_the_params_are_checked(tmp_path, capsys, mo
     def unreachable(data):
         raise AssertionError("instance built before the --param values were checked")
 
+    def unread(path):
+        raise AssertionError("file read before the command-line --param values were checked")
+
     inst = qutrit_instance_file(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"instance": json.loads((tmp_path / "qutrit.json").read_text()),
@@ -905,7 +952,11 @@ def test_the_instance_is_built_after_the_params_are_checked(tmp_path, capsys, mo
     for argv, bad in ((["uhlmann", inst, "--param", "eta=-1"], "eta=-1"),
                       (["szk", inst, "--param", "m=0"], "m=0"),
                       (["szk", str(config)], "m=0")):
-        code = main(argv)
+        # A command-line value is checked before the first file is read at all.
+        with monkeypatch.context() as patch:
+            if "--param" in argv:
+                patch.setattr(cli, "_load_json", unread)
+            code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: --param {bad} out of range")

@@ -176,11 +176,6 @@ def test_interference_promise_violation_detected():
         interference_detect(pair, np.array([1.0, 0]))
 
 
-def test_orth_pair_rejects_non_orthogonal():
-    with pytest.raises(DimensionMismatch):
-        OrthPair(C=GateCircuit(1, ()), D=GateCircuit(1, ()))
-
-
 def test_orth_pair_holds_its_vectors():
     c = GateCircuit(2, (("H", (1,)),))
     d = GateCircuit(2, (("X", (0,)), ("H", (1,))))

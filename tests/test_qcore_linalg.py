@@ -112,34 +112,3 @@ def test_psd_power_raises_no_warning_on_rank_deficient_input():
         warnings.simplefilter("error")
         inv_root = linalg.psd_power(m, -0.5)
     assert np.allclose(inv_root, np.diag([1.0, 2.0 ** -0.5, 0.0, 0.0]), atol=1e-15)
-
-
-def test_is_diagonal_sees_every_off_diagonal_entry():
-    for d in range(1, 6):
-        assert linalg.is_diagonal(np.diag(np.arange(1.0, d + 1)).astype(complex))
-        for i, j in itertools.product(range(d), repeat=2):
-            if i != j:
-                for entry in (1e-300, 1e-300j):
-                    m = np.eye(d, dtype=complex)
-                    m[i, j] = entry
-                    assert not linalg.is_diagonal(m), (d, i, j, entry)
-
-
-def test_is_diagonal_on_strided_views():
-    big = np.diag(np.arange(1.0, 9.0))
-    assert linalg.is_diagonal(big[::2, ::2])
-    big[0, 6] = 1.0
-    assert not linalg.is_diagonal(big[::2, ::2])
-    assert not linalg.is_diagonal(big.T[::2, ::2])
-    assert linalg.is_diagonal(big[1::2, 1::2])
-
-
-def test_hermitian_residual_equals_inf_norm_bit_for_bit():
-    rng = generator(12)
-    for d in (1, 5, 37, 100):  # 37 and 100 are not multiples of the band
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        skewed = a + a.conj().T
-        skewed[-1, 0] += 10.0  # the largest row sum sits in the last band
-        for m in (a, skewed, a + a.conj().T, linalg.hermitize(a)):
-            got = linalg.hermitian_residual(m)
-            assert got.tobytes() == np.linalg.norm(m - m.conj().T, ord=np.inf).tobytes()

@@ -89,6 +89,7 @@ def input_files() -> dict:
                                           ("H", [1]), ("CNOT", [1, 3]), ("H", [3]),
                                           ("CNOT", [2, 3]))]}},
         "channel.json": {"dilation": GHZ3, "n_input": 1, "env": [2]},
+        "channel_env22.json": {"dilation": GHZ3, "n_input": 1, "env": [2, 2]},  # refused
         "blackhole.json": {"circuit": GHZ3, "r": 2},
         "blackhole_r1.json": {"circuit": GHZ3, "r": 1},
         "blackhole_r3.json": {"circuit": GHZ3, "r": 3},
@@ -96,6 +97,7 @@ def input_files() -> dict:
         "pair.json": {"C": {"n_qubits": 2, "gates": [{"g": "H", "q": [1]}]},
                       "D": {"n_qubits": 2, "gates": [{"g": "X", "q": [0]},
                                                      {"g": "H", "q": [1]}]}},
+        "pair_parallel.json": {"C": EPR, "D": EPR},  # not orthogonal: refused
         "state.json": GHZ3,
         # Pair lists of ~2.9 MB and ~1.5 MB: longer than the CLI's read slice.
         "raw256.json": {"raw": {"dA": 256, "dB": 256, "psi": _haar_pairs(256 * 256, 1),
@@ -168,6 +170,7 @@ COMMANDS = [
     "channel --param qubits=11",
     "channel --param qubits=13",
     "channel channel.json",
+    "channel channel_env22.json",
     "compress --param source=mm:3 --param s=2 --param seeds=2",
     "compress --param source=diag:0.7,0.1,0.1,0.1,0,0,0,0 --param s=1",
     "compress --param source=haar:8 --param seeds=2",
@@ -192,6 +195,7 @@ COMMANDS = [
     "blackhole blackhole6.json",
     "interfere --param pairs=3",
     "interfere pair.json",
+    "interfere pair_parallel.json",
     "interfere --param qubits=9",
     "interfere --param qubits=6 --param pairs=10",
     "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
@@ -201,6 +205,7 @@ COMMANDS = [
     "entropy --param state=haar:512",
     "entropy --param state=mm:12",
     "entropy state.json",
+    "entropy --param state=diag:0.5,0.6",
 ]
 
 
