@@ -5,7 +5,8 @@ A scheme is a pair of states |psi_b> (a file may name them by circuits),
 with a designated commit register C sent to the receiver; the reveal
 register R is the complement. Statistical security is what the
 simulator certifies: hiding is the Helstrom trace distance and binding the
-Uhlmann fidelity of the commit-register reduced states.
+Uhlmann fidelity of the commit-register reduced states. ``assess`` computes
+them, the optimal attack and the flavor switch on stacks of schemes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, check_int, check_object, check_pure_cap
 from .qcore import linalg
 from .qcore.channels import ChannelDesc, push_factor
-from .qcore.gates import GateCircuit, random_circuit
+from .qcore.gates import GateCircuit, circuit_states, random_circuit
 from .qcore.metrics import factor_fidelity, factor_trace_distance
 from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
@@ -73,29 +74,24 @@ def evaluate(scheme: CommitmentScheme, attack=None) -> SecurityReport:
     reduced states, plus the fidelity achieved by a supplied reveal-register
     attack channel or unitary. The commit-register states are M M^dag for the
     amplitude matrices M, so both are taken on the factors."""
-    s0, s1 = scheme.states()
-    m0, m1 = s0.as_matrix(), s1.as_matrix()
-    hiding = factor_trace_distance(m0, m1)
-    binding = factor_fidelity(m0, m1)
-    attack_fid = None
-    if attack is not None:
-        attack_fid = binding_attack_fidelity(scheme, attack)
-    return SecurityReport(hiding, binding, attack_fid)
+    m0, m1 = (s.as_matrix() for s in scheme.states())
+    attack_fid = None if attack is None else binding_attack_fidelity(scheme, attack)
+    return SecurityReport(factor_trace_distance(m0, m1), factor_fidelity(m0, m1), attack_fid)
 
 
 def binding_attack_fidelity(scheme: CommitmentScheme, attack) -> float:
     """F((id_C ⊗ A)(psi_0), psi_1) for an attack on the reveal register.
 
     psi_1 is pure, so this is <psi_1|out|psi_1>: |<psi_1|out>|^2 for a
-    unitary, and ||L^dag psi_1||^2 for a channel, whose output is the factor L.
+    unitary (``unitary_attack_fidelity``), and ||L^dag psi_1||^2 for a
+    channel, whose output is the factor L.
     """
     s0, s1 = scheme.states()
     dC, dR = s0.split
     if isinstance(attack, np.ndarray):
         if attack.shape != (dR, dR):
             raise DimensionMismatch(f"attack shape {attack.shape}, reveal dim {dR}")
-        out = (s0.as_matrix() @ attack.T).reshape(-1)
-        return factor_fidelity(out, s1.amplitudes)
+        return unitary_attack_fidelity(s0.as_matrix(), s1.as_matrix(), attack)
     if isinstance(attack, ChannelDesc):
         if attack.d_in != dR or attack.d_out != dR:
             raise DimensionMismatch(
@@ -103,6 +99,13 @@ def binding_attack_fidelity(scheme: CommitmentScheme, attack) -> float:
         out = push_factor(attack, s0.amplitudes.reshape(-1, 1), before=dC)
         return factor_fidelity(out, s1.amplitudes)
     raise DimensionMismatch("attack must be a unitary matrix or ChannelDesc")
+
+
+def unitary_attack_fidelity(m0: np.ndarray, m1: np.ndarray, attack: np.ndarray):
+    """|<psi_1|(id_C ⊗ A)|psi_0>|^2 from the amplitude matrices, (..., dC, dR),
+    and the unitary A, (..., dR, dR): (id_C ⊗ A)|psi_0> has the matrix M_0 A^T."""
+    column = m0.shape[:-2] + (-1, 1)
+    return factor_fidelity((m0 @ attack.swapaxes(-1, -2)).reshape(column), m1.reshape(column))
 
 
 def optimal_binding_attack(scheme: CommitmentScheme) -> np.ndarray:
@@ -123,15 +126,21 @@ def flavor_switch(scheme: CommitmentScheme) -> CommitmentScheme:
     """
     s0, s1 = scheme.states()
     dC, dR = s0.split
-    out_states = []
+    return CommitmentScheme(tuple(BipartiteState(m.reshape(-1), (2 * dR, dC))
+                                  for m in switched(s0.as_matrix(), s1.as_matrix())))
+
+
+def switched(m0: np.ndarray, m1: np.ndarray) -> tuple:
+    """The amplitude matrices (..., 2 dR, dC) of the ``flavor_switch`` of the
+    schemes whose psi_0 and psi_1 have the matrices (..., dC, dR)."""
+    dC, dR = m0.shape[-2:]
+    check_pure_cap(2 * dC * dR)
+    out = []
     for b in (0, 1):
-        amp = np.zeros((2, dC, dR), dtype=complex)
-        amp[0] = s0.as_matrix() / np.sqrt(2)
-        amp[1] = ((-1) ** b) * s1.as_matrix() / np.sqrt(2)
+        amp = np.stack([m0 / np.sqrt(2), ((-1) ** b) * m1 / np.sqrt(2)], axis=-3)
         # (flag, C, R) -> (flag, R, C); C' = (flag, R), R' = C.
-        vec = linalg.permute_rows(amp.reshape(-1), [2, dC, dR], [0, 2, 1])
-        out_states.append(BipartiteState(vec, (2 * dR, dC)))
-    return CommitmentScheme(raw_states=tuple(out_states))
+        out.append(amp.swapaxes(-1, -2).reshape(m0.shape[:-2] + (2 * dR, dC)))
+    return tuple(out)
 
 
 def tensor_amplify(scheme: CommitmentScheme, k: int) -> CommitmentScheme:
@@ -158,11 +167,35 @@ def commitment_from_instance(x: UhlmannInstance) -> CommitmentScheme:
 
 def random_scheme(n_commit: int, n_reveal: int, n_gates: int, seed) -> CommitmentScheme:
     """Two random circuits' states; the commit register is their first n_commit qubits."""
-    rng = as_seed(seed).child("scheme").generator()
+    m0, m1 = random_schemes(n_commit, n_reveal, n_gates, [seed])
+    return CommitmentScheme(tuple(BipartiteState(m[0].reshape(-1), m.shape[1:])
+                                  for m in (m0, m1)))
+
+
+def random_schemes(n_commit: int, n_reveal: int, n_gates: int, seeds) -> tuple:
+    """psi_0's and psi_1's amplitude matrices, (len(seeds), 2^n_commit,
+    2^n_reveal) each, of ``random_scheme`` at each seed: each scheme's
+    circuits from its own stream, all simulated in one ``circuit_states``."""
     n = n_commit + n_reveal
-    circuits = [random_circuit(n, n_gates, rng) for _ in range(2)]
-    return CommitmentScheme(tuple(BipartiteState(c.state(), (2 ** n_commit, 2 ** n_reveal))
-                                  for c in circuits))
+    circuits = []
+    for seed in seeds:
+        rng = as_seed(seed).child("scheme").generator()
+        circuits += [random_circuit(n, n_gates, rng) for _ in range(2)]
+    states = circuit_states(circuits).reshape(len(seeds), 2, 2 ** n_commit, 2 ** n_reveal)
+    return states[:, 0], states[:, 1]
+
+
+def assess(m0: np.ndarray, m1: np.ndarray) -> tuple:
+    """Hiding, binding, the optimal attack's fidelity and the switched hiding
+    of each scheme of the stacks m0, m1 (B, dC, dR), equal bit for bit to
+    ``evaluate`` scheme by scheme. The attack is one Uhlmann solve per scheme
+    (their ranks differ); each metric runs once on the stack."""
+    split = m0.shape[1:]
+    attacks = np.stack([optimal_binding_attack(CommitmentScheme(
+        (BipartiteState(a.reshape(-1), split), BipartiteState(b.reshape(-1), split))))
+        for a, b in zip(m0, m1)])
+    return (factor_trace_distance(m0, m1), factor_fidelity(m0, m1),
+            unitary_attack_fidelity(m0, m1, attacks), factor_trace_distance(*switched(m0, m1)))
 
 
 # ---------------------------------------------------------------------------

@@ -588,11 +588,13 @@ def _partial_swap_step(mat: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndar
     """Tr_Q[e^{i dt S}(mat ⊗ sigma_Q)e^{-i dt S}], S swapping the last register X of
     ``mat`` with Q, in the Lloyd–Mohseni–Rebentrost closed form
     cos² dt mat + sin² dt Tr_X(mat)⊗sigma + i sin dt cos dt [1⊗sigma, mat]."""
-    d = sigma.shape[0]
-    r = mat.reshape(-1, d, mat.shape[0] // d, d)
+    d, n = sigma.shape[0], mat.shape[0]
+    r = mat.reshape(-1, d, n // d, d)
     c, s = math.cos(dt), math.sin(dt)
-    swapped = np.einsum("axbx->ab", r)[:, None, :, None] * sigma[None, :, None, :]
-    comm = np.einsum("xy,aybz->axbz", sigma, r) - np.einsum("axby,yz->axbz", r, sigma)
+    swapped = np.trace(r, axis1=1, axis2=3)[:, None, :, None] * sigma[None, :, None, :]
+    # (1⊗sigma) mat and mat (1⊗sigma), as products over X's row and column.
+    comm = (sigma @ mat.reshape(-1, d, n)).reshape(r.shape) - (mat.reshape(-1, d) @ sigma
+                                                              ).reshape(r.shape)
     return (c * c * r + s * s * swapped + 1j * s * c * comm).reshape(mat.shape)
 
 

@@ -26,10 +26,10 @@ class ChannelDesc:
     out_split: tuple  # (d_out, d_env)
 
     def __post_init__(self):
-        # The channel takes the array it is given (a copy only to make it
-        # complex and contiguous) and marks it read-only: a caller that
-        # writes to its array later passes a copy.
-        v = np.ascontiguousarray(self.isometry, dtype=complex)
+        # A read-only view of the caller's array (a copy only to make it
+        # complex and contiguous), which stays writable: a caller that writes
+        # to it later passes a copy.
+        v = np.ascontiguousarray(self.isometry, dtype=complex).view()
         v.setflags(write=False)
         object.__setattr__(self, "isometry", v)
         object.__setattr__(self, "out_split", (int(self.out_split[0]), int(self.out_split[1])))

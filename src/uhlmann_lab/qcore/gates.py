@@ -7,7 +7,9 @@ unitary. Qubit 0 is the most significant bit of the state index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..errors import DimensionMismatch, check_int, check_object, check_pure_cap
@@ -31,6 +33,11 @@ GATES = {
 
 TWO_QUBIT = {"CNOT", "CZ", "SWAP"}
 
+# The gate matrices of each size stacked, and each gate's (size, slot) in them.
+_NAMES = {size: [g for g, m in GATES.items() if len(m) == size] for size in (2, 4)}
+_BY_SIZE = {size: np.stack([GATES[g] for g in names]) for size, names in _NAMES.items()}
+_SLOT = {g: (size, slot) for size, names in _NAMES.items() for slot, g in enumerate(names)}
+
 
 @dataclass(frozen=True)
 class GateCircuit:
@@ -45,16 +52,13 @@ class GateCircuit:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the circuit to a state vector of matching dimension, or to
-        each column of a (dim, k) matrix."""
+        each column of a (dim, k) matrix: ``run_gates`` on a stack of one."""
         if vec.ndim not in (1, 2) or vec.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"state dimension {vec.shape} does not match {self.n_qubits} qubits")
         check_pure_cap(vec.size)
-        out = vec.astype(complex).reshape(-1)
         dims = (2,) * self.n_qubits + vec.shape[1:]
-        for g, qs in self.gates:
-            out = linalg.apply_matrix_to_registers(out, dims, GATES[g], qs)
-        return out.reshape(vec.shape)
+        return run_gates([self], vec.astype(complex).reshape(1, -1), dims).reshape(vec.shape)
 
     def state(self) -> np.ndarray:
         """The state prepared from |0...0>."""
@@ -89,6 +93,59 @@ class GateCircuit:
                 raise ValueError(f"gate {g} has repeated targets {qs}")
             gates.append((g, qs))
         return GateCircuit(n, tuple(gates))
+
+
+def run_gates(circuits, stack: np.ndarray, dims: tuple) -> np.ndarray:
+    """Run circuits[i] on row i of the complex (len(circuits), prod(dims))
+    ``stack``, which may be overwritten, and return the rows. The gates act on
+    the leading (qubit) registers of ``dims``.
+
+    Step t applies each circuit's t-th gate, if it has one. The circuits are
+    grouped by target tuple, and one matmul applies a group's stacked gate
+    matrices to its rows' ``_register_plan`` reshape: each row gets the bits
+    ``apply_matrix_to_registers`` would give it.
+    """
+    for step in range(max((len(c.gates) for c in circuits), default=0)):
+        groups = {}
+        for i, c in enumerate(circuits):
+            if step < len(c.gates):
+                g, qs = c.gates[step]
+                size, slot = _SLOT[g]
+                rows, slots = groups.setdefault((qs, size), ([], []))
+                rows.append(i)
+                slots.append(slot)
+        for (qs, size), (rows, slots) in groups.items():
+            shape, forward, flat, middle, backward = _stack_plan(dims, qs)
+            if flat[1] != size:
+                raise DimensionMismatch(f"a {size}x{size} gate does not act on targets {qs}")
+            mats = _BY_SIZE[size][slots[0] if len(slots) == 1 else slots]
+            full = len(rows) == len(stack)
+            tensor = (stack if full else stack[rows]).reshape(shape).transpose(forward)
+            out = (mats @ tensor.reshape(flat)).reshape(middle).transpose(backward)
+            if full:
+                stack = out.reshape(len(rows), -1)
+            else:
+                stack[rows] = out.reshape(len(rows), -1)
+    return stack
+
+
+@functools.lru_cache(maxsize=1024)
+def _stack_plan(dims: tuple, targets: tuple) -> tuple:
+    """``linalg._register_plan`` with a leading axis for the rows of a stack."""
+    shape, forward, flat, middle, backward = linalg._register_plan(dims, targets)
+    lift = lambda axes: (0,) + tuple(a + 1 for a in axes)
+    return (-1,) + shape, lift(forward), (-1,) + flat, (-1,) + middle, lift(backward)
+
+
+def circuit_states(circuits) -> np.ndarray:
+    """The states that circuits of one width prepare from |0...0>, one row
+    each, simulated together by ``run_gates``. Each state is held to the pure
+    cap; the caller bounds how many it stacks."""
+    dim = 2 ** circuits[0].n_qubits
+    check_pure_cap(dim)
+    stack = np.zeros((len(circuits), dim), dtype=complex)
+    stack[:, 0] = 1.0
+    return run_gates(circuits, stack, (2,) * circuits[0].n_qubits)
 
 
 def random_circuit(n_qubits: int, n_gates: int, rng: np.random.Generator) -> GateCircuit:

@@ -121,7 +121,8 @@ def partial_trace_matrix(rho: np.ndarray, dims: Sequence[int], keep: Sequence[in
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """(M + M^dag) / 2, for M or for each matrix of a stack (..., d, d)."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -46,9 +46,18 @@ def trace_distance(rho, sigma) -> float:
 def _factor_pair(l, k) -> tuple:
     l, k = (np.asarray(f, dtype=complex) for f in (l, k))
     l, k = (f.reshape(-1, 1) if f.ndim == 1 else f for f in (l, k))
-    if l.shape[0] != k.shape[0]:
-        raise DimensionMismatch(f"factor rows {l.shape[0]} vs {k.shape[0]}")
+    if l.shape[-2] != k.shape[-2]:
+        raise DimensionMismatch(f"factor rows {l.shape[-2]} vs {k.shape[-2]}")
     return l, k
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _clamped(val):
+    val = np.clip(val, 0.0, 1.0)  # a float for one pair, an array for a stack
+    return float(val) if val.ndim == 0 else val
 
 
 def reduce_factor(l: np.ndarray) -> np.ndarray:
@@ -58,24 +67,27 @@ def reduce_factor(l: np.ndarray) -> np.ndarray:
     reduced QR L^dag = Q R: then L = R^dag Q^dag, so L L^dag = R^dag R, and
     ||L^dag K||_1 = ||R K||_1 for any K (Q^dag has orthonormal rows).
     """
-    return np.linalg.qr(l.conj().T, mode="r").conj().T if l.shape[1] > l.shape[0] else l
+    return _dagger(np.linalg.qr(_dagger(l), mode="r")) if l.shape[-1] > l.shape[-2] else l
 
 
-def factor_fidelity(l, k) -> float:
+def factor_fidelity(l, k):
     """F(L L^dag, K K^dag) = ||L^dag K||_1^2 (Uhlmann form), clamped to [0,1].
 
     L and K are factors (one column each for a pure state, a purification's
     amplitude matrix for its reduced state, a channel's output with the
     environment in the columns). Each is first narrowed by
     ``reduce_factor``, so the decomposed product is at most rows x rows,
-    however wide the factors are.
+    however wide the factors are. Like every factor metric, it broadcasts
+    over stacks (..., rows, cols); ``float_power`` squares by ``pow`` as a
+    float's ``** 2`` does (an array's multiplies), so each pair of a stack
+    gets its own call's bits.
     """
     l, k = (reduce_factor(f) for f in _factor_pair(l, k))
-    val = np.linalg.svd(l.conj().T @ k, compute_uv=False).sum() ** 2
-    return float(np.clip(val, 0.0, 1.0))
+    sv = np.linalg.svd(_dagger(l) @ k, compute_uv=False)
+    return _clamped(np.float_power(sv.sum(axis=-1), 2))
 
 
-def factor_trace_distance(l, k) -> float:
+def factor_trace_distance(l, k):
     """td(L L^dag, K K^dag), clamped to [0,1], inside span[L, K].
 
     With the reduced QR [L | K] = Q [R1 | R2], the difference
@@ -83,11 +95,10 @@ def factor_trace_distance(l, k) -> float:
     the small core, so one eigvalsh of size min(rows, k_L + k_K) gives td.
     """
     l, k = _factor_pair(l, k)
-    r = np.linalg.qr(np.hstack([l, k]), mode="r")
-    r1, r2 = r[:, :l.shape[1]], r[:, l.shape[1]:]
-    core = r1 @ r1.conj().T - r2 @ r2.conj().T
-    vals = np.linalg.eigvalsh(linalg.hermitize(core))
-    return float(np.clip(0.5 * np.abs(vals).sum(), 0.0, 1.0))
+    r = np.linalg.qr(np.concatenate([l, k], axis=-1), mode="r")
+    r1, r2 = r[..., :l.shape[-1]], r[..., l.shape[-1]:]
+    vals = np.linalg.eigvalsh(linalg.hermitize(r1 @ _dagger(r1) - r2 @ _dagger(r2)))
+    return _clamped(0.5 * np.abs(vals).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,11 @@ class PartialIsometryOp:
     right: np.ndarray
 
     def __post_init__(self):
-        # The operator takes the arrays it is given (a copy only to make them
-        # complex and contiguous) and marks them read-only: a caller that
-        # writes to its array later passes a copy.
+        # Read-only views of the arrays it is given (a copy only to make them
+        # complex and contiguous), which stay writable: a caller that writes
+        # to its array later passes a copy.
         for name in ("left", "right"):
-            m = np.ascontiguousarray(getattr(self, name), dtype=complex)
+            m = np.ascontiguousarray(getattr(self, name), dtype=complex).view()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 

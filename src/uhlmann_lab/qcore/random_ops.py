@@ -240,9 +240,13 @@ def random_clifford(n: int, seed, columns=None) -> np.ndarray:
     return u
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR with the standard phase fix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def haar_unitary(d: int, rng: np.random.Generator, columns: int = None) -> np.ndarray:
+    """Haar-random unitary via QR with the standard phase fix, or its first
+    ``columns`` columns: the same d x d draw, and the QR of those columns only
+    (Householder QR builds each column from those before it)."""
+    cols = slice(None, columns)
+    z = (rng.standard_normal((d, d))[:, cols] + 1j * rng.standard_normal((d, d))[:, cols]
+         ) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph = ph / np.abs(ph)

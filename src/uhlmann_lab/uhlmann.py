@@ -142,8 +142,8 @@ class CompletionChannel:
     unitary: np.ndarray
 
     def __post_init__(self):
-        # Takes ownership, as PartialIsometryOp does.
-        u = np.ascontiguousarray(self.unitary, dtype=complex)
+        # A read-only view, as PartialIsometryOp takes.
+        u = np.ascontiguousarray(self.unitary, dtype=complex).view()
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
 
@@ -250,25 +250,28 @@ def instance_with_fidelity(kappa: float, dA: int, dB: int, seed) -> UhlmannInsta
     """Instance with reduced-state fidelity exactly kappa, rotated by random locals.
 
     Base pair: psi = |00>, phi = sqrt(kappa)|00> + sqrt(1-kappa)|11>, then a
-    common local unitary U_A ⊗ U_B (which leaves kappa invariant).
+    common local unitary U_A ⊗ U_B (which leaves kappa invariant). The base
+    pair lives on the first two basis states of each side, so only the first
+    two columns of each local (one when its dimension is 1) are factored.
     """
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
     if min(dA, dB) < 2 and kappa < 1.0:
         raise DimensionMismatch("need dA, dB >= 2 for kappa < 1")
-    # Each local unitary is as large as a density operator of its dimension.
+    # Each local's Gaussian draw is as large as a density operator of its dimension.
     check_density_cap(dA, "local unitary")
     check_density_cap(dB, "local unitary")
     check_pure_cap(dA * dB, "instance state")
     rng = as_seed(seed).child("fid-instance").generator()
-    psi = np.zeros((dA, dB), dtype=complex)
-    phi = np.zeros((dA, dB), dtype=complex)
+    ka, kb = min(2, dA), min(2, dB)
+    psi = np.zeros((ka, kb), dtype=complex)
+    phi = np.zeros((ka, kb), dtype=complex)
     psi[0, 0] = 1.0
     phi[0, 0] = np.sqrt(kappa)
     if kappa < 1.0:
         phi[1, 1] = np.sqrt(1.0 - kappa)
-    ua = haar_unitary(dA, rng)
-    ub = haar_unitary(dB, rng)
+    ua = haar_unitary(dA, rng, columns=ka)
+    ub = haar_unitary(dB, rng, columns=kb)
     psi = ua @ psi @ ub.T
     phi = ua @ phi @ ub.T
     return UhlmannInstance(raw_pair=(BipartiteState(psi.reshape(-1), (dA, dB)),

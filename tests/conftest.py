@@ -71,6 +71,17 @@ def kron_oracle_unitary(circ: GateCircuit) -> np.ndarray:
     return u
 
 
+def gate_by_gate(circ: GateCircuit, vec: np.ndarray = None) -> np.ndarray:
+    """The circuit applied to ``vec`` (default |0...0>), or to each column of a
+    (dim, k) matrix, one ``apply_matrix_to_registers`` call per gate."""
+    vec = linalg.basis_vector(circ.dim, 0) if vec is None else vec
+    out = vec.astype(complex).reshape(-1)
+    dims = (2,) * circ.n_qubits + vec.shape[1:]
+    for g, qs in circ.gates:
+        out = linalg.apply_matrix_to_registers(out, dims, GATES[g], qs)
+    return out.reshape(vec.shape)
+
+
 def partial_trace_oracle(rho: np.ndarray, dims, keep) -> np.ndarray:
     """Explicit index-summation partial trace."""
     dims = list(dims)

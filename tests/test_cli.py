@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import no_eigensolver
-from uhlmann_lab import cli
+from conftest import gate_by_gate, no_eigensolver
+from uhlmann_lab import cli, crypto
 from uhlmann_lab.cli import _state_from_spec, main
 from uhlmann_lab.protocols import default_dme_copies, dme_error_bound
-from uhlmann_lab.qcore.gates import GateCircuit
+from uhlmann_lab.qcore import gates
+from uhlmann_lab.qcore.gates import GateCircuit, random_circuit
 from uhlmann_lab.qcore.metrics import PartialIsometryOp
 from uhlmann_lab.qcore.random_ops import haar_state_vector
+from uhlmann_lab.qcore.states import BipartiteState
 from uhlmann_lab.rng import Seed, as_seed
 
 
@@ -100,6 +102,62 @@ def test_commit_scenario(capsys):
     code, report = run_cli(capsys, "commit", "--param", "schemes=20", "--seed", "3")
     assert code == 0
     assert report["pass"]
+
+
+def _per_scheme_commit(args):
+    """The commit scenario one scheme at a time, as it ran before its schemes
+    were stacked: each scheme's two circuits drawn from its own stream and
+    run gate by gate, then evaluate, optimal_binding_attack and flavor_switch
+    on that scheme alone."""
+    n_c, n_r, n_gates = args.p["commit_qubits"], args.p["reveal_qubits"], args.p["gates"]
+    split = (2 ** n_c, 2 ** n_r)
+    worst_mlc, worst_flavor, reports = 1.0, -1.0, []
+    for i in range(args.p["schemes"]):
+        rng = as_seed(args.seed.child("scheme", i).value).child("scheme").generator()
+        circuits = [random_circuit(n_c + n_r, n_gates, rng) for _ in range(2)]
+        scheme = crypto.CommitmentScheme(tuple(BipartiteState(gate_by_gate(c), split)
+                                               for c in circuits))
+        rep = crypto.evaluate(scheme, attack=crypto.optimal_binding_attack(scheme))
+        worst_mlc = min(worst_mlc, rep.hiding_stat - (1 - math.sqrt(rep.binding_opt)))
+        switched = crypto.evaluate(crypto.flavor_switch(scheme))
+        worst_flavor = max(worst_flavor, switched.hiding_stat - math.sqrt(rep.binding_opt))
+        reports.append({"hiding_stat": rep.hiding_stat, "binding_opt": rep.binding_opt,
+                        "binding_attack": rep.binding_attack,
+                        "switched_hiding": switched.hiding_stat})
+    results = {"count": args.p["schemes"], "schemes": reports[:10],
+               "worst_mlc_margin": worst_mlc, "worst_flavor_excess": worst_flavor}
+    return results, [
+        cli._check("mayers_lo_chau", -worst_mlc, 1e-9, "hiding >= 1 - sqrt(binding) - 1e-9"),
+        cli._check("flavor_switch_law", worst_flavor, 1e-8,
+                   "switched hiding <= sqrt(binding) + 1e-8")]
+
+
+@pytest.mark.parametrize("schemes", [1, 10, 150])
+@pytest.mark.parametrize("split", [(2, 2), (1, 3), (3, 1), (5, 5)])  # 5/5: blocks of 32
+def test_commit_report_equals_the_per_scheme_loop(split, schemes, capsys, monkeypatch):
+    argv = ["commit", "--param", f"schemes={schemes}", "--param", f"commit_qubits={split[0]}",
+            "--param", f"reveal_qubits={split[1]}"]
+    for seed in ("0", "5", "19"):
+        stacked = (main(argv + ["--seed", seed]), capsys.readouterr().out)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.SCENARIOS, "commit", _per_scheme_commit)
+            reference = (main(argv + ["--seed", seed]), capsys.readouterr().out)
+        assert stacked == reference and json.loads(stacked[1])["results"]["count"] == schemes
+
+
+def test_commit_memory_is_bounded_by_the_block(capsys):
+    # At 10 qubits a block is 32 schemes, whose metrics peak near 12 MiB; 100
+    # schemes stacked at once would peak near 37 MiB.
+    assert cli._COMMIT_BLOCK // 2 ** 11 == 32
+    tracemalloc.start()
+    try:
+        code = main(["commit", "--param", "commit_qubits=5", "--param", "reveal_qubits=5",
+                     "--param", "schemes=100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["results"]["count"] == 100
+    assert peak < 16 * 2 ** 20
 
 
 def test_interfere_scenario(capsys):
@@ -336,12 +394,14 @@ def test_each_circuit_is_simulated_once(scenario, circuits, tmp_path, capsys, mo
     argv = {"commit": ["commit", "--param", "schemes=3"],
             "interfere": ["interfere", "--param", "pairs=3"],
             "szk": ["szk", circuit_szk_config_file(tmp_path)]}[scenario]
+    # Every simulation goes through the one gate loop, a stack of circuits per call.
     calls = []
-    real = GateCircuit.state
-    monkeypatch.setattr(GateCircuit, "state", lambda self: calls.append(self) or real(self))
+    real = gates.run_gates
+    monkeypatch.setattr(gates, "run_gates",
+                        lambda circs, *rest: calls.extend(circs) or real(circs, *rest))
     code, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) == circuits
+    assert len(calls) == len(set(map(id, calls))) == circuits
 
 
 def test_over_cap_circuit_instance_exits_2(tmp_path, capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dilated_channel
-from uhlmann_lab.crypto import (CommitmentScheme, clone_attack_states, clone_fidelity,
+from conftest import dilated_channel, gate_by_gate
+from uhlmann_lab.crypto import (CommitmentScheme, assess, clone_attack_states, clone_fidelity,
                                 commitment_from_instance, evaluate, flavor_switch,
-                                optimal_binding_attack, random_scheme, tensor_amplify)
+                                optimal_binding_attack, random_scheme, random_schemes,
+                                tensor_amplify)
 from uhlmann_lab.qcore import BipartiteState, fidelity, random_circuit
 from uhlmann_lab.qcore.channels import ChannelDesc
 from uhlmann_lab.qcore.random_ops import haar_unitary
@@ -195,6 +196,41 @@ def test_circuit_scheme_holds_its_states():
     for s in (scheme, first):
         for held, circ in zip(s.states(), circuits):
             assert np.array_equal(held.amplitudes, circ.state())
+
+
+@pytest.mark.parametrize("split", [(2, 2), (2, 8), (8, 2), (1, 4), (4, 1)])
+def test_assessed_stack_equals_each_scheme_bit_for_bit(split):
+    # Random schemes, and two whose attack has rank 0 (orthogonal commit
+    # registers): one stack against evaluate, the optimal attack and
+    # flavor_switch scheme by scheme. dR > dC takes reduce_factor's QR.
+    dC, dR = split
+    schemes = [_raw_scheme(50 + i, dC, dR) for i in range(5)]
+    if dC > 1:
+        first, last = np.zeros((dC, dR)), np.zeros((dC, dR))
+        first[0, 0], last[dC - 1, dR - 1] = 1.0, 1.0
+        for a, b in ((first, last), (last, first)):
+            schemes.append(CommitmentScheme(
+                (BipartiteState(a.reshape(-1), split), BipartiteState(b.reshape(-1), split))))
+    m0, m1 = (np.stack([sc.states()[b].as_matrix() for sc in schemes]) for b in (0, 1))
+    hiding, binding, attack, switched = assess(m0, m1)
+    for i, scheme in enumerate(schemes):
+        rep = evaluate(scheme, attack=optimal_binding_attack(scheme))
+        assert (hiding[i], binding[i], attack[i]) == (
+            rep.hiding_stat, rep.binding_opt, rep.binding_attack)
+        assert switched[i] == evaluate(flavor_switch(scheme)).hiding_stat
+    if dC > 1:
+        assert binding[-1] == binding[-2] == 0.0 and hiding[-1] == 1.0
+
+
+def test_random_schemes_draw_each_scheme_from_its_own_stream():
+    # The stack holds, bit for bit, each seed's two circuits run gate by gate.
+    seeds = [child_seed(4, "block", i) for i in range(7)]
+    m0, m1 = random_schemes(1, 3, 12, seeds)
+    assert m0.shape == m1.shape == (7, 2, 8)
+    for i, seed in enumerate(seeds):
+        rng = as_seed(seed).child("scheme").generator()
+        for m in (m0, m1):
+            assert np.array_equal(m[i].reshape(-1), gate_by_gate(random_circuit(4, 12, rng)))
 
 
 @pytest.mark.parametrize("commit, error", [

@@ -102,6 +102,15 @@ def test_trace_preservation_reads_the_anc_state_columns():
     assert abs(check_trace_preserving(ch) - max(abs(t - 1) for t in traces)) < 1e-15
 
 
+def test_channel_takes_a_read_only_view():
+    # Like BipartiteState: the caller's complex contiguous array is held
+    # without a copy, and only the channel's view of it is read-only.
+    u = np.eye(2, dtype=complex)
+    ch = ChannelDesc(u, (2, 1))
+    assert np.shares_memory(ch.isometry, u) and not ch.isometry.flags.writeable
+    assert u.flags.writeable
+
+
 def test_channel_from_circuit():
     # CNOT dilation, env = target qubit: dephasing on the control.
     circ = GateCircuit(2, (("CNOT", (0, 1)),))

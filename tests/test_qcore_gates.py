@@ -3,9 +3,10 @@ import pytest
 
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.qcore import GATES, GateCircuit, random_circuit
+from uhlmann_lab.qcore.gates import TWO_QUBIT, circuit_states, run_gates
 from uhlmann_lab.rng import generator
 
-from conftest import kron_oracle_unitary
+from conftest import gate_by_gate, kron_oracle_unitary
 
 
 def test_all_gate_matrices_exactly_unitary():
@@ -73,3 +74,49 @@ def test_circuit_validation_errors():
         GateCircuit(2, ()).apply(np.ones(3) / np.sqrt(3))
     read = _read([("H", [0]), ("CNOT", [0, 1])])
     assert read == GateCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
+
+
+def _every_gate(n_qubits: int) -> GateCircuit:
+    """Each gate of GATES on the last qubits (in reverse order), then on the first."""
+    gates = []
+    for g in GATES:
+        if g not in TWO_QUBIT:
+            gates += [(g, (n_qubits - 1,)), (g, (0,))]
+        elif n_qubits > 1:
+            gates += [(g, (n_qubits - 1, n_qubits - 2)), (g, (0, 1))]
+    return GateCircuit(n_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
+def test_gate_loop_equals_gate_by_gate_application_bit_for_bit(n_qubits):
+    # Circuits of unequal lengths, the empty one included, and every gate of
+    # GATES, simulated together; the one-circuit stack of GateCircuit.apply too.
+    rng = generator(100 + n_qubits)
+    circuits = [random_circuit(n_qubits, int(rng.integers(0, 25)), rng) for _ in range(30)]
+    circuits += [GateCircuit(n_qubits, ()), _every_gate(n_qubits)]
+    assert {g for c in circuits for g, _ in c.gates} >= (
+        set(GATES) if n_qubits > 1 else set(GATES) - TWO_QUBIT)
+    states = circuit_states(circuits)
+    assert states.shape == (len(circuits), 2 ** n_qubits)
+    for circ, row in zip(circuits, states):
+        want = gate_by_gate(circ)
+        assert np.array_equal(row, want)
+        assert np.array_equal(circ.state(), want)
+    columns = np.eye(2 ** n_qubits)[:, ::2]
+    for circ in circuits[-2:] + circuits[:3]:
+        assert np.array_equal(circ.apply(columns), gate_by_gate(circ, columns))
+
+
+def test_gate_loop_runs_each_row_through_its_own_circuit():
+    # Row i of any starting stack goes through circuit i only.
+    rng = generator(9)
+    circuits = [random_circuit(3, 12, rng) for _ in range(5)]
+    stack = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    want = [gate_by_gate(c, v) for c, v in zip(circuits, stack)]
+    assert np.array_equal(run_gates(circuits, stack.copy(), (2, 2, 2)), want)
+
+
+def test_gate_of_the_wrong_size_for_its_targets_is_refused():
+    for gates in ((("H", (0, 1)),), (("CNOT", (0,)),)):
+        with pytest.raises(DimensionMismatch):
+            GateCircuit(2, gates).state()

@@ -222,6 +222,34 @@ def test_factor_forms_reject_mismatched_rows():
         factor_trace_distance(np.ones((3, 1)), np.ones((4, 1)))
 
 
+@pytest.mark.parametrize("rows, cols_l, cols_k, rank", [
+    (4, 4, 4, None), (2, 8, 8, None), (2, 8, 3, None), (3, 5, 2, 1), (8, 1, 1, None),
+    (6, 3, 7, 2)])
+def test_stacked_factor_forms_equal_each_pair_bit_for_bit(rows, cols_l, cols_k, rank):
+    # Stacks (..., rows, cols), wide factors (reduce_factor's QR) and
+    # rank-deficient ones included, give each pair's own float, bit for bit.
+    rng = generator(47)
+    ls = np.stack([_factor(rows, cols_l, rng, rank) for _ in range(6)])
+    ks = np.stack([_factor(rows, cols_k, rng, rank) for _ in range(6)])
+    ks[0] = 0.0 if cols_l != cols_k else ls[0]  # a zero factor, or an equal pair
+    for metric in (factor_fidelity, factor_trace_distance):
+        want = [metric(l, k) for l, k in zip(ls, ks)]
+        assert all(type(w) is float for w in want)
+        assert np.array_equal(metric(ls, ks), want)
+        grid = metric(ls.reshape(2, 3, rows, cols_l), ks.reshape(2, 3, rows, cols_k))
+        assert grid.shape == (2, 3) and np.array_equal(grid.reshape(-1), want)
+
+
+def test_stacked_fidelity_squares_as_each_pair_does():
+    # An array's ** 2 rounds unlike a float's (pow) in ~1 of 1200 values, so
+    # 4000 pure pairs would show a stack squared the other way.
+    rng = generator(48)
+    ls, ks = (np.stack([haar_state_vector(3, rng) for _ in range(4000)])[..., None]
+              for _ in range(2))
+    want = [factor_fidelity(l, k) for l, k in zip(ls, ks)]
+    assert np.array_equal(factor_fidelity(ls, ks), want)
+
+
 # ---------------------------------------------------------------------------
 # sgn_eta
 

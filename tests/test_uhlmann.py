@@ -336,6 +336,8 @@ def test_partial_isometry_and_completion_take_their_arrays():
     u = w.completion()
     channel = CompletionChannel(u)
     assert np.shares_memory(channel.unitary, u) and not channel.unitary.flags.writeable
+    # Only the held views are read-only; the caller's arrays stay writable.
+    assert right.flags.writeable and u.flags.writeable
 
 
 def test_completion_of_zero_isometry_is_identity():

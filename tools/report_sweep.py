@@ -147,6 +147,8 @@ COMMANDS = [
     "qip --param kappa=0.9 --param dA=128 --param dB=64 --param m=2",
     "qip --param kappa=0.9 --param dA=512 --param dB=512 --param m=3",
     "szk --param kappa=0.9 --param dA=512 --param dB=512 --param m=3",
+    "qip --param kappa=1 --param dA=1 --param dB=4096 --param m=2",
+    "szk --param kappa=1 --param dA=1 --param dB=4096 --param m=2",
     "amplify --param k=2 --trials 50",
     "amplify --param k=4 --param nu=0.4 --param T=5",
     "amplify --param k=5 --param nu=0.2 --param T=6",
@@ -164,6 +166,10 @@ COMMANDS = [
     "commit scheme3.json",
     "commit raw_scheme.json",
     "commit --param commit_qubits=5 --param reveal_qubits=5 --param schemes=2",
+    "commit --param commit_qubits=1 --param reveal_qubits=3",
+    "commit --param commit_qubits=3 --param reveal_qubits=1",
+    "commit --param schemes=150",
+    "commit --param gates=0",
     "channel --param qubits=5",
     "channel --param qubits=8",
     "channel --param qubits=10",
