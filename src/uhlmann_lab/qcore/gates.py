@@ -65,11 +65,6 @@ class GateCircuit:
         check_pure_cap(self.dim)
         return self.apply(linalg.basis_vector(self.dim, 0))
 
-    def unitary(self) -> np.ndarray:
-        """Materialize the full 2^n x 2^n unitary."""
-        check_pure_cap(self.dim * self.dim, "materialized circuit unitary")
-        return self.apply(np.eye(self.dim, dtype=complex))
-
     @staticmethod
     def from_json_dict(data: dict) -> "GateCircuit":
         """A file's circuit, checked where it enters: n_qubits in [1, 64], and

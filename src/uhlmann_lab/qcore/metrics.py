@@ -133,12 +133,6 @@ class PartialIsometryOp:
     def rank(self) -> int:
         return self.left.shape[1]
 
-    def check(self, atol: float = 1e-9) -> None:
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        bad = np.minimum(np.abs(sv), np.abs(sv - 1.0)).max(initial=0.0)
-        if bad > atol:
-            raise ValueError(f"singular values deviate from {{0,1}} by {bad:.3g}")
-
     def completion_factors(self) -> tuple:
         """(Q, V) with U = I + Q (V - I) Q^dag a unitary that agrees with W on
         its support.

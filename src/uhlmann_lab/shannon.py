@@ -163,33 +163,6 @@ def decoder_from_uhlmann(ch: ChannelDesc) -> dict:
     return {"decoder": decoder, "fidelity": factor_fidelity(target, out)}
 
 
-def commitment_channel(scheme) -> ChannelDesc:
-    """The qubit channel |b> -> Tr_XB(|theta_b><theta_b|) whose decodability
-    mirrors the commitment's binding.
-
-    |theta_b> = 2^{-1/2} sum_a X^a|b> ⊗ |a> ⊗ |psi_a> with output registers
-    (A, E = commit register) and environment (X, B = reveal register).
-    """
-    s0, s1 = scheme.states()
-    dC, dR = s0.split
-    d_total = 2 * 2 * dC * dR
-    check_pure_cap(2 * d_total, "commitment channel isometry")
-    x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    # Isometry |b> -> (A, X, C, R) amplitudes.
-    cols = np.zeros((d_total, 2), dtype=complex)
-    for b in (0, 1):
-        amp = np.zeros((2, 2, dC, dR), dtype=complex)
-        for a, state in ((0, s0), (1, s1)):
-            vb = np.zeros(2, dtype=complex)
-            vb[b] = 1.0
-            vb = np.linalg.matrix_power(x_gate, a) @ vb
-            amp[:, a, :, :] += np.einsum("i,cr->icr", vb, state.as_matrix()) / np.sqrt(2)
-        cols[:, b] = amp.reshape(-1)
-    # Output registers (A, X, C, R) -> out (A, C), env (X, R).
-    return ChannelDesc(linalg.permute_rows(cols, [2, 2, dC, dR], [0, 2, 1, 3]),
-                       (2 * dC, 2 * dR))
-
-
 def decoupling_experiment(rho: DensityOp, s: int, samples: int, seed) -> dict:
     """Sampled-Clifford decoupling: measure the first n-s qubits of A.
 

@@ -1,4 +1,4 @@
-"""Canonical Uhlmann partial isometries, completions, instances, padding.
+"""Canonical Uhlmann partial isometries, completions and instances.
 
 An instance is a pair of bipartite pure states (psi, phi) with a common
 (dA, dB) split, which two circuits on 2n qubits may name (register A is the
@@ -207,32 +207,6 @@ def apply_uhlmann(x: UhlmannInstance, eta: float, target: BipartiteState) -> Bip
     t = target.as_matrix()
     out = t + ((t @ q.conj()) @ (v - np.eye(v.shape[0])).T) @ q.T
     return BipartiteState(out.reshape(-1), target.split)
-
-
-def pad_instance(x: UhlmannInstance, alpha: float) -> UhlmannInstance:
-    """Mix each state with a flag-orthogonal branch to raise the fidelity.
-
-    Returns the raw instance with states
-        |E> = sqrt(alpha)|0>|C>|0> + sqrt(1-alpha)|1>|1...1>|1>
-    (and likewise |F>), split ((2 dA, 2 dB)). The reduced states are
-    block-diagonal along the flag, so the padded fidelity is exactly
-        (alpha*sqrt(kappa) + 1 - alpha)^2
-    in the squared convention; to reach a target kappa_2 choose
-    alpha <= (1 - sqrt(kappa_2)) / (1 - sqrt(kappa_1)).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    psi, phi = x.states()
-    dA, dB = x.split
-
-    def padded(state: BipartiteState) -> BipartiteState:
-        # Register order (a, A, B, b) regrouped as A' = (a, A), B' = (B, b).
-        amp = np.zeros((2, dA, dB, 2), dtype=complex)
-        amp[0, :, :, 0] = np.sqrt(alpha) * state.as_matrix()
-        amp[1, dA - 1, dB - 1, 1] = np.sqrt(1.0 - alpha)
-        return BipartiteState(amp.reshape(-1), (2 * dA, 2 * dB))
-
-    return UhlmannInstance(raw_pair=(padded(psi), padded(phi)))
 
 
 # ---------------------------------------------------------------------------

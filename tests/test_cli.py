@@ -160,6 +160,20 @@ def test_commit_memory_is_bounded_by_the_block(capsys):
     assert peak < 16 * 2 ** 20
 
 
+def test_commit_refuses_an_over_cap_flavor_switch_before_any_draw(capsys, monkeypatch):
+    # 20 qubits fit the state cap, but the switched pair has 2^21 amplitudes.
+    def unreachable(*args):
+        raise AssertionError("schemes drawn before the cap check")
+
+    monkeypatch.setattr(crypto, "random_schemes", unreachable)
+    code = main(["commit", "--param", "commit_qubits=10", "--param", "reveal_qubits=10",
+                 "--param", "schemes=1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: flavor-switched scheme state dimension 2097152 "
+                            "exceeds cap 1048576\n")
+
+
 def test_interfere_scenario(capsys):
     code, report = run_cli(capsys, "interfere", "--param", "pairs=5", "--seed", "2")
     assert code == 0
@@ -1165,6 +1179,21 @@ def test_parser_built_once_prints_what_a_fresh_parser_prints(argv, capsys):
             pytest.raises(SystemExit):
         cli._build_parser().parse_intermixed_args(argv)
     assert (pinned.out, pinned.err) == (out.getvalue(), err.getvalue())
+
+
+def test_help_lists_every_scenario_param_with_its_default(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    listed = {}
+    for line in out[out.index("--param keys by scenario"):].splitlines()[1:]:
+        if line.startswith("    "):
+            listed[scenario].append(line.split()[0])
+        else:
+            scenario = line.strip()
+            listed[scenario] = []
+    assert listed == {scenario: [f"{key}={'unset' if default is None else default}"
+                                 for key, (_, default, _) in table.items()]
+                      for scenario, table in cli.PARAMS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import dilated_channel, gate_by_gate
-from uhlmann_lab.crypto import (CommitmentScheme, assess, clone_attack_states, clone_fidelity,
-                                commitment_from_instance, evaluate, flavor_switch,
+from uhlmann_lab.crypto import (CommitmentScheme, assess, evaluate, flavor_switch,
                                 optimal_binding_attack, random_scheme, random_schemes,
                                 tensor_amplify)
 from uhlmann_lab.qcore import BipartiteState, fidelity, random_circuit
 from uhlmann_lab.qcore.channels import ChannelDesc
 from uhlmann_lab.qcore.random_ops import haar_unitary
 from uhlmann_lab.rng import as_seed, child_seed, generator
-from uhlmann_lab.uhlmann import instance_with_fidelity, validate_instance
+from uhlmann_lab.uhlmann import instance_with_fidelity
 
 
 def _raw_scheme(seed, dC=2, dR=2):
@@ -166,15 +165,16 @@ def test_tensor_amplify_keeps_perfect_hiding():
 
 
 def test_commitment_from_instance():
+    # The instance's states as a scheme, commit register = register A.
     x = instance_with_fidelity(1.0, 2, 2, 4)
-    rep = evaluate(commitment_from_instance(x))
+    rep = evaluate(CommitmentScheme(x.raw_pair))
     assert rep.hiding_stat < 1e-8
     x = instance_with_fidelity(0.99, 2, 2, 5)
-    rep = evaluate(commitment_from_instance(x))
+    rep = evaluate(CommitmentScheme(x.raw_pair))
     assert abs(rep.binding_opt - 0.99) < 1e-9
     assert rep.hiding_stat <= math.sqrt(1 - 0.99) + 1e-9
     x = instance_with_fidelity(0.0, 2, 2, 6)
-    rep = evaluate(commitment_from_instance(x))
+    rep = evaluate(CommitmentScheme(x.raw_pair))
     assert rep.binding_opt < 1e-9
 
 
@@ -242,48 +242,3 @@ def test_scheme_file_commit_registers_are_checked(commit, error):
     with pytest.raises((TypeError, ValueError), match=error):
         CommitmentScheme.from_json_dict({"C0": circ, "C1": circ, "commit": commit})
 
-
-# ---------------------------------------------------------------------------
-# Cloning attacks
-
-def test_clone_orthogonal_family_perfect_adversary():
-    fam = [np.array([1.0, 0]), np.array([0, 1.0])]
-    res = clone_attack_states(fam, 1, np.eye(2))
-    assert abs(res["kappa_lower"] - 1.0) < 1e-12
-    assert validate_instance(res["instance"])["kappa"] >= res["kappa_lower"] - 1e-9
-    assert clone_fidelity(res) > 1 - 1e-9
-
-
-def test_clone_uniform_adversary_quarter():
-    fam = [np.array([1.0, 0]), np.array([0, 1.0])]
-    res = clone_attack_states(fam, 1, np.full((2, 2), 0.5))
-    assert abs(res["kappa_lower"] - 0.25) < 1e-12
-    assert validate_instance(res["instance"])["kappa"] >= 0.25 - 1e-9
-
-
-def test_clone_subspace_family():
-    # Subspace-style states on 2 qubits; a coherent basis measurement gives a
-    # realizable adversary, whose kappa_lower must lower-bound the fidelity.
-    fam = [np.array([1.0, 0, 0, 0]),
-           np.array([1.0, 1, 0, 0]) / math.sqrt(2),
-           np.array([1.0, 0, 1, 0]) / math.sqrt(2),
-           np.array([1.0, 0, 0, 1]) / math.sqrt(2)]
-    basis, _ = np.linalg.qr(np.stack(fam, axis=1))
-    eps = np.array([[abs(basis[:, j].conj() @ fam[k]) ** 2 for j in range(4)]
-                    for k in range(4)])
-    res = clone_attack_states(fam, 2, eps)
-    kappa = validate_instance(res["instance"])["kappa"]
-    assert kappa >= res["kappa_lower"] - 1e-9
-    assert clone_fidelity(res) >= res["kappa_lower"] - 1e-9
-
-
-def test_clone_rejects_complex_family():
-    fam = [np.array([1.0, 1j]) / math.sqrt(2), np.array([1.0, 1.0]) / math.sqrt(2)]
-    with pytest.raises(ValueError):
-        clone_attack_states(fam, 1, np.eye(2))
-
-
-def test_clone_rejects_bad_adversary():
-    fam = [np.array([1.0, 0]), np.array([0, 1.0])]
-    with pytest.raises(ValueError):
-        clone_attack_states(fam, 1, np.full((2, 2), 0.7))

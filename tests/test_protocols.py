@@ -10,10 +10,9 @@ from conftest import dilated_channel, permute_registers_dm, swap_matrix
 from uhlmann_lab.errors import DimensionMismatch
 from uhlmann_lab.protocols import (AmplifierConfig, FoldedSolver, OracleConfig,
                                    ProverStrategy, amplification_bound, amplify_run,
-                                   amplify_run_incoherent, approx_measure,
-                                   default_dme_copies, dme,
+                                   approx_measure, default_dme_copies, dme,
                                    dme_error_bound, dme_exact_unitary, engineered_solver,
-                                   folded_fidelity, partial_swap, qip_run,
+                                   folded_fidelity, qip_run,
                                    szk_conditional_output, szk_run, szk_simulator_distance,
                                    szk_trials)
 from uhlmann_lab.qcore import (BipartiteState, DensityOp, GateCircuit, fidelity, linalg,
@@ -578,7 +577,6 @@ def test_amplifier_solver_dimension_check():
     for sol, what in ((wide, "solver acts on dim 4"),
                       (FoldedSolver(epr.u, np.eye(4), epr.theta), "junk acts on dim 4")):
         for run in (lambda: amplify_run(EPR_INSTANCE, sol, cfg, 10),
-                    lambda: amplify_run_incoherent(EPR_INSTANCE, sol, cfg, 10),
                     lambda: folded_fidelity(EPR_INSTANCE, sol, 2)):
             with pytest.raises(DimensionMismatch, match=f"{what}, expected 2"):
                 run()
@@ -590,18 +588,6 @@ def test_amplifier_coherent_matches_folded_expectation():
     res = amplify_run(EPR_INSTANCE, sol, AmplifierConfig(2, 2, Seed(9)), 400)
     assert abs(res["empirical_fidelity"] - res["exact_mean_fidelity"]) \
         <= 3 * res["stderr"] + 1e-6
-
-
-def test_amplifier_incoherent_variant_agrees():
-    # Sampling the measurements gives the same mean fidelity as the coherent
-    # record, up to Monte-Carlo error.
-    from uhlmann_lab.protocols import amplify_run_incoherent
-    sol, _ = engineered_solver(EPR_INSTANCE, 2, 0.6)
-    coherent = amplify_run(EPR_INSTANCE, sol, AmplifierConfig(2, 3, Seed(4)), 50)
-    sampled = amplify_run_incoherent(EPR_INSTANCE, sol,
-                                     AmplifierConfig(2, 3, Seed(4)), 300)
-    assert abs(sampled["empirical_fidelity"] - coherent["exact_mean_fidelity"]) \
-        <= 4 * sampled["stderr"] + 0.01
 
 
 # Dense amplifier reference: every operator is a matrix on the joint space
@@ -686,29 +672,6 @@ class DenseAmplifier:
         out = self.r @ self.start
         return float(np.real(out.conj() @ self.blocks(self.phi, range(self.k)) @ out))
 
-    def incoherent(self, cfg, trials):
-        rng = cfg.seed.child("amplify-incoherent").generator()
-        samples = []
-        for _ in range(trials):
-            i = int(rng.integers(self.k))
-            p, q = self.projectors(i)
-            vec = self.start
-            for _ in range(cfg.T):
-                hit = p(vec)
-                prob = float(np.real(hit.conj() @ hit))
-                if rng.random() < prob:
-                    vec = hit / np.sqrt(prob)
-                else:
-                    vec = (vec - hit) / np.sqrt(max(1e-300, 1.0 - prob))
-                succ = q(vec)
-                prob = float(np.real(succ.conj() @ succ))
-                if rng.random() < prob:
-                    vec = succ / np.sqrt(prob)
-                    break
-                vec = (vec - succ) / np.sqrt(max(1e-300, 1.0 - prob))
-            samples.append(self.readout(vec, i))
-        return samples
-
 
 def _triple_product_solver(x, theta, junk=None):
     """The product-form solver of the exact transporter u, the junk J
@@ -783,10 +746,6 @@ def test_amplifier_matches_dense_reference(name, kind, k, T):
     # One walk per index class, i = 0 and i >= 1: the dense walks of all
     # indices i >= 1 make the same tree.
     assert all(tree == expected[-1][1] for _, tree in expected[1:])
-    samples = ref.incoherent(cfg, 25)
-    sampled = amplify_run_incoherent(x, solver, cfg, 25)
-    assert abs(sampled["empirical_fidelity"] - np.mean(samples)) < 1e-12
-    assert abs(sampled["stderr"] - np.std(samples, ddof=1) / 5) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -869,9 +828,6 @@ def test_amplifier_applies_its_solver_once_per_index(name, monkeypatch):
             assert frames == [0, 1][:k] and len(walks) == min(k, 2)
             per_index = res["per_index_fidelity"]
             assert len(per_index) == k and len(set(per_index[1:])) <= 1
-        frames.clear()
-        amplify_run_incoherent(x, solver, AmplifierConfig(k, 6, Seed(2)), 25)
-        assert frames == [0, 1][:k]
 
 
 def test_amplifier_walks_in_the_frame_of_p_and_q(monkeypatch):
@@ -1031,6 +987,12 @@ def test_dme_matches_dense_reference():
             assert np.abs(out.matrix - dense_dme(target, program, t, k)).max() < 1e-12
 
 
+def _partial_swap(rho, sigma, dt):
+    """Tr_P(e^{-i dt SWAP} (rho_P ⊗ sigma_Q) e^{+i dt SWAP}): one DME step on
+    ``sigma`` with program ``rho`` at 2 pi t = -dt."""
+    return dme(sigma, rho, -dt / (2 * math.pi), 1)
+
+
 def test_partial_swap_matches_dense_reference():
     rng = generator(71)
     for d, dt in ((2, 0.7), (3, -0.4), (4, 1.3)):
@@ -1038,7 +1000,7 @@ def test_partial_swap_matches_dense_reference():
         gate = _swap_gate(1, d, -dt)
         joint = gate @ np.kron(rho, sig) @ gate.conj().T
         want = linalg.partial_trace_matrix(joint, [d, d], [1])
-        out = partial_swap(DensityOp(rho, (d,)), DensityOp(sig, (d,)), dt)
+        out = _partial_swap(DensityOp(rho, (d,)), DensityOp(sig, (d,)), dt)
         assert np.abs(out.matrix - want).max() < 1e-12
 
 
@@ -1113,8 +1075,8 @@ def test_default_dme_copies_is_smallest_k_meeting_the_bound():
 def test_partial_swap_endpoints():
     rho = DensityOp(np.diag([1.0, 0]).astype(complex), (2,))
     sig = DensityOp(np.full((2, 2), 0.5, dtype=complex), (2,))
-    assert trace_distance(partial_swap(rho, sig, 0.0), sig) < 1e-12
-    assert trace_distance(partial_swap(rho, sig, math.pi / 2), rho) < 1e-12
+    assert trace_distance(_partial_swap(rho, sig, 0.0), sig) < 1e-12
+    assert trace_distance(_partial_swap(rho, sig, math.pi / 2), rho) < 1e-12
 
 
 def test_partial_swap_matches_expm_oracle():
@@ -1125,7 +1087,7 @@ def test_partial_swap_matches_expm_oracle():
     e = scipy.linalg.expm(-1j * dt * s)
     joint = e @ np.kron(rho.matrix, sig.matrix) @ e.conj().T
     want = linalg.partial_trace_matrix(joint, [2, 2], [1])
-    assert np.linalg.norm(partial_swap(rho, sig, dt).matrix - want,
+    assert np.linalg.norm(_partial_swap(rho, sig, dt).matrix - want,
                           ord=np.inf) < 1e-12
 
 
@@ -1137,7 +1099,7 @@ def test_partial_swap_carries_cos_factor():
     c, s = math.cos(dt), math.sin(dt)
     comm = rho.matrix @ sig.matrix - sig.matrix @ rho.matrix
     want = c * c * sig.matrix + s * s * rho.matrix - 1j * c * s * comm
-    assert np.linalg.norm(partial_swap(rho, sig, dt).matrix - want,
+    assert np.linalg.norm(_partial_swap(rho, sig, dt).matrix - want,
                           ord=np.inf) < 1e-12
 
 

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import dilated_channel, no_eigensolver, swap_matrix
-from uhlmann_lab.crypto import CommitmentScheme
 from uhlmann_lab.errors import DimensionCapError, DimensionMismatch
 from uhlmann_lab.qcore import (BipartiteState, ChannelDesc, DensityOp, GateCircuit,
                                SpectralState, complementary,
                                fidelity, linalg, maximally_entangled,
-                               maximally_mixed, push_factor, trace_distance,
-                               unitary_channel)
+                               maximally_mixed, trace_distance, unitary_channel)
 from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random_density
 from uhlmann_lab.rng import Seed, child_seed, generator
-from uhlmann_lab.shannon import (CompressionCodec, commitment_channel, compress,
+from uhlmann_lab.shannon import (CompressionCodec, compress,
                                  decoder_from_uhlmann, decoupling_experiment,
                                  decoupling_fidelity, entropies, h2_conditional,
                                  haar_overlap, roundtrip, roundtrip_bound,
@@ -222,43 +220,12 @@ def test_decoder_holds_at_most_two_isometries():
     assert peak <= 2.05 * decoder.isometry.nbytes
 
 
-def test_commitment_channel_binding_cases():
-    # Perfectly binding scheme: orthogonal commit marginals -> decodable.
-    s0 = BipartiteState(np.array([1, 0, 0, 0.0]), (2, 2))
-    s1 = BipartiteState(np.array([0, 0, 1, 0.0]), (2, 2))  # |1>_C |0>_R
-    ch = commitment_channel(CommitmentScheme(raw_states=(s0, s1)))
-    assert decoder_from_uhlmann(ch)["fidelity"] > 1 - 1e-8
-    # psi_0 = psi_1: channel output independent of b.
-    same = commitment_channel(CommitmentScheme(raw_states=(s0, s0)))
-    assert decoder_from_uhlmann(same)["fidelity"] <= 0.5 + 1e-8
-    out0, out1 = (push_factor(same, np.eye(2)[:, [b]]) for b in (0, 1))
-    assert trace_distance(out0 @ out0.conj().T, out1 @ out1.conj().T) < 1e-10
-
-
-def test_commitment_channel_decoupling_bound():
-    # binding_opt = eps: decoupling fidelity >= 1 - 8 sqrt(eps) when positive.
-    from uhlmann_lab.crypto import evaluate
-    from uhlmann_lab.uhlmann import instance_with_fidelity
-    from uhlmann_lab.crypto import commitment_from_instance
-    x = instance_with_fidelity(0.04, 2, 2, 9)
-    scheme = commitment_from_instance(x)
-    eps = evaluate(scheme).binding_opt
-    ch = commitment_channel(scheme)
-    dec = decoupling_fidelity(ch)
-    bound = 1 - 8 * math.sqrt(eps)
-    assert dec >= min(bound, 0.0) - 1e-9  # vacuous here; value is still reported
-    assert 0.0 <= dec <= 1.0
-
-
 def reference_channels():
-    """Haar, Clifford, radiation (r = 1 and r = n) and commitment channels,
-    with anc_state != 0 and dA != dB among them."""
-    from uhlmann_lab.crypto import commitment_from_instance
+    """Haar, Clifford and radiation (r = 1 and r = n) channels, with
+    anc_state != 0 and dA != dB among them."""
     from uhlmann_lab.physics import radiation_channel
     from uhlmann_lab.qcore.random_ops import random_clifford
-    from uhlmann_lab.uhlmann import instance_with_fidelity
     scrambler = random_clifford(4, Seed(17), columns=(0, 8))
-    scheme = commitment_from_instance(instance_with_fidelity(0.6, 2, 2, 9))
     return {
         "haar": dilated_channel(haar_unitary(8, generator(60)), 2, 4, (4, 2), anc_state=3),
         "haar-qutrit": dilated_channel(haar_unitary(12, generator(61)), 3, 4, (2, 6),
@@ -266,12 +233,11 @@ def reference_channels():
         "clifford": ChannelDesc(random_clifford(3, Seed(16), columns=(0, 4)), (4, 2)),
         "radiation-r1": radiation_channel(scrambler, 1),
         "radiation-rn": radiation_channel(scrambler, 4),
-        "commitment": commitment_channel(scheme),
     }
 
 
 @pytest.mark.parametrize("name", ["haar", "haar-qutrit", "clifford", "radiation-r1",
-                                  "radiation-rn", "commitment"])
+                                  "radiation-rn"])
 def test_decoupling_and_decoder_match_kraus_sum_references(name):
     ch = reference_channels()[name]
     dA = ch.d_in

@@ -9,7 +9,7 @@ from uhlmann_lab.qcore.random_ops import haar_state_vector, haar_unitary, random
 from uhlmann_lab.rng import child_seed, generator
 from uhlmann_lab.uhlmann import (TRIM, CompletionChannel, UhlmannInstance, apply_uhlmann,
                                  canonical_uhlmann, circuit_instance, cross_operator,
-                                 instance_with_fidelity, pad_instance, qutrit_example,
+                                 instance_with_fidelity, qutrit_example,
                                  random_raw_instance, unitary_completion, validate_instance)
 
 from conftest import fidelity_eig_oracle
@@ -415,48 +415,27 @@ def test_apply_uhlmann_dimension_check():
 
 
 # ---------------------------------------------------------------------------
-# Padding
-
-def test_padding_alpha_one_preserves_instance():
-    x = random_raw_instance(4, 4, 12)
-    kappa = validate_instance(x)["kappa"]
-    padded = pad_instance(x, 1.0)
-    assert abs(validate_instance(padded)["kappa"] - kappa) < 1e-9
-    v = canonical_uhlmann(padded, 0.0).matrix
-    u = canonical_uhlmann(x, 0.0).matrix
-    assert np.linalg.norm(v[0::2, 0::2] - u, ord=np.inf) < 1e-9
-
-
-def test_padding_exact_fidelity_law():
-    # Squared convention: padded kappa = (alpha sqrt(kappa) + 1 - alpha)^2.
-    for kappa, alpha in ((0.0, 0.5), (0.25, 0.5), (0.7, 0.3), (0.9, 1.0)):
-        x = instance_with_fidelity(kappa, 2, 2, 77)
-        padded = pad_instance(x, alpha)
-        want = (alpha * np.sqrt(kappa) + 1 - alpha) ** 2
-        assert abs(validate_instance(padded)["kappa"] - want) < 1e-9
-    # The kappa = 0, alpha = 1/2 case lands at 1/4 exactly.
-    x = instance_with_fidelity(0.0, 2, 2, 78)
-    assert abs(validate_instance(pad_instance(x, 0.5))["kappa"] - 0.25) < 1e-9
-
+# An appended ray orthogonal to the rest
 
 def test_padding_block_structure():
-    # V = U ⊗ |0><0| + |1..1><1..1| ⊗ |1><1| (the proof-level identity).
+    # Each state padded with a flag branch on one extra ray,
+    # |E> = |0>|psi>|0> + |1>|1..1>|1> (normalised), split ((a, A) | (B, b)).
+    # Then V = U ⊗ |0><0| + |1..1><1..1| ⊗ |1><1| (the proof-level identity).
+    dA = dB = 4
     for seed in range(5):
-        x = random_raw_instance(4, 4, 200 + seed)
+        x = random_raw_instance(dA, dB, 200 + seed)
+        padded = []
+        for state in x.states():
+            amp = np.zeros((2, dA, dB, 2), dtype=complex)
+            amp[0, :, :, 0] = np.sqrt(0.5) * state.as_matrix()
+            amp[1, dA - 1, dB - 1, 1] = np.sqrt(0.5)
+            padded.append(BipartiteState(amp.reshape(-1), (2 * dA, 2 * dB)))
         u = canonical_uhlmann(x, 0.0).matrix
-        v = canonical_uhlmann(pad_instance(x, 0.5), 0.0).matrix
-        dB = 4
+        v = canonical_uhlmann(UhlmannInstance(raw_pair=tuple(padded)), 0.0).matrix
         want = np.zeros((2 * dB, 2 * dB), dtype=complex)
         want[0::2, 0::2] = u                    # flag-0 sector, B x B block
         want[2 * dB - 1, 2 * dB - 1] = 1.0      # |1...1>|1> ray
         assert np.linalg.norm(v - want, ord=np.inf) < 1e-9
-
-
-def test_padding_alpha_out_of_range():
-    x = random_raw_instance(2, 2, 5)
-    for alpha in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            pad_instance(x, alpha)
 
 
 def test_cross_operator_orientation():

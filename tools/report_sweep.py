@@ -170,6 +170,7 @@ COMMANDS = [
     "commit --param commit_qubits=3 --param reveal_qubits=1",
     "commit --param schemes=150",
     "commit --param gates=0",
+    "commit --param commit_qubits=10 --param reveal_qubits=10 --param schemes=1",
     "channel --param qubits=5",
     "channel --param qubits=8",
     "channel --param qubits=10",
