@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -717,82 +718,78 @@ def _dumps(report) -> str:
     return "".join(_report_chunks(report))
 
 
-_CHUNK = 4096  # floats formatted per chunk of a spliced array
+_CHUNK = 4096  # floats formatted per chunk of a float array
 
 
 def _report_chunks(report):
-    """``_dumps(report)`` as an iterator of strings, so a long float array is
-    never held as one text.
-
-    With ``indent`` the stdlib runs its pure-Python encoder, which is slow on
-    long float arrays (``w_matrix``). Each non-empty 1-D float64 array of
-    finite values is encoded as a placeholder string instead, then spliced
-    in with float.__repr__, the encoder's own float format, ``_CHUNK``
-    values at a time. Lists, and arrays holding NaN or an infinity, keep the
-    stdlib path. The placeholder is grown until no string in the
-    report contains it. The rest of the report is encoded here, before the
-    first chunk is taken, so a report that cannot be encoded raises before
-    anything is written.
-    """
-    strings, arrays = [], []
-    swapped = _swap_arrays(report, strings, arrays)
-    mark = "SPLICE"
-    while any(mark in text for text in strings):
-        mark += "_"
-
-    def placeholder(obj):
-        if not isinstance(obj, _Splice):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        return f"{mark}{obj.index}"
-
-    text = json.dumps(swapped, sort_keys=True, indent=2, default=placeholder)
-    return _spliced(text, re.compile(rf'^( *)(.*?)"{mark}(\d+)"', flags=re.M), arrays)
+    """``_dumps(report)`` as strings, no float array as one text. ``json.dumps``
+    runs ``_Encoder`` over the whole report first, so one it cannot encode
+    raises before a write; the encoder leaves a NUL, which its ASCII text
+    never holds, for each float array it keeps aside."""
+    arrays = []
+    text = json.dumps(report, sort_keys=True, indent=2, cls=_Encoder, arrays=arrays)
+    return _chunks(text.split("\0"), arrays)
 
 
-def _spliced(text: str, placeholders: re.Pattern, arrays: list):
-    """``text`` with each placeholder match replaced by its float array, one
-    element per line at the placeholder's indent plus two."""
-    last = 0
-    for match in placeholders.finditer(text):
-        outer, ind = match[1], match[1] + "  "
-        sep = ",\n" + ind
-        yield f"{text[last:match.start()]}{outer}{match[2]}[\n{ind}"
-        values = arrays[int(match[3])]
+def _chunks(pieces: list, arrays: list):
+    """The text ``pieces`` with each array between two, ``_CHUNK`` floats at a time."""
+    yield pieces[0]
+    for (values, sep), piece in zip(arrays, pieces[1:]):
         for start in range(0, len(values), _CHUNK):
             part = values[start:start + _CHUNK].tolist()
             yield (sep if start else "") + sep.join(map(float.__repr__, part))
-        yield f"\n{outer}]"
-        last = match.end()
-    yield text[last:]
+        yield piece
 
 
-def _swap_arrays(obj, strings: list, arrays: list):
-    """``obj`` with each non-empty 1-D float64 array of finite values
-    appended to ``arrays`` and replaced by its ``_Splice``; any other 1-D
-    float64 array becomes its list. Every string met, keys included, is
-    appended to ``strings``. A module function, not a closure that calls
-    itself: that would be a reference cycle keeping ``arrays`` alive until
-    the cyclic collector runs."""
-    if isinstance(obj, dict):
-        strings.extend(key for key in obj if isinstance(key, str))
-        return {key: _swap_arrays(val, strings, arrays) for key, val in obj.items()}
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        if not (obj.size and np.isfinite(obj).all()):
-            return obj.tolist()
-        arrays.append(obj)
-        return _Splice(len(arrays) - 1)
-    if isinstance(obj, (list, tuple)):
-        return [_swap_arrays(v, strings, arrays) for v in obj]
+class _Encoder(json.JSONEncoder):
+    """What ``json.dumps(report, sort_keys=True, indent=2)`` writes, by ``_encode``
+    in one pass instead of the stdlib's pure-Python indenting encoder."""
+
+    def __init__(self, arrays: list, **settings):
+        super().__init__(**settings)
+        self.arrays = arrays
+
+    def encode(self, obj) -> str:
+        parts = []
+        _encode(obj, "\n", parts, self.arrays)
+        return "".join(parts)
+
+
+def _encode(obj, ind: str, parts: list, arrays: list) -> None:
+    """Append ``json.dumps(obj, sort_keys=True, indent=2)`` to ``parts`` at the
+    newline-led indent ``ind``, by the stdlib's rules (float.__repr__, not
+    numpy 2's repr; str keys only), with a NUL in place of each non-empty 1-D
+    float64 array of finite values, whose (array, item separator) goes to
+    ``arrays``. Not a closure calling itself: that cycle would hold the
+    arrays until the cyclic collector runs."""
+    inner = ind + "  "
     if isinstance(obj, str):
-        strings.append(obj)
-    return obj
-
-
-class _Splice:
-    """Where ``_dumps`` splices in float array number ``index``."""
-
-    def __init__(self, index: int):
-        self.index = index
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else
+                     "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        if obj.size and np.isfinite(obj).all():
+            parts += ["[" + inner, "\0", ind + "]"]
+            arrays.append((obj, "," + inner))
+        else:
+            _encode(obj.tolist(), ind, parts, arrays)
+    elif isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
+            parts.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, parts, arrays)
+        parts.append(ind + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            parts.append(("," if i else "[") + inner)
+            _encode(item, inner, parts, arrays)
+        parts.append(ind + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def main(argv=None) -> int:

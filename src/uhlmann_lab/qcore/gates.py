@@ -98,8 +98,13 @@ def run_gates(circuits, stack: np.ndarray, dims: tuple) -> np.ndarray:
     Step t applies each circuit's t-th gate, if it has one. The circuits are
     grouped by target tuple, and one matmul applies a group's stacked gate
     matrices to its rows' ``_register_plan`` reshape: each row gets the bits
-    ``apply_matrix_to_registers`` would give it.
+    ``apply_matrix_to_registers`` would give it. A stack of one skips the
+    grouping and applies its gates in turn.
     """
+    if len(circuits) == 1:
+        for g, qs in circuits[0].gates:
+            stack = _apply(GATES[g], stack, dims, qs)
+        return stack
     for step in range(max((len(c.gates) for c in circuits), default=0)):
         groups = {}
         for i, c in enumerate(circuits):
@@ -110,18 +115,21 @@ def run_gates(circuits, stack: np.ndarray, dims: tuple) -> np.ndarray:
                 rows.append(i)
                 slots.append(slot)
         for (qs, size), (rows, slots) in groups.items():
-            shape, forward, flat, middle, backward = _stack_plan(dims, qs)
-            if flat[1] != size:
-                raise DimensionMismatch(f"a {size}x{size} gate does not act on targets {qs}")
             mats = _BY_SIZE[size][slots[0] if len(slots) == 1 else slots]
-            full = len(rows) == len(stack)
-            tensor = (stack if full else stack[rows]).reshape(shape).transpose(forward)
-            out = (mats @ tensor.reshape(flat)).reshape(middle).transpose(backward)
-            if full:
-                stack = out.reshape(len(rows), -1)
+            if len(rows) == len(stack):
+                stack = _apply(mats, stack, dims, qs)
             else:
-                stack[rows] = out.reshape(len(rows), -1)
+                stack[rows] = _apply(mats, stack[rows], dims, qs)
     return stack
+
+
+def _apply(mats: np.ndarray, rows: np.ndarray, dims: tuple, targets: tuple) -> np.ndarray:
+    """``mats``, one gate matrix or one per row, on ``targets`` of each row."""
+    shape, forward, flat, middle, backward = _stack_plan(dims, targets)
+    if flat[1] != (size := len(mats[-1])):
+        raise DimensionMismatch(f"a {size}x{size} gate does not act on targets {targets}")
+    tensor = rows.reshape(shape).transpose(forward)
+    return (mats @ tensor.reshape(flat)).reshape(middle).transpose(backward).reshape(len(rows), -1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -144,18 +152,39 @@ def circuit_states(circuits) -> np.ndarray:
 
 
 def random_circuit(n_qubits: int, n_gates: int, rng: np.random.Generator) -> GateCircuit:
-    """Uniformly random gate sequence from the supported set."""
+    """Uniformly random gate sequence from the supported set: per gate, what
+    ``rng.integers(len(GATES))``, then ``rng.integers(n)`` or ``rng.choice(n,
+    2, replace=False)`` (``H`` on one qubit) draw, decoded from a batch of
+    ``rng``'s 32-bit words as numpy decodes them. ``integers(b)``: m = w b,
+    redrawn while m mod 2^32 < (2^32 - b) mod b (Lemire), is m >> 32, no word
+    if b = 1. ``choice(n, 2)``: a = integers(n - 1), b = integers(n), n - 1 if
+    b = a (Floyd), swapped if integers(2) is 0. ``rng`` ends as they leave it."""
     names = sorted(GATES)
+    start = rng.bit_generator.state
+    words, used = [], 0
+    least = {b: (2 ** 32 - b) % b for b in (len(names), n_qubits, n_qubits - 1, 2) if b > 1}
+
+    def draw(bound: int) -> int:
+        nonlocal used
+        if bound < 2:
+            return 0
+        while True:
+            if used == len(words):
+                words.extend(rng.integers(2 ** 32, size=4 * n_gates + 4, dtype=np.uint32).tolist())
+            m = words[used] * bound
+            used += 1
+            if m & 0xFFFFFFFF >= least[bound]:
+                return m >> 32
+
     gates = []
     for _ in range(n_gates):
-        g = names[rng.integers(len(names))]
-        if g in TWO_QUBIT:
-            if n_qubits < 2:
-                g = "H"
-                gates.append((g, (int(rng.integers(n_qubits)),)))
-                continue
-            q = rng.choice(n_qubits, size=2, replace=False)
-            gates.append((g, (int(q[0]), int(q[1]))))
+        g = names[draw(len(names))]
+        if g in TWO_QUBIT and n_qubits > 1:
+            a, b = draw(n_qubits - 1), draw(n_qubits)
+            b = n_qubits - 1 if b == a else b
+            gates.append((g, (b, a) if draw(2) == 0 else (a, b)))
         else:
-            gates.append((g, (int(rng.integers(n_qubits)),)))
+            gates.append(("H" if g in TWO_QUBIT else g, (draw(n_qubits),)))
+    rng.bit_generator.state = start
+    rng.integers(2 ** 32, size=used, dtype=np.uint32)
     return GateCircuit(n_qubits, tuple(gates))

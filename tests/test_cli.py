@@ -117,7 +117,8 @@ def _per_scheme_commit(args):
         circuits = [random_circuit(n_c + n_r, n_gates, rng) for _ in range(2)]
         scheme = crypto.CommitmentScheme(tuple(BipartiteState(gate_by_gate(c), split)
                                                for c in circuits))
-        rep = crypto.evaluate(scheme, attack=crypto.optimal_binding_attack(scheme))
+        rep = crypto.evaluate(scheme, attack=crypto.optimal_binding_attack(
+            *(s.as_matrix() for s in scheme.states())))
         worst_mlc = min(worst_mlc, rep.hiding_stat - (1 - math.sqrt(rep.binding_opt)))
         switched = crypto.evaluate(crypto.flavor_switch(scheme))
         worst_flavor = max(worst_flavor, switched.hiding_stat - math.sqrt(rep.binding_opt))
@@ -1162,10 +1163,36 @@ def test_report_writer_rejects_what_json_rejects():
 
 
 def test_report_bytes_are_the_stdlib_encoding(capsys):
-    main(["uhlmann", "--param", "dA=3", "--param", "dB=4"])
-    out = capsys.readouterr().out
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-    assert '"w_matrix": [\n      ' in out
+    # One small run of each scenario.
+    runs = [["uhlmann", "--param", "dA=3", "--param", "dB=4"],
+            ["szk", "--param", "m=2", "--trials", "5"], ["qip", "--param", "m=2", "--trials", "3"],
+            ["amplify", "--trials", "5"], ["commit", "--param", "schemes=5"],
+            ["channel", "--param", "qubits=2"], ["compress", "--param", "seeds=1"],
+            ["blackhole", "--param", "qubits=4", "--param", "r=2"],
+            ["interfere", "--param", "pairs=2"], ["entropy"]]
+    assert sorted(argv[0] for argv in runs) == sorted(cli.SCENARIOS)
+    for argv in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        if argv[0] == "uhlmann":
+            assert '"w_matrix": [\n      ' in out
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")])
+_REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | _JSON_FLOATS | st.text()
+                  | st.lists(_JSON_FLOATS, max_size=5).map(lambda v: np.array(v, dtype=float)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=st.recursive(_REPORT_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4)), max_leaves=20))
+def test_report_writer_is_the_stdlib_encoding_of_any_report_tree(tree):
+    from uhlmann_lab.cli import _dumps
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2,
+                                      default=lambda array: array.tolist())
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["nosuch"], ["channel", "--seed", "x"], []])

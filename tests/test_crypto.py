@@ -40,7 +40,8 @@ def test_revealing_scheme_perfectly_binding():
 def test_optimal_attack_achieves_binding_fidelity():
     for seed in range(10):
         scheme = _raw_scheme(seed)
-        rep = evaluate(scheme, attack=optimal_binding_attack(scheme))
+        rep = evaluate(scheme, attack=optimal_binding_attack(
+            *(s.as_matrix() for s in scheme.states())))
         assert abs(rep.binding_attack - rep.binding_opt) < 1e-8
 
 
@@ -56,7 +57,7 @@ def test_no_sampled_attack_beats_binding_opt():
 
 def test_attack_channel_interface():
     scheme = _raw_scheme(7)
-    u = optimal_binding_attack(scheme)
+    u = optimal_binding_attack(*(s.as_matrix() for s in scheme.states()))
     as_channel = ChannelDesc(u, (2, 1))
     rep = evaluate(scheme, attack=as_channel)
     assert abs(rep.binding_attack - rep.binding_opt) < 1e-8
@@ -214,7 +215,8 @@ def test_assessed_stack_equals_each_scheme_bit_for_bit(split):
     m0, m1 = (np.stack([sc.states()[b].as_matrix() for sc in schemes]) for b in (0, 1))
     hiding, binding, attack, switched = assess(m0, m1)
     for i, scheme in enumerate(schemes):
-        rep = evaluate(scheme, attack=optimal_binding_attack(scheme))
+        rep = evaluate(scheme, attack=optimal_binding_attack(
+            *(s.as_matrix() for s in scheme.states())))
         assert (hiding[i], binding[i], attack[i]) == (
             rep.hiding_stat, rep.binding_opt, rep.binding_attack)
         assert switched[i] == evaluate(flavor_switch(scheme)).hiding_stat

@@ -117,6 +117,66 @@ def test_gate_loop_runs_each_row_through_its_own_circuit():
     assert np.array_equal(run_gates(circuits, stack.copy(), (2, 2, 2)), want)
 
 
+def _per_gate_random_circuit(n_qubits: int, n_gates: int, rng) -> GateCircuit:
+    """``random_circuit`` as numpy's per-gate draws: the oracle of its decoding."""
+    names = sorted(GATES)
+    gates = []
+    for _ in range(n_gates):
+        g = names[rng.integers(len(names))]
+        if g in TWO_QUBIT:
+            if n_qubits < 2:
+                g = "H"
+                gates.append((g, (int(rng.integers(n_qubits)),)))
+                continue
+            q = rng.choice(n_qubits, size=2, replace=False)
+            gates.append((g, (int(q[0]), int(q[1]))))
+        else:
+            gates.append((g, (int(rng.integers(n_qubits)),)))
+    return GateCircuit(n_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 13))
+def test_random_circuit_draws_what_the_per_gate_calls_draw(n_qubits):
+    # Equal gates and an equal generator state after, for two circuits drawn
+    # in a row from one generator; odd seeds start on a buffered 32-bit word.
+    for n_gates in (0, 1, 5, 20, 60):
+        for seed in range(30):
+            batched, per_gate = generator(seed), generator(seed)
+            if seed % 2:
+                batched.integers(2 ** 32, dtype=np.uint32)
+                per_gate.integers(2 ** 32, dtype=np.uint32)
+            for _ in range(2):
+                assert random_circuit(n_qubits, n_gates, batched) == \
+                    _per_gate_random_circuit(n_qubits, n_gates, per_gate)
+                assert batched.bit_generator.state == per_gate.bit_generator.state
+
+
+def test_random_circuit_redraws_a_word_that_lemire_rejects():
+    # A buffered word of 0 is rejected for the 11 gate names: m mod 2^32 = 0
+    # lies below (2^32 - 11) mod 11 = 4.
+    state = generator(3).bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    batched, per_gate = generator(3), generator(3)
+    batched.bit_generator.state = per_gate.bit_generator.state = state
+    assert random_circuit(4, 20, batched) == _per_gate_random_circuit(4, 20, per_gate)
+    assert batched.bit_generator.state == per_gate.bit_generator.state
+
+
+def test_random_circuit_draws_more_words_when_rejections_use_up_the_batch():
+    # Its first batch is all zero words, each rejected for the 11 names: the
+    # next batch is decoded as the per-gate calls decode the same stream.
+    class ZeroFirstBatch:
+        def __init__(self, rng):
+            self.bit_generator, self.rng = rng.bit_generator, rng
+
+        def integers(self, high, size, dtype):
+            self.integers = self.rng.integers
+            return np.zeros(size, dtype)
+
+    assert random_circuit(3, 5, ZeroFirstBatch(generator(8))) == \
+        _per_gate_random_circuit(3, 5, generator(8))
+
+
 def test_gate_of_the_wrong_size_for_its_targets_is_refused():
     for gates in ((("H", (0, 1)),), (("CNOT", (0,)),)):
         with pytest.raises(DimensionMismatch):

@@ -171,6 +171,8 @@ COMMANDS = [
     "commit --param schemes=150",
     "commit --param gates=0",
     "commit --param commit_qubits=10 --param reveal_qubits=10 --param schemes=1",
+    # One commit and one reveal qubit: the attack acts on dR = 2.
+    "commit --param commit_qubits=1 --param reveal_qubits=1 --param schemes=20",
     "channel --param qubits=5",
     "channel --param qubits=8",
     "channel --param qubits=10",
@@ -205,6 +207,10 @@ COMMANDS = [
     "interfere pair_parallel.json",
     "interfere --param qubits=9",
     "interfere --param qubits=6 --param pairs=10",
+    # One qubit: two-qubit names become H on integers(1), which draws no word.
+    "interfere --param qubits=1 --param pairs=5",
+    # Two qubits: the first of choice(2, 2)'s draws has bound 1 and takes no word.
+    "interfere --param qubits=2 --param pairs=5",
     "entropy --param state=diag:0.5,0.25,0.25 --param epsilon=0.1",
     "entropy --param state=mm:10",
     "entropy --param state=mm:2 --param epsilon=0.1",
